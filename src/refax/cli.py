@@ -17,6 +17,9 @@ import tempfile
 from . import joos, minilet
 from .framework import FocusPresent, RefactoringError
 from .lexing import ParseError, Span, SpanMismatch
+from .terms import dump
+
+LANGUAGES = {lang.name: lang for lang in (joos.LANGUAGE, minilet.LANGUAGE)}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -34,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lang", required=True, choices=["joos", "minilet"])
+        p.add_argument("--lang", required=True, choices=LANGUAGES)
         p.add_argument("--file", required=True, help="source file to operate on")
 
     def output_opts(p: argparse.ArgumentParser) -> None:
@@ -102,88 +105,32 @@ def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.command == "extract":
-        return _run_extract(args)
-    if args.command == "introduce":
-        return _run_introduce(parser, args)
+    lang = LANGUAGES[args.lang]
+    source = _read(args.file)
     if args.command == "check":
-        return _run_check(args)
-    return _run_ast(args)
-
-
-def _run_extract(args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    if args.lang == "joos":
-        focused = joos.place_focus_by_span(source, "statement", args.focus)
-        result = joos.pretty(joos.extract_method(args.name, focused))
+        diags = lang.check(lang.parse(source))
+        for diag in diags:
+            print(diag)
+        return 0 if not diags else 1
+    if args.command == "ast":
+        print(dump(lang.parse(source)))
+        return 0
+    if args.command == "extract":
+        focused = lang.place_focus_by_span(source, lang.fragment_kind, args.focus)
+        result = lang.extract(args.name, focused)
     else:
-        focused = minilet.place_focus_by_span(source, "expr", args.focus)
-        result = minilet.pretty(minilet.extract_function(args.name, focused))
-    _emit(result, args)
-    return 0
-
-
-def _run_introduce(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    decl_source = _read(args.decl)
-    if args.lang == "joos":
-        if not args.class_name:
-            return _usage_error(parser, "introduce --lang joos requires --class")
-        method = joos.parse_method(decl_source)
-        program = joos.parse_program(source)
-        focused = _focus_class_methods(program, args.class_name)
-        result = joos.pretty(joos.introduce_method(method, focused))
-    else:
-        if args.focus is None:
-            return _usage_error(parser, "introduce --lang minilet requires --focus")
-        fundef = minilet.parse_fundef(decl_source)
-        focused = minilet.place_focus_by_span(source, "fundeflist", args.focus)
-        result = minilet.pretty(minilet.introduce_function(fundef, focused))
-    _emit(result, args)
-    return 0
-
-
-def _focus_class_methods(program, class_name: str):
-    from dataclasses import replace
-
-    from .framework import NoHost
-    from .joos import ast as jast
-
-    classes = []
-    found = False
-    for cls in program.classes:
-        if cls.name == class_name and not found:
-            if not isinstance(cls.methods, jast.MethodList):
-                raise NoHost(f"class {class_name!r} has no plain method list")
-            classes.append(replace(cls, methods=jast.MethodDeclarationFocus(cls.methods)))
-            found = True
+        decl_source = _read(args.decl)
+        by_class = lang.focus_class is not None
+        flag, target = ("--class", args.class_name) if by_class else ("--focus", args.focus)
+        if not target:
+            return _usage_error(parser, f"introduce --lang {lang.name} requires {flag}")
+        decl = lang.parse_decl(decl_source)
+        if by_class:
+            focused = lang.focus_class(lang.parse(source), args.class_name)
         else:
-            classes.append(cls)
-    if not found:
-        raise NoHost(f"no class named {class_name!r}")
-    return replace(program, classes=tuple(classes))
-
-
-def _run_check(args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    if args.lang == "joos":
-        diags = joos.static_check(joos.parse_program(source))
-    else:
-        diags = minilet.resolution_check(minilet.parse_program(source))
-    for diag in diags:
-        print(diag)
-    return 0 if not diags else 1
-
-
-def _run_ast(args: argparse.Namespace) -> int:
-    from .terms import dump
-
-    source = _read(args.file)
-    if args.lang == "joos":
-        program = joos.parse_program(source)
-    else:
-        program = minilet.parse_program(source)
-    print(dump(program))
+            focused = lang.place_focus_by_span(source, lang.list_kind, args.focus)
+        result = lang.introduce(decl, focused)
+    _emit(lang.pretty(result), args)
     return 0
 
 

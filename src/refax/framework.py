@@ -1,24 +1,29 @@
 """Language-independent refactoring layer.
 
-Built on the strategy combinators: operations to select, replace and mark
-a focus; the name analyses (free names, bound typed names along the path
-to a focus, typed free names); the abstraction-signature interface a
-language instance fills in; and the two refactorings composed from them,
-extraction and introduction.
+Built on the strategy combinators: operations to place, select, replace
+and mark a focus, and to test for leftover focus wrappers; the name
+analyses (free names, bound typed names along the path to a focus, typed
+free names); the abstraction-signature interface a language instance
+fills in; the two refactorings composed from them, extraction and
+introduction; and the ``Language`` record through which the CLI uses one
+language instance.
 
 A language participates by providing a handful of ``SortCase`` values
 (recognisers for its focus wrappers, a host marker) and ``QueryTU``
 analyses for declared and referenced names, plus an
-``AbstractionSignature`` bundling observers and constructors for its
-abstraction form (methods, functions, ...). Everything here manipulates
-terms only through the uniform protocol.
+``AbstractionSignature`` with the constructors for its abstraction form
+(methods, functions, ...). Its ``Language`` record adds the parser,
+printer and checker, and the focus kinds (kind name to sort and wrapper
+class) that focus placement and the wrapper check work from. Everything
+here manipulates terms only through the uniform protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
+from .lexing import Span, SpanMismatch
 from .strategy import (
     MonoidSpec,
     QueryTU,
@@ -38,7 +43,7 @@ from .strategy import (
     oncetd_tu,
     propagate_tu,
 )
-from .terms import Term, append_child
+from .terms import Sort, Term, append_child
 
 
 class RefactoringError(Exception):
@@ -107,7 +112,7 @@ def env_lookup(env: Environment, name: str) -> NameTypePair | None:
 
 @dataclass(frozen=True)
 class AbstractionSignature:
-    """Observers and constructors for one language's abstraction form.
+    """Name observer and constructors for one language's abstraction form.
 
     Constructors are partial: they raise ``ConstructorRejected`` for
     arguments outside the form they support. The two fragment converters
@@ -116,12 +121,8 @@ class AbstractionSignature:
     """
 
     get_abs_name: Callable[[Term], str]
-    get_abs_formals: Callable[[Term], Any]
-    get_abs_body: Callable[[Term], Term]
     make_abstraction: Callable[[str, Any, Term], Term]
     make_formals: Callable[[Sequence[NameTypePair]], Any]
-    get_apply_name: Callable[[Term], str]
-    get_apply_actuals: Callable[[Term], Any]
     make_application: Callable[[str, Any], Term]
     make_actuals: Callable[[Sequence[NameTypePair]], Any]
     body_from_fragment: Callable[[Term], Term]
@@ -131,6 +132,39 @@ class AbstractionSignature:
 # ---------------------------------------------------------------------------
 # Focus and scope
 # ---------------------------------------------------------------------------
+
+# A language's focus kinds: kind name -> (sort, wrapper class). A wrapper
+# class is built from the node it wraps and has the same sort.
+FocusKinds = Mapping[str, tuple[Sort, type]]
+
+
+def wrap_first(
+    sort: Sort, accept: Callable[[Term], bool], wrap: Callable[[Term], Term], prog: Term
+) -> Term:
+    """Rewrite with ``wrap`` the first node of ``sort``, in preorder, that
+    ``accept`` admits, in one top-down pass. Raises ``StrategyFailure``
+    when no node is admitted."""
+
+    def put(t: Term) -> Term:
+        if accept(t):
+            return wrap(t)
+        raise StrategyFailure("not the selected node")
+
+    return apply_tp(oncetd_tp(mono_tp(SortCase(sort, put))), prog)
+
+
+def contains_focus(kinds: FocusKinds, t: Term) -> bool:
+    """Whether ``t`` holds a wrapper of any of ``kinds``.
+
+    A plain ``isinstance`` recursion, not an ``oncetd_tu`` probe: the
+    probe costs several times as much, and the checkers run this on
+    every program they see."""
+    wrappers = tuple(wrapper for _, wrapper in kinds.values())
+
+    def walk(n: Term) -> bool:
+        return isinstance(n, wrappers) or any(walk(c) for c in n.children())
+
+    return walk(t)
 
 
 def select_focus(get_focus: SortCase[Term], prog: Term) -> Term:
@@ -253,14 +287,6 @@ def free_typed_names(
 # ---------------------------------------------------------------------------
 
 
-def _has_focus(case: SortCase[Term], t: Term) -> bool:
-    try:
-        apply_tu(oncetd_tu(mono_tu(case)), t)
-        return True
-    except StrategyFailure:
-        return False
-
-
 def introduce(
     declared: QueryTU[Sequence[NameTypePair]],
     referenced: QueryTU[Sequence[str]],
@@ -321,6 +347,61 @@ def extract(
         return sig.fragment_from_application(app)
 
     result = replace_focus(SortCase(find.sort, put), extended)
-    if _has_focus(find, result) or _has_focus(find2, result):
-        raise RuntimeError("extraction left a focus wrapper behind")
-    return result
+    try:
+        apply_tu(oncetd_tu(choice_tu(mono_tu(find), mono_tu(find2))), result)
+    except StrategyFailure:
+        return result
+    raise RuntimeError("extraction left a focus wrapper behind")
+
+
+@dataclass(frozen=True)
+class Language:
+    """One language instance as the CLI uses it.
+
+    ``fragment_kind`` names the focus kind that ``extract`` takes and
+    ``list_kind`` the one that ``introduce`` takes when its target list is
+    placed by span. A language whose target lists are named instead (JOOS
+    method lists, by class) supplies ``focus_class(program, name)``.
+    """
+
+    name: str
+    parse: Callable[[str], Term]
+    parse_decl: Callable[[str], Term]
+    pretty: Callable[[Term], str]
+    check: Callable[[Term], list[str]]
+    extract: Callable[[str, Term], Term]
+    introduce: Callable[[Term, Term], Term]
+    focus_kinds: FocusKinds
+    fragment_kind: str
+    list_kind: str
+    focus_class: Callable[[Term, str], Term] | None = None
+
+    def place_focus_by_span(self, source: str, kind: str, span: Span) -> Term:
+        """Parse ``source`` and wrap the first node of focus kind ``kind``
+        whose source span is exactly ``span``."""
+        if kind not in self.focus_kinds:
+            raise ValueError(f"unknown focus kind {kind!r}")
+        sort, wrapper = self.focus_kinds[kind]
+        prog = self.parse(source)
+        try:
+            return wrap_first(sort, lambda t: t.span == span, wrapper, prog)
+        except StrategyFailure:
+            pass
+        candidates: list[Span] = []
+
+        def collect(t: Term) -> None:
+            if t.sort == sort and t.span is not None:
+                candidates.append(t.span)
+            for c in t.children():
+                collect(c)
+
+        collect(prog)
+        nearest = sorted(
+            candidates,
+            key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),
+                           abs(s.end_line - span.end_line), abs(s.end_col - span.end_col)),
+        )[:3]
+        shown = ", ".join(str(s) for s in nearest) or "none"
+        raise SpanMismatch(
+            f"no {kind} node covers exactly {span}; nearest candidate spans: {shown}"
+        )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..framework import FocusPresent, NameTypePair
+from ..framework import FocusPresent, NameTypePair, contains_focus
 from ..strategy import QueryTU, SortCase, StrategyFailure, choice_tu, mono_tu
 from . import ast
 
@@ -126,18 +126,12 @@ _METHOD = "method"
 def static_check(program: ast.Program) -> list[str]:
     """Diagnostics for unresolved names, duplicate methods, call-arity
     mismatches and assignments to non-variables. Empty means clean."""
-    if _wrapped(program):
+    if contains_focus(ast.FOCUS_KINDS, program):
         raise FocusPresent("static check requires a wrapper-free program")
     diags: list[str] = []
     for cls in program.classes:
         _check_class(cls, diags)
     return diags
-
-
-def _wrapped(t) -> bool:
-    if isinstance(t, (ast.StatementFocus, ast.MethodDeclarationFocus)):
-        return True
-    return any(_wrapped(c) for c in t.children())
 
 
 def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:

@@ -10,8 +10,9 @@ Node kinds per sort:
 * One sort each for programs, classes, fields, methods and formals.
 
 Focus wrappers share the sort of the domain they wrap, so wrapping and
-unwrapping are sort-preserving rewrites. Source spans are parse metadata
-(excluded from structural equality) used only to place a focus.
+unwrapping are sort-preserving rewrites; ``FOCUS_KINDS`` lists them.
+Source spans are parse metadata (excluded from structural equality) used
+only to place a focus.
 """
 
 from __future__ import annotations
@@ -178,3 +179,9 @@ class Program(JoosNode):
 
 
 ETYPES = ("int", "boolean")
+
+# Focus kinds a caller can place: kind name -> (sort, wrapper class).
+FOCUS_KINDS = {
+    "statement": (STATEMENT, StatementFocus),
+    "methodlist": (METHOD_LIST, MethodDeclarationFocus),
+}

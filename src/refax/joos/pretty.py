@@ -9,7 +9,7 @@ never part of source text.
 
 from __future__ import annotations
 
-from ..framework import FocusPresent
+from ..framework import FocusPresent, contains_focus
 from . import ast
 from .parser import BINOP_PRECEDENCE
 
@@ -18,15 +18,9 @@ _UNARY_PRECEDENCE = 7
 
 
 def pretty(program: ast.Program) -> str:
-    if _contains_focus(program):
+    if contains_focus(ast.FOCUS_KINDS, program):
         raise FocusPresent("cannot print a program containing focus wrappers")
     return "\n\n".join(_class_lines(c) for c in program.classes) + "\n"
-
-
-def _contains_focus(t) -> bool:
-    if isinstance(t, (ast.StatementFocus, ast.MethodDeclarationFocus)):
-        return True
-    return any(_contains_focus(c) for c in t.children())
 
 
 def _class_lines(cls: ast.ClassDecl) -> str:

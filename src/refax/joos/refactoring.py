@@ -9,23 +9,13 @@ rejected, so no value flows back. Generated calls are this-qualified.
 
 from __future__ import annotations
 
+import dataclasses
 
 from .. import framework
-from ..framework import AbstractionSignature, CheckFailed, ConstructorRejected
-from ..lexing import Span, SpanMismatch
-from ..strategy import (
-    SortCase,
-    StrategyFailure,
-    apply_tp,
-    apply_tu,
-    mono_tp,
-    mono_tu,
-    oncetd_tp,
-    oncetd_tu,
-)
+from ..framework import AbstractionSignature, CheckFailed, ConstructorRejected, NoHost
+from ..strategy import SortCase, StrategyFailure, apply_tu, mono_tu, oncetd_tu
 from . import ast
 from .analysis import ExprType, declared_pairs, defined_names, referenced_names
-from .parser import parse_program
 
 
 def _unwrap_statement_focus(t: ast.Statement) -> ast.Statement:
@@ -90,12 +80,8 @@ def _body_from_fragment(fragment) -> ast.Block:
 
 method_signature = AbstractionSignature(
     get_abs_name=_get_abs_name,
-    get_abs_formals=lambda m: m.formals,
-    get_abs_body=lambda m: m.body,
     make_abstraction=_make_abstraction,
     make_formals=_make_formals,
-    get_apply_name=lambda c: c.name,
-    get_apply_actuals=lambda c: c.args,
     make_application=lambda name, actuals: ast.Call(True, name, tuple(actuals)),
     make_actuals=_make_actuals,
     body_from_fragment=_body_from_fragment,
@@ -161,49 +147,15 @@ def introduce_method(method: ast.MethodDecl, program: ast.Program) -> ast.Progra
     )
 
 
-# -- placing a focus by source span -------------------------------------------
+def focus_class_methods(program: ast.Program, class_name: str) -> ast.Program:
+    """Wrap the method list of the first class named ``class_name``."""
 
-_KINDS = {"statement": ast.STATEMENT, "methodlist": ast.METHOD_LIST}
+    def wrap(cls: ast.ClassDecl) -> ast.ClassDecl:
+        if not isinstance(cls.methods, ast.MethodList):
+            raise NoHost(f"class {class_name!r} has no plain method list")
+        return dataclasses.replace(cls, methods=ast.MethodDeclarationFocus(cls.methods))
 
-
-def place_focus_by_span(source: str, kind: str, span: Span) -> ast.Program:
-    """Parse ``source`` and wrap the unique node of the requested kind whose
-    span matches exactly. ``kind`` is ``statement`` or ``methodlist``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown focus kind {kind!r}")
-    program = parse_program(source)
-    sort = _KINDS[kind]
-    target = _find_by_span(program, sort, span, kind)
-    if kind == "statement":
-        wrap = SortCase(ast.STATEMENT, lambda t: _wrap_if_is(t, target, ast.StatementFocus))
-    else:
-        wrap = SortCase(ast.METHOD_LIST, lambda t: _wrap_if_is(t, target, ast.MethodDeclarationFocus))
-    return apply_tp(oncetd_tp(mono_tp(wrap)), program)
-
-
-def _wrap_if_is(t, target, wrapper):
-    if t is target:
-        return wrapper(t)
-    raise StrategyFailure("not the selected node")
-
-
-def _find_by_span(program, sort, span: Span, kind: str):
-    candidates = []
-    def collect(t):
-        if t.sort == sort and t.span is not None:
-            candidates.append(t)
-        for c in t.children():
-            collect(c)
-    collect(program)
-    for t in candidates:
-        if t.span == span:
-            return t
-    nearest = sorted(
-        candidates,
-        key=lambda t: (abs(t.span.line - span.line), abs(t.span.col - span.col),
-                       abs(t.span.end_line - span.end_line), abs(t.span.end_col - span.end_col)),
-    )[:3]
-    shown = ", ".join(str(t.span) for t in nearest) or "none"
-    raise SpanMismatch(
-        f"no {kind} node covers exactly {span}; nearest candidate spans: {shown}"
-    )
+    try:
+        return framework.wrap_first(ast.CLASS, lambda c: c.name == class_name, wrap, program)
+    except StrategyFailure:
+        raise NoHost(f"no class named {class_name!r}") from None

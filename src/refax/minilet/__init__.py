@@ -1,5 +1,6 @@
 """Minilet: a nested-let functional instantiation of the framework."""
 
+from ..framework import Language
 from . import ast
 from .analysis import declared_pairs, referenced_names, resolution_check
 from .parser import parse_fundef, parse_program
@@ -11,11 +12,25 @@ from .refactoring import (
     fundef_list_focus,
     introduce_function,
     let_defs_host,
-    place_focus_by_span,
 )
+
+LANGUAGE = Language(
+    name="minilet",
+    parse=parse_program,
+    parse_decl=parse_fundef,
+    pretty=pretty,
+    check=resolution_check,
+    extract=extract_function,
+    introduce=introduce_function,
+    focus_kinds=ast.FOCUS_KINDS,
+    fragment_kind="expr",
+    list_kind="fundeflist",
+)
+place_focus_by_span = LANGUAGE.place_focus_by_span
 
 __all__ = [
     "ast",
+    "LANGUAGE",
     "declared_pairs",
     "referenced_names",
     "resolution_check",

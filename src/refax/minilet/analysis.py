@@ -14,7 +14,7 @@ within one definition list. Definitions in a list are mutually visible
 
 from __future__ import annotations
 
-from ..framework import FocusPresent, NameTypePair
+from ..framework import FocusPresent, NameTypePair, contains_focus
 from ..strategy import QueryTU, SortCase, StrategyFailure, mono_tu
 from . import ast
 
@@ -38,17 +38,11 @@ referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, _identifier_use))
 def resolution_check(program: ast.Program) -> list[str]:
     """Diagnostics for unbound variables, undefined or misapplied
     functions, and duplicate definitions. Empty means clean."""
-    if _wrapped(program):
+    if contains_focus(ast.FOCUS_KINDS, program):
         raise FocusPresent("resolution check requires a wrapper-free program")
     diags: list[str] = []
     _check_expr(program.body, {}, frozenset(), diags)
     return diags
-
-
-def _wrapped(t) -> bool:
-    if isinstance(t, (ast.ExprFocus, ast.FunDefListFocus)):
-        return True
-    return any(_wrapped(c) for c in t.children())
 
 
 def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str]) -> None:

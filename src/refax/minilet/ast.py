@@ -3,7 +3,8 @@ construct is ``let`` over a list of function definitions, with genuinely
 nested scopes. Every name has the single universal type ``"val"``.
 
 Focus wrappers (ExprFocus for fragments, FunDefListFocus for hosts) share
-the sort of what they wrap, as in the JOOS instantiation.
+the sort of what they wrap, as in the JOOS instantiation; ``FOCUS_KINDS``
+lists them.
 """
 
 from __future__ import annotations
@@ -92,3 +93,10 @@ class FunDefListFocus(FunDefSection):
 class Program(MiniletNode):
     sort = PROGRAM
     body: Expression
+
+
+# Focus kinds a caller can place: kind name -> (sort, wrapper class).
+FOCUS_KINDS = {
+    "expr": (EXPRESSION, ExprFocus),
+    "fundeflist": (FUNDEF_LIST, FunDefListFocus),
+}

@@ -7,7 +7,7 @@ the in-expression cannot absorb the surrounding operator when reparsed.
 
 from __future__ import annotations
 
-from ..framework import FocusPresent
+from ..framework import FocusPresent, contains_focus
 from . import ast
 from .parser import BINOP_PRECEDENCE
 
@@ -15,15 +15,9 @@ _INDENT = "    "
 
 
 def pretty(program: ast.Program) -> str:
-    if _contains_focus(program):
+    if contains_focus(ast.FOCUS_KINDS, program):
         raise FocusPresent("cannot print a program containing focus wrappers")
     return _expr(program.body, 0) + "\n"
-
-
-def _contains_focus(t) -> bool:
-    if isinstance(t, (ast.ExprFocus, ast.FunDefListFocus)):
-        return True
-    return any(_contains_focus(c) for c in t.children())
 
 
 def _expr(e: ast.Expression, indent: int, context: int = 0) -> str:

@@ -13,11 +13,9 @@ import dataclasses
 
 from .. import framework
 from ..framework import AbstractionSignature, ConstructorRejected
-from ..lexing import Span, SpanMismatch
-from ..strategy import SortCase, StrategyFailure, apply_tp, mono_tp, oncetd_tp
+from ..strategy import SortCase, StrategyFailure
 from . import ast
 from .analysis import declared_pairs, referenced_names
-from .parser import parse_program
 
 
 def _unwrap_expr_focus(t: ast.Expression) -> ast.Expression:
@@ -64,12 +62,8 @@ def _get_abs_name(fd) -> str:
 
 function_signature = AbstractionSignature(
     get_abs_name=_get_abs_name,
-    get_abs_formals=lambda fd: fd.params,
-    get_abs_body=lambda fd: fd.body,
     make_abstraction=_make_abstraction,
     make_formals=_make_formals,
-    get_apply_name=lambda c: c.name,
-    get_apply_actuals=lambda c: c.args,
     make_application=lambda name, actuals: ast.Call(name, tuple(actuals)),
     make_actuals=lambda pairs: tuple(ast.Var(p.name) for p in pairs),
     body_from_fragment=lambda fragment: fragment,
@@ -106,51 +100,4 @@ def introduce_function(fundef: ast.FunDef, program: ast.Program) -> ast.Program:
         function_signature,
         fundef,
         program,
-    )
-
-
-_KINDS = {"expr": ast.EXPRESSION, "fundeflist": ast.FUNDEF_LIST}
-
-
-def place_focus_by_span(source: str, kind: str, span: Span) -> ast.Program:
-    """Parse ``source`` and wrap the unique node of the requested kind whose
-    span matches exactly. ``kind`` is ``expr`` or ``fundeflist``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown focus kind {kind!r}")
-    program = parse_program(source)
-    target = _find_by_span(program, _KINDS[kind], span, kind)
-    if kind == "expr":
-        wrap = SortCase(ast.EXPRESSION, lambda t: _wrap_if_is(t, target, ast.ExprFocus))
-    else:
-        wrap = SortCase(ast.FUNDEF_LIST, lambda t: _wrap_if_is(t, target, ast.FunDefListFocus))
-    return apply_tp(oncetd_tp(mono_tp(wrap)), program)
-
-
-def _wrap_if_is(t, target, wrapper):
-    if t is target:
-        return wrapper(t)
-    raise StrategyFailure("not the selected node")
-
-
-def _find_by_span(program, sort, span: Span, kind: str):
-    candidates = []
-
-    def collect(t):
-        if t.sort == sort and t.span is not None:
-            candidates.append(t)
-        for c in t.children():
-            collect(c)
-
-    collect(program)
-    for t in candidates:
-        if t.span == span:
-            return t
-    nearest = sorted(
-        candidates,
-        key=lambda t: (abs(t.span.line - span.line), abs(t.span.col - span.col),
-                       abs(t.span.end_line - span.end_line), abs(t.span.end_col - span.end_col)),
-    )[:3]
-    shown = ", ".join(str(t.span) for t in nearest) or "none"
-    raise SpanMismatch(
-        f"no {kind} node covers exactly {span}; nearest candidate spans: {shown}"
     )

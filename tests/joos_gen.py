@@ -1,5 +1,5 @@
-"""Random generator for statically valid JOOS programs, plus helpers to
-plant a statement focus.
+"""Random generator for statically valid JOOS programs, plus the
+statements a focus may be planted on.
 
 Method headers are generated before bodies so calls always hit an
 existing method with the right arity. Scope discipline matches the
@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 
 from refax.joos import ast
-from refax.strategy import SortCase, StrategyFailure, apply_tp, mono_tp, oncetd_tp
 
 ETYPES = ("int", "boolean")
 
@@ -147,15 +146,6 @@ def statement_nodes(program: ast.Program) -> list[ast.Statement]:
 
     walk(program, False)
     return out
-
-
-def focus_on(program: ast.Program, target: ast.Statement) -> ast.Program:
-    def wrap(t):
-        if t is target:
-            return ast.StatementFocus(t)
-        raise StrategyFailure("not the target")
-
-    return apply_tp(oncetd_tp(mono_tp(SortCase(ast.STATEMENT, wrap))), program)
 
 
 def used_identifiers(t) -> set[str]:

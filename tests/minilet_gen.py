@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 from refax.minilet import ast
-from refax.strategy import SortCase, StrategyFailure, apply_tp, mono_tp, oncetd_tp
 
 
 def gen_program(rng: random.Random) -> ast.Program:
@@ -130,15 +129,6 @@ def expr_nodes_under_let(program: ast.Program) -> list[ast.Expression]:
 
     walk(program.body, False)
     return out
-
-
-def focus_on(program: ast.Program, target: ast.Expression) -> ast.Program:
-    def wrap(t):
-        if t is target:
-            return ast.ExprFocus(t)
-        raise StrategyFailure("not the target")
-
-    return apply_tp(oncetd_tp(mono_tp(SortCase(ast.EXPRESSION, wrap))), program)
 
 
 def used_identifiers(t) -> set[str]:

@@ -198,7 +198,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         assert framework.free_names(declared, jr, prog) == oracles.joos_free_names(prog)
         stmts = joos_gen.statement_nodes(prog)
         target = rng.choice(stmts)
-        focused = joos_gen.focus_on(prog, target)
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         env, fragment = framework.bound_typed_names(jd, statement_focus, focused)
         oracle_env, oracle_fragment = oracles.joos_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -207,6 +207,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
             pairs = framework.free_typed_names(jd, jr, env, fragment)
             assert pairs == oracles.typed_frees(frees, env)
 
+    from refax.minilet import ast as mast
     from refax.minilet import declared_pairs as md, expr_focus, referenced_names as mr
 
     declared_m = framework.declared_names(md)
@@ -216,7 +217,8 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         exprs = minilet_gen.expr_nodes_under_let(prog)
         if not exprs:
             continue
-        focused = minilet_gen.focus_on(prog, rng.choice(exprs))
+        target = rng.choice(exprs)
+        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
         env, fragment = framework.bound_typed_names(md, expr_focus, focused)
         oracle_env, oracle_fragment = oracles.minilet_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -239,7 +241,8 @@ def test_criterion_5_extraction_postconditions():
         stmts = [s for s in joos_gen.statement_nodes(prog) if not isinstance(s, jast.LocalVarDecl)]
         if not stmts:
             continue
-        focused = joos_gen.focus_on(prog, rng.choice(stmts))
+        target = rng.choice(stmts)
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         name = joos_gen.fresh_name(focused)
         before = dump(focused)
         try:
@@ -266,7 +269,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void m(int a) {{ {{ {stmts} return; }} }} void log(int x) {{ }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = joos_gen.focus_on(prog, target)
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -279,7 +282,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ int shared; void m() {{ {{ shared = {i}; }} }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = joos_gen.focus_on(prog, target)
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -292,7 +295,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void taken{i}() {{ }} void m(int a) {{ this.taken{i}(); }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[1].body.statements[0]
-        focused = joos_gen.focus_on(prog, target)
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(NameClash):
             extract_method(f"taken{i}", focused)
@@ -310,7 +313,7 @@ def test_criterion_7_nested_scope_and_meaning_preservation():
 
     test_extract_targets_innermost_list_on_three_level_nesting()
 
-    from refax.minilet import extract_function
+    from refax.minilet import ast as mast, extract_function
 
     rng = random.Random(707)
     checked = 0
@@ -321,7 +324,8 @@ def test_criterion_7_nested_scope_and_meaning_preservation():
         exprs = minilet_gen.expr_nodes_under_let(prog)
         if not exprs:
             continue
-        focused = minilet_gen.focus_on(prog, rng.choice(exprs))
+        target = rng.choice(exprs)
+        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
         try:
             result = extract_function(minilet_gen.fresh_name(prog), focused)
         except framework.RefactoringError:

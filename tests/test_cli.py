@@ -53,6 +53,9 @@ SCENARIOS = [
     ("j-introduce-unknown-class",
      "introduce --lang joos --file {g}/joos/account.joos --class Missing --decl {g}/joos/newmethod.jdecl",
      1, "", "NoHost"),
+    ("j-introduce-missing-class",
+     "introduce --lang joos --file {g}/joos/account.joos --decl {g}/joos/newmethod.jdecl",
+     3, "", "--class"),
     ("j-check-clean",
      "check --lang joos --file {g}/joos/account.joos",
      0, "", None),

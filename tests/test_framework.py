@@ -6,10 +6,12 @@ from __future__ import annotations
 import pytest
 
 from refax import framework
+from refax.cli import LANGUAGES
 from refax.framework import (
     AbstractionSignature,
     CheckFailed,
     ConstructorRejected,
+    FocusPresent,
     NameClash,
     NameTypePair,
     NoFocus,
@@ -21,6 +23,7 @@ from refax.framework import (
 from refax.joos import ast as jast
 from refax.joos import (
     declared_pairs as joos_declared,
+    focus_class_methods,
     method_signature,
     parse_method,
     parse_program,
@@ -152,9 +155,8 @@ def test_free_names_minilet_example():
 def test_bound_typed_names_path_env():
     method = parse_method("void m(int a) { int b; b = a; }")
     target = method.body.statements[1]
-    from .joos_gen import focus_on
-
-    focused = focus_on(jast.Program((jast.ClassDecl("C", (), jast.MethodList((method,))),)), target)
+    prog = jast.Program((jast.ClassDecl("C", (), jast.MethodList((method,))),))
+    focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
     env, fragment = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert fragment == target
     # oracle-derived: class scope first, then the method header and params,
@@ -172,9 +174,8 @@ def test_bound_typed_names_path_env():
 def test_bound_typed_names_shadowing_lookup():
     prog = parse_program("class C { void m(int a) { boolean a; a = true; } }")
     target = prog.classes[0].methods.methods[0].body.statements[1]
-    from .joos_gen import focus_on
-
-    env, _ = framework.bound_typed_names(joos_declared, statement_focus, focus_on(prog, target))
+    focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+    env, _ = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert env_lookup(env, "a") == NameTypePair("a", ExprType("boolean"))
 
 
@@ -211,16 +212,13 @@ def test_env_lookup_innermost_wins():
 
 def test_joos_signature_round_trips():
     pairs = (NameTypePair("x", ExprType("int")), NameTypePair("ok", ExprType("boolean")))
-    formals = method_signature.make_formals(pairs)
     body = jast.Block((jast.Assign("x", jast.IntLit(1)),))
-    m = method_signature.make_abstraction("helper", formals, body)
+    m = method_signature.make_abstraction("helper", method_signature.make_formals(pairs), body)
+    formals = (jast.Formal("int", "x"), jast.Formal("boolean", "ok"))
+    assert m == jast.MethodDecl("void", "helper", formals, body)
     assert method_signature.get_abs_name(m) == "helper"
-    assert method_signature.get_abs_formals(m) == formals
-    assert method_signature.get_abs_body(m) == body
-    actuals = method_signature.make_actuals(pairs)
-    app = method_signature.make_application("helper", actuals)
-    assert method_signature.get_apply_name(app) == "helper"
-    assert method_signature.get_apply_actuals(app) == actuals
+    app = method_signature.make_application("helper", method_signature.make_actuals(pairs))
+    assert app == jast.Call(True, "helper", (jast.VarRef("x"), jast.VarRef("ok")))
 
 
 def test_joos_signature_rejects_method_typed_pairs():
@@ -233,32 +231,41 @@ def test_joos_signature_rejects_method_typed_pairs():
 
 def test_minilet_signature_round_trips():
     pairs = (NameTypePair("x", mast.VAL), NameTypePair("y", mast.VAL))
-    formals = function_signature.make_formals(pairs)
     body = mast.BinOp("+", mast.Var("x"), mast.Var("y"))
-    fd = function_signature.make_abstraction("add", formals, body)
+    fd = function_signature.make_abstraction("add", function_signature.make_formals(pairs), body)
+    assert fd == mast.FunDef("add", ("x", "y"), body)
     assert function_signature.get_abs_name(fd) == "add"
-    assert function_signature.get_abs_formals(fd) == ("x", "y")
-    assert function_signature.get_abs_body(fd) == body
     app = function_signature.make_application("add", function_signature.make_actuals(pairs))
-    assert function_signature.get_apply_name(app) == "add"
+    assert app == mast.Call("add", (mast.Var("x"), mast.Var("y")))
+
+
+# -- focus wrappers ---------------------------------------------------------------
+
+_WRAPPER_SAMPLES = {"joos": "class C { void m() { return; } }", "minilet": "let f(x) = x; in f(1)"}
+
+
+@pytest.mark.parametrize("lang,op,kind", [
+    (name, op, kind)
+    for name, language in LANGUAGES.items()
+    for op in ("pretty", "check")
+    for kind in language.focus_kinds
+])
+def test_focus_wrappers_are_rejected(lang, op, kind):
+    language = LANGUAGES[lang]
+    sort, wrapper = language.focus_kinds[kind]
+    program = language.parse(_WRAPPER_SAMPLES[lang])
+    focused = framework.wrap_first(sort, lambda t: True, wrapper, program)
+    with pytest.raises(FocusPresent):
+        getattr(language, op)(focused)
 
 
 # -- generic introduce -----------------------------------------------------------
 
 
-def _focused_class(src: str) -> jast.Program:
-    prog = parse_program(src)
-    cls = prog.classes[0]
-    import dataclasses
-
-    wrapped = dataclasses.replace(cls, methods=jast.MethodDeclarationFocus(cls.methods))
-    return dataclasses.replace(prog, classes=(wrapped,) + prog.classes[1:])
-
-
 def test_introduce_appends_preserving_existing():
     from refax.joos import method_list_focus
 
-    focused = _focused_class("class C { void a() { } void b() { } }")
+    focused = focus_class_methods(parse_program("class C { void a() { } void b() { } }"), "C")
     method = parse_method("void c() { }")
     out = framework.introduce(
         joos_declared, joos_referenced, method_list_focus,
@@ -273,7 +280,7 @@ def test_introduce_appends_preserving_existing():
 def test_introduce_rejects_defined_name():
     from refax.joos import method_list_focus
 
-    focused = _focused_class("class C { void a() { } }")
+    focused = focus_class_methods(parse_program("class C { void a() { } }"), "C")
     with pytest.raises(NameClash):
         framework.introduce(
             joos_declared, joos_referenced, method_list_focus,
@@ -285,7 +292,8 @@ def test_introduce_rejects_free_name():
     from refax.joos import method_list_focus
 
     # `g` is a field read inside a body: free at the method-list level
-    focused = _focused_class("class C { int g; void a() { int t; t = g; } }")
+    src = "class C { int g; void a() { int t; t = g; } }"
+    focused = focus_class_methods(parse_program(src), "C")
     with pytest.raises(NameClash):
         framework.introduce(
             joos_declared, joos_referenced, method_list_focus,
@@ -302,3 +310,13 @@ def test_introduce_requires_focus():
             joos_declared, joos_referenced, method_list_focus,
             method_signature, parse_method("void b() { }"), prog,
         )
+
+
+def test_extract_refuses_to_leave_a_wrapper_behind():
+    from refax.joos import extract_method
+
+    prog = parse_program("class C { void m() { this.n(); this.n(); } void n() { } }")
+    for target in prog.classes[0].methods.methods[0].body.statements:
+        prog = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+    with pytest.raises(RuntimeError, match="left a focus wrapper"):
+        extract_method("helper", prog)

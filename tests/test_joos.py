@@ -7,7 +7,6 @@ import random
 import pytest
 
 from refax import framework
-from refax.framework import FocusPresent
 from refax.joos import (
     ast,
     declared_pairs,
@@ -78,14 +77,6 @@ def test_roundtrip_on_generated_programs():
         text = pretty(prog)
         assert parse_program(text) == prog
         assert pretty(parse_program(text)) == text
-
-
-def test_pretty_rejects_focus_wrappers():
-    prog = parse_program("class C { void m() { return; } }")
-    target = prog.classes[0].methods.methods[0].body.statements[0]
-    focused = joos_gen.focus_on(prog, target)
-    with pytest.raises(FocusPresent):
-        pretty(focused)
 
 
 def test_dangling_else_parses_to_inner_binding():
@@ -237,13 +228,6 @@ def test_static_check_assignment_to_method():
 def test_static_check_block_scope_ends():
     prog = parse_program("class C { void m() { { int x; x = 1; } x = 2; } }")
     assert any("undeclared variable 'x'" in d for d in static_check(prog))
-
-
-def test_static_check_rejects_wrappers():
-    prog = parse_program("class C { void m() { return; } }")
-    focused = joos_gen.focus_on(prog, prog.classes[0].methods.methods[0].body.statements[0])
-    with pytest.raises(FocusPresent):
-        static_check(focused)
 
 
 def test_generated_programs_are_statically_valid():
