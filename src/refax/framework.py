@@ -204,15 +204,14 @@ Names = tuple[str, ...]
 
 
 def _union(a: Names, b: Names) -> Names:
-    out = list(a)
-    for n in b:
-        if n not in out:
-            out.append(n)
-    return tuple(out)
+    return tuple(dict.fromkeys(a + b))
 
 
 def _minus(a: Names, b: Names) -> Names:
-    return tuple(n for n in a if n not in b)
+    if not b:
+        return a
+    drop = set(b)
+    return tuple(n for n in a if n not in drop)
 
 
 _UNION = MonoidSpec((), _union)

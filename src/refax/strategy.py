@@ -8,9 +8,10 @@ raising ``StrategyFailure``, which ``choice`` and the traversal schemes
 treat as ordinary control flow, not as a fault.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes (``oncetd``, ``oncebu``, ``above``, ``propagate``) are
-composed from them and are deterministic: children are tried left to
-right and the first success wins.
+recursive schemes ``oncetd`` and ``oncebu`` are composed from them;
+``above`` and ``propagate``, which carry a result up or an environment
+down, are single passes of their own. All are deterministic: children
+are tried left to right and the first success wins.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ def oncetd_tp(s: TransformTP) -> TransformTP:
         try:
             return s(t)
         except StrategyFailure:
-            return one_tp(scheme)(t)
+            return descend(t)
 
     scheme = TransformTP(run)
+    descend = one_tp(scheme)
     return scheme
 
 
@@ -231,9 +233,10 @@ def oncetd_tu(q: QueryTU[A]) -> QueryTU[A]:
         try:
             return q(t)
         except StrategyFailure:
-            return one_tu(scheme)(t)
+            return descend(t)
 
     scheme = QueryTU(run)
+    descend = one_tu(scheme)
     return scheme
 
 
@@ -242,51 +245,68 @@ def oncebu_tp(s: TransformTP) -> TransformTP:
 
     def run(t: Term) -> Term:
         try:
-            return one_tp(scheme)(t)
+            return descend(t)
         except StrategyFailure:
             return s(t)
 
     scheme = TransformTP(run)
+    descend = one_tp(scheme)
     return scheme
 
 
 def oncebu_tu(q: QueryTU[A]) -> QueryTU[A]:
     def run(t: Term) -> A:
         try:
-            return one_tu(scheme)(t)
+            return descend(t)
         except StrategyFailure:
             return q(t)
 
     scheme = QueryTU(run)
+    descend = one_tu(scheme)
     return scheme
 
 
 def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     """Transform the deepest node at which ``s`` succeeds while ``below``
     succeeds somewhere strictly inside that node's subtree (the node itself
-    is excluded from the ``below`` check)."""
-    probe = oncetd_tu(below)
+    is excluded from the ``below`` check). Candidates are tried bottom-up,
+    children left to right, and the first success wins; a node where ``s``
+    refuses passes the candidacy on to its ancestors.
 
-    def met_below(t: Term) -> bool:
-        for c in t.children():
+    One bottom-up pass: each node reports its rewritten self, or a refusal
+    together with whether ``below`` held strictly inside it. So each node
+    is visited once and ``below`` runs at most once per node, O(n) in all
+    rather than a fresh probe of every candidate's subtree, O(n·depth)."""
+
+    def holds(t: Term) -> bool:
+        try:
+            below(t)
+        except StrategyFailure:
+            return False
+        return True
+
+    def go(t: Term) -> tuple[Term | None, bool]:
+        cs = t.children()
+        met = False
+        for i, c in enumerate(cs):
+            new, inside = go(c)
+            if new is not None:
+                return t.rebuild(cs[:i] + (new,) + cs[i + 1 :]), True
+            met = met or inside or holds(c)
+        if met:
             try:
-                probe(c)
-                return True
+                return s(t), True
             except StrategyFailure:
-                continue
-        return False
+                pass
+        return None, met
 
     def run(t: Term) -> Term:
-        try:
-            return one_tp(scheme)(t)
-        except StrategyFailure:
-            pass
-        if not met_below(t):
-            raise StrategyFailure("aboveTP: condition not met below")
-        return s(t)
+        new, _ = go(t)
+        if new is None:
+            raise StrategyFailure("aboveTP: no candidate with the condition met below")
+        return new
 
-    scheme = TransformTP(run)
-    return scheme
+    return TransformTP(run)
 
 
 def propagate_tu(

@@ -146,3 +146,19 @@ def fresh_name(program: ast.Program, base: str = "picked") -> str:
     while f"{base}{i}" in taken:
         i += 1
     return f"{base}{i}"
+
+
+def nested_lets(depth: int) -> tuple[str, list[str]]:
+    """``depth`` lets, each nested in the body of the one above, one line
+    per element. Level ``i`` defines ``f{i}(x) = x * {i} + 1``; the second
+    result holds, per level (index 0 unused), the span of that ``x * {i}``
+    in ``L:C-L:C`` form."""
+    lines: list[str] = []
+    spans = [""]
+    for i in range(1, depth + 1):
+        head = f"f{i}(x) = "
+        lines += ["let", f"{head}x * {i} + 1;", "in"]
+        row, col = len(lines) - 1, len(head) + 1
+        spans.append(f"{row}:{col}-{row}:{col + len(f'x * {i}')}")
+        lines.append(f"f{i}(1) + (" if i < depth else f"f{i}(1)" + ")" * (depth - 1))
+    return "\n".join(lines) + "\n", spans

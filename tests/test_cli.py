@@ -9,6 +9,8 @@ import pytest
 
 from refax.cli import main
 
+from .minilet_gen import nested_lets
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # (name, argv, expected exit code, expected-stdout file or literal "", stderr fragment)
@@ -196,3 +198,18 @@ def test_malformed_span_is_usage_error(capsys):
         "--focus", "9:9-6:1", "--name", "x",
     ])
     assert code == 3
+
+
+def test_deep_nesting_extracts(tmp_path, capsys):
+    """An extract at the innermost of 60 nested lets stays within the
+    default recursion limit: no pass may spend more frames per level."""
+    source, spans = nested_lets(60)
+    work = tmp_path / "deep.mlt"
+    work.write_text(source, encoding="utf-8")
+    code = main([
+        "extract", "--lang", "minilet", "--file", str(work),
+        "--focus", spans[60], "--name", "h",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "h(x) = x * 60;" in captured.out

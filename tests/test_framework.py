@@ -3,6 +3,8 @@ signature laws, and the generic introduce/extract on both instances."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from refax import framework
@@ -31,6 +33,7 @@ from refax.joos import (
     statement_focus,
 )
 from refax.joos.analysis import ExprType, MethodType
+from refax.lexing import Span
 from refax.minilet import ast as mast
 from refax.minilet import (
     declared_pairs as mini_declared,
@@ -40,8 +43,9 @@ from refax.minilet import (
     referenced_names as mini_referenced,
 )
 from refax.strategy import SortCase, StrategyFailure
+from refax.terms import Term
 
-from . import oracles
+from . import minilet_gen, oracles
 from .fixture_trees import FIXTURE, Leaf, Node, Tag
 
 # Fixture-level focus convention: Tag("focus", t) wraps the fragment.
@@ -320,3 +324,78 @@ def test_extract_refuses_to_leave_a_wrapper_behind():
         prog = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
     with pytest.raises(RuntimeError, match="left a focus wrapper"):
         extract_method("helper", prog)
+
+
+# -- visit bounds ----------------------------------------------------------------
+
+
+def _size(t):
+    return 1 + sum(_size(c) for c in t.children())
+
+
+def _children_calls(monkeypatch, run):
+    """``Term.children`` calls made by ``run()``; the count must repeat."""
+    calls = [0]
+    children = Term.children
+
+    def counting(self):
+        calls[0] += 1
+        return children(self)
+
+    counts = []
+    with monkeypatch.context() as m:
+        m.setattr(Term, "children", counting)
+        for _ in range(2):
+            calls[0] = 0
+            run()
+            counts.append(calls[0])
+    assert counts[0] == counts[1]
+    return counts[0]
+
+
+@pytest.mark.parametrize("depth", [10, 20, 40])
+@pytest.mark.parametrize("innermost", [False, True], ids=["level2", "innermost"])
+def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatch):
+    """Host marking is one pass and an extract a fixed number of passes,
+    whatever the nesting depth and wherever the focus sits in it."""
+    from refax import minilet
+
+    source, spans = minilet_gen.nested_lets(depth)
+    span = Span.parse(spans[depth if innermost else 2])
+    prog = minilet.LANGUAGE.place_focus_by_span(source, "expr", span)
+    n = _size(prog)
+    marking = _children_calls(
+        monkeypatch, lambda: framework.mark_host(minilet.let_defs_host, expr_focus, prog)
+    )
+    extracting = _children_calls(monkeypatch, lambda: minilet.extract_function("h", prog))
+    assert marking <= 2 * n
+    assert extracting <= 8 * n
+
+
+def _wide_class(methods: int) -> tuple[str, Span]:
+    """A class of ``methods`` three-statement methods, and the span of the
+    call statement in the middle method."""
+    lines = ["class Wide {", "    int f0;"]
+    for k in range(methods):
+        lines += [f"    void m{k}(int a) {{", "        int t;", "        t = a + f0;",
+                  f"        this.m{k}(t);", "    }"]
+        if k == methods // 2:
+            row = len(lines) - 1
+            span = Span(row, 9, row, 9 + len(f"this.m{k}(t);"))
+    lines.append("}")
+    return "\n".join(lines) + "\n", span
+
+
+def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
+    """The same bounds on a wide class of many shallow methods."""
+    from refax import joos
+
+    source, span = _wide_class(60)
+    prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
+    n = _size(prog)
+    marking = _children_calls(
+        monkeypatch, lambda: framework.mark_host(joos.method_list_host, statement_focus, prog)
+    )
+    extracting = _children_calls(monkeypatch, lambda: joos.extract_method("helper", prog))
+    assert marking <= 2 * n
+    assert extracting <= 8 * n

@@ -13,6 +13,7 @@ from refax.strategy import (
     SortCase,
     StrategyFailure,
     TransformTP,
+    above_tp,
     adhoc_tp,
     adhoc_tu,
     all_tp,
@@ -263,3 +264,64 @@ def test_type_preservation_is_enforced():
 
     with pytest.raises(TypeError):
         apply_tp(TransformTP(bad), Leaf(1))
+
+
+def above_reference(s, below):
+    """Reference semantics of ``above_tp``, O(n·depth): after every child
+    refuses, a fresh ``oncetd_tu(below)`` probe over the node's children
+    decides whether ``s`` is tried there."""
+    probe = oncetd_tu(below)
+
+    def met_below(t):
+        for c in t.children():
+            try:
+                probe(c)
+                return True
+            except StrategyFailure:
+                continue
+        return False
+
+    def run(t):
+        try:
+            return one_tp(scheme)(t)
+        except StrategyFailure:
+            pass
+        if not met_below(t):
+            raise StrategyFailure("aboveTP: condition not met below")
+        return s(t)
+
+    scheme = TransformTP(run)
+    return scheme
+
+
+def _hit_on_even_left(t):
+    """Marks a Node whose left child is an even leaf, and relabels a Tag;
+    refuses every other node, so some candidates pass upwards."""
+    if isinstance(t, Node) and isinstance(t.left, Leaf) and t.left.value % 2 == 0:
+        return Tag("hit", t)
+    if isinstance(t, Tag):
+        return Tag("hit", t.child)
+    raise StrategyFailure("not a candidate")
+
+
+def test_above_matches_reference_formulation():
+    """The one-pass ``above_tp`` equals the probe-per-candidate reference:
+    with several ``below`` hits, with ``s`` refusing at some candidates,
+    with ``below`` holding only at the root (which must fail), and with no
+    match at all."""
+    mark_all = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t)))
+    mark_some = mono_tp(SortCase(FIXTURE, _hit_on_even_left))
+    big_leaf = mono_tu(leaf_case(lambda t: t.value if t.value >= 7 else _refuse()))
+    outcomes = set()
+    for t in sample_trees(200, seed=17):
+        at_root = mono_tu(SortCase(FIXTURE, lambda u, root=t: u if u is root else _refuse()))
+        for s in (mark_all, mark_some):
+            for below in (big_leaf, mono_tu(leaf_value)):
+                got = outcome_tp(above_tp(s, below), t)
+                assert got == outcome_tp(above_reference(s, below), t)
+                outcomes.add((s is mark_all, got[0]))
+            for below in (at_root, fail_tu()):
+                assert outcome_tp(above_tp(s, below), t) == ("fail", None)
+                assert outcome_tp(above_reference(s, below), t) == ("fail", None)
+    # both strategies both succeeded and refused somewhere
+    assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
