@@ -1,7 +1,10 @@
 """Command-line driver: parse, place a focus, refactor, check and dump.
 
 Exit codes: 0 success; 1 a refactoring precondition failed (the source
-file is untouched); 2 parse or span errors; 3 usage errors. Program text
+file is untouched); 2 parse or span errors; 3 usage errors; 4 internal
+error: any other exception, including input nested past the recursion
+limit, reported as one ``internal error: ...`` line without a traceback
+(the source file is untouched). Program text
 goes to the output stream, diagnostics about failures to the error
 stream, so outputs are pipeable. In-place rewriting is atomic (temp file
 plus rename in the same directory).
@@ -92,6 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # last resort: no input may end in a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 def _read(path: str) -> str:

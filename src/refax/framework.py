@@ -36,6 +36,7 @@ from .strategy import (
     choice_tu,
     comb_tu,
     const_tu,
+    fix_tu,
     map_tu,
     mono_tp,
     mono_tu,
@@ -225,9 +226,7 @@ def free_names_query(
     node declares. Refusal of either parameter query counts as "none"."""
     dec = choice_tu(map_tu(tuple, declared), const_tu(()))
     ref = choice_tu(map_tu(tuple, referenced), const_tu(()))
-    query = QueryTU(lambda t: composed(t))  # tied below, after composition
-    composed = comb_tu(_minus, comb_tu(_union, ref, all_tu(_UNION, query)), dec)
-    return query
+    return fix_tu(lambda query: comb_tu(_minus, comb_tu(_union, ref, all_tu(_UNION, query)), dec))
 
 
 def free_names(

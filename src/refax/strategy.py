@@ -3,15 +3,33 @@
 Two kinds of generic functions exist. A type-preserving strategy
 (``TransformTP``) rewrites a term into a term of the same sort; a
 type-unifying strategy (``QueryTU``) computes a value of one fixed result
-type from a term of any sort. Both are partial: they signal refusal by
-raising ``StrategyFailure``, which ``choice`` and the traversal schemes
-treat as ordinary control flow, not as a fault.
+type from a term of any sort. Both are partial: a strategy may refuse a
+term, and ``choice`` and the traversal schemes treat that refusal as
+ordinary control flow, not as a fault.
+
+Inside the core, refusal is a value, as ``mzero`` is in the monadic
+combinators of Lämmel and Visser (*Typed Combinators for Generic
+Traversal*, PADL'02). Every strategy holds a non-raising ``_attempt``
+that returns a private sentinel when it refuses; each combinator is
+written once against it, branches on the sentinel and calls its parts'
+``_attempt`` directly. ``StrategyFailure`` appears only at the edges of
+the core:
+
+* calling a strategy, or ``apply_tp``/``apply_tu``, raises it on refusal;
+* user code may refuse by raising it: the ``run`` of
+  ``TransformTP``/``QueryTU``, ``SortCase.fn``, and the functions handed
+  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu`` and
+  ``propagate_tu``. The core catches it once, where that code is entered.
+
+So a pass constructs no exception for the nodes its parts refuse. A
+type-preserving strategy is checked for a changed sort (``TypeError``)
+where user code enters, the only place a sort can change.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd`` and ``oncebu`` are composed from them;
-``above`` and ``propagate``, which carry a result up or an environment
-down, are single passes of their own. All are deterministic: children
-are tried left to right and the first success wins.
+recursive schemes ``oncetd``, ``oncebu``, ``above`` and ``propagate``
+recurse through one Python frame per tree level, with their one-layer
+step written into that frame. All are deterministic: children are tried
+left to right and the first success wins.
 """
 
 from __future__ import annotations
@@ -26,34 +44,82 @@ B = TypeVar("B")
 C = TypeVar("C")
 E = TypeVar("E")
 
+# What an ``_attempt`` returns when it refuses. Never leaves this module.
+_FAIL: Any = object()
+# ``above_tp``'s second kind of refusal: the condition held strictly inside.
+_MET: Any = object()
+
+Attempt = Callable[[Term], Any]
+
 
 class StrategyFailure(Exception):
-    """Refusal of a strategy at a term. Recoverable control flow."""
+    """Refusal of a strategy at a term, as seen from outside the core."""
 
 
-@dataclass(frozen=True)
-class TransformTP:
-    """Type-preserving generic function: any term to a term of the same sort."""
+class _Strategy:
+    __slots__ = ("_attempt",)
 
-    run: Callable[[Term], Term]
+    _attempt: Attempt
 
-    def __call__(self, t: Term) -> Term:
-        out = self.run(t)
-        if out.sort != t.sort:
-            raise TypeError(
-                f"type-preserving strategy changed sort {t.sort.id} -> {out.sort.id}"
-            )
+    def __call__(self, t: Term) -> Any:
+        out = self._attempt(t)
+        if out is _FAIL:
+            raise StrategyFailure(f"{type(self).__name__} refused {t.tag}")
         return out
 
 
-@dataclass(frozen=True)
-class QueryTU(Generic[A]):
-    """Type-unifying generic function: any term to one fixed result type."""
+def _sort_changed(t: Term, out: Term) -> TypeError:
+    return TypeError(f"type-preserving strategy changed sort {t.sort.id} -> {out.sort.id}")
 
-    run: Callable[[Term], A]
 
-    def __call__(self, t: Term) -> A:
-        return self.run(t)
+class TransformTP(_Strategy):
+    """Type-preserving generic function: any term to a term of the same sort.
+
+    ``run`` may refuse a term by raising ``StrategyFailure``."""
+
+    __slots__ = ()
+
+    def __init__(self, run: Callable[[Term], Term]) -> None:
+        def attempt(t: Term) -> Any:
+            try:
+                out = run(t)
+            except StrategyFailure:
+                return _FAIL
+            if out.sort is not t.sort:
+                raise _sort_changed(t, out)
+            return out
+
+        self._attempt = attempt
+
+
+class QueryTU(_Strategy, Generic[A]):
+    """Type-unifying generic function: any term to one fixed result type.
+
+    ``run`` may refuse a term by raising ``StrategyFailure``."""
+
+    __slots__ = ()
+
+    def __init__(self, run: Callable[[Term], A]) -> None:
+        def attempt(t: Term) -> Any:
+            try:
+                return run(t)
+            except StrategyFailure:
+                return _FAIL
+
+        self._attempt = attempt
+
+
+def _tp(attempt: Attempt) -> TransformTP:
+    """A combinator's result: ``attempt`` already follows the core's rules."""
+    s = object.__new__(TransformTP)
+    s._attempt = attempt
+    return s
+
+
+def _tu(attempt: Attempt) -> QueryTU[Any]:
+    q: QueryTU[Any] = object.__new__(QueryTU)
+    q._attempt = attempt
+    return q
 
 
 @dataclass(frozen=True)
@@ -84,126 +150,210 @@ def apply_tu(q: QueryTU[A], t: Term) -> A:
     return q(t)
 
 
+def _refuse(t: Term) -> Any:
+    return _FAIL
+
+
 def id_tp() -> TransformTP:
-    return TransformTP(lambda t: t)
+    return _tp(lambda t: t)
 
 
 def fail_tp() -> TransformTP:
-    def run(t: Term) -> Term:
-        raise StrategyFailure("failTP")
-
-    return TransformTP(run)
+    return _tp(_refuse)
 
 
 def fail_tu() -> QueryTU[Any]:
-    def run(t: Term) -> Any:
-        raise StrategyFailure("failTU")
-
-    return QueryTU(run)
+    return _tu(_refuse)
 
 
 def const_tu(value: A) -> QueryTU[A]:
-    return QueryTU(lambda t: value)
+    return _tu(lambda t: value)
 
 
 def seq_tp(s1: TransformTP, s2: TransformTP) -> TransformTP:
-    return TransformTP(lambda t: s2(s1(t)))
+    first, then = s1._attempt, s2._attempt
+
+    def attempt(t: Term) -> Any:
+        out = first(t)
+        return out if out is _FAIL else then(out)
+
+    return _tp(attempt)
 
 
 def let_tu(q: QueryTU[A], k: Callable[[A], QueryTU[B]]) -> QueryTU[B]:
     """Monadic bind: run ``q``, feed its result to ``k``, run the produced
     query on the same input term."""
-    return QueryTU(lambda t: k(q(t))(t))
+    first = q._attempt
+
+    def attempt(t: Term) -> Any:
+        a = first(t)
+        if a is _FAIL:
+            return a
+        try:
+            then = k(a)
+        except StrategyFailure:
+            return _FAIL
+        return then._attempt(t)
+
+    return _tu(attempt)
 
 
 def map_tu(f: Callable[[A], B], q: QueryTU[A]) -> QueryTU[B]:
-    return let_tu(q, lambda a: const_tu(f(a)))
+    first = q._attempt
+
+    def attempt(t: Term) -> Any:
+        a = first(t)
+        if a is _FAIL:
+            return a
+        try:
+            return f(a)
+        except StrategyFailure:
+            return _FAIL
+
+    return _tu(attempt)
+
+
+def _choice(first: Attempt, second: Attempt) -> Attempt:
+    def attempt(t: Term) -> Any:
+        out = first(t)
+        return second(t) if out is _FAIL else out
+
+    return attempt
 
 
 def choice_tp(s1: TransformTP, s2: TransformTP) -> TransformTP:
-    def run(t: Term) -> Term:
-        try:
-            return s1(t)
-        except StrategyFailure:
-            return s2(t)
-
-    return TransformTP(run)
+    return _tp(_choice(s1._attempt, s2._attempt))
 
 
 def choice_tu(q1: QueryTU[A], q2: QueryTU[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        try:
-            return q1(t)
-        except StrategyFailure:
-            return q2(t)
-
-    return QueryTU(run)
+    return _tu(_choice(q1._attempt, q2._attempt))
 
 
 def comb_tu(o: Callable[[A, B], C], q1: QueryTU[A], q2: QueryTU[B]) -> QueryTU[C]:
     """Lift a binary operation: both queries see the same input term."""
-    return QueryTU(lambda t: o(q1(t), q2(t)))
+    first, second = q1._attempt, q2._attempt
+
+    def attempt(t: Term) -> Any:
+        a = first(t)
+        if a is _FAIL:
+            return a
+        b = second(t)
+        if b is _FAIL:
+            return b
+        try:
+            return o(a, b)
+        except StrategyFailure:
+            return _FAIL
+
+    return _tu(attempt)
+
+
+def fix_tu(f: Callable[[QueryTU[A]], QueryTU[A]]) -> QueryTU[A]:
+    """The recursive query ``q = f(q)``: ``f`` receives ``q`` itself, to
+    use in its own definition (typically below ``all_tu``)."""
+    body: Attempt = _refuse
+
+    def attempt(t: Term) -> Any:
+        return body(t)
+
+    q: QueryTU[A] = _tu(attempt)
+    body = f(q)._attempt
+    return q
+
+
+def _with_child(t: Term, cs: tuple[Term, ...], i: int, new: Term) -> Term:
+    return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
 
 
 def all_tp(s: TransformTP) -> TransformTP:
-    def run(t: Term) -> Term:
-        return t.rebuild(tuple(s(c) for c in t.children()))
+    step = s._attempt
 
-    return TransformTP(run)
+    def attempt(t: Term) -> Any:
+        new = []
+        for c in t.children():
+            out = step(c)
+            if out is _FAIL:
+                return out
+            new.append(out)
+        return t.rebuild(new)
+
+    return _tp(attempt)
 
 
 def one_tp(s: TransformTP) -> TransformTP:
-    def run(t: Term) -> Term:
+    step = s._attempt
+
+    def attempt(t: Term) -> Any:
         cs = t.children()
         for i, c in enumerate(cs):
-            try:
-                new = s(c)
-            except StrategyFailure:
-                continue
-            return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
-        raise StrategyFailure("oneTP: no child succeeded")
+            out = step(c)
+            if out is not _FAIL:
+                return _with_child(t, cs, i, out)
+        return _FAIL
 
-    return TransformTP(run)
+    return _tp(attempt)
 
 
 def all_tu(monoid: MonoidSpec[A], q: QueryTU[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        acc = monoid.empty
-        for c in t.children():
-            acc = monoid.combine(acc, q(c))
+    step, empty, combine = q._attempt, monoid.empty, monoid.combine
+
+    def attempt(t: Term) -> Any:
+        acc = empty
+        try:
+            for c in t.children():
+                out = step(c)
+                if out is _FAIL:
+                    return out
+                acc = combine(acc, out)
+        except StrategyFailure:  # from ``combine``: the core never raises it
+            return _FAIL
         return acc
 
-    return QueryTU(run)
+    return _tu(attempt)
 
 
 def one_tu(q: QueryTU[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        for c in t.children():
-            try:
-                return q(c)
-            except StrategyFailure:
-                continue
-        raise StrategyFailure("oneTU: no child succeeded")
+    step = q._attempt
 
-    return QueryTU(run)
+    def attempt(t: Term) -> Any:
+        for c in t.children():
+            out = step(c)
+            if out is not _FAIL:
+                return out
+        return _FAIL
+
+    return _tu(attempt)
 
 
 def adhoc_tp(deflt: TransformTP, case: SortCase[Term]) -> TransformTP:
-    def run(t: Term) -> Term:
-        if t.sort == case.sort:
-            return case.fn(t)
-        return deflt(t)
+    other, sort, fn = deflt._attempt, case.sort, case.fn
 
-    return TransformTP(run)
+    def attempt(t: Term) -> Any:
+        if t.sort is not sort:
+            return other(t)
+        try:
+            out = fn(t)
+        except StrategyFailure:
+            return _FAIL
+        if out.sort is not sort:
+            raise _sort_changed(t, out)
+        return out
+
+    return _tp(attempt)
 
 
 def adhoc_tu(deflt: QueryTU[A], case: SortCase[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        if t.sort == case.sort:
-            return case.fn(t)
-        return deflt(t)
+    other, sort, fn = deflt._attempt, case.sort, case.fn
 
-    return QueryTU(run)
+    def attempt(t: Term) -> Any:
+        if t.sort is not sort:
+            return other(t)
+        try:
+            return fn(t)
+        except StrategyFailure:
+            return _FAIL
+
+    return _tu(attempt)
 
 
 def mono_tp(case: SortCase[Term]) -> TransformTP:
@@ -216,54 +366,64 @@ def mono_tu(case: SortCase[A]) -> QueryTU[A]:
 
 def oncetd_tp(s: TransformTP) -> TransformTP:
     """Apply ``s`` once, at the first node in preorder where it succeeds."""
+    here = s._attempt
 
-    def run(t: Term) -> Term:
-        try:
-            return s(t)
-        except StrategyFailure:
-            return descend(t)
+    def go(t: Term) -> Any:
+        out = here(t)
+        if out is not _FAIL:
+            return out
+        cs = t.children()
+        for i, c in enumerate(cs):
+            out = go(c)
+            if out is not _FAIL:
+                return _with_child(t, cs, i, out)
+        return _FAIL
 
-    scheme = TransformTP(run)
-    descend = one_tp(scheme)
-    return scheme
+    return _tp(go)
 
 
 def oncetd_tu(q: QueryTU[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        try:
-            return q(t)
-        except StrategyFailure:
-            return descend(t)
+    here = q._attempt
 
-    scheme = QueryTU(run)
-    descend = one_tu(scheme)
-    return scheme
+    def go(t: Term) -> Any:
+        out = here(t)
+        if out is not _FAIL:
+            return out
+        for c in t.children():
+            out = go(c)
+            if out is not _FAIL:
+                return out
+        return _FAIL
+
+    return _tu(go)
 
 
 def oncebu_tp(s: TransformTP) -> TransformTP:
     """Apply ``s`` once, at the first node in postorder where it succeeds."""
+    here = s._attempt
 
-    def run(t: Term) -> Term:
-        try:
-            return descend(t)
-        except StrategyFailure:
-            return s(t)
+    def go(t: Term) -> Any:
+        cs = t.children()
+        for i, c in enumerate(cs):
+            out = go(c)
+            if out is not _FAIL:
+                return _with_child(t, cs, i, out)
+        return here(t)
 
-    scheme = TransformTP(run)
-    descend = one_tp(scheme)
-    return scheme
+    return _tp(go)
 
 
 def oncebu_tu(q: QueryTU[A]) -> QueryTU[A]:
-    def run(t: Term) -> A:
-        try:
-            return descend(t)
-        except StrategyFailure:
-            return q(t)
+    here = q._attempt
 
-    scheme = QueryTU(run)
-    descend = one_tu(scheme)
-    return scheme
+    def go(t: Term) -> Any:
+        for c in t.children():
+            out = go(c)
+            if out is not _FAIL:
+                return out
+        return here(t)
+
+    return _tu(go)
 
 
 def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
@@ -274,39 +434,32 @@ def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     refuses passes the candidacy on to its ancestors.
 
     One bottom-up pass: each node reports its rewritten self, or a refusal
-    together with whether ``below`` held strictly inside it. So each node
-    is visited once and ``below`` runs at most once per node, O(n) in all
+    that says whether ``below`` held strictly inside it. So each node is
+    visited once and ``below`` runs at most once per node, O(n) in all
     rather than a fresh probe of every candidate's subtree, O(n·depth)."""
+    here, holds = s._attempt, below._attempt
 
-    def holds(t: Term) -> bool:
-        try:
-            below(t)
-        except StrategyFailure:
-            return False
-        return True
-
-    def go(t: Term) -> tuple[Term | None, bool]:
+    def go(t: Term) -> Any:
         cs = t.children()
         met = False
         for i, c in enumerate(cs):
-            new, inside = go(c)
-            if new is not None:
-                return t.rebuild(cs[:i] + (new,) + cs[i + 1 :]), True
-            met = met or inside or holds(c)
-        if met:
-            try:
-                return s(t), True
-            except StrategyFailure:
-                pass
-        return None, met
+            out = go(c)
+            if out is _MET:
+                met = True
+            elif out is not _FAIL:
+                return _with_child(t, cs, i, out)
+            elif not met and holds(c) is not _FAIL:
+                met = True
+        if not met:
+            return _FAIL
+        out = here(t)
+        return _MET if out is _FAIL else out
 
-    def run(t: Term) -> Term:
-        new, _ = go(t)
-        if new is None:
-            raise StrategyFailure("aboveTP: no candidate with the condition met below")
-        return new
+    def attempt(t: Term) -> Any:
+        out = go(t)
+        return _FAIL if out is _MET else out
 
-    return TransformTP(run)
+    return _tp(attempt)
 
 
 def propagate_tu(
@@ -319,20 +472,23 @@ def propagate_tu(
     is updated via ``update`` (refusal there means "no change") and the
     children are searched left to right."""
 
-    def go(t: Term, env: E) -> A:
+    def attempt_with(make: Callable[[E], QueryTU[Any]], env: E, t: Term) -> Any:
         try:
-            return select(env)(t)
+            return make(env)._attempt(t)
         except StrategyFailure:
-            pass
-        try:
-            env = update(env)(t)
-        except StrategyFailure:
-            pass
-        for c in t.children():
-            try:
-                return go(c, env)
-            except StrategyFailure:
-                continue
-        raise StrategyFailure("propagateTU: selection failed everywhere")
+            return _FAIL
 
-    return QueryTU(lambda t: go(t, e0))
+    def go(t: Term, env: E) -> Any:
+        out = attempt_with(select, env, t)
+        if out is not _FAIL:
+            return out
+        new = attempt_with(update, env, t)
+        if new is not _FAIL:
+            env = new
+        for c in t.children():
+            out = go(c, env)
+            if out is not _FAIL:
+                return out
+        return _FAIL
+
+    return _tu(lambda t: go(t, e0))

@@ -23,18 +23,35 @@ from __future__ import annotations
 import dataclasses
 import types
 import typing
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any, ClassVar, Sequence, get_args, get_origin, get_type_hints
 
 Atom = str | int
 
 
-@dataclass(frozen=True)
 class Sort:
-    """Identity of a syntactic category (e.g. the statements of one language)."""
+    """Identity of a syntactic category (e.g. the statements of one language).
 
-    id: str
+    Interned: ``Sort(id)`` is the one sort object for ``id``, so equality
+    and hashing are object identity, which every sort dispatch and every
+    ``rebuild`` child check relies on to stay cheap."""
+
+    __slots__ = ("id",)
+    _interned: ClassVar[dict[str, Sort]] = {}
+
+    def __new__(cls, id: str) -> Sort:
+        sort = cls._interned.get(id)
+        if sort is None:
+            sort = super().__new__(cls)
+            object.__setattr__(sort, "id", id)
+            cls._interned[id] = sort
+        return sort
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"Sort({self.id!r})"
 
 
 class TermError(Exception):

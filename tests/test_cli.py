@@ -200,16 +200,62 @@ def test_malformed_span_is_usage_error(capsys):
     assert code == 3
 
 
-def test_deep_nesting_extracts(tmp_path, capsys):
-    """An extract at the innermost of 60 nested lets stays within the
-    default recursion limit: no pass may spend more frames per level."""
-    source, spans = nested_lets(60)
+@pytest.mark.parametrize("depth", [60, 120])
+def test_deep_nesting_extracts(depth, tmp_path, capsys):
+    """An extract at the innermost of ``depth`` nested lets stays within
+    the default recursion limit: no pass may spend more frames per level.
+    (120 needs the strategy passes' one frame per tree level.)"""
+    source, spans = nested_lets(depth)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
     code = main([
         "extract", "--lang", "minilet", "--file", str(work),
-        "--focus", spans[60], "--name", "h",
+        "--focus", spans[depth], "--name", "h",
     ])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert "h(x) = x * 60;" in captured.out
+    assert f"h(x) = x * {depth};" in captured.out
+
+
+def _assert_internal_error(code, captured, name):
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {name}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_internal_fault_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    """Any exception outside the documented ones, such as
+    ``framework.extract``'s leftover-wrapper ``RuntimeError``, is exit 4
+    with a one-line diagnostic, and the input file stays as it was."""
+    from dataclasses import replace
+
+    from refax import cli
+
+    def broken(name, prog):
+        raise RuntimeError("extraction left a focus wrapper behind")
+
+    monkeypatch.setitem(cli.LANGUAGES, "minilet", replace(cli.LANGUAGES["minilet"], extract=broken))
+    source, spans = nested_lets(3)
+    work = tmp_path / "p.mlt"
+    work.write_text(source, encoding="utf-8")
+    code = main([
+        "extract", "--lang", "minilet", "--file", str(work),
+        "--focus", spans[3], "--name", "h", "--in-place",
+    ])
+    _assert_internal_error(code, capsys.readouterr(), "RuntimeError")
+    assert work.read_text(encoding="utf-8") == source
+
+
+def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
+    """Input nested past the recursion limit (an innermost extract first
+    fails at about 160 nested lets) is exit 4, not a traceback."""
+    source, spans = nested_lets(250)
+    work = tmp_path / "deep.mlt"
+    work.write_text(source, encoding="utf-8")
+    code = main([
+        "extract", "--lang", "minilet", "--file", str(work),
+        "--focus", spans[250], "--name", "h", "--in-place",
+    ])
+    _assert_internal_error(code, capsys.readouterr(), "RecursionError")
+    assert work.read_text(encoding="utf-8") == source

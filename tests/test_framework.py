@@ -333,18 +333,18 @@ def _size(t):
     return 1 + sum(_size(c) for c in t.children())
 
 
-def _children_calls(monkeypatch, run):
-    """``Term.children`` calls made by ``run()``; the count must repeat."""
+def _calls(monkeypatch, owner, name, run):
+    """Calls of ``owner.name`` made by ``run()``; the count must repeat."""
     calls = [0]
-    children = Term.children
+    method = getattr(owner, name)
 
-    def counting(self):
+    def counting(self, *args):
         calls[0] += 1
-        return children(self)
+        return method(self, *args)
 
     counts = []
     with monkeypatch.context() as m:
-        m.setattr(Term, "children", counting)
+        m.setattr(owner, name, counting)
         for _ in range(2):
             calls[0] = 0
             run()
@@ -357,19 +357,26 @@ def _children_calls(monkeypatch, run):
 @pytest.mark.parametrize("innermost", [False, True], ids=["level2", "innermost"])
 def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatch):
     """Host marking is one pass and an extract a fixed number of passes,
-    whatever the nesting depth and wherever the focus sits in it."""
+    whatever the nesting depth and wherever the focus sits in it. Refusal
+    inside the strategy core is a value, so the ``StrategyFailure``s an
+    extract constructs come from the language's own cases, a few per node."""
     from refax import minilet
 
     source, spans = minilet_gen.nested_lets(depth)
     span = Span.parse(spans[depth if innermost else 2])
     prog = minilet.LANGUAGE.place_focus_by_span(source, "expr", span)
     n = _size(prog)
-    marking = _children_calls(
-        monkeypatch, lambda: framework.mark_host(minilet.let_defs_host, expr_focus, prog)
+    marking = _calls(
+        monkeypatch, Term, "children",
+        lambda: framework.mark_host(minilet.let_defs_host, expr_focus, prog),
     )
-    extracting = _children_calls(monkeypatch, lambda: minilet.extract_function("h", prog))
+
+    def extracting():
+        minilet.extract_function("h", prog)
+
     assert marking <= 2 * n
-    assert extracting <= 8 * n
+    assert _calls(monkeypatch, Term, "children", extracting) <= 8 * n
+    assert _calls(monkeypatch, StrategyFailure, "__init__", extracting) <= 4 * n
 
 
 def _wide_class(methods: int) -> tuple[str, Span]:
@@ -393,9 +400,14 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     source, span = _wide_class(60)
     prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
     n = _size(prog)
-    marking = _children_calls(
-        monkeypatch, lambda: framework.mark_host(joos.method_list_host, statement_focus, prog)
+    marking = _calls(
+        monkeypatch, Term, "children",
+        lambda: framework.mark_host(joos.method_list_host, statement_focus, prog),
     )
-    extracting = _children_calls(monkeypatch, lambda: joos.extract_method("helper", prog))
+
+    def extracting():
+        joos.extract_method("helper", prog)
+
     assert marking <= 2 * n
-    assert extracting <= 8 * n
+    assert _calls(monkeypatch, Term, "children", extracting) <= 8 * n
+    assert _calls(monkeypatch, StrategyFailure, "__init__", extracting) <= 4 * n

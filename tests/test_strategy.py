@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from refax import strategy
 from refax.strategy import (
     MonoidSpec,
     QueryTU,
@@ -26,10 +27,13 @@ from refax.strategy import (
     const_tu,
     fail_tp,
     fail_tu,
+    fix_tu,
     id_tp,
     let_tu,
+    map_tu,
     mono_tp,
     mono_tu,
+    oncebu_tp,
     oncebu_tu,
     oncetd_tp,
     oncetd_tu,
@@ -325,3 +329,248 @@ def test_above_matches_reference_formulation():
                 assert outcome_tp(above_reference(s, below), t) == ("fail", None)
     # both strategies both succeeded and refused somewhere
     assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
+
+
+# -- the raising formulations, kept as references ---------------------------------
+#
+# These are the combinators as they were when refusal was signalled by raising
+# ``StrategyFailure`` at every node. The core now passes refusal as a value;
+# the tests below require both to agree on every outcome.
+
+
+def choice_reference(make, s1, s2):
+    def run(t):
+        try:
+            return s1(t)
+        except StrategyFailure:
+            return s2(t)
+
+    return make(run)
+
+
+def all_tp_reference(s):
+    return TransformTP(lambda t: t.rebuild(tuple(s(c) for c in t.children())))
+
+
+def one_tp_reference(s):
+    def run(t):
+        cs = t.children()
+        for i, c in enumerate(cs):
+            try:
+                new = s(c)
+            except StrategyFailure:
+                continue
+            return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
+        raise StrategyFailure("oneTP: no child succeeded")
+
+    return TransformTP(run)
+
+
+def all_tu_reference(monoid, q):
+    def run(t):
+        acc = monoid.empty
+        for c in t.children():
+            acc = monoid.combine(acc, q(c))
+        return acc
+
+    return QueryTU(run)
+
+
+def one_tu_reference(q):
+    def run(t):
+        for c in t.children():
+            try:
+                return q(c)
+            except StrategyFailure:
+                continue
+        raise StrategyFailure("oneTU: no child succeeded")
+
+    return QueryTU(run)
+
+
+def oncetd_reference(make, one, s):
+    def run(t):
+        try:
+            return s(t)
+        except StrategyFailure:
+            return descend(t)
+
+    scheme = make(run)
+    descend = one(scheme)
+    return scheme
+
+
+def oncebu_reference(make, one, s):
+    def run(t):
+        try:
+            return descend(t)
+        except StrategyFailure:
+            return s(t)
+
+    scheme = make(run)
+    descend = one(scheme)
+    return scheme
+
+
+def propagate_reference(e0, update, select):
+    def go(t, env):
+        try:
+            return select(env)(t)
+        except StrategyFailure:
+            pass
+        try:
+            env = update(env)(t)
+        except StrategyFailure:
+            pass
+        for c in t.children():
+            try:
+                return go(c, env)
+            except StrategyFailure:
+                continue
+        raise StrategyFailure("propagateTU: selection failed everywhere")
+
+    return QueryTU(lambda t: go(t, e0))
+
+
+def _odd_leaf(t):
+    if isinstance(t, Leaf) and t.value % 2:
+        return (t.value,)
+    raise StrategyFailure("not an odd leaf")
+
+
+# Parts that succeed at some nodes and refuse at others, through each way
+# refusal can enter the core: a combinator, a ``SortCase`` and user code.
+TP_PARTS = {
+    "inc": mono_tp(inc_leaf),
+    "mark": mono_tp(SortCase(FIXTURE, _hit_on_even_left)),
+    "user": TransformTP(_hit_on_even_left),
+    "id": id_tp(),
+    "fail": fail_tp(),
+}
+TU_PARTS = {
+    "leaf": mono_tu(leaf_case(lambda t: (t.value,))),
+    "odd": mono_tu(SortCase(FIXTURE, _odd_leaf)),
+    "user": QueryTU(_odd_leaf),
+    "const": const_tu(("c",)),
+    "fail": fail_tu(),
+}
+
+
+def _reference_pairs():
+    """(combinator, part names, new strategy, reference strategy, apply)."""
+    for a, s in TP_PARTS.items():
+        yield "all_tp", a, all_tp(s), all_tp_reference(s), apply_tp
+        yield "one_tp", a, one_tp(s), one_tp_reference(s), apply_tp
+        yield "oncetd_tp", a, oncetd_tp(s), oncetd_reference(TransformTP, one_tp_reference, s), apply_tp
+        yield "oncebu_tp", a, oncebu_tp(s), oncebu_reference(TransformTP, one_tp_reference, s), apply_tp
+        for b, s2 in TP_PARTS.items():
+            yield "choice_tp", (a, b), choice_tp(s, s2), choice_reference(TransformTP, s, s2), apply_tp
+    for a, q in TU_PARTS.items():
+        yield "all_tu", a, all_tu(LIST_MONOID, q), all_tu_reference(LIST_MONOID, q), apply_tu
+        yield "one_tu", a, one_tu(q), one_tu_reference(q), apply_tu
+        yield "oncetd_tu", a, oncetd_tu(q), oncetd_reference(QueryTU, one_tu_reference, q), apply_tu
+        yield "oncebu_tu", a, oncebu_tu(q), oncebu_reference(QueryTU, one_tu_reference, q), apply_tu
+        for b, q2 in TU_PARTS.items():
+            yield "choice_tu", (a, b), choice_tu(q, q2), choice_reference(QueryTU, q, q2), apply_tu
+    # nested: a scheme over a choice over a one-layer traversal
+    inc_or_id = choice_tp(TP_PARTS["inc"], id_tp())
+    yield "oncetd_tp", "all", oncetd_tp(all_tp(TP_PARTS["inc"])), oncetd_reference(
+        TransformTP, one_tp_reference, all_tp_reference(TP_PARTS["inc"])), apply_tp
+    yield "all_tp", "choice", all_tp(inc_or_id), all_tp_reference(
+        choice_reference(TransformTP, TP_PARTS["inc"], id_tp())), apply_tp
+
+    def update(env):
+        return mono_tu(SortCase(FIXTURE, lambda t: env + (t.label,) if isinstance(t, Tag) else _refuse()))
+
+    for k in range(10):
+        def select(env, k=k):
+            return mono_tu(
+                SortCase(FIXTURE, lambda t: env if isinstance(t, Leaf) and t.value == k else _refuse())
+            )
+
+        yield "propagate_tu", k, propagate_tu((), update, select), propagate_reference(
+            (), update, select), apply_tu
+
+
+def _outcome(apply, s, t):
+    try:
+        out = apply(s, t)
+    except StrategyFailure:
+        return ("fail", None)
+    assert out is not strategy._FAIL
+    return ("ok", out)
+
+
+def test_combinators_match_their_raising_reference_formulations():
+    """Over random trees, every combinator gives the outcome, result or
+    refusal, of its raising formulation, for parts that refuse at some
+    nodes; and each combinator both succeeds and refuses somewhere."""
+    seen = {}
+    pairs = list(_reference_pairs())
+    for t in sample_trees(80, seed=23):
+        for name, parts, new, ref, apply in pairs:
+            got = _outcome(apply, new, t)
+            assert got == _outcome(apply, ref, t), (name, parts, t)
+            seen.setdefault(name, set()).add(got[0])
+    assert all(kinds == {"ok", "fail"} for kinds in seen.values()), seen
+
+
+def _raise(*_):
+    raise StrategyFailure("user code refuses")
+
+
+def _refusing_strategies():
+    """Every public combinator, built to refuse at a Node of two even leaves."""
+    odd, leaf = TU_PARTS["odd"], TU_PARTS["leaf"]
+    big = mono_tp(leaf_case(lambda t: t if t.value >= 7 else _refuse()))
+    yield "fail_tp", fail_tp()
+    yield "fail_tu", fail_tu()
+    yield "seq_tp", seq_tp(id_tp(), fail_tp())
+    yield "seq_tp", seq_tp(fail_tp(), id_tp())
+    yield "let_tu", let_tu(fail_tu(), lambda a: const_tu(a))
+    yield "let_tu", let_tu(const_tu(1), lambda a: fail_tu())
+    yield "let_tu", let_tu(const_tu(1), _raise)
+    yield "map_tu", map_tu(len, fail_tu())
+    yield "map_tu", map_tu(_raise, const_tu(1))
+    yield "choice_tp", choice_tp(fail_tp(), big)
+    yield "choice_tu", choice_tu(fail_tu(), odd)
+    yield "comb_tu", comb_tu(max, const_tu(1), fail_tu())
+    yield "comb_tu", comb_tu(max, fail_tu(), const_tu(1))
+    yield "comb_tu", comb_tu(_raise, const_tu(1), const_tu(2))
+    yield "fix_tu", fix_tu(lambda q: choice_tu(mono_tu(SortCase(FIXTURE, _odd_leaf)), one_tu(q)))
+    yield "all_tp", all_tp(big)
+    yield "all_tu", all_tu(LIST_MONOID, odd)
+    yield "all_tu", all_tu(MonoidSpec((), _raise), leaf)
+    yield "one_tp", one_tp(big)
+    yield "one_tu", one_tu(odd)
+    yield "adhoc_tp", adhoc_tp(id_tp(), inc_leaf)
+    yield "adhoc_tu", adhoc_tu(const_tu(0), leaf_value)
+    yield "mono_tp", mono_tp(inc_leaf)
+    yield "mono_tu", mono_tu(leaf_value)
+    yield "oncetd_tp", oncetd_tp(big)
+    yield "oncetd_tu", oncetd_tu(odd)
+    yield "oncebu_tp", oncebu_tp(big)
+    yield "oncebu_tu", oncebu_tu(odd)
+    yield "above_tp", above_tp(TP_PARTS["mark"], odd)
+    yield "above_tp", above_tp(big, leaf)
+    yield "propagate_tu", propagate_tu((), lambda env: const_tu(env), lambda env: odd)
+    yield "propagate_tu", propagate_tu((), _raise, _raise)
+    yield "TransformTP", TransformTP(_raise)
+    yield "QueryTU", QueryTU(_raise)
+
+
+def test_refusal_surfaces_as_strategy_failure():
+    """No public call returns the core's refusal sentinel: calling a
+    refusing strategy, or applying it, raises ``StrategyFailure``."""
+    t = Node(Leaf(2), Leaf(4))
+    names = set()
+    for name, s in _refusing_strategies():
+        names.add(name)
+        apply = apply_tp if isinstance(s, TransformTP) else apply_tu
+        with pytest.raises(StrategyFailure):
+            s(t)
+        with pytest.raises(StrategyFailure):
+            apply(s, t)
+    public = {n for n in dir(strategy) if n.endswith(("_tp", "_tu")) and not n.startswith("_")}
+    assert names >= public - {"apply_tp", "apply_tu", "id_tp", "const_tu"}
+    assert apply_tu(const_tu(None), t) is None

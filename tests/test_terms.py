@@ -9,9 +9,20 @@ import pytest
 
 from refax.joos import ast as jast
 from refax.joos import parse_program
-from refax.terms import ArityMismatch, SortMismatch, append_child, dump
+from refax.terms import ArityMismatch, Sort, SortMismatch, append_child, dump
 
 from .fixture_trees import FIXTURE, Leaf, Node, Tag, gen_tree
+
+
+def test_sorts_are_interned():
+    """One object per sort id, so sort equality and hashing are identity."""
+    assert Sort("x") is Sort("x")
+    assert Sort("x") == Sort("x") and hash(Sort("x")) == hash(Sort("x"))
+    assert Sort("x") != Sort("y")
+    assert FIXTURE is Sort("FixtureTree") and jast.STATEMENT is Sort(jast.STATEMENT.id)
+    assert len({Sort("x"), Sort("x"), Sort("y")}) == 2
+    with pytest.raises(AttributeError):
+        Sort("x").id = "y"
 
 
 def test_children_of_node_and_leaf():
