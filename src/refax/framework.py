@@ -162,8 +162,13 @@ def contains_focus(kinds: FocusKinds, t: Term) -> bool:
     every program they see."""
     wrappers = tuple(wrapper for _, wrapper in kinds.values())
 
-    def walk(n: Term) -> bool:
-        return isinstance(n, wrappers) or any(walk(c) for c in n.children())
+    def walk(n: Term) -> bool:  # one frame per tree level
+        if isinstance(n, wrappers):
+            return True
+        for c in n.children():
+            if walk(c):
+                return True
+        return False
 
     return walk(t)
 

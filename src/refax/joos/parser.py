@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..lexing import IDENT, INT, SYMBOL, TokenStream, tokenize
+from ..lexing import IDENT, INT, TokenStream, tokenize
 from . import ast
 
 _KEYWORDS = frozenset(
@@ -24,7 +24,7 @@ BINOP_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 4, "+": 5, "-": 5, "*": 6, "
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
     program = p.program()
-    p.ts.expect_eof()
+    p.expect_eof()
     return program
 
 
@@ -32,202 +32,204 @@ def parse_method(source: str) -> ast.MethodDecl:
     """Parse a single method declaration (used for introduction decl files)."""
     p = _Parser(source)
     method = p.method()
-    p.ts.expect_eof()
+    p.expect_eof()
     return method
 
 
-class _Parser:
-    def __init__(self, source: str) -> None:
-        self.ts = TokenStream(tokenize(source, _KEYWORDS, _SYMBOLS))
+class _Parser(TokenStream):
+    """The parser is its own token cursor. Hot paths read
+    ``self.tokens[self.pos]`` and compare its text alone: a keyword's or a
+    symbol's text is never that of another kind of token."""
 
-    def _span(self, start: int):
-        return self.ts.span_from(start)
+    def __init__(self, source: str) -> None:
+        super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
 
     def program(self) -> ast.Program:
-        start = self.ts.pos
+        start = self.pos
         classes = [self.class_decl()]
-        while self.ts.at("class"):
+        while self.at("class"):
             classes.append(self.class_decl())
-        return ast.Program(tuple(classes), span=self._span(start))
+        return ast.Program(tuple(classes), span=self.span_from(start))
 
     def class_decl(self) -> ast.ClassDecl:
-        start = self.ts.pos
-        self.ts.expect("class")
-        name = self.ts.expect_kind(IDENT, "class name").text
-        self.ts.expect("{")
+        start = self.pos
+        self.expect("class")
+        name = self.expect_kind(IDENT, "class name").text
+        self.expect("{")
         fields = []
-        while self._at_etype() and self.ts.at(";", 2):
+        while self.tokens[self.pos].text in ast.ETYPES and self.at(";", 2):
             fields.append(self.field_decl())
-        methods_start = self.ts.pos
+        methods_start = self.pos
         methods = []
-        while not self.ts.at("}"):
+        while not self.at("}"):
             methods.append(self.method())
         if methods:
-            list_span = self.ts.span_from(methods_start)
+            list_span = self.span_from(methods_start)
         else:
-            brace = self.ts.peek()
+            brace = self.tokens[self.pos]
             list_span = ast.Span(brace.line, brace.col, brace.line, brace.col)
         method_list = ast.MethodList(tuple(methods), span=list_span)
-        self.ts.expect("}")
-        return ast.ClassDecl(name, tuple(fields), method_list, span=self._span(start))
+        self.expect("}")
+        return ast.ClassDecl(name, tuple(fields), method_list, span=self.span_from(start))
 
     def field_decl(self) -> ast.FieldDecl:
-        start = self.ts.pos
+        start = self.pos
         type_name = self._etype()
-        name = self.ts.expect_kind(IDENT, "field name").text
-        self.ts.expect(";")
-        return ast.FieldDecl(type_name, name, span=self._span(start))
+        name = self.expect_kind(IDENT, "field name").text
+        self.expect(";")
+        return ast.FieldDecl(type_name, name, span=self.span_from(start))
 
     def method(self) -> ast.MethodDecl:
-        start = self.ts.pos
-        if self.ts.accept("void"):
+        start = self.pos
+        if self.accept("void"):
             return_type = "void"
         else:
             return_type = self._etype()
-        name = self.ts.expect_kind(IDENT, "method name").text
-        self.ts.expect("(")
+        name = self.expect_kind(IDENT, "method name").text
+        self.expect("(")
         formals = []
-        if not self.ts.at(")"):
+        if not self.at(")"):
             formals.append(self.formal())
-            while self.ts.accept(","):
+            while self.accept(","):
                 formals.append(self.formal())
-        self.ts.expect(")")
+        self.expect(")")
         body = self.block()
-        return ast.MethodDecl(return_type, name, tuple(formals), body, span=self._span(start))
+        return ast.MethodDecl(return_type, name, tuple(formals), body, span=self.span_from(start))
 
     def formal(self) -> ast.Formal:
-        start = self.ts.pos
+        start = self.pos
         type_name = self._etype()
-        name = self.ts.expect_kind(IDENT, "parameter name").text
-        return ast.Formal(type_name, name, span=self._span(start))
-
-    def _at_etype(self) -> bool:
-        return self.ts.at("int") or self.ts.at("boolean")
+        name = self.expect_kind(IDENT, "parameter name").text
+        return ast.Formal(type_name, name, span=self.span_from(start))
 
     def _etype(self) -> str:
-        if self.ts.at("int") or self.ts.at("boolean"):
-            return self.ts.advance().text
-        self.ts.fail("'int' or 'boolean'")
-        raise AssertionError("unreachable")
+        text = self.tokens[self.pos].text
+        if text not in ast.ETYPES:
+            self.fail("'int' or 'boolean'")
+        self.pos += 1
+        return text
 
     def block(self) -> ast.Block:
-        start = self.ts.pos
-        self.ts.expect("{")
+        start = self.pos
+        self.expect("{")
         statements = []
-        while not self.ts.at("}"):
+        while self.tokens[self.pos].text != "}":
             statements.append(self.statement())
-        self.ts.expect("}")
-        return ast.Block(tuple(statements), span=self._span(start))
+        self.pos += 1
+        return ast.Block(tuple(statements), span=self.span_from(start))
 
     def statement(self) -> ast.Statement:
-        start = self.ts.pos
-        if self.ts.at("{"):
+        start = self.pos
+        tok = self.tokens[start]
+        text = tok.text
+        if tok.kind == IDENT:
+            following = self.tokens[start + 1].text
+            if following == "=":
+                self.pos = start + 2
+                value = self.expression()
+                self.expect(";")
+                return ast.Assign(text, value, span=self.span_from(start))
+            if following == "(":
+                call = self.call()
+                self.expect(";")
+                return ast.CallStmt(call, span=self.span_from(start))
+        elif text == "{":
             return self.block()
-        if self._at_etype():
-            type_name = self._etype()
-            name = self.ts.expect_kind(IDENT, "variable name").text
+        elif text in ast.ETYPES:
+            self.pos = start + 1
+            name = self.expect_kind(IDENT, "variable name").text
             init = None
-            if self.ts.accept("="):
+            if self.accept("="):
                 init = self.expression()
-            self.ts.expect(";")
-            return ast.LocalVarDecl(type_name, name, init, span=self._span(start))
-        if self.ts.at("if"):
-            self.ts.advance()
-            self.ts.expect("(")
+            self.expect(";")
+            return ast.LocalVarDecl(text, name, init, span=self.span_from(start))
+        elif text == "if":
+            self.pos = start + 1
+            self.expect("(")
             condition = self.expression()
-            self.ts.expect(")")
+            self.expect(")")
             then_branch = self.statement()
             else_branch = None
-            if self.ts.accept("else"):
+            if self.accept("else"):
                 else_branch = self.statement()
-            return ast.If(condition, then_branch, else_branch, span=self._span(start))
-        if self.ts.at("while"):
-            self.ts.advance()
-            self.ts.expect("(")
+            return ast.If(condition, then_branch, else_branch, span=self.span_from(start))
+        elif text == "while":
+            self.pos = start + 1
+            self.expect("(")
             condition = self.expression()
-            self.ts.expect(")")
+            self.expect(")")
             body = self.statement()
-            return ast.While(condition, body, span=self._span(start))
-        if self.ts.at("return"):
-            self.ts.advance()
+            return ast.While(condition, body, span=self.span_from(start))
+        elif text == "return":
+            self.pos = start + 1
             value = None
-            if not self.ts.at(";"):
+            if self.tokens[self.pos].text != ";":
                 value = self.expression()
-            self.ts.expect(";")
-            return ast.Return(value, span=self._span(start))
-        if self.ts.at("this"):
+            self.expect(";")
+            return ast.Return(value, span=self.span_from(start))
+        elif text == "this":
             call = self.call()
-            self.ts.expect(";")
-            return ast.CallStmt(call, span=self._span(start))
-        if self.ts.at_kind(IDENT):
-            if self.ts.at("=", 1):
-                name = self.ts.advance().text
-                self.ts.advance()
-                value = self.expression()
-                self.ts.expect(";")
-                return ast.Assign(name, value, span=self._span(start))
-            if self.ts.at("(", 1):
-                call = self.call()
-                self.ts.expect(";")
-                return ast.CallStmt(call, span=self._span(start))
-        self.ts.fail("a statement")
-        raise AssertionError("unreachable")
+            self.expect(";")
+            return ast.CallStmt(call, span=self.span_from(start))
+        self.fail("a statement")
 
     def call(self) -> ast.Call:
-        start = self.ts.pos
-        this_qualified = False
-        if self.ts.accept("this"):
-            self.ts.expect(".")
-            this_qualified = True
-        name = self.ts.expect_kind(IDENT, "method name").text
-        self.ts.expect("(")
+        start = self.pos
+        this_qualified = self.tokens[start].text == "this"
+        if this_qualified:
+            self.pos = start + 1
+            self.expect(".")
+        name = self.expect_kind(IDENT, "method name").text
+        self.expect("(")
         args = []
-        if not self.ts.at(")"):
+        if self.tokens[self.pos].text != ")":
             args.append(self.expression())
-            while self.ts.accept(","):
+            while self.accept(","):
                 args.append(self.expression())
-        self.ts.expect(")")
-        return ast.Call(this_qualified, name, tuple(args), span=self._span(start))
+        self.expect(")")
+        return ast.Call(this_qualified, name, tuple(args), span=self.span_from(start))
 
     def expression(self, min_prec: int = 1) -> ast.Expression:
-        start = self.ts.pos
+        start = self.pos
         left = self.unary()
+        tokens = self.tokens
         while True:
-            tok = self.ts.peek()
-            prec = BINOP_PRECEDENCE.get(tok.text) if tok.kind == SYMBOL else None
+            op = tokens[self.pos].text
+            prec = BINOP_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return left
-            self.ts.advance()
+            self.pos += 1
             right = self.expression(prec + 1)
-            left = ast.BinOp(tok.text, left, right, span=self._span(start))
+            left = ast.BinOp(op, left, right, span=self.span_from(start))
 
     def unary(self) -> ast.Expression:
-        start = self.ts.pos
-        if self.ts.accept("!"):
-            operand = self.unary()
-            return ast.Not(operand, span=self._span(start))
-        return self.primary()
+        start = self.pos
+        if self.tokens[start].text != "!":
+            return self.primary()
+        self.pos = start + 1
+        operand = self.unary()
+        return ast.Not(operand, span=self.span_from(start))
 
     def primary(self) -> ast.Expression:
-        start = self.ts.pos
-        tok = self.ts.peek()
-        if tok.kind == INT:
-            self.ts.advance()
-            return ast.IntLit(int(tok.text), span=self._span(start))
-        if self.ts.at("true") or self.ts.at("false"):
-            self.ts.advance()
-            return ast.BoolLit(tok.text == "true", span=self._span(start))
-        if self.ts.at("("):
-            self.ts.advance()
-            inner = self.expression()
-            self.ts.expect(")")
-            return replace(inner, span=self._span(start))
-        if self.ts.at("this"):
-            return self.call()
-        if tok.kind == IDENT:
-            if self.ts.at("(", 1):
+        start = self.pos
+        tok = self.tokens[start]
+        kind, text = tok.kind, tok.text
+        if kind == IDENT:
+            if self.tokens[start + 1].text == "(":
                 return self.call()
-            self.ts.advance()
-            return ast.VarRef(tok.text, span=self._span(start))
-        self.ts.fail("an expression")
-        raise AssertionError("unreachable")
+            self.pos = start + 1
+            return ast.VarRef(text, span=self.span_from(start))
+        if kind == INT:
+            self.pos = start + 1
+            return ast.IntLit(int(text), span=self.span_from(start))
+        if text == "true" or text == "false":
+            self.pos = start + 1
+            return ast.BoolLit(text == "true", span=self.span_from(start))
+        if text == "(":
+            self.pos = start + 1
+            inner = self.expression()
+            self.expect(")")
+            return replace(inner, span=self.span_from(start))
+        if text == "this":
+            return self.call()
+        self.fail("an expression")

@@ -5,7 +5,9 @@ Positions are 1-based line:column; spans are end-exclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import re
+from typing import NamedTuple, NoReturn
 
 IDENT = "ident"
 INT = "int"
@@ -14,8 +16,9 @@ SYMBOL = "sym"
 EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A source region, end-exclusive; a tuple, so it compares by value."""
+
     line: int
     col: int
     end_line: int
@@ -37,22 +40,13 @@ class Span:
         return cls(line, col, end_line, end_col)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
     end_line: int
     end_col: int
-
-    @property
-    def start(self) -> tuple[int, int]:
-        return (self.line, self.col)
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return (self.end_line, self.end_col)
 
 
 class ParseError(Exception):
@@ -67,79 +61,79 @@ class SpanMismatch(Exception):
     requested kind. The message lists the nearest candidate spans."""
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+# Lookahead beyond the current token that ``TokenStream`` serves without a
+# bounds test; the parsers look at most two tokens ahead.
+LOOKAHEAD = 2
+
+# The scanner's groups, in order: identifier, number, symbol, newline and
+# a stray character. Blanks after a token are part of its match, so a run
+# of them costs no step of its own.
+_KINDS = (None, IDENT, INT, SYMBOL, None, None)
+_IDENT_GROUP, _NEWLINE_GROUP = 1, 4
+_BLANKS = re.compile(r"[ \t\r]*")
+
+
+@functools.cache
+def _scanner(symbols: tuple[str, ...]) -> re.Pattern[str]:
+    alternatives = "|".join(re.escape(s) for s in sorted(symbols, key=len, reverse=True))
+    return re.compile(
+        rf"(?:([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|({alternatives})|(\n)|(.))[ \t\r]*"
+    )
 
 
 def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> list[Token]:
-    """Scan ``source`` into tokens. ``symbols`` must be sorted longest first
-    so multi-character operators win over their prefixes."""
+    """Scan ``source`` into tokens, ending with one EOF token.
+
+    One compiled regex per symbol set does the scanning, its symbols
+    longest first so multi-character operators win over their prefixes.
+    Identifiers and numbers are ASCII; blanks, tabs and carriage returns
+    each take one column."""
+    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            text = source[i:j]
-            kind = KEYWORD if text in keywords else IDENT
-            tokens.append(Token(kind, text, line, col, line, col + (j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token(INT, source[i:j], line, col, line, col + (j - i)))
-            col += j - i
-            i = j
-            continue
-        for sym in symbols:
-            if source.startswith(sym, i):
-                tokens.append(Token(SYMBOL, sym, line, col, line, col + len(sym)))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token(EOF, "", line, col, line, col))
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _scanner(symbols).finditer(source, _BLANKS.match(source).end()):
+        group = m.lastindex
+        kind = _KINDS[group]
+        if kind is None:
+            if group == _NEWLINE_GROUP:
+                line += 1
+                line_start = m.start() + 1
+                continue
+            col = m.start() - line_start + 1
+            raise ParseError(line, col, f"unexpected character {m.group(group)!r}")
+        text = m.group(group)
+        col = m.start() - line_start + 1
+        if group == _IDENT_GROUP and text in keywords:
+            kind = KEYWORD
+        append(new(Token, (kind, text, line, col, line, col + len(text))))
+    col = len(source) - line_start + 1
+    append(new(Token, (EOF, "", line, col, line, col)))
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with the lookahead helpers the recursive
-    descent parsers need."""
+    """Cursor over a token list by index, with the lookahead helpers the
+    recursive descent parsers need.
+
+    ``tokens`` is the list padded with ``LOOKAHEAD`` more copies of its EOF
+    token, and ``pos`` never moves past the first EOF, so
+    ``tokens[pos + ahead]`` needs no bounds test for ``ahead <= LOOKAHEAD``.
+    The parsers read ``tokens[pos]`` directly on their hot paths."""
 
     def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+        self.tokens = tokens + tokens[-1:] * LOOKAHEAD
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self._tokens) - 1)
-        return self._tokens[i]
-
     def at(self, text: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind in (KEYWORD, SYMBOL) and tok.text == text
+        tok = self.tokens[self.pos + ahead]
+        return tok.text == text and tok.kind in (KEYWORD, SYMBOL)
 
     def at_kind(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        return self.tokens[self.pos + ahead].kind == kind
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != EOF:
             self.pos += 1
         return tok
@@ -163,16 +157,13 @@ class TokenStream:
         if not self.at_kind(EOF):
             self.fail("end of input")
 
-    def fail(self, expected: str) -> Token:
-        tok = self.peek()
+    def fail(self, expected: str) -> NoReturn:
+        tok = self.tokens[self.pos]
         found = repr(tok.text) if tok.kind != EOF else "end of input"
         raise ParseError(tok.line, tok.col, f"expected {expected}, found {found}")
 
-    def last_end(self) -> tuple[int, int]:
-        tok = self._tokens[max(self.pos - 1, 0)]
-        return tok.end
-
     def span_from(self, start_pos: int) -> Span:
-        start = self._tokens[start_pos]
-        end_line, end_col = self.last_end()
-        return Span(start.line, start.col, end_line, end_col)
+        """Span from the token at ``start_pos`` to the last one consumed."""
+        first = self.tokens[start_pos]
+        last = self.tokens[self.pos - 1]
+        return Span(first.line, first.col, last.end_line, last.end_col)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..lexing import IDENT, INT, SYMBOL, TokenStream, tokenize
+from ..lexing import IDENT, INT, TokenStream, tokenize
 from . import ast
 
 _KEYWORDS = frozenset(["let", "in"])
@@ -21,7 +21,7 @@ BINOP_PRECEDENCE = {"+": 1, "*": 2}
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
     body = p.expression()
-    p.ts.expect_eof()
+    p.expect_eof()
     return ast.Program(body, span=body.span)
 
 
@@ -29,77 +29,75 @@ def parse_fundef(source: str) -> ast.FunDef:
     """Parse a single function definition (used for introduction decl files)."""
     p = _Parser(source)
     fd = p.fundef()
-    p.ts.expect_eof()
+    p.expect_eof()
     return fd
 
 
-class _Parser:
-    def __init__(self, source: str) -> None:
-        self.ts = TokenStream(tokenize(source, _KEYWORDS, _SYMBOLS))
+class _Parser(TokenStream):
+    """The parser is its own token cursor, read as in the JOOS parser."""
 
-    def _span(self, start: int):
-        return self.ts.span_from(start)
+    def __init__(self, source: str) -> None:
+        super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
 
     def expression(self, min_prec: int = 1) -> ast.Expression:
-        start = self.ts.pos
+        start = self.pos
         left = self.primary()
+        tokens = self.tokens
         while True:
-            tok = self.ts.peek()
-            prec = BINOP_PRECEDENCE.get(tok.text) if tok.kind == SYMBOL else None
+            op = tokens[self.pos].text
+            prec = BINOP_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return left
-            self.ts.advance()
+            self.pos += 1
             right = self.expression(prec + 1)
-            left = ast.BinOp(tok.text, left, right, span=self._span(start))
+            left = ast.BinOp(op, left, right, span=self.span_from(start))
 
     def primary(self) -> ast.Expression:
-        start = self.ts.pos
-        tok = self.ts.peek()
-        if self.ts.at("let"):
-            self.ts.advance()
-            defs_start = self.ts.pos
-            defs = [self.fundef()]
-            while not self.ts.at("in"):
-                defs.append(self.fundef())
-            def_list = ast.FunDefList(tuple(defs), span=self.ts.span_from(defs_start))
-            self.ts.expect("in")
-            body = self.expression()
-            return ast.Let(def_list, body, span=self._span(start))
-        if tok.kind == INT:
-            self.ts.advance()
-            return ast.IntLit(int(tok.text), span=self._span(start))
-        if self.ts.at("("):
-            self.ts.advance()
-            inner = self.expression()
-            self.ts.expect(")")
-            return replace(inner, span=self._span(start))
-        if tok.kind == IDENT:
-            if self.ts.at("(", 1):
-                self.ts.advance()
-                self.ts.advance()
-                args = []
-                if not self.ts.at(")"):
+        start = self.pos
+        tok = self.tokens[start]
+        kind, text = tok.kind, tok.text
+        if kind == IDENT:
+            if self.tokens[start + 1].text != "(":
+                self.pos = start + 1
+                return ast.Var(text, span=self.span_from(start))
+            self.pos = start + 2
+            args = []
+            if self.tokens[self.pos].text != ")":
+                args.append(self.expression())
+                while self.accept(","):
                     args.append(self.expression())
-                    while self.ts.accept(","):
-                        args.append(self.expression())
-                self.ts.expect(")")
-                return ast.Call(tok.text, tuple(args), span=self._span(start))
-            self.ts.advance()
-            return ast.Var(tok.text, span=self._span(start))
-        self.ts.fail("an expression")
-        raise AssertionError("unreachable")
+            self.expect(")")
+            return ast.Call(text, tuple(args), span=self.span_from(start))
+        if kind == INT:
+            self.pos = start + 1
+            return ast.IntLit(int(text), span=self.span_from(start))
+        if text == "let":
+            self.pos = defs_start = start + 1
+            defs = [self.fundef()]
+            while self.tokens[self.pos].text != "in":
+                defs.append(self.fundef())
+            def_list = ast.FunDefList(tuple(defs), span=self.span_from(defs_start))
+            self.pos += 1
+            body = self.expression()
+            return ast.Let(def_list, body, span=self.span_from(start))
+        if text == "(":
+            self.pos = start + 1
+            inner = self.expression()
+            self.expect(")")
+            return replace(inner, span=self.span_from(start))
+        self.fail("an expression")
 
     def fundef(self) -> ast.FunDef:
-        start = self.ts.pos
-        name = self.ts.expect_kind(IDENT, "function name").text
-        self.ts.expect("(")
+        start = self.pos
+        name = self.expect_kind(IDENT, "function name").text
+        self.expect("(")
         params = []
-        if not self.ts.at(")"):
-            params.append(self.ts.expect_kind(IDENT, "parameter name").text)
-            while self.ts.accept(","):
-                params.append(self.ts.expect_kind(IDENT, "parameter name").text)
-        self.ts.expect(")")
-        self.ts.expect("=")
+        if self.tokens[self.pos].text != ")":
+            params.append(self.expect_kind(IDENT, "parameter name").text)
+            while self.accept(","):
+                params.append(self.expect_kind(IDENT, "parameter name").text)
+        self.expect(")")
+        self.expect("=")
         body = self.expression()
-        self.ts.expect(";")
-        return ast.FunDef(name, tuple(params), body, span=self._span(start))
+        self.expect(";")
+        return ast.FunDef(name, tuple(params), body, span=self.span_from(start))

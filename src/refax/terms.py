@@ -177,9 +177,18 @@ def append_child(t: Term, child: Term) -> Term:
 
 def dump(t: Term, indent: int = 0) -> str:
     """Deterministic indented dump of a term: tag, atoms, then children."""
-    head = "  " * indent + t.tag
-    if t.atoms():
-        head += "(" + ", ".join(str(a) for a in t.atoms()) + ")"
-    lines = [head]
-    lines.extend(dump(c, indent + 1) for c in t.children())
+    lines: list[str] = []
+    _dump_lines(t, indent, lines)
     return "\n".join(lines)
+
+
+def _dump_lines(t: Term, indent: int, lines: list[str]) -> None:
+    # One frame per tree level, and each line is joined once, not once
+    # per ancestor.
+    head = "  " * indent + t.tag
+    atoms = t.atoms()
+    if atoms:
+        head += "(" + ", ".join(str(a) for a in atoms) + ")"
+    lines.append(head)
+    for c in t.children():
+        _dump_lines(c, indent + 1, lines)

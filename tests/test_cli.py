@@ -200,11 +200,13 @@ def test_malformed_span_is_usage_error(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("depth", [60, 120])
+@pytest.mark.parametrize("depth", [60, 120, 180])
 def test_deep_nesting_extracts(depth, tmp_path, capsys):
     """An extract at the innermost of ``depth`` nested lets stays within
     the default recursion limit: no pass may spend more frames per level.
-    (120 needs the strategy passes' one frame per tree level.)"""
+    (120 needs the strategy passes' one frame per tree level; 180 needs it
+    of ``framework.contains_focus`` too, and no more frames per let in the
+    parser.)"""
     source, spans = nested_lets(depth)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
@@ -215,6 +217,18 @@ def test_deep_nesting_extracts(depth, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert f"h(x) = x * {depth};" in captured.out
+
+
+def test_deep_nesting_dumps_ast(tmp_path, capsys):
+    """``ast`` on 180 nested lets: the dump, like the parser, spends one
+    frame per tree level."""
+    source, _ = nested_lets(180)
+    work = tmp_path / "deep.mlt"
+    work.write_text(source, encoding="utf-8")
+    code = main(["ast", "--lang", "minilet", "--file", str(work)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert [line.strip() for line in captured.out.splitlines()].count("Let") == 180
 
 
 def _assert_internal_error(code, captured, name):
@@ -249,7 +263,7 @@ def test_internal_fault_exits_4_without_traceback(tmp_path, capsys, monkeypatch)
 
 def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
     """Input nested past the recursion limit (an innermost extract first
-    fails at about 160 nested lets) is exit 4, not a traceback."""
+    fails at about 200 nested lets) is exit 4, not a traceback."""
     source, spans = nested_lets(250)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
