@@ -42,7 +42,7 @@ from .strategy import (
     mono_tu,
     oncetd_tp,
     oncetd_tu,
-    propagate_tu,
+    propagate_path_tu,
 )
 from .terms import Sort, Term, append_child
 
@@ -210,7 +210,17 @@ Names = tuple[str, ...]
 
 
 def _union(a: Names, b: Names) -> Names:
+    """Names of ``a``, then those of ``b`` not in ``a``. Neither operand
+    holds a name twice, so one empty side is the answer as it stands."""
+    if not a:
+        return b
+    if not b:
+        return a
     return tuple(dict.fromkeys(a + b))
+
+
+def _distinct(names: Sequence[str]) -> Names:
+    return tuple(dict.fromkeys(names))
 
 
 def _minus(a: Names, b: Names) -> Names:
@@ -228,9 +238,12 @@ def free_names_query(
 ) -> QueryTU[Names]:
     """Recursive free-name analysis: at each node, the names referenced
     there joined with the free names of the children, minus the names the
-    node declares. Refusal of either parameter query counts as "none"."""
+    node declares. Refusal of either parameter query counts as "none".
+
+    ``referenced`` may name a name twice; it is made distinct here, where
+    names enter the analysis, so no union has to do it again."""
     dec = choice_tu(map_tu(tuple, declared), const_tu(()))
-    ref = choice_tu(map_tu(tuple, referenced), const_tu(()))
+    ref = choice_tu(map_tu(_distinct, referenced), const_tu(()))
     return fix_tu(lambda query: comb_tu(_minus, comb_tu(_union, ref, all_tu(_UNION, query)), dec))
 
 
@@ -250,16 +263,13 @@ def bound_typed_names(
 ) -> tuple[Environment, Term]:
     """Collect the name-type pairs declared on the root-to-focus path, in
     top-down order (deeper bindings later), together with the unwrapped
-    focused fragment."""
-
-    def select(env: Environment) -> QueryTU[tuple[Environment, Term]]:
-        return mono_tu(SortCase(get_focus.sort, lambda t: (env, get_focus.fn(t))))
+    focused fragment. ``declared`` runs only at the focus's ancestors."""
 
     def update(env: Environment) -> QueryTU[Environment]:
         return map_tu(lambda pairs: env + tuple(pairs), declared)
 
     try:
-        return apply_tu(propagate_tu((), update, select), prog)
+        return apply_tu(propagate_path_tu((), update, mono_tu(get_focus)), prog)
     except StrategyFailure:
         raise NoFocus() from None
 

@@ -18,18 +18,28 @@ the core:
 * calling a strategy, or ``apply_tp``/``apply_tu``, raises it on refusal;
 * user code may refuse by raising it: the ``run`` of
   ``TransformTP``/``QueryTU``, ``SortCase.fn``, and the functions handed
-  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu`` and
-  ``propagate_tu``. The core catches it once, where that code is entered.
+  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu``, ``propagate_tu``
+  and ``propagate_path_tu``. The core catches it once, where that code is
+  entered.
 
 So a pass constructs no exception for the nodes its parts refuse. A
 type-preserving strategy is checked for a changed sort (``TypeError``)
 where user code enters, the only place a sort can change.
 
+Type cases dispatch by sort, as in Strafunski (Lämmel and Visser, *A
+Strafunski Application Letter*, PADL'03). ``mono_*`` carries a case table
+``{sort: case}`` and refuses every other sort; ``adhoc_*`` over a table
+adds its case to a copy of the table; ``choice_*`` of two tables is one
+table, whose entry for a sort both sides list is the choice of the two
+cases. Since ``Sort`` is interned, a composed type case such as a
+language's five-way ``declared`` query is one identity-hashed lookup on
+``t.sort``, not a chain of closures.
+
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd``, ``oncebu``, ``above`` and ``propagate``
-recurse through one Python frame per tree level, with their one-layer
-step written into that frame. All are deterministic: children are tried
-left to right and the first success wins.
+recursive schemes ``oncetd``, ``oncebu``, ``above``, ``propagate`` and
+``propagate_path`` recurse through one Python frame per tree level, with
+their one-layer step written into that frame. All are deterministic:
+children are tried left to right and the first success wins.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ _FAIL: Any = object()
 _MET: Any = object()
 
 Attempt = Callable[[Term], Any]
+Cases = dict[Sort, Attempt]
 
 
 class StrategyFailure(Exception):
@@ -57,9 +68,13 @@ class StrategyFailure(Exception):
 
 
 class _Strategy:
-    __slots__ = ("_attempt",)
+    __slots__ = ("_attempt", "_cases")
 
     _attempt: Attempt
+    # The case table of a strategy that refuses every sort outside it, or
+    # None. Such a strategy is one lookup on ``t.sort``, and ``adhoc_*``
+    # and ``choice_*`` over tables build a table, not a chain of closures.
+    _cases: Cases | None
 
     def __call__(self, t: Term) -> Any:
         out = self._attempt(t)
@@ -72,6 +87,33 @@ def _sort_changed(t: Term, out: Term) -> TypeError:
     return TypeError(f"type-preserving strategy changed sort {t.sort.id} -> {out.sort.id}")
 
 
+def _enter_tp(run: Callable[[Term], Term]) -> Attempt:
+    """User code of a type-preserving strategy, as an attempt."""
+
+    def attempt(t: Term) -> Any:
+        try:
+            out = run(t)
+        except StrategyFailure:
+            return _FAIL
+        if out.sort is not t.sort:
+            raise _sort_changed(t, out)
+        return out
+
+    return attempt
+
+
+def _enter_tu(run: Callable[[Term], Any]) -> Attempt:
+    """User code of a type-unifying strategy, as an attempt."""
+
+    def attempt(t: Term) -> Any:
+        try:
+            return run(t)
+        except StrategyFailure:
+            return _FAIL
+
+    return attempt
+
+
 class TransformTP(_Strategy):
     """Type-preserving generic function: any term to a term of the same sort.
 
@@ -80,16 +122,8 @@ class TransformTP(_Strategy):
     __slots__ = ()
 
     def __init__(self, run: Callable[[Term], Term]) -> None:
-        def attempt(t: Term) -> Any:
-            try:
-                out = run(t)
-            except StrategyFailure:
-                return _FAIL
-            if out.sort is not t.sort:
-                raise _sort_changed(t, out)
-            return out
-
-        self._attempt = attempt
+        self._attempt = _enter_tp(run)
+        self._cases = None
 
 
 class QueryTU(_Strategy, Generic[A]):
@@ -100,26 +134,33 @@ class QueryTU(_Strategy, Generic[A]):
     __slots__ = ()
 
     def __init__(self, run: Callable[[Term], A]) -> None:
-        def attempt(t: Term) -> Any:
-            try:
-                return run(t)
-            except StrategyFailure:
-                return _FAIL
-
-        self._attempt = attempt
+        self._attempt = _enter_tu(run)
+        self._cases = None
 
 
-def _tp(attempt: Attempt) -> TransformTP:
-    """A combinator's result: ``attempt`` already follows the core's rules."""
+def _tp(attempt: Attempt, cases: Cases | None = None) -> TransformTP:
+    """A combinator's result: ``attempt`` already follows the core's rules,
+    and ``cases``, if given, is the table it dispatches on."""
     s = object.__new__(TransformTP)
-    s._attempt = attempt
+    s._attempt, s._cases = attempt, cases
     return s
 
 
-def _tu(attempt: Attempt) -> QueryTU[Any]:
+def _tu(attempt: Attempt, cases: Cases | None = None) -> QueryTU[Any]:
     q: QueryTU[Any] = object.__new__(QueryTU)
-    q._attempt = attempt
+    q._attempt, q._cases = attempt, cases
     return q
+
+
+def _table(make: Callable[[Attempt, Cases], Any], cases: Cases) -> Any:
+    """The strategy that runs ``cases[t.sort]`` and refuses other sorts."""
+    get = cases.get
+
+    def attempt(t: Term) -> Any:
+        case = get(t.sort)
+        return _FAIL if case is None else case(t)
+
+    return make(attempt, cases)
 
 
 @dataclass(frozen=True)
@@ -159,11 +200,11 @@ def id_tp() -> TransformTP:
 
 
 def fail_tp() -> TransformTP:
-    return _tp(_refuse)
+    return _tp(_refuse, {})
 
 
 def fail_tu() -> QueryTU[Any]:
-    return _tu(_refuse)
+    return _tu(_refuse, {})
 
 
 def const_tu(value: A) -> QueryTU[A]:
@@ -213,7 +254,7 @@ def map_tu(f: Callable[[A], B], q: QueryTU[A]) -> QueryTU[B]:
     return _tu(attempt)
 
 
-def _choice(first: Attempt, second: Attempt) -> Attempt:
+def _either(first: Attempt, second: Attempt) -> Attempt:
     def attempt(t: Term) -> Any:
         out = first(t)
         return second(t) if out is _FAIL else out
@@ -221,12 +262,26 @@ def _choice(first: Attempt, second: Attempt) -> Attempt:
     return attempt
 
 
+def _choice(make: Callable[..., Any], s1: _Strategy, s2: _Strategy) -> Any:
+    """Left-biased choice. Over two case tables it is one table: a sort
+    only one side lists takes that side's case (the other refuses it), and
+    a sort both list takes the choice of the two cases."""
+    first, second = s1._cases, s2._cases
+    if first is None or second is None:
+        return make(_either(s1._attempt, s2._attempt))
+    cases = dict(second)
+    for sort, here in first.items():
+        other = cases.get(sort)
+        cases[sort] = here if other is None else _either(here, other)
+    return _table(make, cases)
+
+
 def choice_tp(s1: TransformTP, s2: TransformTP) -> TransformTP:
-    return _tp(_choice(s1._attempt, s2._attempt))
+    return _choice(_tp, s1, s2)
 
 
 def choice_tu(q1: QueryTU[A], q2: QueryTU[A]) -> QueryTU[A]:
-    return _tu(_choice(q1._attempt, q2._attempt))
+    return _choice(_tu, q1, q2)
 
 
 def comb_tu(o: Callable[[A, B], C], q1: QueryTU[A], q2: QueryTU[B]) -> QueryTU[C]:
@@ -325,35 +380,26 @@ def one_tu(q: QueryTU[A]) -> QueryTU[A]:
     return _tu(attempt)
 
 
-def adhoc_tp(deflt: TransformTP, case: SortCase[Term]) -> TransformTP:
-    other, sort, fn = deflt._attempt, case.sort, case.fn
+def _adhoc(make: Callable[..., Any], deflt: _Strategy, sort: Sort, here: Attempt) -> Any:
+    """``here`` on ``sort``, ``deflt`` elsewhere. Over a case table this is
+    the table with ``here`` in ``sort``'s entry: the case replaces the
+    default there, refusal included."""
+    if deflt._cases is not None:
+        return _table(make, {**deflt._cases, sort: here})
+    other = deflt._attempt
 
     def attempt(t: Term) -> Any:
-        if t.sort is not sort:
-            return other(t)
-        try:
-            out = fn(t)
-        except StrategyFailure:
-            return _FAIL
-        if out.sort is not sort:
-            raise _sort_changed(t, out)
-        return out
+        return here(t) if t.sort is sort else other(t)
 
-    return _tp(attempt)
+    return make(attempt)
+
+
+def adhoc_tp(deflt: TransformTP, case: SortCase[Term]) -> TransformTP:
+    return _adhoc(_tp, deflt, case.sort, _enter_tp(case.fn))
 
 
 def adhoc_tu(deflt: QueryTU[A], case: SortCase[A]) -> QueryTU[A]:
-    other, sort, fn = deflt._attempt, case.sort, case.fn
-
-    def attempt(t: Term) -> Any:
-        if t.sort is not sort:
-            return other(t)
-        try:
-            return fn(t)
-        except StrategyFailure:
-            return _FAIL
-
-    return _tu(attempt)
+    return _adhoc(_tu, deflt, case.sort, _enter_tu(case.fn))
 
 
 def mono_tp(case: SortCase[Term]) -> TransformTP:
@@ -492,3 +538,48 @@ def propagate_tu(
         return _FAIL
 
     return _tu(lambda t: go(t, e0))
+
+
+def propagate_path_tu(
+    e0: E,
+    update: Callable[[E], QueryTU[E]],
+    select: QueryTU[A],
+) -> QueryTU[tuple[E, A]]:
+    """``propagate_tu`` for a ``select`` that does not read the
+    environment: the first node in preorder where ``select`` succeeds,
+    paired with the environment there.
+
+    The search keeps only the path to the node it is at. Once ``select``
+    succeeds, ``update`` is folded over that node's strict ancestors, root
+    first (refusal there means "no change"), so it runs once per level of
+    the path, not once per node the search passes."""
+    here = select._attempt
+
+    def search(t: Term, path: list[Term]) -> Any:
+        out = here(t)
+        if out is not _FAIL:
+            return out
+        path.append(t)
+        for c in t.children():
+            out = search(c, path)
+            if out is not _FAIL:
+                return out
+        path.pop()
+        return _FAIL
+
+    def attempt(t: Term) -> Any:
+        path: list[Term] = []
+        out = search(t, path)
+        if out is _FAIL:
+            return out
+        env = e0
+        for node in path:
+            try:
+                new = update(env)._attempt(node)
+            except StrategyFailure:
+                continue
+            if new is not _FAIL:
+                env = new
+        return env, out
+
+    return _tu(attempt)

@@ -16,6 +16,11 @@ Nodes are frozen dataclasses. Field annotations drive the protocol:
 * ``str``/``int``/``bool`` fields are atoms,
 * fields declared with ``compare=False`` (source spans) are metadata and
   take no part in the protocol or in structural equality.
+
+Each node class builds its own ``children`` and ``rebuild`` from these
+slots the first time it is used (one-layer accessors, as in Uniplate:
+Mitchell and Runciman, Haskell'07), so a traversal step reads fields
+directly instead of interpreting the slot table at every node.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 import dataclasses
 import types
 import typing
-from itertools import islice
-from typing import Any, ClassVar, Sequence, get_args, get_origin, get_type_hints
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Sequence, get_args, get_origin, get_type_hints
 
 Atom = str | int
 
@@ -108,26 +113,29 @@ def _slots(cls: type) -> tuple[tuple[int, str, Any], ...]:
 
 
 class Term:
-    """Base class for tree nodes exposing the uniform protocol."""
+    """Base class for tree nodes exposing the uniform protocol.
+
+    ``children`` and ``rebuild`` are built once per node class, at its
+    first use, from its slot table (see ``accessors``); what ``Term``
+    defines are the stubs that build them."""
 
     sort: ClassVar[Sort]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass may add slots, so it builds its own accessors rather
+        # than inheriting its base's.
+        for name in ("children", "rebuild"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(Term, name))
 
     @property
     def tag(self) -> str:
         return type(self).__name__
 
     def children(self) -> tuple[Term, ...]:
-        out: list[Term] = []
-        for kind, name, _ in _slots(type(self)):
-            value = getattr(self, name)
-            if kind == _CHILD:
-                out.append(value)
-            elif kind == _OPT_CHILD:
-                if value is not None:
-                    out.append(value)
-            elif kind == _CHILD_SEQ:
-                out.extend(value)
-        return tuple(out)
+        """Immediate child terms, left to right."""
+        return accessors(type(self))[0](self)
 
     def atoms(self) -> tuple[Atom, ...]:
         out: list[Atom] = []
@@ -140,27 +148,101 @@ class Term:
         return tuple(out)
 
     def rebuild(self, new_children: Sequence[Term]) -> Term:
-        """Same node with substituted children; tag, atoms and sort unchanged."""
-        old = self.children()
+        """Same node with substituted children; tag, atoms, sort and span
+        unchanged."""
+        return accessors(type(self))[1](self, new_children)
+
+
+_sort_of = attrgetter("sort")
+
+
+def _mismatch(t: Term, new: tuple[Term, ...], old: tuple[Term, ...]) -> TermError:
+    """The error for children ``new`` that cannot replace ``old`` in ``t``."""
+    if len(new) != len(old):
+        return ArityMismatch(f"{t.tag}: expected {len(old)} children, got {len(new)}")
+    return next(
+        SortMismatch(i, o.sort, n.sort)
+        for i, (n, o) in enumerate(zip(new, old))
+        if n.sort is not o.sort
+    )
+
+
+def accessors(cls: type) -> tuple[Callable[..., Any], Callable[..., Any]]:
+    """The ``(children, rebuild)`` of node class ``cls``, built and installed
+    on the class the first time it is asked for.
+
+    ``children`` is generated as source, in the way ``dataclasses`` writes
+    ``__init__``: one tuple expression over the child fields, the cheapest
+    form of the step every traversal takes at every node. ``rebuild``,
+    which runs only where a pass changes the tree, is a closure over the
+    constructor's fields, so no class pays to compile it: it checks arity
+    and child sorts against the old children, then calls the constructor
+    with the new children, the old atoms and the old metadata (the span)."""
+    found = cls.__dict__.get("_term_accessors")
+    if found is not None:
+        return found
+    kinds = {name: kind for kind, name, _ in _slots(cls)}
+    found = (_compile_children(cls, kinds), _rebuild_for(cls, kinds))
+    cls._term_accessors = found  # type: ignore[attr-defined]
+    for name, fn in zip(("children", "rebuild"), found):
+        if getattr(cls, name) is getattr(Term, name):
+            setattr(cls, name, fn)
+    return found
+
+
+def _compile_children(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
+    # Runs of single children become one tuple display.
+    parts: list[str] = []
+    run: list[str] = []
+    for name, kind in kinds.items():
+        if kind == _CHILD:
+            run.append(f"self.{name},")
+            continue
+        if kind not in (_OPT_CHILD, _CHILD_SEQ):
+            continue
+        if run:
+            parts.append("(" + " ".join(run) + ")")
+            run = []
+        if kind == _OPT_CHILD:
+            parts.append(f"(() if self.{name} is None else (self.{name},))")
+        else:
+            parts.append(f"self.{name}")
+    if run:
+        parts.append("(" + " ".join(run) + ")")
+    namespace: dict[str, Any] = {}
+    exec(f"def children(self):\n    return {' + '.join(parts) or '()'}", namespace)
+    children = namespace["children"]
+    children.__qualname__ = f"{cls.__qualname__}.children"
+    return children
+
+
+def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
+    fields = tuple((kinds.get(f.name), f.name, f.kw_only) for f in dataclasses.fields(cls) if f.init)
+
+    def rebuild(self: Term, new_children: Sequence[Term]) -> Term:
         new = tuple(new_children)
-        if len(new) != len(old):
-            raise ArityMismatch(
-                f"{self.tag}: expected {len(old)} children, got {len(new)}"
-            )
-        for i, (n, o) in enumerate(zip(new, old)):
-            if n.sort != o.sort:
-                raise SortMismatch(i, o.sort, n.sort)
-        it = iter(new)
-        replaced: dict[str, Any] = {}
-        for kind, name, _ in _slots(type(self)):
+        old = self.children()
+        if len(new) != len(old) or list(map(_sort_of, new)) != list(map(_sort_of, old)):
+            raise _mismatch(self, new, old)
+        args = []
+        keywords = {}
+        i = 0
+        for kind, name, kw_only in fields:
             value = getattr(self, name)
-            if kind == _CHILD:
-                replaced[name] = next(it)
-            elif kind == _OPT_CHILD:
-                replaced[name] = next(it) if value is not None else None
+            if kind == _CHILD or (kind == _OPT_CHILD and value is not None):
+                value = new[i]
+                i += 1
             elif kind == _CHILD_SEQ:
-                replaced[name] = tuple(islice(it, len(value)))
-        return dataclasses.replace(self, **replaced)
+                value = new[i : i + len(value)]
+                i += len(value)
+            if kw_only:
+                keywords[name] = value
+            else:
+                args.append(value)
+        return cls(*args, **keywords)
+
+    rebuild.__qualname__ = f"{cls.__qualname__}.rebuild"
+    return rebuild
 
 
 def append_child(t: Term, child: Term) -> Term:

@@ -1,6 +1,7 @@
 """Fixture algebra for combinator-law tests: small binary trees over
 integers, plus a labelled wrapper used to plant host candidates, all in
-one sort so every strategy applies everywhere."""
+one sort so every strategy applies everywhere; and a leaf of a second
+sort, for the tests of dispatch by sort."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from refax.strategy import SortCase, StrategyFailure
 from refax.terms import Sort, Term
 
 FIXTURE = Sort("FixtureTree")
+TWIG = Sort("FixtureTwig")
 
 
 class Tree(Term):
@@ -34,14 +36,31 @@ class Tag(Tree):
     child: Tree
 
 
-def gen_tree(rng: random.Random, depth: int = 4, tag_chance: float = 0.0) -> Tree:
+@dataclass(frozen=True)
+class Twig(Tree):
+    """A leaf of the second sort."""
+
+    sort = TWIG
+    value: int
+
+
+def gen_tree(
+    rng: random.Random, depth: int = 4, tag_chance: float = 0.0, twig_chance: float = 0.0
+) -> Tree:
     """A random tree; with ``tag_chance`` > 0 some subtrees get wrapped in
-    Tag("plain") nodes so shapes vary beyond pure binary."""
+    Tag("plain") nodes so shapes vary beyond pure binary, and with
+    ``twig_chance`` > 0 some leaves are twigs."""
     if depth <= 0 or rng.random() < 0.3:
-        return Leaf(rng.randrange(0, 10))
+        value = rng.randrange(0, 10)
+        if twig_chance and rng.random() < twig_chance:
+            return Twig(value)
+        return Leaf(value)
     if tag_chance and rng.random() < tag_chance:
-        return Tag("plain", gen_tree(rng, depth - 1, tag_chance))
-    return Node(gen_tree(rng, depth - 1, tag_chance), gen_tree(rng, depth - 1, tag_chance))
+        return Tag("plain", gen_tree(rng, depth - 1, tag_chance, twig_chance))
+    return Node(
+        gen_tree(rng, depth - 1, tag_chance, twig_chance),
+        gen_tree(rng, depth - 1, tag_chance, twig_chance),
+    )
 
 
 def preorder(t: Tree) -> list[Tree]:

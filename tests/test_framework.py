@@ -3,6 +3,7 @@ signature laws, and the generic introduce/extract on both instances."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -42,11 +43,11 @@ from refax.minilet import (
     parse_program as parse_minilet,
     referenced_names as mini_referenced,
 )
-from refax.strategy import SortCase, StrategyFailure
-from refax.terms import Term
+from refax.strategy import QueryTU, SortCase, StrategyFailure, fail_tu, mono_tu
+from refax.terms import Term, accessors
 
-from . import minilet_gen, oracles
-from .fixture_trees import FIXTURE, Leaf, Node, Tag
+from . import fixture_trees, minilet_gen, oracles
+from .fixture_trees import FIXTURE, Leaf, Node, Tag, leaf_case
 
 # Fixture-level focus convention: Tag("focus", t) wraps the fragment.
 
@@ -147,6 +148,15 @@ def test_free_names_no_references():
     prog = parse_program("class C { void m() { return; } }")
     declared = framework.declared_names(joos_declared)
     assert framework.free_names(declared, joos_referenced, prog) == ()
+
+
+def test_free_names_with_a_repeating_reference_query():
+    """A ``referenced`` query may name a name twice; the free names still
+    hold each name once, also where a union has one empty side."""
+    twice = mono_tu(leaf_case(lambda t: (f"v{t.value}", f"v{t.value}")))
+    assert framework.free_names(fail_tu(), twice, Leaf(1)) == ("v1",)
+    t = Node(Leaf(1), Node(Leaf(2), Leaf(1)))
+    assert framework.free_names(fail_tu(), twice, t) == ("v1", "v2")
 
 
 def test_free_names_minilet_example():
@@ -333,24 +343,51 @@ def _size(t):
     return 1 + sum(_size(c) for c in t.children())
 
 
-def _calls(monkeypatch, owner, name, run):
-    """Calls of ``owner.name`` made by ``run()``; the count must repeat."""
+def _calls(monkeypatch, owners, name, run):
+    """Calls of ``name`` on any of ``owners`` made by ``run()``; the count
+    must repeat."""
     calls = [0]
-    method = getattr(owner, name)
 
-    def counting(self, *args):
-        calls[0] += 1
-        return method(self, *args)
+    def counting(method):
+        def count(self, *args):
+            calls[0] += 1
+            return method(self, *args)
+
+        return count
 
     counts = []
     with monkeypatch.context() as m:
-        m.setattr(owner, name, counting)
+        for owner in owners:
+            m.setattr(owner, name, counting(getattr(owner, name)))
         for _ in range(2):
             calls[0] = 0
             run()
             counts.append(calls[0])
     assert counts[0] == counts[1]
     return counts[0]
+
+
+def _node_classes():
+    """Every node class of both languages and of the fixtures, with its
+    accessors compiled: each class has its own ``children``, so a count
+    must wrap each one."""
+    classes = [
+        cls
+        for module in (jast, mast, fixture_trees)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Term) and dataclasses.is_dataclass(cls)
+    ]
+    for cls in classes:
+        accessors(cls)
+    return classes
+
+
+def _children_calls(monkeypatch, prog, run):
+    """``children`` calls made by ``run()``. A plain walk of ``prog``
+    counts one per node first, so no bound below can pass on zero."""
+    classes = _node_classes()
+    assert _calls(monkeypatch, classes, "children", lambda: _size(prog)) == _size(prog)
+    return _calls(monkeypatch, classes, "children", run)
 
 
 @pytest.mark.parametrize("depth", [10, 20, 40])
@@ -366,17 +403,16 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
     span = Span.parse(spans[depth if innermost else 2])
     prog = minilet.LANGUAGE.place_focus_by_span(source, "expr", span)
     n = _size(prog)
-    marking = _calls(
-        monkeypatch, Term, "children",
-        lambda: framework.mark_host(minilet.let_defs_host, expr_focus, prog),
+    marking = _children_calls(
+        monkeypatch, prog, lambda: framework.mark_host(minilet.let_defs_host, expr_focus, prog)
     )
 
     def extracting():
         minilet.extract_function("h", prog)
 
     assert marking <= 2 * n
-    assert _calls(monkeypatch, Term, "children", extracting) <= 8 * n
-    assert _calls(monkeypatch, StrategyFailure, "__init__", extracting) <= 4 * n
+    assert _children_calls(monkeypatch, prog, extracting) <= 8 * n
+    assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 4 * n
 
 
 def _wide_class(methods: int) -> tuple[str, Span]:
@@ -400,14 +436,68 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     source, span = _wide_class(60)
     prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
     n = _size(prog)
-    marking = _calls(
-        monkeypatch, Term, "children",
-        lambda: framework.mark_host(joos.method_list_host, statement_focus, prog),
+    marking = _children_calls(
+        monkeypatch, prog, lambda: framework.mark_host(joos.method_list_host, statement_focus, prog)
     )
 
     def extracting():
         joos.extract_method("helper", prog)
 
     assert marking <= 2 * n
-    assert _calls(monkeypatch, Term, "children", extracting) <= 8 * n
-    assert _calls(monkeypatch, StrategyFailure, "__init__", extracting) <= 4 * n
+    assert _children_calls(monkeypatch, prog, extracting) <= 8 * n
+    assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 4 * n
+
+
+def _declared_calls(declared, focus, prog):
+    """Evaluations of ``declared`` in one ``bound_typed_names``; the count
+    must repeat."""
+    counts = []
+    for _ in range(2):
+        calls = [0]
+
+        def counting(t):
+            calls[0] += 1
+            return declared(t)
+
+        framework.bound_typed_names(QueryTU(counting), focus, prog)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+    return counts[0]
+
+
+def _depth_of(prog, wrapper):
+    """Number of strict ancestors of the first ``wrapper`` node in preorder."""
+
+    def go(t, depth):
+        if isinstance(t, wrapper):
+            return depth
+        for c in t.children():
+            found = go(c, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    return go(prog, 0)
+
+
+@pytest.mark.parametrize("depth", [10, 20, 40])
+@pytest.mark.parametrize("innermost", [False, True], ids=["level2", "innermost"])
+def test_bound_typed_names_evaluates_declared_on_the_focus_path(depth, innermost):
+    """The environment of a focus is built from its ancestors alone:
+    ``declared`` runs at most once per level above the focus, however many
+    nodes the search for the focus passes before it."""
+    from refax import minilet
+
+    source, spans = minilet_gen.nested_lets(depth)
+    span = Span.parse(spans[depth if innermost else 2])
+    prog = minilet.LANGUAGE.place_focus_by_span(source, "expr", span)
+    assert _declared_calls(mini_declared, expr_focus, prog) <= _depth_of(prog, mast.ExprFocus) + 1
+
+
+def test_bound_typed_names_evaluates_declared_on_the_joos_focus_path():
+    from refax import joos
+
+    source, span = _wide_class(60)
+    prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
+    depth = _depth_of(prog, jast.StatementFocus)
+    assert _declared_calls(joos_declared, statement_focus, prog) <= depth + 1

@@ -39,15 +39,19 @@ from refax.strategy import (
     oncetd_tu,
     one_tp,
     one_tu,
+    propagate_path_tu,
     propagate_tu,
     seq_tp,
 )
 
+from . import joos_gen, minilet_gen
 from .fixture_trees import (
     FIXTURE,
+    TWIG,
     Leaf,
     Node,
     Tag,
+    Twig,
     gen_tree,
     inc_leaf,
     leaf_case,
@@ -58,9 +62,9 @@ from .fixture_trees import (
 LIST_MONOID = MonoidSpec((), lambda a, b: a + b)
 
 
-def sample_trees(n=60, seed=3):
+def sample_trees(n=60, seed=3, twig_chance=0.0):
     rng = random.Random(seed)
-    return [gen_tree(rng, tag_chance=0.15) for _ in range(n)]
+    return [gen_tree(rng, tag_chance=0.15, twig_chance=twig_chance) for _ in range(n)]
 
 
 def outcome_tp(s, t):
@@ -260,6 +264,63 @@ def test_propagate_threads_environment_along_path():
         apply_tu(propagate_tu((), update, select), Tag("a", Leaf(1)))
 
 
+def _paired(select):
+    """``select`` for ``propagate_tu``, pairing its result with the
+    environment as ``propagate_path_tu`` does."""
+    return lambda env: map_tu(lambda a: (env, a), select)
+
+
+def test_propagate_path_agrees_with_propagate():
+    """Folding ``update`` over the path to the first match gives
+    ``propagate_tu``'s environment: on random trees, with an ``update``
+    that refuses at leaves and records which node it ran at, and on
+    generated programs of both languages with their own name queries."""
+
+    def update(env):
+        return mono_tu(SortCase(
+            FIXTURE, lambda t: env + ((t.tag, len(preorder(t))),) if not isinstance(t, Leaf) else _refuse()
+        ))
+
+    outcomes = set()
+    for t in sample_trees(80, seed=29):
+        for k in range(10):
+            select = mono_tu(leaf_case(lambda u, k=k: u.value if u.value == k else _refuse()))
+            got = outcome_tu(propagate_path_tu((), update, select), t)
+            assert got == outcome_tu(propagate_tu((), update, _paired(select)), t)
+            outcomes.add((got[0], bool(got[1] and got[1][0])))
+    assert outcomes == {("ok", True), ("ok", False), ("fail", False)}
+
+    from refax import framework
+    from refax.joos import ast as jast
+    from refax.joos import declared_pairs as joos_declared, statement_focus
+    from refax.minilet import ast as mast
+    from refax.minilet import declared_pairs as mini_declared, expr_focus
+
+    def collect(declared):
+        return lambda env: map_tu(lambda pairs: env + tuple(pairs), declared)
+
+    rng = random.Random(31)
+    for _ in range(40):
+        prog = joos_gen.gen_program(rng)
+        target = rng.choice(joos_gen.statement_nodes(prog))
+        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        select, update = mono_tu(statement_focus), collect(joos_declared)
+        got = apply_tu(propagate_path_tu((), update, select), focused)
+        assert got == apply_tu(propagate_tu((), update, _paired(select)), focused)
+        assert got[1] == target
+    for _ in range(40):
+        prog = minilet_gen.gen_program(rng)
+        exprs = minilet_gen.expr_nodes_under_let(prog)
+        if not exprs:
+            continue
+        target = rng.choice(exprs)
+        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
+        select, update = mono_tu(expr_focus), collect(mini_declared)
+        got = apply_tu(propagate_path_tu((), update, select), focused)
+        assert got == apply_tu(propagate_tu((), update, _paired(select)), focused)
+        assert got[1] == target
+
+
 def test_type_preservation_is_enforced():
     from refax.minilet import ast as mast
 
@@ -344,6 +405,15 @@ def choice_reference(make, s1, s2):
             return s1(t)
         except StrategyFailure:
             return s2(t)
+
+    return make(run)
+
+
+def adhoc_reference(make, deflt, case):
+    def run(t):
+        if t.sort == case.sort:
+            return case.fn(t)
+        return deflt(t)
 
     return make(run)
 
@@ -456,6 +526,20 @@ TU_PARTS = {
 }
 
 
+def _odd_twig(t):
+    if t.value % 2:
+        return t
+    raise StrategyFailure("an even twig")
+
+
+# Cases of the second sort: a twig case that refuses even twigs, and one
+# that takes every twig.
+ODD_TWIG_TP = mono_tp(SortCase(TWIG, lambda t: Twig(_odd_twig(t).value + 2)))
+ODD_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("twig", _odd_twig(t).value)))
+ANY_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("any twig", t.value)))
+ODD_CASE = SortCase(FIXTURE, _odd_leaf)
+
+
 def _reference_pairs():
     """(combinator, part names, new strategy, reference strategy, apply)."""
     for a, s in TP_PARTS.items():
@@ -491,6 +575,34 @@ def _reference_pairs():
         yield "propagate_tu", k, propagate_tu((), update, select), propagate_reference(
             (), update, select), apply_tu
 
+    # Case tables. Over disjoint sorts a choice is one merged table; with
+    # a sort on both sides the second must still run where the first
+    # refuses; and an adhoc case over a table default replaces the
+    # default's case for its sort, so its refusal does not fall through.
+    for a in ("inc", "mark"):
+        s = TP_PARTS[a]
+        yield "choice_tp", (a, "twig"), choice_tp(s, ODD_TWIG_TP), choice_reference(
+            TransformTP, s, ODD_TWIG_TP), apply_tp
+        yield "choice_tp", ("twig", a), choice_tp(ODD_TWIG_TP, s), choice_reference(
+            TransformTP, ODD_TWIG_TP, s), apply_tp
+        mark = SortCase(FIXTURE, _hit_on_even_left)
+        yield "adhoc_tp", (a, "twig", "mark"), adhoc_tp(choice_tp(s, ODD_TWIG_TP), mark), adhoc_reference(
+            TransformTP, choice_reference(TransformTP, s, ODD_TWIG_TP), mark), apply_tp
+    for a in ("leaf", "odd"):
+        q = TU_PARTS[a]
+        yield "choice_tu", (a, "twig"), choice_tu(q, ODD_TWIG_TU), choice_reference(
+            QueryTU, q, ODD_TWIG_TU), apply_tu
+        yield "choice_tu", ("twig", a), choice_tu(ODD_TWIG_TU, q), choice_reference(
+            QueryTU, ODD_TWIG_TU, q), apply_tu
+        yield "adhoc_tu", (a, "twig", "odd"), adhoc_tu(choice_tu(q, ODD_TWIG_TU), ODD_CASE), adhoc_reference(
+            QueryTU, choice_reference(QueryTU, q, ODD_TWIG_TU), ODD_CASE), apply_tu
+        yield "adhoc_tu", ("const", a), adhoc_tu(const_tu(("c",)), ODD_CASE), adhoc_reference(
+            QueryTU, const_tu(("c",)), ODD_CASE), apply_tu
+    yield "choice_tu", ("twig", "any twig"), choice_tu(ODD_TWIG_TU, ANY_TWIG_TU), choice_reference(
+        QueryTU, ODD_TWIG_TU, ANY_TWIG_TU), apply_tu
+    yield "oncetd_tu", "table", oncetd_tu(choice_tu(ODD_TWIG_TU, TU_PARTS["odd"])), oncetd_reference(
+        QueryTU, one_tu_reference, choice_reference(QueryTU, ODD_TWIG_TU, TU_PARTS["odd"])), apply_tu
+
 
 def _outcome(apply, s, t):
     try:
@@ -502,17 +614,31 @@ def _outcome(apply, s, t):
 
 
 def test_combinators_match_their_raising_reference_formulations():
-    """Over random trees, every combinator gives the outcome, result or
-    refusal, of its raising formulation, for parts that refuse at some
-    nodes; and each combinator both succeeds and refuses somewhere."""
+    """Over random trees, some of them with leaves of a second sort, every
+    combinator gives the outcome, result or refusal, of its raising
+    formulation, for parts that refuse at some nodes; and each combinator
+    both succeeds and refuses somewhere. Choices of case tables merge into
+    one table, and a merged type-preserving table still rejects a case
+    that changes sort."""
     seen = {}
     pairs = list(_reference_pairs())
-    for t in sample_trees(80, seed=23):
+    for t in sample_trees(80, seed=23) + sample_trees(80, seed=24, twig_chance=0.4):
         for name, parts, new, ref, apply in pairs:
             got = _outcome(apply, new, t)
             assert got == _outcome(apply, ref, t), (name, parts, t)
             seen.setdefault(name, set()).add(got[0])
     assert all(kinds == {"ok", "fail"} for kinds in seen.values()), seen
+
+    assert set(choice_tu(TU_PARTS["odd"], ODD_TWIG_TU)._cases) == {FIXTURE, TWIG}
+    assert set(adhoc_tu(ODD_TWIG_TU, ODD_CASE)._cases) == {FIXTURE, TWIG}
+    to_twig = mono_tp(SortCase(FIXTURE, lambda t: Twig(t.value) if isinstance(t, Leaf) else _refuse()))
+    merged = choice_tp(ODD_TWIG_TP, to_twig)
+    assert set(merged._cases) == {FIXTURE, TWIG}
+    for s in (merged, choice_reference(TransformTP, ODD_TWIG_TP, to_twig)):
+        with pytest.raises(TypeError):
+            apply_tp(s, Leaf(1))
+        assert apply_tp(s, Twig(1)) == Twig(3)
+        assert outcome_tp(s, Node(Leaf(1), Leaf(2))) == ("fail", None)
 
 
 def _raise(*_):
@@ -555,6 +681,8 @@ def _refusing_strategies():
     yield "above_tp", above_tp(big, leaf)
     yield "propagate_tu", propagate_tu((), lambda env: const_tu(env), lambda env: odd)
     yield "propagate_tu", propagate_tu((), _raise, _raise)
+    yield "propagate_path_tu", propagate_path_tu((), lambda env: const_tu(env), odd)
+    yield "propagate_path_tu", propagate_path_tu((), _raise, odd)
     yield "TransformTP", TransformTP(_raise)
     yield "QueryTU", QueryTU(_raise)
 

@@ -1,17 +1,37 @@
 """Term protocol: children/rebuild/sort laws on the fixture algebra and on
-real language nodes."""
+real language nodes, and the compiled accessors against the generic slot
+interpretation they replace."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any
 
 import pytest
 
+from refax import framework, joos, minilet
 from refax.joos import ast as jast
 from refax.joos import parse_program
-from refax.terms import ArityMismatch, Sort, SortMismatch, append_child, dump
+from refax.minilet import ast as mast
+from refax.terms import (
+    _CHILD,
+    _CHILD_SEQ,
+    _OPT_CHILD,
+    ArityMismatch,
+    Sort,
+    SortMismatch,
+    Term,
+    _slots,
+    accessors,
+    append_child,
+    dump,
+)
 
-from .fixture_trees import FIXTURE, Leaf, Node, Tag, gen_tree
+from . import joos_gen, minilet_gen
+from .fixture_trees import FIXTURE, Leaf, Node, Tag, Tree, gen_tree, preorder
 
 
 def test_sorts_are_interned():
@@ -112,3 +132,139 @@ def test_dump_is_deterministic():
     prog = parse_program("class C { int f; void m() { f = 1 + 2; } }")
     assert dump(prog) == dump(parse_program("class C { int f; void m() { f = 1 + 2; } }"))
     assert dump(prog).splitlines()[0] == "Program"
+
+
+# -- the generic slot interpretation, kept as the reference -------------------
+#
+# ``children`` and ``rebuild`` as every node class shared them before each
+# class compiled its own from its slot table.
+
+
+def children_reference(t):
+    out = []
+    for kind, name, _ in _slots(type(t)):
+        value = getattr(t, name)
+        if kind == _CHILD:
+            out.append(value)
+        elif kind == _OPT_CHILD:
+            if value is not None:
+                out.append(value)
+        elif kind == _CHILD_SEQ:
+            out.extend(value)
+    return tuple(out)
+
+
+def rebuild_reference(t, new_children):
+    old = children_reference(t)
+    new = tuple(new_children)
+    if len(new) != len(old):
+        raise ArityMismatch(f"{t.tag}: expected {len(old)} children, got {len(new)}")
+    for i, (n, o) in enumerate(zip(new, old)):
+        if n.sort != o.sort:
+            raise SortMismatch(i, o.sort, n.sort)
+    it = iter(new)
+    replaced: dict[str, Any] = {}
+    for kind, name, _ in _slots(type(t)):
+        value = getattr(t, name)
+        if kind == _CHILD:
+            replaced[name] = next(it)
+        elif kind == _OPT_CHILD:
+            replaced[name] = next(it) if value is not None else None
+        elif kind == _CHILD_SEQ:
+            replaced[name] = tuple(islice(it, len(value)))
+    return dataclasses.replace(t, **replaced)
+
+
+def _outcome(rebuild, t, new):
+    try:
+        out = rebuild(t, new)
+    except (ArityMismatch, SortMismatch) as e:
+        return type(e).__name__, str(e), getattr(e, "slot", None)
+    return "ok", out, out.span
+
+
+def _concrete_classes(module):
+    return {
+        cls for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Term)
+        and "__dataclass_params__" in cls.__dict__ and hasattr(cls, "sort")
+    }
+
+
+def _parsed_samples():
+    """Parsed programs of both languages (so nodes carry spans), with a
+    focus wrapper of each kind planted in some, plus hand-built nodes: an
+    optional child absent and present, and empty sequences."""
+    rng = random.Random(41)
+    for language, gen, nodes_of in (
+        (joos.LANGUAGE, joos_gen, joos_gen.statement_nodes),
+        (minilet.LANGUAGE, minilet_gen, minilet_gen.expr_nodes_under_let),
+    ):
+        for k in range(30):
+            prog = language.parse(language.pretty(gen.gen_program(rng)))
+            yield prog
+            sort, wrapper = language.focus_kinds[list(language.focus_kinds)[k % 2]]
+            targets = [t for t in preorder(prog) if t.sort is sort and not isinstance(t, wrapper)]
+            if targets:
+                target = rng.choice(targets)
+                yield framework.wrap_first(sort, lambda t: t is target, wrapper, prog)
+    yield parse_program("class C { void m(int a) { if (a < 1) a = 1; if (a < 2) { } else a = 3; } }")
+    yield jast.Program((jast.ClassDecl("E", (), jast.MethodList(())),))
+    yield jast.CallStmt(jast.Call(True, "m", ()))
+    yield minilet.LANGUAGE.parse("let f() = 1; in f()")
+    yield mast.Let(mast.FunDefList(()), mast.IntLit(0))
+
+
+def test_compiled_accessors_equal_the_slot_interpretation():
+    """On every node class of both languages, compiled ``children`` and
+    ``rebuild`` equal the generic reference: the same children, the same
+    rebuilt node with the same span, and the same ``ArityMismatch`` and
+    ``SortMismatch`` (message and slot) for wrong children."""
+    seen = set()
+    optional = set()
+    empty = set()
+    for prog in _parsed_samples():
+        for t in preorder(prog):
+            seen.add(type(t))
+            cs = t.children()
+            assert type(cs) is tuple and cs == children_reference(t)
+            rebuilt = t.rebuild(cs)
+            assert rebuilt == t and rebuilt.span == t.span and type(rebuilt) is type(t)
+            for kind, name, _ in _slots(type(t)):
+                value = getattr(t, name)
+                if kind == _OPT_CHILD:
+                    optional.add((type(t), value is None))
+                if kind == _CHILD_SEQ and not value:
+                    empty.add(type(t))
+            wrong = [cs[:-1], cs + (Leaf(0),), tuple(reversed(cs))]
+            wrong += [cs[:i] + (Leaf(i),) + cs[i + 1:] for i in range(len(cs))]
+            for new in wrong:
+                assert _outcome(type(t).rebuild, t, new) == _outcome(rebuild_reference, t, new)
+    assert seen == _concrete_classes(jast) | _concrete_classes(mast)
+    assert {(jast.If, True), (jast.If, False)} <= optional
+    assert {jast.Block, jast.MethodList, jast.Call, mast.FunDefList, mast.Call} <= empty
+
+
+def test_mismatch_messages():
+    t = Node(Leaf(1), Leaf(2))
+    with pytest.raises(ArityMismatch, match=r"^Node: expected 2 children, got 1$"):
+        t.rebuild((Leaf(1),))
+    method = parse_program("class C { void m() { return; } }").classes[0].methods.methods[0]
+    with pytest.raises(SortMismatch, match=r"^child slot 0 expects sort JoosStatement, got FixtureTree$"):
+        method.rebuild((Leaf(0),))
+
+
+def test_a_subclass_of_a_compiled_class_compiles_its_own_accessors():
+    base = Node(Leaf(1), Leaf(2))
+    assert base.rebuild(base.children()) == base  # Node's accessors are compiled
+
+    @dataclass(frozen=True)
+    class Labelled(Node):
+        label: str
+        extra: Tree
+
+    t = Labelled(Leaf(1), Leaf(2), "x", Leaf(3))
+    assert t.children() == (Leaf(1), Leaf(2), Leaf(3)) == children_reference(t)
+    assert t.rebuild((Leaf(4), Leaf(5), Leaf(6))) == Labelled(Leaf(4), Leaf(5), "x", Leaf(6))
+    assert accessors(Labelled) != accessors(Node)
+    assert base.children() == (Leaf(1), Leaf(2))
