@@ -9,13 +9,16 @@ introduction; and the ``Language`` record through which the CLI uses one
 language instance.
 
 A language participates by providing a handful of ``SortCase`` values
-(recognisers for its focus wrappers, a host marker) and ``QueryTU``
-analyses for declared and referenced names, plus an
-``AbstractionSignature`` with the constructors for its abstraction form
-(methods, functions, ...). Its ``Language`` record adds the parser,
-printer and checker, and the focus kinds (kind name to sort and wrapper
-class) that focus placement and the wrapper check work from. Everything
-here manipulates terms only through the uniform protocol.
+(recognisers for its focus wrappers, a host marker), each naming the
+constructor it accepts so that the passes refuse every other node
+without raising; ``QueryTU`` analyses for declared and referenced names;
+and an ``AbstractionSignature`` with the constructors for its
+abstraction form (methods, functions, ...). Free names are one scoped
+top-down pass of those two analyses (``strategy.scoped_uses_tu``). Its
+``Language`` record adds the parser, printer and checker, and the focus
+kinds (kind name to sort and wrapper class) that focus placement and the
+wrapper check work from. Everything here manipulates terms only through
+the uniform protocol.
 """
 
 from __future__ import annotations
@@ -25,24 +28,20 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Span, SpanMismatch
 from .strategy import (
-    MonoidSpec,
     QueryTU,
     SortCase,
     StrategyFailure,
     above_tp,
-    all_tu,
     apply_tp,
     apply_tu,
     choice_tu,
-    comb_tu,
-    const_tu,
-    fix_tu,
     map_tu,
     mono_tp,
     mono_tu,
     oncetd_tp,
     oncetd_tu,
     propagate_path_tu,
+    scoped_uses_tu,
 )
 from .terms import Sort, Term, append_child
 
@@ -209,51 +208,16 @@ def mark_host(set_host: SortCase[Term], get_focus: SortCase[Term], prog: Term) -
 Names = tuple[str, ...]
 
 
-def _union(a: Names, b: Names) -> Names:
-    """Names of ``a``, then those of ``b`` not in ``a``. Neither operand
-    holds a name twice, so one empty side is the answer as it stands."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(dict.fromkeys(a + b))
-
-
-def _distinct(names: Sequence[str]) -> Names:
-    return tuple(dict.fromkeys(names))
-
-
-def _minus(a: Names, b: Names) -> Names:
-    if not b:
-        return a
-    drop = set(b)
-    return tuple(n for n in a if n not in drop)
-
-
-_UNION = MonoidSpec((), _union)
-
-
-def free_names_query(
-    declared: QueryTU[Sequence[str]], referenced: QueryTU[Sequence[str]]
-) -> QueryTU[Names]:
-    """Recursive free-name analysis: at each node, the names referenced
-    there joined with the free names of the children, minus the names the
-    node declares. Refusal of either parameter query counts as "none".
-
-    ``referenced`` may name a name twice; it is made distinct here, where
-    names enter the analysis, so no union has to do it again."""
-    dec = choice_tu(map_tu(tuple, declared), const_tu(()))
-    ref = choice_tu(map_tu(_distinct, referenced), const_tu(()))
-    return fix_tu(lambda query: comb_tu(_minus, comb_tu(_union, ref, all_tu(_UNION, query)), dec))
-
-
 def free_names(
     declared: QueryTU[Sequence[str]],
     referenced: QueryTU[Sequence[str]],
     t: Term,
 ) -> Names:
-    """Free names of ``t`` in order of first occurrence (preorder)."""
-    return apply_tu(free_names_query(declared, referenced), t)
+    """Free names of ``t`` in order of first occurrence (preorder): the
+    names ``referenced`` yields at a node that ``declared`` yields neither
+    there nor at an ancestor within ``t``. Refusal of either query counts
+    as "none". One scoped top-down pass (``scoped_uses_tu``)."""
+    return apply_tu(scoped_uses_tu(declared, referenced), t)
 
 
 def bound_typed_names(
@@ -322,7 +286,7 @@ def introduce(
         find2.fn(t)  # recognise the wrapper; declines elsewhere
         return extended
 
-    return replace_focus(SortCase(find2.sort, put), prog)
+    return replace_focus(SortCase(find2.sort, put, find2.on), prog)
 
 
 def extract(
@@ -359,7 +323,7 @@ def extract(
         find.fn(t)  # recognise the fragment wrapper
         return sig.fragment_from_application(app)
 
-    result = replace_focus(SortCase(find.sort, put), extended)
+    result = replace_focus(SortCase(find.sort, put, find.on), extended)
     try:
         apply_tu(oncetd_tu(choice_tu(mono_tu(find), mono_tu(find2))), result)
     except StrategyFailure:

@@ -59,15 +59,13 @@ def _formal_pairs(m: ast.MethodDecl) -> tuple[NameTypePair, ...]:
     return tuple(NameTypePair(f.name, ExprType(f.type_name)) for f in m.formals)
 
 
-def _declared_statement(t: ast.Statement) -> tuple[NameTypePair, ...]:
+def _declared_statement(t: ast.LocalVarDecl | ast.Block) -> tuple[NameTypePair, ...]:
     if isinstance(t, ast.LocalVarDecl):
         return (NameTypePair(t.name, ExprType(t.type_name)),)
-    if isinstance(t, ast.Block):
-        locals_ = [s for s in t.statements if isinstance(s, ast.LocalVarDecl)]
-        if not locals_:
-            raise StrategyFailure("block declares nothing")
-        return tuple(NameTypePair(s.name, ExprType(s.type_name)) for s in locals_)
-    raise StrategyFailure("not a declaration")
+    locals_ = [s for s in t.statements if isinstance(s, ast.LocalVarDecl)]
+    if not locals_:
+        raise StrategyFailure("block declares nothing")
+    return tuple(NameTypePair(s.name, ExprType(s.type_name)) for s in locals_)
 
 
 def _declared_method(t: ast.MethodDecl) -> tuple[NameTypePair, ...]:
@@ -85,7 +83,7 @@ def _declared_class(t: ast.ClassDecl) -> tuple[NameTypePair, ...]:
 
 declared_pairs: QueryTU = choice_tu(
     choice_tu(
-        mono_tu(SortCase(ast.STATEMENT, _declared_statement)),
+        mono_tu(SortCase(ast.STATEMENT, _declared_statement, (ast.LocalVarDecl, ast.Block))),
         mono_tu(SortCase(ast.METHOD, _declared_method)),
     ),
     choice_tu(
@@ -98,20 +96,12 @@ declared_pairs: QueryTU = choice_tu(
 )
 
 
-def _assigned(t: ast.Statement) -> tuple[str, ...]:
-    if isinstance(t, ast.Assign):
-        return (t.name,)
-    raise StrategyFailure("not an assignment")
+def _name(t: ast.Assign | ast.VarRef) -> tuple[str, ...]:
+    return (t.name,)
 
 
-def _identifier_use(t: ast.Expression) -> tuple[str, ...]:
-    if isinstance(t, ast.VarRef):
-        return (t.name,)
-    raise StrategyFailure("not an identifier expression")
-
-
-defined_names: QueryTU = mono_tu(SortCase(ast.STATEMENT, _assigned))
-used_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, _identifier_use))
+defined_names: QueryTU = mono_tu(SortCase(ast.STATEMENT, _name, ast.Assign))
+used_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, _name, ast.VarRef))
 referenced_names: QueryTU = choice_tu(defined_names, used_names)
 
 

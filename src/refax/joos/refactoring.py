@@ -36,9 +36,12 @@ def _unwrap_method_list_focus(t: ast.MethodSection) -> ast.MethodList:
     raise StrategyFailure("no method list focus here")
 
 
-statement_focus = SortCase(ast.STATEMENT, _unwrap_statement_focus)
-method_list_host = SortCase(ast.METHOD_LIST, _wrap_method_list)
-method_list_focus = SortCase(ast.METHOD_LIST, _unwrap_method_list_focus)
+# Each case names the constructor it accepts, so the strategies built from
+# it pass every other node without entering it; called directly, each
+# function still refuses other constructors by raising.
+statement_focus = SortCase(ast.STATEMENT, _unwrap_statement_focus, ast.StatementFocus)
+method_list_host = SortCase(ast.METHOD_LIST, _wrap_method_list, ast.MethodList)
+method_list_focus = SortCase(ast.METHOD_LIST, _unwrap_method_list_focus, ast.MethodDeclarationFocus)
 
 
 # -- the Abstraction instance for JOOS method declarations ------------------
@@ -93,13 +96,8 @@ method_signature = AbstractionSignature(
 
 
 def _contains_return(fragment: ast.Statement) -> bool:
-    def is_return(t: ast.Statement) -> bool:
-        if isinstance(t, ast.Return):
-            return True
-        raise StrategyFailure("not a return")
-
     try:
-        apply_tu(oncetd_tu(mono_tu(SortCase(ast.STATEMENT, is_return))), fragment)
+        apply_tu(oncetd_tu(mono_tu(SortCase(ast.STATEMENT, lambda t: True, ast.Return))), fragment)
         return True
     except StrategyFailure:
         return False

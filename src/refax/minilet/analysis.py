@@ -15,7 +15,7 @@ within one definition list. Definitions in a list are mutually visible
 from __future__ import annotations
 
 from ..framework import FocusPresent, NameTypePair, contains_focus
-from ..strategy import QueryTU, SortCase, StrategyFailure, mono_tu
+from ..strategy import QueryTU, SortCase, mono_tu
 from . import ast
 
 
@@ -25,14 +25,8 @@ def _declared_fundef(t: ast.FunDef) -> tuple[NameTypePair, ...]:
     )
 
 
-def _identifier_use(t: ast.Expression) -> tuple[str, ...]:
-    if isinstance(t, ast.Var):
-        return (t.name,)
-    raise StrategyFailure("not an identifier expression")
-
-
 declared_pairs: QueryTU = mono_tu(SortCase(ast.FUNDEF, _declared_fundef))
-referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, _identifier_use))
+referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, lambda t: (t.name,), ast.Var))
 
 
 def resolution_check(program: ast.Program) -> list[str]:

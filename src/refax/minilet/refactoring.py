@@ -36,9 +36,11 @@ def _unwrap_list_focus(t: ast.FunDefSection) -> ast.FunDefList:
     raise StrategyFailure("no definition list focus here")
 
 
-expr_focus = SortCase(ast.EXPRESSION, _unwrap_expr_focus)
-let_defs_host = SortCase(ast.EXPRESSION, _wrap_let_defs)
-fundef_list_focus = SortCase(ast.FUNDEF_LIST, _unwrap_list_focus)
+# As in JOOS, each case names the constructor it accepts; called directly,
+# each function still refuses other constructors by raising.
+expr_focus = SortCase(ast.EXPRESSION, _unwrap_expr_focus, ast.ExprFocus)
+let_defs_host = SortCase(ast.EXPRESSION, _wrap_let_defs, ast.Let)
+fundef_list_focus = SortCase(ast.FUNDEF_LIST, _unwrap_list_focus, ast.FunDefListFocus)
 
 
 def _make_formals(pairs) -> tuple[str, ...]:

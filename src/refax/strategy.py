@@ -33,19 +33,27 @@ adds its case to a copy of the table; ``choice_*`` of two tables is one
 table, whose entry for a sort both sides list is the choice of the two
 cases. Since ``Sort`` is interned, a composed type case such as a
 language's five-way ``declared`` query is one identity-hashed lookup on
-``t.sort``, not a chain of closures.
+``t.sort``, not a chain of closures. A ``SortCase`` may also name the
+constructors it is written for (``on``, a node class or a tuple of them):
+its entry then tests ``isinstance`` before entering the case and refuses
+the sort's other constructors as a value. So a recogniser of one wrapper
+class, run at every node of its sort, constructs no exception at the
+nodes it passes.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd``, ``oncebu``, ``above``, ``propagate`` and
-``propagate_path`` recurse through one Python frame per tree level, with
-their one-layer step written into that frame. All are deterministic:
-children are tried left to right and the first success wins.
+recursive schemes ``oncetd``, ``oncebu``, ``above``, ``propagate``,
+``propagate_path`` and ``scoped_uses`` recurse through one Python frame
+per tree level, with their one-layer step written into that frame. All
+are deterministic: children are tried left to right and the first
+success wins. ``scoped_uses`` is the free-name scheme: the names a use
+query yields outside the scope of every binder a bind query yields, in
+one top-down pass that keeps the names in scope in a count map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .terms import Sort, Term
 
@@ -87,8 +95,14 @@ def _sort_changed(t: Term, out: Term) -> TypeError:
     return TypeError(f"type-preserving strategy changed sort {t.sort.id} -> {out.sort.id}")
 
 
-def _enter_tp(run: Callable[[Term], Term]) -> Attempt:
-    """User code of a type-preserving strategy, as an attempt."""
+# The constructors a ``SortCase`` admits: a node class or a tuple of them.
+Constructors = type | tuple[type, ...]
+
+
+def _enter_tp(run: Callable[[Term], Term], on: Constructors | None = None) -> Attempt:
+    """User code of a type-preserving strategy, as an attempt. With ``on``,
+    the attempt refuses a term of another constructor without entering
+    ``run``."""
 
     def attempt(t: Term) -> Any:
         try:
@@ -99,11 +113,23 @@ def _enter_tp(run: Callable[[Term], Term]) -> Attempt:
             raise _sort_changed(t, out)
         return out
 
-    return attempt
+    def guarded(t: Term) -> Any:
+        if not isinstance(t, on):
+            return _FAIL
+        try:
+            out = run(t)
+        except StrategyFailure:
+            return _FAIL
+        if out.sort is not t.sort:
+            raise _sort_changed(t, out)
+        return out
+
+    return attempt if on is None else guarded
 
 
-def _enter_tu(run: Callable[[Term], Any]) -> Attempt:
-    """User code of a type-unifying strategy, as an attempt."""
+def _enter_tu(run: Callable[[Term], Any], on: Constructors | None = None) -> Attempt:
+    """User code of a type-unifying strategy, as an attempt; ``on`` as for
+    ``_enter_tp``."""
 
     def attempt(t: Term) -> Any:
         try:
@@ -111,7 +137,15 @@ def _enter_tu(run: Callable[[Term], Any]) -> Attempt:
         except StrategyFailure:
             return _FAIL
 
-    return attempt
+    def guarded(t: Term) -> Any:
+        if not isinstance(t, on):
+            return _FAIL
+        try:
+            return run(t)
+        except StrategyFailure:
+            return _FAIL
+
+    return attempt if on is None else guarded
 
 
 class TransformTP(_Strategy):
@@ -176,11 +210,16 @@ class SortCase(Generic[A]):
     """A partial function defined only on terms of one declared sort.
 
     ``fn`` may still refuse individual terms of that sort by raising
-    ``StrategyFailure``.
+    ``StrategyFailure``. ``on``, if given, names the constructors (a node
+    class or a tuple of them) that ``fn`` is meant for: ``mono_*`` and
+    ``adhoc_*`` refuse the sort's other constructors as a value, without
+    calling ``fn``, so a recogniser that accepts one wrapper class costs no
+    exception at the nodes it passes.
     """
 
     sort: Sort
     fn: Callable[[Term], A]
+    on: Constructors | None = None
 
 
 def apply_tp(s: TransformTP, t: Term) -> Term:
@@ -395,11 +434,11 @@ def _adhoc(make: Callable[..., Any], deflt: _Strategy, sort: Sort, here: Attempt
 
 
 def adhoc_tp(deflt: TransformTP, case: SortCase[Term]) -> TransformTP:
-    return _adhoc(_tp, deflt, case.sort, _enter_tp(case.fn))
+    return _adhoc(_tp, deflt, case.sort, _enter_tp(case.fn, case.on))
 
 
 def adhoc_tu(deflt: QueryTU[A], case: SortCase[A]) -> QueryTU[A]:
-    return _adhoc(_tu, deflt, case.sort, _enter_tu(case.fn))
+    return _adhoc(_tu, deflt, case.sort, _enter_tu(case.fn, case.on))
 
 
 def mono_tp(case: SortCase[Term]) -> TransformTP:
@@ -581,5 +620,46 @@ def propagate_path_tu(
             if new is not _FAIL:
                 env = new
         return env, out
+
+    return _tu(attempt)
+
+
+def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> QueryTU[tuple[A, ...]]:
+    """The names ``uses`` yields that no binder scopes over: every name
+    used at a node, unless ``binds`` yields it at that node or at one of
+    its ancestors, in preorder and once each, at its first such use.
+    Refusal of either query counts as "none", so this never refuses.
+
+    One top-down pass: ``binds`` and ``uses`` run once per node. The names
+    in scope are a count map, raised on entry to a binder and lowered on
+    exit, so no scope is copied per binder and deep nesting stays linear."""
+    bind_at, use_at = binds._attempt, uses._attempt
+
+    def attempt(t: Term) -> Any:
+        bound: dict[Any, int] = {}
+        found: dict[Any, None] = {}
+
+        def go(n: Term) -> None:  # one frame per tree level
+            names = bind_at(n)
+            if names is _FAIL:
+                names = ()
+            for name in names:
+                bound[name] = bound.get(name, 0) + 1
+            used = use_at(n)
+            if used is not _FAIL:
+                for name in used:
+                    if name not in bound:
+                        found.setdefault(name)
+            for c in n.children():
+                go(c)
+            for name in names:
+                left = bound[name] - 1
+                if left:
+                    bound[name] = left
+                else:
+                    del bound[name]
+
+        go(t)
+        return tuple(found)
 
     return _tu(attempt)

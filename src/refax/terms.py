@@ -17,10 +17,11 @@ Nodes are frozen dataclasses. Field annotations drive the protocol:
 * fields declared with ``compare=False`` (source spans) are metadata and
   take no part in the protocol or in structural equality.
 
-Each node class builds its own ``children`` and ``rebuild`` from these
-slots the first time it is used (one-layer accessors, as in Uniplate:
-Mitchell and Runciman, Haskell'07), so a traversal step reads fields
-directly instead of interpreting the slot table at every node.
+Each node class builds its own ``children``, ``rebuild`` and ``atoms``
+from these slots the first time it is used (one-layer accessors, as in
+Uniplate: Mitchell and Runciman, Haskell'07), so a traversal step or a
+dump reads fields directly instead of interpreting the slot table at
+every node.
 """
 
 from __future__ import annotations
@@ -112,12 +113,16 @@ def _slots(cls: type) -> tuple[tuple[int, str, Any], ...]:
     return table
 
 
+# The per-class methods that ``accessors`` builds, in its order.
+_ACCESSORS = ("children", "rebuild", "atoms")
+
+
 class Term:
     """Base class for tree nodes exposing the uniform protocol.
 
-    ``children`` and ``rebuild`` are built once per node class, at its
-    first use, from its slot table (see ``accessors``); what ``Term``
-    defines are the stubs that build them."""
+    ``children``, ``rebuild`` and ``atoms`` are built once per node
+    class, at its first use, from its slot table (see ``accessors``); what
+    ``Term`` defines are the stubs that build them."""
 
     sort: ClassVar[Sort]
 
@@ -125,7 +130,7 @@ class Term:
         super().__init_subclass__(**kwargs)
         # A subclass may add slots, so it builds its own accessors rather
         # than inheriting its base's.
-        for name in ("children", "rebuild"):
+        for name in _ACCESSORS:
             if name not in cls.__dict__:
                 setattr(cls, name, getattr(Term, name))
 
@@ -138,14 +143,8 @@ class Term:
         return accessors(type(self))[0](self)
 
     def atoms(self) -> tuple[Atom, ...]:
-        out: list[Atom] = []
-        for kind, name, _ in _slots(type(self)):
-            value = getattr(self, name)
-            if kind == _ATOM:
-                out.append(value)
-            elif kind == _ATOM_SEQ:
-                out.extend(value)
-        return tuple(out)
+        """Scalar atoms, in field order; an atom sequence is spliced in."""
+        return accessors(type(self))[2](self)
 
     def rebuild(self, new_children: Sequence[Term]) -> Term:
         """Same node with substituted children; tag, atoms, sort and span
@@ -167,13 +166,14 @@ def _mismatch(t: Term, new: tuple[Term, ...], old: tuple[Term, ...]) -> TermErro
     )
 
 
-def accessors(cls: type) -> tuple[Callable[..., Any], Callable[..., Any]]:
-    """The ``(children, rebuild)`` of node class ``cls``, built and installed
-    on the class the first time it is asked for.
+def accessors(cls: type) -> tuple[Callable[..., Any], Callable[..., Any], Callable[..., Any]]:
+    """The ``(children, rebuild, atoms)`` of node class ``cls``, built and
+    installed on the class the first time it is asked for.
 
     ``children`` is generated as source, in the way ``dataclasses`` writes
     ``__init__``: one tuple expression over the child fields, the cheapest
-    form of the step every traversal takes at every node. ``rebuild``,
+    form of the step every traversal takes at every node. ``atoms`` is
+    generated the same way over the atom fields. ``rebuild``,
     which runs only where a pass changes the tree, is a closure over the
     constructor's fields, so no class pays to compile it: it checks arity
     and child sorts against the old children, then calls the constructor
@@ -182,38 +182,46 @@ def accessors(cls: type) -> tuple[Callable[..., Any], Callable[..., Any]]:
     if found is not None:
         return found
     kinds = {name: kind for kind, name, _ in _slots(cls)}
-    found = (_compile_children(cls, kinds), _rebuild_for(cls, kinds))
+    found = (
+        _compile_tuple(cls, kinds, "children", _CHILD, _OPT_CHILD, _CHILD_SEQ),
+        _rebuild_for(cls, kinds),
+        _compile_tuple(cls, kinds, "atoms", _ATOM, None, _ATOM_SEQ),
+    )
     cls._term_accessors = found  # type: ignore[attr-defined]
-    for name, fn in zip(("children", "rebuild"), found):
+    for name, fn in zip(_ACCESSORS, found):
         if getattr(cls, name) is getattr(Term, name):
             setattr(cls, name, fn)
     return found
 
 
-def _compile_children(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
-    # Runs of single children become one tuple display.
+def _compile_tuple(
+    cls: type, kinds: dict[str, int], fn: str, one: int, optional: int | None, seq: int
+) -> Callable[..., Any]:
+    """The method ``fn`` returning, in field order, the fields of kind
+    ``one`` (single values), ``optional`` (a value or None) and ``seq``
+    (tuples, spliced in). Runs of single values become one tuple display."""
     parts: list[str] = []
     run: list[str] = []
     for name, kind in kinds.items():
-        if kind == _CHILD:
+        if kind == one:
             run.append(f"self.{name},")
             continue
-        if kind not in (_OPT_CHILD, _CHILD_SEQ):
+        if kind not in (optional, seq):
             continue
         if run:
             parts.append("(" + " ".join(run) + ")")
             run = []
-        if kind == _OPT_CHILD:
+        if kind == optional:
             parts.append(f"(() if self.{name} is None else (self.{name},))")
         else:
             parts.append(f"self.{name}")
     if run:
         parts.append("(" + " ".join(run) + ")")
     namespace: dict[str, Any] = {}
-    exec(f"def children(self):\n    return {' + '.join(parts) or '()'}", namespace)
-    children = namespace["children"]
-    children.__qualname__ = f"{cls.__qualname__}.children"
-    return children
+    exec(f"def {fn}(self):\n    return {' + '.join(parts) or '()'}", namespace)
+    method = namespace[fn]
+    method.__qualname__ = f"{cls.__qualname__}.{fn}"
+    return method
 
 
 def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:

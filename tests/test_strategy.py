@@ -41,6 +41,7 @@ from refax.strategy import (
     one_tu,
     propagate_path_tu,
     propagate_tu,
+    scoped_uses_tu,
     seq_tp,
 )
 
@@ -502,6 +503,10 @@ def propagate_reference(e0, update, select):
     return QueryTU(lambda t: go(t, e0))
 
 
+def _label(t):
+    return (t.label,)
+
+
 def _odd_leaf(t):
     if isinstance(t, Leaf) and t.value % 2:
         return (t.value,)
@@ -538,6 +543,66 @@ ODD_TWIG_TP = mono_tp(SortCase(TWIG, lambda t: Twig(_odd_twig(t).value + 2)))
 ODD_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("twig", _odd_twig(t).value)))
 ANY_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("any twig", t.value)))
 ODD_CASE = SortCase(FIXTURE, _odd_leaf)
+
+
+# Guarded cases: ``on`` names the constructors each ``fn`` is written for,
+# and ``fn`` would break on the sort's other constructors (no ``value`` or
+# ``label`` there), so every outcome shows that the guard ran first. The
+# odd-leaf case also refuses some of its own constructor's terms by raising.
+GUARDED_TU = {
+    "odd leaf": SortCase(FIXTURE, lambda t: (t.value,) if t.value % 2 else _refuse(), Leaf),
+    "tag": SortCase(FIXTURE, _label, Tag),
+    "leaf or tag": SortCase(FIXTURE, lambda t: (t.value,) if isinstance(t, Leaf) else _label(t), (Leaf, Tag)),
+}
+GUARDED_TP = {
+    "inc": SortCase(FIXTURE, lambda t: Leaf(t.value + 1), Leaf),
+    "relabel": SortCase(FIXTURE, lambda t: Tag("hit", t.child), (Tag,)),
+}
+
+
+def guarded_reference(case):
+    """A guarded case in its raising formulation: an unguarded case whose
+    ``fn`` raises on the constructors outside ``on``."""
+
+    def fn(t):
+        if isinstance(t, case.on):
+            return case.fn(t)
+        raise StrategyFailure("another constructor")
+
+    return SortCase(case.sort, fn)
+
+
+def _mono_reference(make, deflt, case):
+    return adhoc_reference(make, deflt, guarded_reference(case))
+
+
+def _guarded_pairs():
+    for a, case in GUARDED_TU.items():
+        mono = _mono_reference(QueryTU, fail_tu(), case)
+        yield "mono_tu", ("guarded", a), mono_tu(case), mono, apply_tu
+        yield "adhoc_tu", ("const", "guarded", a), adhoc_tu(const_tu(("c",)), case), _mono_reference(
+            QueryTU, const_tu(("c",)), case), apply_tu
+        yield "adhoc_tu", ("twig", "guarded", a), adhoc_tu(ODD_TWIG_TU, case), _mono_reference(
+            QueryTU, ODD_TWIG_TU, case), apply_tu
+        yield "choice_tu", ("guarded", a, "odd"), choice_tu(mono_tu(case), TU_PARTS["odd"]), choice_reference(
+            QueryTU, mono, TU_PARTS["odd"]), apply_tu
+        yield "oncetd_tu", ("guarded", a), oncetd_tu(mono_tu(case)), oncetd_reference(
+            QueryTU, one_tu_reference, mono), apply_tu
+    for a, case in GUARDED_TP.items():
+        mono = _mono_reference(TransformTP, fail_tp(), case)
+        yield "mono_tp", ("guarded", a), mono_tp(case), mono, apply_tp
+        yield "adhoc_tp", ("id", "guarded", a), adhoc_tp(id_tp(), case), _mono_reference(
+            TransformTP, id_tp(), case), apply_tp
+        yield "choice_tp", ("guarded", a, "twig"), choice_tp(mono_tp(case), ODD_TWIG_TP), choice_reference(
+            TransformTP, mono, ODD_TWIG_TP), apply_tp
+    # Two guarded cases on one sort: the merged table tries both.
+    odd, tag = GUARDED_TU["odd leaf"], GUARDED_TU["tag"]
+    yield "choice_tu", ("guarded", "odd leaf", "tag"), choice_tu(mono_tu(odd), mono_tu(tag)), choice_reference(
+        QueryTU, _mono_reference(QueryTU, fail_tu(), odd), _mono_reference(QueryTU, fail_tu(), tag)), apply_tu
+    inc, relabel = GUARDED_TP["inc"], GUARDED_TP["relabel"]
+    yield "choice_tp", ("guarded", "inc", "relabel"), choice_tp(mono_tp(inc), mono_tp(relabel)), choice_reference(
+        TransformTP, _mono_reference(TransformTP, fail_tp(), inc),
+        _mono_reference(TransformTP, fail_tp(), relabel)), apply_tp
 
 
 def _reference_pairs():
@@ -602,6 +667,7 @@ def _reference_pairs():
         QueryTU, ODD_TWIG_TU, ANY_TWIG_TU), apply_tu
     yield "oncetd_tu", "table", oncetd_tu(choice_tu(ODD_TWIG_TU, TU_PARTS["odd"])), oncetd_reference(
         QueryTU, one_tu_reference, choice_reference(QueryTU, ODD_TWIG_TU, TU_PARTS["odd"])), apply_tu
+    yield from _guarded_pairs()
 
 
 def _outcome(apply, s, t):
@@ -616,10 +682,13 @@ def _outcome(apply, s, t):
 def test_combinators_match_their_raising_reference_formulations():
     """Over random trees, some of them with leaves of a second sort, every
     combinator gives the outcome, result or refusal, of its raising
-    formulation, for parts that refuse at some nodes; and each combinator
-    both succeeds and refuses somewhere. Choices of case tables merge into
-    one table, and a merged type-preserving table still rejects a case
-    that changes sort."""
+    formulation, for parts that refuse at some nodes, guarded cases
+    included; and each combinator both succeeds and refuses somewhere.
+    Choices of case tables merge into one table, and a merged
+    type-preserving table still rejects a case that changes sort. A
+    guarded case refuses other constructors as a public call too, and each
+    language's focus and host functions, called directly on another
+    constructor, still raise."""
     seen = {}
     pairs = list(_reference_pairs())
     for t in sample_trees(80, seed=23) + sample_trees(80, seed=24, twig_chance=0.4):
@@ -639,6 +708,35 @@ def test_combinators_match_their_raising_reference_formulations():
             apply_tp(s, Leaf(1))
         assert apply_tp(s, Twig(1)) == Twig(3)
         assert outcome_tp(s, Node(Leaf(1), Leaf(2))) == ("fail", None)
+
+    two = choice_tu(mono_tu(GUARDED_TU["odd leaf"]), mono_tu(GUARDED_TU["tag"]))
+    assert set(two._cases) == {FIXTURE}
+    guarded = mono_tu(GUARDED_TU["tag"])
+    for t in (Node(Leaf(1), Leaf(2)), Leaf(1), Twig(1)):
+        with pytest.raises(StrategyFailure):
+            guarded(t)
+        with pytest.raises(StrategyFailure):
+            apply_tu(guarded, t)
+    assert apply_tu(guarded, Tag("a", Leaf(1))) == ("a",)
+
+    from refax import joos, minilet
+    from refax.joos import ast as jast
+    from refax.minilet import ast as mast
+
+    wrong_constructor = [
+        (joos.statement_focus, jast.Return(None)),
+        (joos.method_list_host, jast.MethodDeclarationFocus(jast.MethodList(()))),
+        (joos.method_list_focus, jast.MethodList(())),
+        (minilet.expr_focus, mast.IntLit(0)),
+        (minilet.let_defs_host, mast.IntLit(0)),
+        (minilet.fundef_list_focus, mast.FunDefList(())),
+    ]
+    for case, t in wrong_constructor:
+        assert t.sort is case.sort and case.on is not None and not isinstance(t, case.on)
+        with pytest.raises(StrategyFailure):
+            case.fn(t)
+        with pytest.raises(StrategyFailure):
+            mono_tu(case)(t)
 
 
 def _raise(*_):
@@ -673,6 +771,8 @@ def _refusing_strategies():
     yield "adhoc_tu", adhoc_tu(const_tu(0), leaf_value)
     yield "mono_tp", mono_tp(inc_leaf)
     yield "mono_tu", mono_tu(leaf_value)
+    yield "mono_tu", mono_tu(GUARDED_TU["tag"])
+    yield "mono_tp", mono_tp(GUARDED_TP["relabel"])
     yield "oncetd_tp", oncetd_tp(big)
     yield "oncetd_tu", oncetd_tu(odd)
     yield "oncebu_tp", oncebu_tp(big)
@@ -700,5 +800,8 @@ def test_refusal_surfaces_as_strategy_failure():
         with pytest.raises(StrategyFailure):
             apply(s, t)
     public = {n for n in dir(strategy) if n.endswith(("_tp", "_tu")) and not n.startswith("_")}
-    assert names >= public - {"apply_tp", "apply_tu", "id_tp", "const_tu"}
+    # The schemes that cannot refuse: refusal of scoped_uses_tu's parts
+    # counts as "none".
+    assert names >= public - {"apply_tp", "apply_tu", "id_tp", "const_tu", "scoped_uses_tu"}
     assert apply_tu(const_tu(None), t) is None
+    assert apply_tu(scoped_uses_tu(fail_tu(), QueryTU(_raise)), t) == ()

@@ -17,6 +17,8 @@ from refax.joos import ast as jast
 from refax.joos import parse_program
 from refax.minilet import ast as mast
 from refax.terms import (
+    _ATOM,
+    _ATOM_SEQ,
     _CHILD,
     _CHILD_SEQ,
     _OPT_CHILD,
@@ -136,8 +138,8 @@ def test_dump_is_deterministic():
 
 # -- the generic slot interpretation, kept as the reference -------------------
 #
-# ``children`` and ``rebuild`` as every node class shared them before each
-# class compiled its own from its slot table.
+# ``children``, ``rebuild`` and ``atoms`` as every node class shared them
+# before each class compiled its own from its slot table.
 
 
 def children_reference(t):
@@ -150,6 +152,17 @@ def children_reference(t):
             if value is not None:
                 out.append(value)
         elif kind == _CHILD_SEQ:
+            out.extend(value)
+    return tuple(out)
+
+
+def atoms_reference(t):
+    out = []
+    for kind, name, _ in _slots(type(t)):
+        value = getattr(t, name)
+        if kind == _ATOM:
+            out.append(value)
+        elif kind == _ATOM_SEQ:
             out.extend(value)
     return tuple(out)
 
@@ -216,18 +229,24 @@ def _parsed_samples():
 
 
 def test_compiled_accessors_equal_the_slot_interpretation():
-    """On every node class of both languages, compiled ``children`` and
-    ``rebuild`` equal the generic reference: the same children, the same
-    rebuilt node with the same span, and the same ``ArityMismatch`` and
-    ``SortMismatch`` (message and slot) for wrong children."""
+    """On every node class of both languages, compiled ``children``,
+    ``atoms`` and ``rebuild`` equal the generic reference: the same
+    children and atoms, the same rebuilt node with the same span, and the
+    same ``ArityMismatch`` and ``SortMismatch`` (message and slot) for
+    wrong children."""
     seen = set()
     optional = set()
     empty = set()
+    with_atoms = set()
     for prog in _parsed_samples():
         for t in preorder(prog):
             seen.add(type(t))
             cs = t.children()
             assert type(cs) is tuple and cs == children_reference(t)
+            atoms = t.atoms()
+            assert type(atoms) is tuple and atoms == atoms_reference(t)
+            if atoms:
+                with_atoms.add(type(t))
             rebuilt = t.rebuild(cs)
             assert rebuilt == t and rebuilt.span == t.span and type(rebuilt) is type(t)
             for kind, name, _ in _slots(type(t)):
@@ -243,6 +262,7 @@ def test_compiled_accessors_equal_the_slot_interpretation():
     assert seen == _concrete_classes(jast) | _concrete_classes(mast)
     assert {(jast.If, True), (jast.If, False)} <= optional
     assert {jast.Block, jast.MethodList, jast.Call, mast.FunDefList, mast.Call} <= empty
+    assert {jast.Call, jast.BoolLit, jast.MethodDecl, mast.FunDef, mast.Var} <= with_atoms
 
 
 def test_mismatch_messages():
@@ -265,6 +285,7 @@ def test_a_subclass_of_a_compiled_class_compiles_its_own_accessors():
 
     t = Labelled(Leaf(1), Leaf(2), "x", Leaf(3))
     assert t.children() == (Leaf(1), Leaf(2), Leaf(3)) == children_reference(t)
+    assert t.atoms() == ("x",) == atoms_reference(t)
     assert t.rebuild((Leaf(4), Leaf(5), Leaf(6))) == Labelled(Leaf(4), Leaf(5), "x", Leaf(6))
     assert accessors(Labelled) != accessors(Node)
     assert base.children() == (Leaf(1), Leaf(2))
