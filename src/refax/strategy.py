@@ -99,21 +99,11 @@ def _sort_changed(t: Term, out: Term) -> TypeError:
 Constructors = type | tuple[type, ...]
 
 
-def _enter_tp(run: Callable[[Term], Term], on: Constructors | None = None) -> Attempt:
-    """User code of a type-preserving strategy, as an attempt. With ``on``,
-    the attempt refuses a term of another constructor without entering
-    ``run``."""
+def _enter_tp(run: Callable[[Term], Term], on: Constructors = object) -> Attempt:
+    """User code of a type-preserving strategy, as an attempt. It refuses a
+    term of a constructor outside ``on`` without entering ``run``."""
 
     def attempt(t: Term) -> Any:
-        try:
-            out = run(t)
-        except StrategyFailure:
-            return _FAIL
-        if out.sort is not t.sort:
-            raise _sort_changed(t, out)
-        return out
-
-    def guarded(t: Term) -> Any:
         if not isinstance(t, on):
             return _FAIL
         try:
@@ -124,20 +114,14 @@ def _enter_tp(run: Callable[[Term], Term], on: Constructors | None = None) -> At
             raise _sort_changed(t, out)
         return out
 
-    return attempt if on is None else guarded
+    return attempt
 
 
-def _enter_tu(run: Callable[[Term], Any], on: Constructors | None = None) -> Attempt:
+def _enter_tu(run: Callable[[Term], Any], on: Constructors = object) -> Attempt:
     """User code of a type-unifying strategy, as an attempt; ``on`` as for
     ``_enter_tp``."""
 
     def attempt(t: Term) -> Any:
-        try:
-            return run(t)
-        except StrategyFailure:
-            return _FAIL
-
-    def guarded(t: Term) -> Any:
         if not isinstance(t, on):
             return _FAIL
         try:
@@ -145,7 +129,7 @@ def _enter_tu(run: Callable[[Term], Any], on: Constructors | None = None) -> Att
         except StrategyFailure:
             return _FAIL
 
-    return attempt if on is None else guarded
+    return attempt
 
 
 class TransformTP(_Strategy):
@@ -210,16 +194,16 @@ class SortCase(Generic[A]):
     """A partial function defined only on terms of one declared sort.
 
     ``fn`` may still refuse individual terms of that sort by raising
-    ``StrategyFailure``. ``on``, if given, names the constructors (a node
-    class or a tuple of them) that ``fn`` is meant for: ``mono_*`` and
-    ``adhoc_*`` refuse the sort's other constructors as a value, without
-    calling ``fn``, so a recogniser that accepts one wrapper class costs no
-    exception at the nodes it passes.
+    ``StrategyFailure``. ``on`` names the constructors (a node class or a
+    tuple of them; every constructor by default) that ``fn`` is meant for:
+    ``mono_*`` and ``adhoc_*`` refuse the sort's other constructors as a
+    value, without calling ``fn``, so a recogniser that accepts one wrapper
+    class costs no exception at the nodes it passes.
     """
 
     sort: Sort
     fn: Callable[[Term], A]
-    on: Constructors | None = None
+    on: Constructors = object
 
 
 def apply_tp(s: TransformTP, t: Term) -> Term:

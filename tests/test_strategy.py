@@ -732,7 +732,7 @@ def test_combinators_match_their_raising_reference_formulations():
         (minilet.fundef_list_focus, mast.FunDefList(())),
     ]
     for case, t in wrong_constructor:
-        assert t.sort is case.sort and case.on is not None and not isinstance(t, case.on)
+        assert t.sort is case.sort and case.on is not object and not isinstance(t, case.on)
         with pytest.raises(StrategyFailure):
             case.fn(t)
         with pytest.raises(StrategyFailure):
