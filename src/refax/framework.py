@@ -1,12 +1,18 @@
 """Language-independent refactoring layer.
 
 Built on the strategy combinators: operations to place, select, replace
-and mark a focus, and to test for leftover focus wrappers; the name
-analyses (free names, bound typed names along the path to a focus, typed
-free names); the abstraction-signature interface a language instance
-fills in; the two refactorings composed from them, extraction and
-introduction; and the ``Language`` record through which the CLI uses one
-language instance.
+and mark a focus; the name analyses (free names, bound typed names along
+the path to a focus, typed free names); the abstraction-signature
+interface a language instance fills in; the two refactorings composed
+from them, extraction and introduction; and the ``Language`` record
+through which the CLI uses one language instance.
+
+A refactoring acts at one focus, so the steps that only need the focus
+walk the path from the root to it, not the whole tree: placing the focus
+by span enters only the children whose span encloses it,
+``bound_typed_names`` folds the environment over the focus's ancestors
+(``strategy.propagate_path_tu``), and ``mark_host`` searches and rebuilds
+only the path to the focus (``strategy.above_path_tp``).
 
 A language participates by providing a handful of ``SortCase`` values
 (recognisers for its focus wrappers, a host marker), each naming the
@@ -16,9 +22,10 @@ and an ``AbstractionSignature`` with the constructors for its
 abstraction form (methods, functions, ...). Free names are one scoped
 top-down pass of those two analyses (``strategy.scoped_uses_tu``). Its
 ``Language`` record adds the parser, printer and checker, and the focus
-kinds (kind name to sort and wrapper class) that focus placement and the
-wrapper check work from. Everything here manipulates terms only through
-the uniform protocol.
+kinds (kind name to sort and wrapper class) that focus placement works
+from. The printer and the checker reject a focus wrapper where their own
+dispatch meets one (``FocusPresent``), without a separate pass.
+Everything here manipulates terms only through the uniform protocol.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .strategy import (
     QueryTU,
     SortCase,
     StrategyFailure,
-    above_tp,
+    above_path_tp,
     apply_tp,
     apply_tu,
     choice_tu,
@@ -153,23 +160,34 @@ def wrap_first(
     return apply_tp(oncetd_tp(mono_tp(SortCase(sort, put))), prog)
 
 
-def contains_focus(kinds: FocusKinds, t: Term) -> bool:
-    """Whether ``t`` holds a wrapper of any of ``kinds``.
+def _encloses(outer: Span, inner: Span) -> bool:
+    return (outer.line, outer.col) <= (inner.line, inner.col) and (
+        inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
 
-    A plain ``isinstance`` recursion, not an ``oncetd_tu`` probe: the
-    probe costs several times as much, and the checkers run this on
-    every program they see."""
-    wrappers = tuple(wrapper for _, wrapper in kinds.values())
 
-    def walk(n: Term) -> bool:  # one frame per tree level
-        if isinstance(n, wrappers):
-            return True
-        for c in n.children():
-            if walk(c):
-                return True
-        return False
+def _wrap_at_span(sort: Sort, wrapper: Callable[[Term], Term], span: Span, prog: Term) -> Term | None:
+    """``prog`` with ``wrapper`` around the first node of ``sort``, in
+    preorder, whose span is ``span``; None when there is none.
 
-    return walk(t)
+    The search enters only children whose span encloses ``span`` (or that
+    have none) and rebuilds only the path to the node, so it costs
+    O(depth · branching), not O(n). It finds what
+    ``wrap_first(sort, lambda t: t.span == span, wrapper, prog)`` finds
+    wherever each child's span lies within its parent's, as the parsers'
+    spans do: a subtree it skips holds no node of span ``span``."""
+
+    def go(t: Term) -> Term | None:  # one frame per tree level
+        if t.sort is sort and t.span == span:
+            return wrapper(t)
+        cs = t.children()
+        for i, c in enumerate(cs):
+            if c.span is None or _encloses(c.span, span):
+                out = go(c)
+                if out is not None:
+                    return t.rebuild(cs[:i] + (out,) + cs[i + 1 :])
+        return None
+
+    return go(prog)
 
 
 def select_focus(get_focus: SortCase[Term], prog: Term) -> Term:
@@ -194,9 +212,11 @@ def replace_focus(put_focus: SortCase[Term], prog: Term) -> Term:
 
 
 def mark_host(set_host: SortCase[Term], get_focus: SortCase[Term], prog: Term) -> Term:
-    """Wrap the deepest host-acceptable node strictly containing the focus."""
+    """Wrap the deepest host-acceptable node strictly containing the first
+    (preorder) focus. Only the path to the focus is searched and rebuilt
+    (``above_path_tp``)."""
     try:
-        return apply_tp(above_tp(mono_tp(set_host), mono_tu(get_focus)), prog)
+        return apply_tp(above_path_tp(mono_tp(set_host), mono_tu(get_focus)), prog)
     except StrategyFailure:
         raise NoHost() from None
 
@@ -360,10 +380,9 @@ class Language:
             raise ValueError(f"unknown focus kind {kind!r}")
         sort, wrapper = self.focus_kinds[kind]
         prog = self.parse(source)
-        try:
-            return wrap_first(sort, lambda t: t.span == span, wrapper, prog)
-        except StrategyFailure:
-            pass
+        placed = _wrap_at_span(sort, wrapper, span, prog)
+        if placed is not None:
+            return placed
         candidates: list[Span] = []
 
         def collect(t: Term) -> None:

@@ -22,14 +22,15 @@ The queries feed the generic framework:
 ``static_check`` resolves every use the same way a compiler frontend
 would (declarations are visible throughout their block) and reports
 unresolved names, duplicate methods, arity mismatches and assignments to
-non-variables. It is not a type checker.
+non-variables. It is not a type checker. A focus wrapper is rejected
+(``FocusPresent``) where the check meets one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..framework import FocusPresent, NameTypePair, contains_focus
+from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, StrategyFailure, choice_tu, mono_tu
 from . import ast
 
@@ -111,13 +112,12 @@ referenced_names: QueryTU = choice_tu(defined_names, used_names)
 
 _VAR = "variable"
 _METHOD = "method"
+_WRAPPED = "static check requires a wrapper-free program"
 
 
 def static_check(program: ast.Program) -> list[str]:
     """Diagnostics for unresolved names, duplicate methods, call-arity
     mismatches and assignments to non-variables. Empty means clean."""
-    if contains_focus(ast.FOCUS_KINDS, program):
-        raise FocusPresent("static check requires a wrapper-free program")
     diags: list[str] = []
     for cls in program.classes:
         _check_class(cls, diags)
@@ -125,7 +125,9 @@ def static_check(program: ast.Program) -> list[str]:
 
 
 def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:
-    methods = cls.methods.methods if isinstance(cls.methods, ast.MethodList) else ()
+    if not isinstance(cls.methods, ast.MethodList):
+        raise FocusPresent(_WRAPPED)
+    methods = cls.methods.methods
     arities: dict[str, int] = {}
     for m in methods:
         if m.name in arities:
@@ -176,6 +178,8 @@ def _check_stmt(s, scopes, arities, where, diags) -> None:
             _check_expr(s.value, scopes, arities, where, diags)
     elif isinstance(s, ast.CallStmt):
         _check_expr(s.call, scopes, arities, where, diags)
+    else:
+        raise FocusPresent(_WRAPPED)
 
 
 def _check_expr(e, scopes, arities, where, diags) -> None:

@@ -3,23 +3,23 @@
 4-space indent, one statement per line, a single space around binary
 operators, and only the parentheses that precedence requires, so the
 printer is a fixpoint of print-then-parse. Programs containing focus
-wrappers are rejected; wrappers are an internal refactoring device and
-never part of source text.
+wrappers are rejected (``FocusPresent``) where the printer meets one;
+wrappers are an internal refactoring device and never part of source
+text.
 """
 
 from __future__ import annotations
 
-from ..framework import FocusPresent, contains_focus
+from ..framework import FocusPresent
 from . import ast
 from .parser import BINOP_PRECEDENCE
 
 _INDENT = "    "
 _UNARY_PRECEDENCE = 7
+_WRAPPED = "cannot print a program containing focus wrappers"
 
 
 def pretty(program: ast.Program) -> str:
-    if contains_focus(ast.FOCUS_KINDS, program):
-        raise FocusPresent("cannot print a program containing focus wrappers")
     return "\n\n".join(_class_lines(c) for c in program.classes) + "\n"
 
 
@@ -27,8 +27,9 @@ def _class_lines(cls: ast.ClassDecl) -> str:
     lines = [f"class {cls.name} {{"]
     for f in cls.fields:
         lines.append(f"{_INDENT}{f.type_name} {f.name};")
-    methods = cls.methods.methods if isinstance(cls.methods, ast.MethodList) else ()
-    for i, m in enumerate(methods):
+    if not isinstance(cls.methods, ast.MethodList):
+        raise FocusPresent(_WRAPPED)
+    for i, m in enumerate(cls.methods.methods):
         if i > 0 or cls.fields:
             lines.append("")
         lines.extend(_method_lines(m))
@@ -71,7 +72,7 @@ def _stmt_lines(s: ast.Statement, indent: int, out: list[str]) -> None:
         head = f"{pad}if ({_expr(s.condition)})"
         _branch_lines(head, s.then_branch, s.else_branch, indent, out)
     else:
-        raise FocusPresent(f"unprintable statement {s.tag}")
+        raise FocusPresent(_WRAPPED)
 
 
 def _branch_lines(

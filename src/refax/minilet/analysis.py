@@ -9,12 +9,13 @@ are not part of the free-name currency.
 ``resolution_check`` backs the CLI's check command: unbound variables,
 calls to undefined functions, call-arity mismatches and duplicate names
 within one definition list. Definitions in a list are mutually visible
-(letrec scoping).
+(letrec scoping). A focus wrapper is rejected (``FocusPresent``) where
+the check meets one.
 """
 
 from __future__ import annotations
 
-from ..framework import FocusPresent, NameTypePair, contains_focus
+from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, mono_tu
 from . import ast
 
@@ -29,11 +30,12 @@ declared_pairs: QueryTU = mono_tu(SortCase(ast.FUNDEF, _declared_fundef))
 referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, lambda t: (t.name,), ast.Var))
 
 
+_WRAPPED = "resolution check requires a wrapper-free program"
+
+
 def resolution_check(program: ast.Program) -> list[str]:
     """Diagnostics for unbound variables, undefined or misapplied
     functions, and duplicate definitions. Empty means clean."""
-    if contains_focus(ast.FOCUS_KINDS, program):
-        raise FocusPresent("resolution check requires a wrapper-free program")
     diags: list[str] = []
     _check_expr(program.body, {}, frozenset(), diags)
     return diags
@@ -56,7 +58,9 @@ def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str
         _check_expr(e.left, funcs, vars_, diags)
         _check_expr(e.right, funcs, vars_, diags)
     elif isinstance(e, ast.Let):
-        defs = e.defs.defs if isinstance(e.defs, ast.FunDefList) else ()
+        if not isinstance(e.defs, ast.FunDefList):
+            raise FocusPresent(_WRAPPED)
+        defs = e.defs.defs
         seen = set()
         for fd in defs:
             if fd.name in seen:
@@ -70,3 +74,5 @@ def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str
                 diags.append(f"duplicate parameter '{dup[0]}' of '{fd.name}'")
             _check_expr(fd.body, inner, vars_ | frozenset(fd.params), diags)
         _check_expr(e.body, inner, vars_, diags)
+    elif not isinstance(e, ast.IntLit):
+        raise FocusPresent(_WRAPPED)

@@ -3,20 +3,21 @@
 Lets print over several lines with 4-space indentation; simple
 expressions stay inline. A let in operand position is parenthesised so
 the in-expression cannot absorb the surrounding operator when reparsed.
+Programs containing focus wrappers are rejected (``FocusPresent``) where
+the printer meets one.
 """
 
 from __future__ import annotations
 
-from ..framework import FocusPresent, contains_focus
+from ..framework import FocusPresent
 from . import ast
 from .parser import BINOP_PRECEDENCE
 
 _INDENT = "    "
+_WRAPPED = "cannot print a program containing focus wrappers"
 
 
 def pretty(program: ast.Program) -> str:
-    if contains_focus(ast.FOCUS_KINDS, program):
-        raise FocusPresent("cannot print a program containing focus wrappers")
     return _expr(program.body, 0) + "\n"
 
 
@@ -34,15 +35,16 @@ def _expr(e: ast.Expression, indent: int, context: int = 0) -> str:
     if isinstance(e, ast.Let):
         text = _let(e, indent)
         return f"({text})" if context > 0 else text
-    raise FocusPresent(f"unprintable expression {e.tag}")
+    raise FocusPresent(_WRAPPED)
 
 
 def _let(e: ast.Let, indent: int) -> str:
     pad = _INDENT * indent
     inner = _INDENT * (indent + 1)
-    defs = e.defs.defs if isinstance(e.defs, ast.FunDefList) else ()
+    if not isinstance(e.defs, ast.FunDefList):
+        raise FocusPresent(_WRAPPED)
     lines = [pad + "let"]
-    for fd in defs:
+    for fd in e.defs.defs:
         lines.append(_fundef(fd, indent + 1))
     lines.append(pad + "in")
     lines.append(inner + _expr(e.body, indent + 1))

@@ -41,13 +41,18 @@ class, run at every node of its sort, constructs no exception at the
 nodes it passes.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd``, ``oncebu``, ``above``, ``propagate``,
-``propagate_path`` and ``scoped_uses`` recurse through one Python frame
-per tree level, with their one-layer step written into that frame. All
-are deterministic: children are tried left to right and the first
-success wins. ``scoped_uses`` is the free-name scheme: the names a use
-query yields outside the scope of every binder a bind query yields, in
-one top-down pass that keeps the names in scope in a count map.
+recursive schemes ``oncetd``, ``oncebu``, ``above``, ``above_path``,
+``propagate``, ``propagate_path`` and ``scoped_uses`` recurse through one
+Python frame per tree level, with their one-layer step written into that
+frame. All are deterministic: children are tried left to right and the
+first success wins. The two ``_path`` schemes act at one focus, as a
+zipper does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): they
+search for the first node in preorder where a query succeeds, keep only
+the path to it, and then work on that path's ancestors alone, so nothing
+right of the path is visited. ``scoped_uses`` is the free-name scheme:
+the names a use query yields outside the scope of every binder a bind
+query yields, in one top-down pass that keeps the names in scope in a
+count map.
 """
 
 from __future__ import annotations
@@ -531,6 +536,66 @@ def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     return _tp(attempt)
 
 
+# A path from the root: each strict ancestor of a node, with its children
+# and the index of the child the path enters.
+_Path = list[tuple[Term, tuple[Term, ...], int]]
+
+
+def _path_to(here: Attempt, t: Term) -> tuple[Any, _Path]:
+    """The first success of ``here`` in preorder below ``t`` (or at it),
+    and the path to the node where it succeeded; ``_FAIL`` when there is
+    none. The search keeps only the path to the node it is at."""
+    path: _Path = []
+
+    def search(n: Term) -> Any:  # one frame per tree level
+        out = here(n)
+        if out is not _FAIL:
+            return out
+        cs = n.children()
+        for i, c in enumerate(cs):
+            path.append((n, cs, i))
+            out = search(c)
+            if out is not _FAIL:
+                return out
+            path.pop()
+        return _FAIL
+
+    return search(t), path
+
+
+def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
+    """``above_tp`` along one path: find the first node in preorder where
+    ``below`` succeeds, then apply ``s`` at the deepest strict ancestor of
+    that node that ``s`` accepts, and rebuild only the ancestors above it.
+    Refuses when ``below`` holds nowhere, only at the root, or when ``s``
+    refuses every strict ancestor of the node found.
+
+    The search keeps only the path to the node it is at, so the cost is
+    that of a search stopping at the first ``below`` node, plus ``s`` and
+    one rebuild per level of the path; subtrees right of the path are not
+    visited. Where ``below`` holds at exactly one node this equals
+    ``above_tp``. Where it holds at several, only the first in preorder
+    counts, and ``above_tp`` can differ: it tries candidates in postorder,
+    so it may rewrite a node inside the first one's subtree (above a later
+    ``below`` node), or an ancestor of a later ``below`` node right of the
+    path before the ancestors the two share."""
+    here, holds = s._attempt, below._attempt
+
+    def attempt(t: Term) -> Any:
+        found, path = _path_to(holds, t)
+        if found is _FAIL:
+            return _FAIL
+        for depth in range(len(path) - 1, -1, -1):
+            out = here(path[depth][0])
+            if out is not _FAIL:
+                for node, cs, i in reversed(path[:depth]):
+                    out = _with_child(node, cs, i, out)
+                return out
+        return _FAIL
+
+    return _tp(attempt)
+
+
 def propagate_tu(
     e0: E,
     update: Callable[[E], QueryTU[E]],
@@ -578,25 +643,12 @@ def propagate_path_tu(
     the path, not once per node the search passes."""
     here = select._attempt
 
-    def search(t: Term, path: list[Term]) -> Any:
-        out = here(t)
-        if out is not _FAIL:
-            return out
-        path.append(t)
-        for c in t.children():
-            out = search(c, path)
-            if out is not _FAIL:
-                return out
-        path.pop()
-        return _FAIL
-
     def attempt(t: Term) -> Any:
-        path: list[Term] = []
-        out = search(t, path)
+        out, path = _path_to(here, t)
         if out is _FAIL:
             return out
         env = e0
-        for node in path:
+        for node, _, _ in path:
             try:
                 new = update(env)._attempt(node)
             except StrategyFailure:

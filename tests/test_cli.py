@@ -204,9 +204,8 @@ def test_malformed_span_is_usage_error(capsys):
 def test_deep_nesting_extracts(depth, tmp_path, capsys):
     """An extract at the innermost of ``depth`` nested lets stays within
     the default recursion limit: no pass may spend more frames per level.
-    (120 needs the strategy passes' one frame per tree level; 180 needs it
-    of ``framework.contains_focus`` too, and no more frames per let in the
-    parser.)"""
+    (120 needs the strategy passes' one frame per tree level; 180 needs no
+    more frames per let in the printer, the checker and the parser.)"""
     source, spans = nested_lets(depth)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")

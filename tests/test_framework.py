@@ -34,7 +34,7 @@ from refax.joos import (
     statement_focus,
 )
 from refax.joos.analysis import ExprType, MethodType
-from refax.lexing import Span
+from refax.lexing import Span, SpanMismatch
 from refax.minilet import ast as mast
 from refax.minilet import (
     declared_pairs as mini_declared,
@@ -220,6 +220,12 @@ _TAG_AND_LEAF_USES = choice_tu(
 )
 
 
+def contains_focus(kinds, t):
+    """Whether ``t`` holds a wrapper of any of ``kinds``."""
+    wrappers = tuple(wrapper for _, wrapper in kinds.values())
+    return any(isinstance(n, wrappers) for n in preorder(t))
+
+
 def _focused_subtrees(language, gen, rng, count):
     """Generated programs, each with a focus wrapper planted at a random
     node of a focus kind, and every subtree of it that holds the wrapper."""
@@ -233,7 +239,7 @@ def _focused_subtrees(language, gen, rng, count):
             continue
         target = rng.choice(targets)
         focused = framework.wrap_first(sort, lambda t: t is target, wrapper, prog)
-        yield from (t for t in preorder(focused) if framework.contains_focus(kinds, t))
+        yield from (t for t in preorder(focused) if contains_focus(kinds, t))
 
 
 def test_free_names_equal_the_bottom_up_reference():
@@ -377,6 +383,107 @@ def test_minilet_signature_round_trips():
     assert app == mast.Call("add", (mast.Var("x"), mast.Var("y")))
 
 
+# -- focus placement by span ------------------------------------------------------
+
+# Sources beside the generated programs: an empty JOOS method list, which
+# the generator never yields (its span is zero-width, at the closing
+# brace), and parentheses beyond those precedence requires, which the
+# printer never writes.
+_SPAN_SAMPLES = {
+    "joos": [
+        "class E {\n    int f;\n}\n",
+        "class E { }\n",
+        "class P {\n    int m(int a) {\n        return ((a + 1) * (a - 1));\n    }\n}\n",
+    ],
+    "minilet": ["let\n    f(x) = ((x + 1) * x);\nin\n    (f(2) + (3))\n"],
+}
+_GENERATORS = {"joos": joos_gen, "minilet": minilet_gen}
+
+
+def _sources(lang, count, seed):
+    """Parseable sources of ``lang``: the samples above, then ``count``
+    generated programs, printed."""
+    language, rng = LANGUAGES[lang], random.Random(seed)
+    yield from _SPAN_SAMPLES[lang]
+    for _ in range(count):
+        yield language.pretty(_GENERATORS[lang].gen_program(rng))
+
+
+def _span_text(source, span):
+    lines = source.split("\n")
+    if span.line == span.end_line:
+        return lines[span.line - 1][span.col - 1 : span.end_col - 1]
+    return "\n".join(
+        [lines[span.line - 1][span.col - 1 :], *lines[span.line : span.end_line - 1],
+         lines[span.end_line - 1][: span.end_col - 1]]
+    )
+
+
+def _encloses(outer, inner):
+    return (outer.line, outer.col) <= (inner.line, inner.col) and (
+        inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_child_spans_lie_within_their_parents(lang):
+    """The nesting invariant span placement prunes by: every parsed node
+    has a span, and each child's span lies within its parent's, including
+    parenthesised expressions (whose span keeps the parentheses) and an
+    empty JOOS method list."""
+    language = LANGUAGES[lang]
+    parenthesised = empty_lists = 0
+    for source in _sources(lang, 120, seed=41):
+        for t in preorder(language.parse(source)):
+            assert t.span is not None
+            for c in t.children():
+                assert _encloses(t.span, c.span), (t.tag, t.span, c.tag, c.span)
+            if _span_text(source, t.span).startswith("("):
+                parenthesised += 1
+            if isinstance(t, jast.MethodList) and not t.methods:
+                empty_lists += 1
+                assert t.span.line == t.span.end_line and t.span.col == t.span.end_col
+    assert parenthesised > 0
+    assert empty_lists > 0 or lang == "minilet"
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_span_placement_equals_the_whole_tree_formulation(lang):
+    """For every node of every focus kind, placing the focus by its span
+    gives what one whole-tree ``wrap_first`` pass for the first node of the
+    kind's sort with that span gives."""
+    language = LANGUAGES[lang]
+    placed = 0
+    for source in _sources(lang, 40, seed=43):
+        prog = language.parse(source)
+        for kind, (sort, wrapper) in language.focus_kinds.items():
+            for t in preorder(prog):
+                if t.sort is not sort:
+                    continue
+                expected = framework.wrap_first(sort, lambda u: u.span == t.span, wrapper, prog)
+                assert language.place_focus_by_span(source, kind, t.span) == expected
+                placed += 1
+    assert placed > 500
+
+
+@pytest.mark.parametrize("lang,source,kind,span,message", [
+    ("joos", "class C {\n    void m(int a) {\n        a = a + 1;\n        if (a < 2) { a = 0; }\n    }\n}\n",
+     "statement", Span(3, 9, 3, 18),
+     "no statement node covers exactly 3:9-3:18; nearest candidate spans: 3:9-3:19, 4:9-4:30, 2:19-5:6"),
+    ("joos", "class C {\n    int f;\n}\n", "methodlist", Span(2, 5, 2, 11),
+     "no methodlist node covers exactly 2:5-2:11; nearest candidate spans: 3:1-3:1"),
+    ("joos", "class C {\n    int f;\n}\n", "statement", Span(2, 5, 2, 11),
+     "no statement node covers exactly 2:5-2:11; nearest candidate spans: none"),
+    ("minilet", "let\n    f(x) = (x + 1) * 2;\nin\n    f(2)\n", "expr", Span(2, 12, 2, 17),
+     "no expr node covers exactly 2:12-2:17; nearest candidate spans: 2:12-2:19, 2:12-2:23, 2:13-2:14"),
+    ("minilet", "let\n    f(x) = x + 1;\nin\n    f(2)\n", "fundeflist", Span(1, 1, 1, 2),
+     "no fundeflist node covers exactly 1:1-1:2; nearest candidate spans: 2:5-2:18"),
+])
+def test_span_mismatch_text_is_unchanged(lang, source, kind, span, message):
+    with pytest.raises(SpanMismatch) as exc:
+        LANGUAGES[lang].place_focus_by_span(source, kind, span)
+    assert str(exc.value) == message
+
+
 # -- focus wrappers ---------------------------------------------------------------
 
 _WRAPPER_SAMPLES = {"joos": "class C { void m() { return; } }", "minilet": "let f(x) = x; in f(1)"}
@@ -389,12 +496,25 @@ _WRAPPER_SAMPLES = {"joos": "class C { void m() { return; } }", "minilet": "let 
     for kind in language.focus_kinds
 ])
 def test_focus_wrappers_are_rejected(lang, op, kind):
+    """A wrapper at any node of its sort, in the sample and in generated
+    programs, makes the printer and the checker raise ``FocusPresent``
+    where they meet it."""
     language = LANGUAGES[lang]
     sort, wrapper = language.focus_kinds[kind]
-    program = language.parse(_WRAPPER_SAMPLES[lang])
-    focused = framework.wrap_first(sort, lambda t: True, wrapper, program)
-    with pytest.raises(FocusPresent):
-        getattr(language, op)(focused)
+    rng = random.Random(47)
+    programs = [language.parse(_WRAPPER_SAMPLES[lang])]
+    programs += [_GENERATORS[lang].gen_program(rng) for _ in range(25)]
+    wrapped = 0
+    for program in programs:
+        getattr(language, op)(program)
+        for target in preorder(program):
+            if target.sort is not sort:
+                continue
+            focused = framework.wrap_first(sort, lambda t: t is target, wrapper, program)
+            with pytest.raises(FocusPresent):
+                getattr(language, op)(focused)
+            wrapped += 1
+    assert wrapped >= len(programs)
 
 
 # -- generic introduce -----------------------------------------------------------
@@ -541,14 +661,15 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
     assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 0.05 * n
 
 
-def _wide_class(methods: int) -> tuple[str, Span]:
+def _wide_class(methods: int, at: int | None = None) -> tuple[str, Span]:
     """A class of ``methods`` three-statement methods, and the span of the
-    call statement in the middle method."""
+    call statement in method ``at`` (the middle one by default)."""
+    at = methods // 2 if at is None else at
     lines = ["class Wide {", "    int f0;"]
     for k in range(methods):
         lines += [f"    void m{k}(int a) {{", "        int t;", "        t = a + f0;",
                   f"        this.m{k}(t);", "    }"]
-        if k == methods // 2:
+        if k == at:
             row = len(lines) - 1
             span = Span(row, 9, row, 9 + len(f"this.m{k}(t);"))
     lines.append("}")
@@ -556,11 +677,17 @@ def _wide_class(methods: int) -> tuple[str, Span]:
 
 
 def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
-    """The same bounds on a wide class of many shallow methods."""
+    """The same bounds on a wide class of many shallow methods. Placing
+    the focus by span and marking its host walk only the path to the
+    focus, so each makes as many ``children`` calls on a class of 600
+    methods as on one of 60: placement with the focus in the first or the
+    last method, host marking (whose search passes every method before
+    the focus) with the focus in the first."""
     from refax import joos
 
+    language = joos.LANGUAGE
     source, span = _wide_class(60)
-    prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
+    prog = language.place_focus_by_span(source, "statement", span)
     n = _size(prog)
     marking = _children_calls(
         monkeypatch, prog, lambda: framework.mark_host(joos.method_list_host, statement_focus, prog)
@@ -572,6 +699,22 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     assert marking <= 2 * n
     assert _children_calls(monkeypatch, prog, extracting) <= 8 * n
     assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 0.05 * n
+
+    counts = []
+    for methods in (60, 600):
+        placing = []
+        for at in (methods - 1, 0):
+            source, span = _wide_class(methods, at)
+            prog = language.place_focus_by_span(source, "statement", span)
+            placing.append(_children_calls(
+                monkeypatch, prog, lambda: language.place_focus_by_span(source, "statement", span)
+            ) - _children_calls(monkeypatch, prog, lambda: language.parse(source)))
+        # ``prog`` now has the focus in the first method
+        marking = _children_calls(
+            monkeypatch, prog, lambda: framework.mark_host(joos.method_list_host, statement_focus, prog)
+        )
+        counts.append((placing, marking))
+    assert counts[0] == counts[1]
 
 
 def _declared_calls(declared, focus, prog):

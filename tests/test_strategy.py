@@ -14,6 +14,7 @@ from refax.strategy import (
     SortCase,
     StrategyFailure,
     TransformTP,
+    above_path_tp,
     above_tp,
     adhoc_tp,
     adhoc_tu,
@@ -391,6 +392,59 @@ def test_above_matches_reference_formulation():
                 assert outcome_tp(above_reference(s, below), t) == ("fail", None)
     # both strategies both succeeded and refused somewhere
     assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
+
+
+def test_above_path_matches_above_at_one_below_node():
+    """Where ``below`` holds at exactly one node, the path scheme equals
+    the whole-tree ``above_tp``: at every node of random trees, with ``s``
+    accepting every ancestor or refusing some, and with the host markers
+    and focus recognisers of both languages on generated programs, whose
+    passes refuse at every ancestor that is not a host."""
+    mark_all = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t)))
+    mark_some = mono_tp(SortCase(FIXTURE, _hit_on_even_left))
+    outcomes = set()
+    for t in sample_trees(60, seed=23):
+        nodes = preorder(t)
+        for target in nodes:
+            if sum(u is target for u in nodes) != 1:
+                continue
+            below = mono_tu(SortCase(FIXTURE, lambda u, target=target: u if u is target else _refuse()))
+            for s in (mark_all, mark_some):
+                got = outcome_tp(above_path_tp(s, below), t)
+                assert got == outcome_tp(above_tp(s, below), t)
+                outcomes.add((s is mark_all, got[0]))
+    assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
+
+    from refax import framework, joos, minilet
+
+    rng = random.Random(37)
+    for language, gen, host, focus in (
+        (joos.LANGUAGE, joos_gen, joos.method_list_host, joos.statement_focus),
+        (minilet.LANGUAGE, minilet_gen, minilet.let_defs_host, minilet.expr_focus),
+    ):
+        sort, wrapper = language.focus_kinds[language.fragment_kind]
+        for _ in range(30):
+            prog = gen.gen_program(rng)
+            for target in [u for u in preorder(prog) if u.sort is sort]:
+                focused = framework.wrap_first(sort, lambda u: u is target, wrapper, prog)
+                s, below = mono_tp(host), mono_tu(focus)
+                assert outcome_tp(above_path_tp(s, below), focused) == outcome_tp(above_tp(s, below), focused)
+
+
+def test_above_path_takes_the_first_below_node_in_preorder():
+    """With several ``below`` nodes the path scheme considers only the
+    first in preorder, as its docstring states; ``above_tp`` tries every
+    candidate in postorder."""
+    mark = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t) if isinstance(t, Tag) else _refuse()))
+    nine = mono_tu(leaf_case(lambda t: t if t.value == 9 else _refuse()))
+    # the first 9 has no Tag above it; a later one has
+    t = Node(Node(Leaf(9), Leaf(1)), Tag("a", Leaf(9)))
+    assert outcome_tp(above_path_tp(mark, nine), t) == ("fail", None)
+    assert outcome_tp(above_tp(mark, nine), t) == ("ok", Node(Node(Leaf(9), Leaf(1)), Tag("hit", Tag("a", Leaf(9)))))
+    # a Tag above the first 9 wins over a deeper one above a later 9
+    t = Tag("a", Node(Leaf(9), Tag("b", Leaf(9))))
+    assert outcome_tp(above_path_tp(mark, nine), t) == ("ok", Tag("hit", t))
+    assert outcome_tp(above_tp(mark, nine), t) == ("ok", Tag("a", Node(Leaf(9), Tag("hit", Tag("b", Leaf(9))))))
 
 
 # -- the raising formulations, kept as references ---------------------------------
@@ -779,6 +833,8 @@ def _refusing_strategies():
     yield "oncebu_tu", oncebu_tu(odd)
     yield "above_tp", above_tp(TP_PARTS["mark"], odd)
     yield "above_tp", above_tp(big, leaf)
+    yield "above_path_tp", above_path_tp(TP_PARTS["mark"], odd)
+    yield "above_path_tp", above_path_tp(big, leaf)
     yield "propagate_tu", propagate_tu((), lambda env: const_tu(env), lambda env: odd)
     yield "propagate_tu", propagate_tu((), _raise, _raise)
     yield "propagate_path_tu", propagate_path_tu((), lambda env: const_tu(env), odd)
