@@ -3,9 +3,10 @@
 Built on the strategy combinators: operations to place, select, replace
 and mark a focus; the name analyses (free names, bound typed names along
 the path to a focus, typed free names); the abstraction-signature
-interface a language instance fills in; the two refactorings composed
-from them, extraction and introduction; and the ``Language`` record
-through which the CLI uses one language instance.
+interface a language instance fills in; introduction; and the
+``Language`` record, one per language, whose ``extract`` and
+``introduce`` methods are the two refactorings composed from these
+phases, written once for every language.
 
 A refactoring acts at one focus, so the steps that only need the focus
 walk the path from the root to it, not the whole tree: placing the focus
@@ -14,23 +15,23 @@ by span enters only the children whose span encloses it,
 (``strategy.propagate_path_tu``), and ``mark_host`` searches and rebuilds
 only the path to the focus (``strategy.above_path_tp``).
 
-A language participates by providing a handful of ``SortCase`` values
-(recognisers for its focus wrappers, a host marker), each naming the
-constructor it accepts so that the passes refuse every other node
-without raising; ``QueryTU`` analyses for declared and referenced names;
-and an ``AbstractionSignature`` with the constructors for its
-abstraction form (methods, functions, ...). Free names are one scoped
-top-down pass of those two analyses (``strategy.scoped_uses_tu``). Its
-``Language`` record adds the parser, printer and checker, and the focus
-kinds (kind name to sort and wrapper class) that focus placement works
-from. The printer and the checker reject a focus wrapper where their own
-dispatch meets one (``FocusPresent``), without a separate pass.
+A language participates by filling in its ``Language`` record once:
+``QueryTU`` analyses for declared and referenced names (free names are
+one scoped top-down pass of the two, ``strategy.scoped_uses_tu``); a
+host-marking ``SortCase`` that names the constructor it accepts, so that
+the passes refuse every other node without raising; an extraction
+precondition; an ``AbstractionSignature`` with the constructors for its
+abstraction form (methods, functions, ...); its focus kinds (kind name
+to sort and wrapper class), from which focus placement works and
+``focus_case`` derives the focus recognisers; and the parser, printer
+and checker. The printer and the checker reject a focus wrapper where
+their own dispatch meets one (``FocusPresent``), without a separate pass.
 Everything here manipulates terms only through the uniform protocol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Span, SpanMismatch
@@ -143,6 +144,20 @@ class AbstractionSignature:
 # A language's focus kinds: kind name -> (sort, wrapper class). A wrapper
 # class is built from the node it wraps and has the same sort.
 FocusKinds = Mapping[str, tuple[Sort, type]]
+
+
+def focus_case(sort: Sort, wrapper: type) -> SortCase[Term]:
+    """The recogniser of one focus wrapper class: it yields the node the
+    wrapper wraps. Strategies built from it pass every other constructor
+    without entering it; called directly, its function raises
+    ``StrategyFailure`` on any other node."""
+
+    def unwrap(t: Term) -> Term:
+        if isinstance(t, wrapper):
+            return t.children()[0]
+        raise StrategyFailure(f"no {wrapper.__name__} here")
+
+    return SortCase(sort, unwrap, wrapper)
 
 
 def wrap_first(
@@ -293,72 +308,36 @@ def introduce(
     prog: Term,
 ) -> Term:
     """Append ``abstr`` to the focused abstraction list, provided its name
-    is neither defined by the list nor free within it."""
-    lst = select_focus(find2, prog)
-    name = sig.get_abs_name(abstr)
-    frees = free_names(declared_names(declared), referenced, lst)
-    defs = tuple(sig.get_abs_name(a) for a in lst.children())
-    if name in frees or name in defs:
-        raise NameClash(name)
-    extended = append_child(lst, abstr)
+    is neither defined by the list nor free within it. One search: the
+    case that meets the list focus checks and extends the list there."""
 
     def put(t: Term) -> Term:
-        find2.fn(t)  # recognise the wrapper; declines elsewhere
-        return extended
+        lst = find2.fn(t)  # recognise the wrapper; declines elsewhere
+        name = sig.get_abs_name(abstr)
+        frees = free_names(declared_names(declared), referenced, lst)
+        defs = tuple(sig.get_abs_name(a) for a in lst.children())
+        if name in frees or name in defs:
+            raise NameClash(name)
+        return append_child(lst, abstr)
 
     return replace_focus(SortCase(find2.sort, put, find2.on), prog)
 
 
-def extract(
-    declared: QueryTU[Sequence[NameTypePair]],
-    referenced: QueryTU[Sequence[str]],
-    find: SortCase[Term],
-    mark: SortCase[Term],
-    find2: SortCase[Term],
-    check: Callable[[Term], None],
-    sig: AbstractionSignature,
-    new_name: str,
-    prog: Term,
-) -> Term:
-    """Extract the focused fragment into a new abstraction.
-
-    The fragment's typed free names become the formal parameters of the
-    abstraction and the actual parameters of the application that replaces
-    the focus; the abstraction is introduced into the deepest enclosing
-    abstraction list. Any precondition failure raises before the program
-    is touched, so failure leaves the input intact.
-    """
-    env, fragment = bound_typed_names(declared, find, prog)
-    check(fragment)
-    pairs = free_typed_names(declared, referenced, env, fragment)
-    formals = sig.make_formals(pairs)
-    body = sig.body_from_fragment(fragment)
-    abstr = sig.make_abstraction(new_name, formals, body)
-    marked = mark_host(mark, find, prog)
-    extended = introduce(declared, referenced, find2, sig, abstr, marked)
-    actuals = sig.make_actuals(pairs)
-    app = sig.make_application(new_name, actuals)
-
-    def put(t: Term) -> Term:
-        find.fn(t)  # recognise the fragment wrapper
-        return sig.fragment_from_application(app)
-
-    result = replace_focus(SortCase(find.sort, put, find.on), extended)
-    try:
-        apply_tu(oncetd_tu(choice_tu(mono_tu(find), mono_tu(find2))), result)
-    except StrategyFailure:
-        return result
-    raise RuntimeError("extraction left a focus wrapper behind")
-
-
 @dataclass(frozen=True)
 class Language:
-    """One language instance as the CLI uses it.
+    """One language instance: its front end, printer and checker, and the
+    ingredients from which ``extract`` and ``introduce`` are built.
 
+    ``declared`` and ``referenced`` are the name queries; ``host`` marks
+    the node whose abstraction list receives an extracted abstraction;
+    ``extractable`` raises ``CheckFailed`` for a fragment that may not be
+    extracted; ``signature`` builds the abstraction and its application.
     ``fragment_kind`` names the focus kind that ``extract`` takes and
-    ``list_kind`` the one that ``introduce`` takes when its target list is
-    placed by span. A language whose target lists are named instead (JOOS
-    method lists, by class) supplies ``focus_class(program, name)``.
+    ``list_kind`` the one that ``introduce`` takes; their recognisers
+    ``find`` and ``find2`` are derived from ``focus_kinds`` once per
+    record. A language whose target lists are named instead of placed by
+    span (JOOS method lists, by class) supplies ``focus_class(program,
+    name)``.
     """
 
     name: str
@@ -366,12 +345,51 @@ class Language:
     parse_decl: Callable[[str], Term]
     pretty: Callable[[Term], str]
     check: Callable[[Term], list[str]]
-    extract: Callable[[str, Term], Term]
-    introduce: Callable[[Term, Term], Term]
     focus_kinds: FocusKinds
     fragment_kind: str
     list_kind: str
+    declared: QueryTU[Sequence[NameTypePair]]
+    referenced: QueryTU[Sequence[str]]
+    host: SortCase[Term]
+    extractable: Callable[[Term], None]
+    signature: AbstractionSignature
     focus_class: Callable[[Term, str], Term] | None = None
+    find: SortCase[Term] = field(init=False, repr=False, compare=False)
+    find2: SortCase[Term] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "find", focus_case(*self.focus_kinds[self.fragment_kind]))
+        object.__setattr__(self, "find2", focus_case(*self.focus_kinds[self.list_kind]))
+
+    def extract(self, new_name: str, prog: Term) -> Term:
+        """Extract the focused fragment into a new abstraction.
+
+        The fragment's typed free names become the formal parameters of
+        the abstraction and the actual parameters of the application that
+        replaces the focus; the abstraction is introduced into the deepest
+        enclosing abstraction list. Any precondition failure raises before
+        the program is touched, so failure leaves the input intact.
+        """
+        declared, find, sig = self.declared, self.find, self.signature
+        env, fragment = bound_typed_names(declared, find, prog)
+        self.extractable(fragment)
+        pairs = free_typed_names(declared, self.referenced, env, fragment)
+        formals = sig.make_formals(pairs)
+        abstr = sig.make_abstraction(new_name, formals, sig.body_from_fragment(fragment))
+        marked = mark_host(self.host, find, prog)
+        extended = introduce(declared, self.referenced, self.find2, sig, abstr, marked)
+        app = sig.fragment_from_application(sig.make_application(new_name, sig.make_actuals(pairs)))
+        result = replace_focus(SortCase(find.sort, lambda t: app, find.on), extended)
+        try:
+            apply_tu(oncetd_tu(choice_tu(mono_tu(find), mono_tu(self.find2))), result)
+        except StrategyFailure:
+            return result
+        raise RuntimeError("extraction left a focus wrapper behind")
+
+    def introduce(self, decl: Term, prog: Term) -> Term:
+        """Append ``decl`` to the focused abstraction list, rejecting name
+        clashes."""
+        return introduce(self.declared, self.referenced, self.find2, self.signature, decl, prog)
 
     def place_focus_by_span(self, source: str, kind: str, span: Span) -> Term:
         """Parse ``source`` and wrap the first node of focus kind ``kind``

@@ -13,16 +13,7 @@ from .analysis import (
 )
 from .parser import parse_method, parse_program
 from .pretty import pretty
-from .refactoring import (
-    check_extractable,
-    extract_method,
-    focus_class_methods,
-    introduce_method,
-    method_list_focus,
-    method_list_host,
-    method_signature,
-    statement_focus,
-)
+from .refactoring import check_extractable, focus_class_methods, method_list_host, method_signature
 
 LANGUAGE = Language(
     name="joos",
@@ -30,14 +21,21 @@ LANGUAGE = Language(
     parse_decl=parse_method,
     pretty=pretty,
     check=static_check,
-    extract=extract_method,
-    introduce=introduce_method,
     focus_kinds=ast.FOCUS_KINDS,
     fragment_kind="statement",
     list_kind="methodlist",
+    declared=declared_pairs,
+    referenced=referenced_names,
+    host=method_list_host,
+    extractable=check_extractable,
+    signature=method_signature,
     focus_class=focus_class_methods,
 )
 place_focus_by_span = LANGUAGE.place_focus_by_span
+extract_method = LANGUAGE.extract
+introduce_method = LANGUAGE.introduce
+statement_focus = LANGUAGE.find
+method_list_focus = LANGUAGE.find2
 
 __all__ = [
     "ast",

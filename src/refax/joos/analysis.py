@@ -9,9 +9,10 @@ The queries feed the generic framework:
 * ``declared_pairs`` succeeds on binding constructs with the name-type
   pairs they put in scope for their subtree: a block contributes its
   immediate local declarations, a method its own header pair and its
-  parameters, a class its fields and the headers of its methods. It also
-  succeeds on the declaring nodes themselves (local declarations,
-  formals, fields) with their single pair.
+  parameters, a class its fields and the headers of its methods. Blocks
+  and classes are always binders, so one that declares nothing yields
+  ``()``. It also succeeds on the declaring nodes themselves (local
+  declarations, formals, fields) with their single pair.
 * ``defined_names`` succeeds on assignments with the assigned name.
 * ``used_names`` succeeds on identifier expressions. Call names are
   member references resolved at class scope, not variable uses, so they
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..framework import FocusPresent, NameTypePair
-from ..strategy import QueryTU, SortCase, StrategyFailure, choice_tu, mono_tu
+from ..strategy import QueryTU, SortCase, choice_tu, mono_tu
 from . import ast
 
 
@@ -63,10 +64,10 @@ def _formal_pairs(m: ast.MethodDecl) -> tuple[NameTypePair, ...]:
 def _declared_statement(t: ast.LocalVarDecl | ast.Block) -> tuple[NameTypePair, ...]:
     if isinstance(t, ast.LocalVarDecl):
         return (NameTypePair(t.name, ExprType(t.type_name)),)
-    locals_ = [s for s in t.statements if isinstance(s, ast.LocalVarDecl)]
-    if not locals_:
-        raise StrategyFailure("block declares nothing")
-    return tuple(NameTypePair(s.name, ExprType(s.type_name)) for s in locals_)
+    return tuple(
+        NameTypePair(s.name, ExprType(s.type_name))
+        for s in t.statements if isinstance(s, ast.LocalVarDecl)
+    )
 
 
 def _declared_method(t: ast.MethodDecl) -> tuple[NameTypePair, ...]:
@@ -77,8 +78,6 @@ def _declared_class(t: ast.ClassDecl) -> tuple[NameTypePair, ...]:
     pairs = [NameTypePair(f.name, ExprType(f.type_name)) for f in t.fields]
     if isinstance(t.methods, ast.MethodList):
         pairs.extend(_method_header_pair(m) for m in t.methods.methods)
-    if not pairs:
-        raise StrategyFailure("class declares nothing")
     return tuple(pairs)
 
 

@@ -1,10 +1,11 @@
-"""JOOS instantiation of the generic refactorings.
+"""JOOS ingredients of the generic refactorings.
 
-Extract-method wires the generic extraction with the JOOS name analyses,
-the statement focus, the method-list host and the method signature below.
-Extracted methods always have result void: the fragment is a statement,
-returns inside it are rejected, and assignments to free variables are
-rejected, so no value flows back. Generated calls are this-qualified.
+``joos.LANGUAGE`` builds extract-method and introduce-method from the
+method-list host, the extraction precondition and the method signature
+below; its focus recognisers come from ``ast.FOCUS_KINDS``. Extracted
+methods always have result void: the fragment is a statement, returns
+inside it are rejected, and assignments to free variables are rejected,
+so no value flows back. Generated calls are this-qualified.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ import dataclasses
 
 from .. import framework
 from ..framework import AbstractionSignature, CheckFailed, ConstructorRejected, NoHost
+from ..lexing import is_identifier
 from ..strategy import SortCase, StrategyFailure, apply_tu, mono_tu, oncetd_tu
 from . import ast
-from .analysis import ExprType, declared_pairs, defined_names, referenced_names
-
-
-def _unwrap_statement_focus(t: ast.Statement) -> ast.Statement:
-    if isinstance(t, ast.StatementFocus):
-        return t.statement
-    raise StrategyFailure("no statement focus here")
+from .analysis import ExprType, declared_pairs, defined_names
+from .parser import _KEYWORDS
 
 
 def _wrap_method_list(t: ast.MethodSection) -> ast.MethodSection:
@@ -30,18 +27,9 @@ def _wrap_method_list(t: ast.MethodSection) -> ast.MethodSection:
     raise StrategyFailure("not a plain method list")
 
 
-def _unwrap_method_list_focus(t: ast.MethodSection) -> ast.MethodList:
-    if isinstance(t, ast.MethodDeclarationFocus):
-        return t.inner
-    raise StrategyFailure("no method list focus here")
-
-
-# Each case names the constructor it accepts, so the strategies built from
-# it pass every other node without entering it; called directly, each
-# function still refuses other constructors by raising.
-statement_focus = SortCase(ast.STATEMENT, _unwrap_statement_focus, ast.StatementFocus)
+# The host case names the constructor it accepts, so the strategies built
+# from it pass every other node without entering it.
 method_list_host = SortCase(ast.METHOD_LIST, _wrap_method_list, ast.MethodList)
-method_list_focus = SortCase(ast.METHOD_LIST, _unwrap_method_list_focus, ast.MethodDeclarationFocus)
 
 
 # -- the Abstraction instance for JOOS method declarations ------------------
@@ -70,6 +58,8 @@ def _make_actuals(pairs) -> tuple[ast.VarRef, ...]:
 
 
 def _make_abstraction(name: str, formals, body) -> ast.MethodDecl:
+    if not is_identifier(name, _KEYWORDS):
+        raise ConstructorRejected(f"{name!r} is not a JOOS identifier")
     if not isinstance(body, ast.Block):
         raise ConstructorRejected(f"method body must be a block, got {body.tag}")
     return ast.MethodDecl("void", name, tuple(formals), body)
@@ -115,34 +105,6 @@ def check_extractable(fragment: ast.Statement) -> None:
         raise CheckFailed(f"AssignsFreeVariable({frees[0]})")
     if isinstance(fragment, ast.LocalVarDecl):
         raise CheckFailed("ExtractsDeclaration")
-
-
-def extract_method(new_name: str, program: ast.Program) -> ast.Program:
-    """Extract the focused statement into a fresh void method of the
-    enclosing class, replacing the focus with ``this.new_name(...)``."""
-    return framework.extract(
-        declared_pairs,
-        referenced_names,
-        statement_focus,
-        method_list_host,
-        method_list_focus,
-        check_extractable,
-        method_signature,
-        new_name,
-        program,
-    )
-
-
-def introduce_method(method: ast.MethodDecl, program: ast.Program) -> ast.Program:
-    """Append ``method`` to the focused method list, rejecting name clashes."""
-    return framework.introduce(
-        declared_pairs,
-        referenced_names,
-        method_list_focus,
-        method_signature,
-        method,
-        program,
-    )
 
 
 def focus_class_methods(program: ast.Program, class_name: str) -> ast.Program:

@@ -71,13 +71,14 @@ LOOKAHEAD = 2
 _KINDS = (None, IDENT, INT, SYMBOL, None, None)
 _IDENT_GROUP, _NEWLINE_GROUP = 1, 4
 _BLANKS = re.compile(r"[ \t\r]*")
+_IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 
 
 @functools.cache
 def _scanner(symbols: tuple[str, ...]) -> re.Pattern[str]:
     alternatives = "|".join(re.escape(s) for s in sorted(symbols, key=len, reverse=True))
     return re.compile(
-        rf"(?:([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|({alternatives})|(\n)|(.))[ \t\r]*"
+        rf"(?:({_IDENTIFIER})|([0-9]+)|({alternatives})|(\n)|(.))[ \t\r]*"
     )
 
 
@@ -110,6 +111,11 @@ def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) ->
     col = len(source) - line_start + 1
     append(new(Token, (EOF, "", line, col, line, col)))
     return tokens
+
+
+def is_identifier(text: str, keywords: frozenset[str]) -> bool:
+    """Whether ``text`` scans as one identifier token, not a keyword."""
+    return re.fullmatch(_IDENTIFIER, text) is not None and text not in keywords
 
 
 class TokenStream:

@@ -175,6 +175,36 @@ def test_in_place_failure_leaves_file_byte_identical(tmp_path, capsys):
     assert work.read_bytes() == original
 
 
+# (lang, source, focus of a fragment that extracts under a valid name)
+_EXTRACTABLE = {
+    "joos": (GOLDEN / "joos" / "account.joos", "6:9-10:10"),
+    "minilet": (GOLDEN / "minilet" / "nested.mlt", "6:31-6:36"),
+}
+_BAD_NAMES = [
+    (lang, name)
+    for lang, keywords in (("joos", ["while"]), ("minilet", ["in", "let"]))
+    for name in ["1abc", "x y", "", *keywords]
+]
+
+
+@pytest.mark.parametrize("lang,name", _BAD_NAMES, ids=[f"{lang}-{name!r}" for lang, name in _BAD_NAMES])
+def test_extract_rejects_a_name_that_is_not_an_identifier(lang, name, tmp_path, capsys):
+    """A new name that the language would not scan as one identifier (or
+    scans as a keyword) is a precondition failure, so the file is kept."""
+    path, focus = _EXTRACTABLE[lang]
+    work = tmp_path / path.name
+    original = path.read_bytes()
+    work.write_bytes(original)
+    code = main([
+        "extract", "--lang", lang, "--file", str(work),
+        "--focus", focus, "--name", name, "--in-place",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert "ConstructorRejected" in captured.err
+    assert work.read_bytes() == original
+
+
 def test_missing_file_reports_io_error(capsys):
     code = main(["check", "--lang", "joos", "--file", "/nonexistent/x.joos"])
     assert code == 2
@@ -238,17 +268,18 @@ def _assert_internal_error(code, captured, name):
 
 
 def test_internal_fault_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
-    """Any exception outside the documented ones, such as
-    ``framework.extract``'s leftover-wrapper ``RuntimeError``, is exit 4
-    with a one-line diagnostic, and the input file stays as it was."""
+    """Any exception outside the documented ones, here a ``RuntimeError``
+    raised inside ``extract`` by the language's extraction precondition,
+    is exit 4 with a one-line diagnostic, and the input file stays as it
+    was."""
     from dataclasses import replace
 
     from refax import cli
 
-    def broken(name, prog):
+    def broken(fragment):
         raise RuntimeError("extraction left a focus wrapper behind")
 
-    monkeypatch.setitem(cli.LANGUAGES, "minilet", replace(cli.LANGUAGES["minilet"], extract=broken))
+    monkeypatch.setitem(cli.LANGUAGES, "minilet", replace(cli.LANGUAGES["minilet"], extractable=broken))
     source, spans = nested_lets(3)
     work = tmp_path / "p.mlt"
     work.write_text(source, encoding="utf-8")

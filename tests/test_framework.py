@@ -517,6 +517,94 @@ def test_focus_wrappers_are_rejected(lang, op, kind):
     assert wrapped >= len(programs)
 
 
+# -- the Language record ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_language_recognisers_come_from_its_focus_kinds(lang):
+    """``find`` and ``find2`` recognise the wrappers of the fragment and
+    list focus kinds, and each is built once per record."""
+    language = LANGUAGES[lang]
+    assert language.fragment_kind in language.focus_kinds
+    assert language.list_kind in language.focus_kinds
+    for case, kind in ((language.find, language.fragment_kind), (language.find2, language.list_kind)):
+        assert (case.sort, case.on) == language.focus_kinds[kind]
+    assert language.find is language.find and language.find2 is language.find2
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_language_recognisers_unwrap_what_span_placement_wrapped(lang):
+    """On generated programs, ``find``/``find2`` yield exactly the node
+    that ``place_focus_by_span`` wrapped, and removing the wrapper through
+    them gives back the parsed program; called directly, they raise
+    ``StrategyFailure`` at every other node of their sort."""
+    language = LANGUAGES[lang]
+    unwrapped = refused = 0
+    for source in _sources(lang, 25, seed=53):
+        prog = language.parse(source)
+        for case, kind in ((language.find, language.fragment_kind), (language.find2, language.list_kind)):
+            for t in preorder(prog):
+                if t.sort is not case.sort:
+                    continue
+                focused = language.place_focus_by_span(source, kind, t.span)
+                (wrapped,) = [u for u in preorder(focused) if isinstance(u, case.on)]
+                first = next(u for u in preorder(prog) if u.sort is case.sort and u.span == t.span)
+                assert case.fn(wrapped) is wrapped.children()[0]
+                assert case.fn(wrapped) == first
+                assert framework.replace_focus(case, focused) == prog
+                unwrapped += 1
+                for other in preorder(focused):
+                    if other.sort is case.sort and other is not wrapped:
+                        with pytest.raises(StrategyFailure):
+                            case.fn(other)
+                        refused += 1
+    assert unwrapped > 100 and refused > unwrapped
+
+
+# (program, declaration with a fresh name, declaration whose name clashes)
+_INTRODUCE_SAMPLES = {
+    "joos": ("class C { void a() { } }", "void b() { }", "void a() { }"),
+    "minilet": ("let f(x) = x; in f(1)", "g(y) = y;", "f(y) = y;"),
+}
+
+
+def _list_focused(language, source):
+    """``source`` parsed, with the list focus on its first list."""
+    sort = language.focus_kinds[language.list_kind][0]
+    first = next(t for t in preorder(language.parse(source)) if t.sort is sort)
+    return language.place_focus_by_span(source, language.list_kind, first.span)
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_introduce_enters_the_list_recogniser_once(lang):
+    """One search: the list recogniser runs once per introduce, at the
+    list focus, and the result is the record's own introduce."""
+    language = LANGUAGES[lang]
+    source, fresh, _ = _INTRODUCE_SAMPLES[lang]
+    focused, decl = _list_focused(language, source), language.parse_decl(fresh)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return language.find2.fn(t)
+
+    case = SortCase(language.find2.sort, counted, language.find2.on)
+    out = framework.introduce(language.declared, language.referenced, case, language.signature, decl, focused)
+    assert len(calls) == 1 and isinstance(calls[0], case.on)
+    assert out == language.introduce(decl, focused)
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_introduce_reports_a_missing_focus_before_a_clash(lang):
+    language = LANGUAGES[lang]
+    source, _, clashing = _INTRODUCE_SAMPLES[lang]
+    decl = language.parse_decl(clashing)
+    with pytest.raises(NoFocus):
+        language.introduce(decl, language.parse(source))
+    with pytest.raises(NameClash):
+        language.introduce(decl, _list_focused(language, source))
+
+
 # -- generic introduce -----------------------------------------------------------
 
 

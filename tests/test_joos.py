@@ -135,6 +135,15 @@ def test_declared_fails_on_non_declarations():
         apply_tu(declared_pairs, loop)
 
 
+def test_declared_on_binders_that_declare_nothing_is_empty():
+    """A block and a class are always binders: without local declarations
+    or members they yield no pairs instead of refusing."""
+    block = _first_stmt("class C { void m() { { this.m(); } } }")
+    assert isinstance(block, ast.Block)
+    assert apply_tu(declared_pairs, block) == ()
+    assert apply_tu(declared_pairs, parse_program("class C { }").classes[0]) == ()
+
+
 def test_declared_on_method_header_and_params():
     method = parse_method("int f(int a, boolean b) { return 1; }")
     assert apply_tu(declared_pairs, method) == (
