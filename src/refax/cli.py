@@ -1,13 +1,14 @@
 """Command-line driver: parse, place a focus, refactor, check and dump.
 
 Exit codes: 0 success; 1 a refactoring precondition failed (the source
-file is untouched); 2 parse or span errors; 3 usage errors; 4 internal
-error: any other exception, including input nested past the recursion
-limit, reported as one ``internal error: ...`` line without a traceback
-(the source file is untouched). Program text
-goes to the output stream, diagnostics about failures to the error
-stream, so outputs are pipeable. In-place rewriting is atomic (temp file
-plus rename in the same directory).
+file is untouched); 2 parse or span errors, or an input file that cannot
+be read (missing, or not UTF-8 text); 3 usage errors; 4 internal error:
+any other exception, including input nested past the recursion limit,
+reported as one ``internal error: ...`` line without a traceback (the
+source file is untouched). Program text goes to the output stream,
+diagnostics about failures to the error stream, so outputs are pipeable.
+In-place rewriting is atomic (temp file plus rename in the same
+directory).
 """
 
 from __future__ import annotations
@@ -103,7 +104,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:  # reported as an unreadable file
+            raise OSError(f"{path}: {exc}") from None
 
 
 def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
@@ -128,9 +132,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         decl_source = _read(args.decl)
         by_class = lang.focus_class is not None
-        flag, target = ("--class", args.class_name) if by_class else ("--focus", args.focus)
-        if not target:
+        given = {"--class": args.class_name, "--focus": args.focus}
+        flag, other = ("--class", "--focus") if by_class else ("--focus", "--class")
+        if not given[flag]:
             return _usage_error(parser, f"introduce --lang {lang.name} requires {flag}")
+        if given[other] is not None:
+            return _usage_error(parser, f"introduce --lang {lang.name} does not take {other}")
         decl = lang.parse_decl(decl_source)
         if by_class:
             focused = lang.focus_class(lang.parse(source), args.class_name)

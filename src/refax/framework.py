@@ -1,7 +1,7 @@
 """Language-independent refactoring layer.
 
-Built on the strategy combinators: operations to place, select, replace
-and mark a focus; the name analyses (free names, bound typed names along
+Built on the strategy combinators: operations to place, replace and mark
+a focus; the name analyses (free names, bound typed names along
 the path to a focus, typed free names); the abstraction-signature
 interface a language instance fills in; introduction; and the
 ``Language`` record, one per language, whose ``extract`` and
@@ -84,11 +84,6 @@ class UntypedFreeName(RefactoringError):
     def __init__(self, name: str) -> None:
         super().__init__(f"free name {name!r} has no binding in the environment")
         self.name = name
-
-
-class ReplacementRejected(RefactoringError):
-    def __init__(self, detail: str = "focus replacement was rejected") -> None:
-        super().__init__(detail)
 
 
 class ConstructorRejected(RefactoringError):
@@ -205,19 +200,12 @@ def _wrap_at_span(sort: Sort, wrapper: Callable[[Term], Term], span: Span, prog:
     return go(prog)
 
 
-def select_focus(get_focus: SortCase[Term], prog: Term) -> Term:
-    """Unwrap the first (preorder) focus wrapper recognised by ``get_focus``."""
-    try:
-        return apply_tu(oncetd_tu(mono_tu(get_focus)), prog)
-    except StrategyFailure:
-        raise NoFocus() from None
-
-
 def replace_focus(put_focus: SortCase[Term], prog: Term) -> Term:
     """Rewrite the first focus wrapper via ``put_focus``, removing it.
+    Raises ``NoFocus`` when ``put_focus`` accepts no node.
 
-    The search stops at the first wrapper ``put_focus`` recognises; if the
-    rewriter then declines, ``ReplacementRejected`` propagates rather than
+    The search stops at the first wrapper ``put_focus`` recognises; any
+    ``RefactoringError`` the rewriter raises there propagates, rather than
     the traversal descending further.
     """
     try:

@@ -18,8 +18,8 @@ the core:
 * calling a strategy, or ``apply_tp``/``apply_tu``, raises it on refusal;
 * user code may refuse by raising it: the ``run`` of
   ``TransformTP``/``QueryTU``, ``SortCase.fn``, and the functions handed
-  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu``, ``propagate_tu``
-  and ``propagate_path_tu``. The core catches it once, where that code is
+  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu`` and
+  ``propagate_path_tu``. The core catches it once, where that code is
   entered.
 
 So a pass constructs no exception for the nodes its parts refuse. A
@@ -42,13 +42,13 @@ nodes it passes.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
 recursive schemes ``oncetd``, ``oncebu``, ``above``, ``above_path``,
-``propagate``, ``propagate_path`` and ``scoped_uses`` recurse through one
-Python frame per tree level, with their one-layer step written into that
-frame. All are deterministic: children are tried left to right and the
-first success wins. The two ``_path`` schemes act at one focus, as a
-zipper does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): they
-search for the first node in preorder where a query succeeds, keep only
-the path to it, and then work on that path's ancestors alone, so nothing
+``propagate_path`` and ``scoped_uses`` recurse through one Python frame
+per tree level, with their one-layer step written into that frame. All
+are deterministic: children are tried left to right and the first
+success wins. The two ``_path`` schemes act at one focus, as a zipper
+does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): they search
+for the first node in preorder where a query succeeds, keep only the
+path to it, and then work on that path's ancestors alone, so nothing
 right of the path is visited. ``scoped_uses`` is the free-name scheme:
 the names a use query yields outside the scope of every binder a bind
 query yields, in one top-down pass that keeps the names in scope in a
@@ -596,46 +596,14 @@ def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     return _tp(attempt)
 
 
-def propagate_tu(
-    e0: E,
-    update: Callable[[E], QueryTU[E]],
-    select: Callable[[E], QueryTU[A]],
-) -> QueryTU[A]:
-    """Top-down search threading an environment. At each node, ``select``
-    is tried first with the current environment; on refusal the environment
-    is updated via ``update`` (refusal there means "no change") and the
-    children are searched left to right."""
-
-    def attempt_with(make: Callable[[E], QueryTU[Any]], env: E, t: Term) -> Any:
-        try:
-            return make(env)._attempt(t)
-        except StrategyFailure:
-            return _FAIL
-
-    def go(t: Term, env: E) -> Any:
-        out = attempt_with(select, env, t)
-        if out is not _FAIL:
-            return out
-        new = attempt_with(update, env, t)
-        if new is not _FAIL:
-            env = new
-        for c in t.children():
-            out = go(c, env)
-            if out is not _FAIL:
-                return out
-        return _FAIL
-
-    return _tu(lambda t: go(t, e0))
-
-
 def propagate_path_tu(
     e0: E,
     update: Callable[[E], QueryTU[E]],
     select: QueryTU[A],
 ) -> QueryTU[tuple[E, A]]:
-    """``propagate_tu`` for a ``select`` that does not read the
-    environment: the first node in preorder where ``select`` succeeds,
-    paired with the environment there.
+    """Top-down search threading an environment: the first node in
+    preorder where ``select`` succeeds, paired with the environment there,
+    which is ``e0`` extended by ``update`` at each strict ancestor.
 
     The search keeps only the path to the node it is at. Once ``select``
     succeeds, ``update`` is folded over that node's strict ancestors, root

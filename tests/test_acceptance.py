@@ -18,6 +18,7 @@ from refax.strategy import (
     MonoidSpec,
     SortCase,
     StrategyFailure,
+    above_path_tp,
     above_tp,
     all_tp,
     apply_tp,
@@ -128,7 +129,9 @@ def test_criterion_2_traversal_order_oracle():
 
 def test_criterion_3_above_bottom_most_law():
     """aboveTP transforms the maximal-depth candidate host above a planted
-    focus; the oracle enumerates the ancestors exhaustively. Exact on 100%."""
+    focus; the oracle enumerates the ancestors exhaustively. Exact on 100%,
+    for ``above_tp`` and for ``above_path_tp``, the scheme ``mark_host``
+    runs: each tree holds one focus, where the two must agree."""
     rng = random.Random(303)
     mark = SortCase(FIXTURE, _mark_candidate)
     is_focus = SortCase(FIXTURE, _is_focus_leaf)
@@ -140,12 +143,13 @@ def test_criterion_3_above_bottom_most_law():
         depth_pool = list(range(len(focus_path) + 1))
         depths = set(rng.sample(depth_pool, k=min(len(depth_pool), rng.randrange(1, 4))))
         wrapped = _wrap_chain(t, focus_path, depths)
-        out = apply_tp(above_tp(mono_tp(mark), mono_tu(is_focus)), wrapped)
         deepest = max(depths)
-        for d in depths:
-            got = node_at(out, _tag_path(focus_path, depths, d))
-            assert isinstance(got, Tag)
-            assert got.label == ("hit" if d == deepest else "cand")
+        for scheme in (above_tp, above_path_tp):
+            out = apply_tp(scheme(mono_tp(mark), mono_tu(is_focus)), wrapped)
+            for d in depths:
+                got = node_at(out, _tag_path(focus_path, depths, d))
+                assert isinstance(got, Tag)
+                assert got.label == ("hit" if d == deepest else "cand")
     print("\nACCEPTANCE 3 above bottom-most law: PASS")
 
 

@@ -211,6 +211,53 @@ def test_missing_file_reports_io_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Bytes that are not UTF-8 text: a UTF-16 byte-order mark before a program.
+_UNDECODABLE = b"\xff\xfe" + (GOLDEN / "joos" / "account.joos").read_bytes()
+# argv templates; {bad} is the undecodable file, {out} an --output path
+_UNDECODABLE_RUNS = {
+    "check-file": "check --lang joos --file {bad}",
+    "extract-in-place-file": "extract --lang joos --file {bad} --focus 6:9-10:10 --name stash --in-place",
+    "introduce-decl": ("introduce --lang minilet --file {g}/minilet/pipeline.mlt --focus 2:5-3:23 "
+                       "--decl {bad} --output {out}"),
+}
+
+
+@pytest.mark.parametrize("argv", _UNDECODABLE_RUNS.values(), ids=_UNDECODABLE_RUNS.keys())
+def test_undecodable_input_reports_io_error(argv, tmp_path, capsys):
+    """An input file whose bytes are not UTF-8 is exit 2 with one
+    ``error: <path>: ...`` line, like a missing file, and nothing is
+    written."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_UNDECODABLE)
+    out = tmp_path / "out.txt"
+    code = main(argv.format(g=GOLDEN, bad=bad, out=out).split())
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert bad.read_bytes() == _UNDECODABLE
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+_STRAY_TARGETS = {
+    "joos-focus": ("introduce --lang joos --file {g}/joos/account.joos --class Account "
+                   "--focus 9:9-9:10 --decl {g}/joos/newmethod.jdecl", "--focus"),
+    "minilet-class": ("introduce --lang minilet --file {g}/minilet/pipeline.mlt --focus 2:5-3:23 "
+                      "--class Foo --decl {g}/minilet/newfun.mdecl", "--class"),
+}
+
+
+@pytest.mark.parametrize("argv,flag", _STRAY_TARGETS.values(), ids=_STRAY_TARGETS.keys())
+def test_introduce_rejects_the_target_flag_its_language_does_not_take(argv, flag, capsys):
+    """JOOS names its target list by ``--class``, minilet places it by
+    ``--focus``; the other flag is a usage error, not silently ignored."""
+    code, out, err = run_scenario(argv, capsys)
+    assert code == 3, err
+    assert out == ""
+    assert f"does not take {flag}" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["obliterate", "--lang", "joos", "--file", "x"]) == 3
     assert main([]) == 3

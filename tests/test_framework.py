@@ -1,10 +1,12 @@
-"""Framework layer: focus selection/replacement/marking, name analyses,
+"""Framework layer: focus placement, replacement and marking, name analyses,
 signature laws, and the generic introduce/extract on both instances."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,6 @@ from refax.framework import (
     NameTypePair,
     NoFocus,
     NoHost,
-    ReplacementRejected,
     UntypedFreeName,
     env_lookup,
 )
@@ -75,27 +76,27 @@ def _unwrap_focus_tag(t):
 fix_focus = SortCase(FIXTURE, _unwrap_focus_tag)
 
 
-def test_select_focus_preorder_and_missing():
-    t = Node(Tag("focus", Leaf(1)), Tag("focus", Leaf(2)))
-    assert framework.select_focus(fix_focus, t) == Leaf(1)
-    with pytest.raises(NoFocus):
-        framework.select_focus(fix_focus, Node(Leaf(1), Leaf(2)))
-
-
-def test_select_focus_nested_wrappers_picks_outermost():
-    t = Node(Leaf(0), Tag("focus", Tag("focus", Leaf(5))))
-    assert framework.select_focus(fix_focus, t) == Tag("focus", Leaf(5))
-
-
 def test_replace_focus_removes_wrapper():
-    t = Node(Leaf(0), Tag("focus", Leaf(1)))
+    """The first wrapper in preorder is rewritten, the outermost of nested
+    ones, and only it; a program without one raises ``NoFocus``."""
+    fragments = []
 
     def put(u):
-        _unwrap_focus_tag(u)
+        fragments.append(_unwrap_focus_tag(u))
         return Leaf(42)
 
-    out = framework.replace_focus(SortCase(FIXTURE, put), t)
-    assert out == Node(Leaf(0), Leaf(42))
+    # (program, the fragment the rewritten wrapper held, result)
+    cases = [
+        (Node(Leaf(0), Tag("focus", Leaf(1))), Leaf(1), Node(Leaf(0), Leaf(42))),
+        (Node(Tag("focus", Leaf(1)), Tag("focus", Leaf(2))), Leaf(1),
+         Node(Leaf(42), Tag("focus", Leaf(2)))),
+        (Node(Leaf(0), Tag("focus", Tag("focus", Leaf(5)))), Tag("focus", Leaf(5)),
+         Node(Leaf(0), Leaf(42))),
+    ]
+    for t, fragment, expected in cases:
+        fragments.clear()
+        assert framework.replace_focus(SortCase(FIXTURE, put), t) == expected
+        assert fragments == [fragment]
     with pytest.raises(NoFocus):
         framework.replace_focus(SortCase(FIXTURE, put), Node(Leaf(0), Leaf(1)))
 
@@ -105,9 +106,9 @@ def test_replace_focus_rejection_propagates_and_leaves_input_usable():
 
     def put(u):
         _unwrap_focus_tag(u)
-        raise ReplacementRejected("guard failed")
+        raise CheckFailed("guard failed")
 
-    with pytest.raises(ReplacementRejected):
+    with pytest.raises(CheckFailed):
         framework.replace_focus(SortCase(FIXTURE, put), t)
     assert t == Node(Leaf(0), Tag("focus", Leaf(1)))
 
@@ -603,6 +604,30 @@ def test_introduce_reports_a_missing_focus_before_a_clash(lang):
         language.introduce(decl, language.parse(source))
     with pytest.raises(NameClash):
         language.introduce(decl, _list_focused(language, source))
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+# One golden extract per language: (source file, focus span, new name).
+_GOLDEN_EXTRACTS = {
+    "joos": ("joos/account.joos", "6:9-10:10", "stash"),
+    "minilet": ("minilet/nested.mlt", "6:31-6:36", "mul"),
+}
+
+
+@pytest.mark.parametrize("lang", sorted(_GOLDEN_EXTRACTS))
+def test_benchmark_replay_reads_names_that_exist(lang, monkeypatch):
+    """The benchmark's traced run imports language and framework names
+    from refax (its ``LANGS`` table reads them at import) and replays
+    ``extract`` phase by phase from them. Removing or reshaping one of
+    them fails here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    traced = importlib.import_module("traced")
+    language = LANGUAGES[lang]
+    path, span, name = _GOLDEN_EXTRACTS[lang]
+    source = (_GOLDEN / path).read_text(encoding="utf-8")
+    focused = language.place_focus_by_span(source, language.fragment_kind, Span.parse(span))
+    replayed = traced._replay(traced.Tracer(), traced.LANGS[lang], name, focused)
+    assert replayed == language.extract(name, focused)
 
 
 # -- generic introduce -----------------------------------------------------------

@@ -99,7 +99,7 @@ def test_place_focus_on_statement_span():
     stmt = prog.classes[0].methods.methods[0].body.statements[0]
     assert stmt.span == Span(3, 9, 3, 19)
     focused = place_focus_by_span(src, "statement", stmt.span)
-    assert framework.select_focus(statement_focus, focused) == stmt
+    assert framework.bound_typed_names(declared_pairs, statement_focus, focused)[1] == stmt
 
 
 def test_place_focus_span_mismatch_reports_candidates():

@@ -261,8 +261,7 @@ def assert_extract_postconditions(focused, name, result):
     """The five extraction postconditions plus static correctness."""
     from refax.joos import declared_pairs, method_signature, referenced_names
 
-    fragment = framework.select_focus(statement_focus, focused)
-    env, _ = framework.bound_typed_names(declared_pairs, statement_focus, focused)
+    env, fragment = framework.bound_typed_names(declared_pairs, statement_focus, focused)
     pairs = framework.free_typed_names(declared_pairs, referenced_names, env, fragment)
     focus_path = _path_to(focused, lambda n: isinstance(n, ast.StatementFocus))
     class_index = focus_path[0]

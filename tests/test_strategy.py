@@ -41,7 +41,6 @@ from refax.strategy import (
     one_tp,
     one_tu,
     propagate_path_tu,
-    propagate_tu,
     scoped_uses_tu,
     seq_tp,
 )
@@ -243,8 +242,8 @@ def test_propagate_select_at_root_short_circuits():
 
         return QueryTU(run)
 
-    q = propagate_tu((), update, lambda env: const_tu("hit"))
-    assert apply_tu(q, Node(Leaf(1), Leaf(2))) == "hit"
+    q = propagate_path_tu((), update, const_tu("hit"))
+    assert apply_tu(q, Node(Leaf(1), Leaf(2))) == ((), "hit")
     assert calls == []
 
 
@@ -252,29 +251,28 @@ def test_propagate_threads_environment_along_path():
     def update(env):
         return mono_tu(SortCase(FIXTURE, lambda t: env + (t.label,) if isinstance(t, Tag) else _refuse()))
 
-    def select(env):
-        return mono_tu(
-            SortCase(FIXTURE, lambda t: env if isinstance(t, Leaf) and t.value == 99 else _refuse())
-        )
+    select = mono_tu(leaf_case(lambda t: t.value if t.value == 99 else _refuse()))
+    q = propagate_path_tu((), update, select)
 
     t = Tag("a", Node(Tag("b", Tag("c", Leaf(99))), Tag("zzz", Leaf(0))))
-    assert apply_tu(propagate_tu((), update, select), t) == ("a", "b", "c")
+    assert apply_tu(q, t) == (("a", "b", "c"), 99)
     # shadowing discipline: duplicates stay, innermost last
-    t2 = Tag("x", Tag("x", Leaf(99)))
-    assert apply_tu(propagate_tu((), update, select), t2) == ("x", "x")
+    t2 = Tag("x", Tag("y", Tag("x", Leaf(99))))
+    assert apply_tu(q, t2) == (("x", "y", "x"), 99)
     with pytest.raises(StrategyFailure):
-        apply_tu(propagate_tu((), update, select), Tag("a", Leaf(1)))
+        apply_tu(q, Tag("a", Leaf(1)))
 
 
 def _paired(select):
-    """``select`` for ``propagate_tu``, pairing its result with the
+    """``select`` for ``propagate_reference``, pairing its result with the
     environment as ``propagate_path_tu`` does."""
     return lambda env: map_tu(lambda a: (env, a), select)
 
 
 def test_propagate_path_agrees_with_propagate():
-    """Folding ``update`` over the path to the first match gives
-    ``propagate_tu``'s environment: on random trees, with an ``update``
+    """Folding ``update`` over the path to the first match gives the
+    environment of ``propagate_reference``, the raising top-down search
+    that updates the environment at every node it passes: on random trees, with an ``update``
     that refuses at leaves and records which node it ran at, and on
     generated programs of both languages with their own name queries."""
 
@@ -288,7 +286,7 @@ def test_propagate_path_agrees_with_propagate():
         for k in range(10):
             select = mono_tu(leaf_case(lambda u, k=k: u.value if u.value == k else _refuse()))
             got = outcome_tu(propagate_path_tu((), update, select), t)
-            assert got == outcome_tu(propagate_tu((), update, _paired(select)), t)
+            assert got == outcome_tu(propagate_reference((), update, _paired(select)), t)
             outcomes.add((got[0], bool(got[1] and got[1][0])))
     assert outcomes == {("ok", True), ("ok", False), ("fail", False)}
 
@@ -308,7 +306,7 @@ def test_propagate_path_agrees_with_propagate():
         focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
         select, update = mono_tu(statement_focus), collect(joos_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
-        assert got == apply_tu(propagate_tu((), update, _paired(select)), focused)
+        assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
         assert got[1] == target
     for _ in range(40):
         prog = minilet_gen.gen_program(rng)
@@ -319,7 +317,7 @@ def test_propagate_path_agrees_with_propagate():
         focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
         select, update = mono_tu(expr_focus), collect(mini_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
-        assert got == apply_tu(propagate_tu((), update, _paired(select)), focused)
+        assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
         assert got[1] == target
 
 
@@ -682,18 +680,6 @@ def _reference_pairs():
     yield "all_tp", "choice", all_tp(inc_or_id), all_tp_reference(
         choice_reference(TransformTP, TP_PARTS["inc"], id_tp())), apply_tp
 
-    def update(env):
-        return mono_tu(SortCase(FIXTURE, lambda t: env + (t.label,) if isinstance(t, Tag) else _refuse()))
-
-    for k in range(10):
-        def select(env, k=k):
-            return mono_tu(
-                SortCase(FIXTURE, lambda t: env if isinstance(t, Leaf) and t.value == k else _refuse())
-            )
-
-        yield "propagate_tu", k, propagate_tu((), update, select), propagate_reference(
-            (), update, select), apply_tu
-
     # Case tables. Over disjoint sorts a choice is one merged table; with
     # a sort on both sides the second must still run where the first
     # refuses; and an adhoc case over a table default replaces the
@@ -835,8 +821,6 @@ def _refusing_strategies():
     yield "above_tp", above_tp(big, leaf)
     yield "above_path_tp", above_path_tp(TP_PARTS["mark"], odd)
     yield "above_path_tp", above_path_tp(big, leaf)
-    yield "propagate_tu", propagate_tu((), lambda env: const_tu(env), lambda env: odd)
-    yield "propagate_tu", propagate_tu((), _raise, _raise)
     yield "propagate_path_tu", propagate_path_tu((), lambda env: const_tu(env), odd)
     yield "propagate_path_tu", propagate_path_tu((), _raise, odd)
     yield "TransformTP", TransformTP(_raise)
