@@ -23,23 +23,22 @@ BINOP_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 4, "+": 5, "-": 5, "*": 6, "
 
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
-    program = p.program()
-    p.expect_eof()
-    return program
+    return p.whole(p.program)
 
 
 def parse_method(source: str) -> ast.MethodDecl:
     """Parse a single method declaration (used for introduction decl files)."""
     p = _Parser(source)
-    method = p.method()
-    p.expect_eof()
-    return method
+    return p.whole(p.method)
 
 
 class _Parser(TokenStream):
     """The parser is its own token cursor. Hot paths read
     ``self.tokens[self.pos]`` and compare its text alone: a keyword's or a
     symbol's text is never that of another kind of token."""
+
+    BINOP_PRECEDENCE = BINOP_PRECEDENCE
+    BinOp = ast.BinOp
 
     def __init__(self, source: str) -> None:
         super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
@@ -87,14 +86,10 @@ class _Parser(TokenStream):
             return_type = self._etype()
         name = self.expect_kind(IDENT, "method name").text
         self.expect("(")
-        formals = []
-        if not self.at(")"):
-            formals.append(self.formal())
-            while self.accept(","):
-                formals.append(self.formal())
+        formals = self.items(self.formal)
         self.expect(")")
         body = self.block()
-        return ast.MethodDecl(return_type, name, tuple(formals), body, span=self.span_from(start))
+        return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))
 
     def formal(self) -> ast.Formal:
         start = self.pos
@@ -122,17 +117,16 @@ class _Parser(TokenStream):
         start = self.pos
         tok = self.tokens[start]
         text = tok.text
-        if tok.kind == IDENT:
-            following = self.tokens[start + 1].text
-            if following == "=":
-                self.pos = start + 2
-                value = self.expression()
-                self.expect(";")
-                return ast.Assign(text, value, span=self.span_from(start))
-            if following == "(":
-                call = self.call()
-                self.expect(";")
-                return ast.CallStmt(call, span=self.span_from(start))
+        following = self.tokens[start + 1].text
+        if tok.kind == IDENT and following == "=":
+            self.pos = start + 2
+            value = self.expression()
+            self.expect(";")
+            return ast.Assign(text, value, span=self.span_from(start))
+        elif text == "this" or tok.kind == IDENT and following == "(":
+            call = self.call()
+            self.expect(";")
+            return ast.CallStmt(call, span=self.span_from(start))
         elif text == "{":
             return self.block()
         elif text in ast.ETYPES:
@@ -167,10 +161,6 @@ class _Parser(TokenStream):
                 value = self.expression()
             self.expect(";")
             return ast.Return(value, span=self.span_from(start))
-        elif text == "this":
-            call = self.call()
-            self.expect(";")
-            return ast.CallStmt(call, span=self.span_from(start))
         self.fail("a statement")
 
     def call(self) -> ast.Call:
@@ -181,42 +171,17 @@ class _Parser(TokenStream):
             self.expect(".")
         name = self.expect_kind(IDENT, "method name").text
         self.expect("(")
-        args = []
-        if self.tokens[self.pos].text != ")":
-            args.append(self.expression())
-            while self.accept(","):
-                args.append(self.expression())
+        args = self.items(self.expression)
         self.expect(")")
-        return ast.Call(this_qualified, name, tuple(args), span=self.span_from(start))
-
-    def expression(self, min_prec: int = 1) -> ast.Expression:
-        start = self.pos
-        left = self.unary()
-        tokens = self.tokens
-        while True:
-            op = tokens[self.pos].text
-            prec = BINOP_PRECEDENCE.get(op)
-            if prec is None or prec < min_prec:
-                return left
-            self.pos += 1
-            right = self.expression(prec + 1)
-            left = ast.BinOp(op, left, right, span=self.span_from(start))
-
-    def unary(self) -> ast.Expression:
-        start = self.pos
-        if self.tokens[start].text != "!":
-            return self.primary()
-        self.pos = start + 1
-        operand = self.unary()
-        return ast.Not(operand, span=self.span_from(start))
+        return ast.Call(this_qualified, name, args, span=self.span_from(start))
 
     def primary(self) -> ast.Expression:
         start = self.pos
         tok = self.tokens[start]
         kind, text = tok.kind, tok.text
+        if text == "this" or kind == IDENT and self.tokens[start + 1].text == "(":
+            return self.call()
         if kind == IDENT:
-            if self.tokens[start + 1].text == "(":
-                return self.call()
             self.pos = start + 1
             return ast.VarRef(text, span=self.span_from(start))
         if kind == INT:
@@ -230,6 +195,10 @@ class _Parser(TokenStream):
             inner = self.expression()
             self.expect(")")
             return replace(inner, span=self.span_from(start))
-        if text == "this":
-            return self.call()
+        if text == "!":
+            self.pos = start + 1
+            operand = self.primary()
+            return ast.Not(operand, span=self.span_from(start))
         self.fail("an expression")
+
+    operand = primary

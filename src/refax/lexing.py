@@ -1,4 +1,4 @@
-"""Shared tokenizer and source-position types for the language frontends.
+"""The front end both languages share: tokens, spans and the parser cursor.
 
 Positions are 1-based line:column; spans are end-exclusive.
 """
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn, TypeVar
 
 IDENT = "ident"
 INT = "int"
@@ -72,6 +72,7 @@ _KINDS = (None, IDENT, INT, SYMBOL, None, None)
 _IDENT_GROUP, _NEWLINE_GROUP = 1, 4
 _BLANKS = re.compile(r"[ \t\r]*")
 _IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
+T = TypeVar("T")
 
 
 @functools.cache
@@ -119,13 +120,20 @@ def is_identifier(text: str, keywords: frozenset[str]) -> bool:
 
 
 class TokenStream:
-    """Cursor over a token list by index, with the lookahead helpers the
-    recursive descent parsers need.
+    """Cursor over a token list by index, with the lookahead helpers and
+    the readers that both recursive descent parsers need.
 
     ``tokens`` is the list padded with ``LOOKAHEAD`` more copies of its EOF
     token, and ``pos`` never moves past the first EOF, so
     ``tokens[pos + ahead]`` needs no bounds test for ``ahead <= LOOKAHEAD``.
-    The parsers read ``tokens[pos]`` directly on their hot paths."""
+    The parsers read ``tokens[pos]`` directly on their hot paths.
+
+    A parser sets ``BINOP_PRECEDENCE`` (1 binds loosest), its ``BinOp``
+    node class and its ``operand`` rule for ``expression`` to read."""
+
+    BINOP_PRECEDENCE: dict[str, int]
+    BinOp: Callable[..., Any]
+    operand: Callable[[], Any]
 
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens + tokens[-1:] * LOOKAHEAD
@@ -173,3 +181,36 @@ class TokenStream:
         first = self.tokens[start_pos]
         last = self.tokens[self.pos - 1]
         return Span(first.line, first.col, last.end_line, last.end_col)
+
+    def expression(self, min_prec: int = 1) -> Any:
+        """Precedence climbing, all operators left-associative. It reads a
+        right operand by calling itself, so a level of nesting costs no
+        frame beyond the grammar's own rules."""
+        start = self.pos
+        left = self.operand()
+        tokens = self.tokens
+        precedence = self.BINOP_PRECEDENCE
+        while True:
+            op = tokens[self.pos].text
+            prec = precedence.get(op)
+            if prec is None or prec < min_prec:
+                return left
+            self.pos += 1
+            right = self.expression(prec + 1)
+            left = self.BinOp(op, left, right, span=self.span_from(start))
+
+    def items(self, item: Callable[[], T]) -> tuple[T, ...]:
+        """Zero or more ``item()``s separated by commas, up to a ``)``
+        that is left unread."""
+        if self.tokens[self.pos].text == ")":
+            return ()
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return tuple(items)
+
+    def whole(self, rule: Callable[[], T]) -> T:
+        """``rule()``, which must read the input to its end."""
+        result = rule()
+        self.expect_eof()
+        return result

@@ -2,7 +2,8 @@
 
 ``*`` binds tighter than ``+``, both left-associative; a ``let`` extends
 as far right as possible, so a let used as an operand must be
-parenthesised. Spans are recorded as in the JOOS parser.
+parenthesised. Spans are recorded as in the JOOS parser. Operator chains,
+comma lists and whole inputs are read by ``lexing.TokenStream``.
 """
 
 from __future__ import annotations
@@ -20,37 +21,24 @@ BINOP_PRECEDENCE = {"+": 1, "*": 2}
 
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
-    body = p.expression()
-    p.expect_eof()
+    body = p.whole(p.expression)
     return ast.Program(body, span=body.span)
 
 
 def parse_fundef(source: str) -> ast.FunDef:
     """Parse a single function definition (used for introduction decl files)."""
     p = _Parser(source)
-    fd = p.fundef()
-    p.expect_eof()
-    return fd
+    return p.whole(p.fundef)
 
 
 class _Parser(TokenStream):
     """The parser is its own token cursor, read as in the JOOS parser."""
 
+    BINOP_PRECEDENCE = BINOP_PRECEDENCE
+    BinOp = ast.BinOp
+
     def __init__(self, source: str) -> None:
         super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
-
-    def expression(self, min_prec: int = 1) -> ast.Expression:
-        start = self.pos
-        left = self.primary()
-        tokens = self.tokens
-        while True:
-            op = tokens[self.pos].text
-            prec = BINOP_PRECEDENCE.get(op)
-            if prec is None or prec < min_prec:
-                return left
-            self.pos += 1
-            right = self.expression(prec + 1)
-            left = ast.BinOp(op, left, right, span=self.span_from(start))
 
     def primary(self) -> ast.Expression:
         start = self.pos
@@ -61,13 +49,9 @@ class _Parser(TokenStream):
                 self.pos = start + 1
                 return ast.Var(text, span=self.span_from(start))
             self.pos = start + 2
-            args = []
-            if self.tokens[self.pos].text != ")":
-                args.append(self.expression())
-                while self.accept(","):
-                    args.append(self.expression())
+            args = self.items(self.expression)
             self.expect(")")
-            return ast.Call(text, tuple(args), span=self.span_from(start))
+            return ast.Call(text, args, span=self.span_from(start))
         if kind == INT:
             self.pos = start + 1
             return ast.IntLit(int(text), span=self.span_from(start))
@@ -87,17 +71,15 @@ class _Parser(TokenStream):
             return replace(inner, span=self.span_from(start))
         self.fail("an expression")
 
+    operand = primary
+
     def fundef(self) -> ast.FunDef:
         start = self.pos
         name = self.expect_kind(IDENT, "function name").text
         self.expect("(")
-        params = []
-        if self.tokens[self.pos].text != ")":
-            params.append(self.expect_kind(IDENT, "parameter name").text)
-            while self.accept(","):
-                params.append(self.expect_kind(IDENT, "parameter name").text)
+        params = self.items(lambda: self.expect_kind(IDENT, "parameter name").text)
         self.expect(")")
         self.expect("=")
         body = self.expression()
         self.expect(";")
-        return ast.FunDef(name, tuple(params), body, span=self.span_from(start))
+        return ast.FunDef(name, params, body, span=self.span_from(start))

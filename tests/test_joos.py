@@ -8,6 +8,7 @@ import pytest
 
 from refax import framework
 from refax.joos import (
+    LANGUAGE,
     ast,
     declared_pairs,
     defined_names,
@@ -41,6 +42,51 @@ def test_parse_error_on_truncated_input():
     with pytest.raises(ParseError) as exc:
         parse_program("class C { void m() { x = ; } }")
     assert exc.value.line == 1
+
+
+# (source, the whole ParseError text)
+_PARSE_ERRORS = [
+    ("class C { void m() { x = 1 + ; } }", "line 1, col 30: expected an expression, found ';'"),
+    ("class C { void m() { this.n(1,); } }", "line 1, col 31: expected an expression, found ')'"),
+    ("class C { void m() { n(1 2); } }", "line 1, col 26: expected ')', found '2'"),
+    ("class C { void m(int a,) { } }", "line 1, col 24: expected 'int' or 'boolean', found ')'"),
+    ("class C { void m() { ; } }", "line 1, col 22: expected a statement, found ';'"),
+    ("class C { } x", "line 1, col 13: expected end of input, found 'x'"),
+]
+
+
+@pytest.mark.parametrize("source,message", _PARSE_ERRORS, ids=[m for _, m in _PARSE_ERRORS])
+def test_parse_error_text(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert str(exc.value) == message
+
+
+def test_unqualified_call_statement():
+    """``n();`` is a call statement without ``this.``; it prints back as
+    written, checks clean, and extracts like any other statement."""
+    src = "class C { void m() { n(); } void n() { } }"
+    prog = parse_program(src)
+    stmt = prog.classes[0].methods.methods[0].body.statements[0]
+    assert stmt == ast.CallStmt(ast.Call(False, "n", ()))
+    assert "        n();\n" in pretty(prog)
+    assert parse_program(pretty(prog)) == prog
+    assert static_check(prog) == []
+    focused = place_focus_by_span(src, "statement", Span.parse("1:22-1:26"))
+    assert pretty(LANGUAGE.extract("h", focused)) == (
+        "class C {\n"
+        "    void m() {\n"
+        "        this.h();\n"
+        "    }\n"
+        "\n"
+        "    void n() {\n"
+        "    }\n"
+        "\n"
+        "    void h() {\n"
+        "        n();\n"
+        "    }\n"
+        "}\n"
+    )
 
 
 def test_precedence_and_associativity():
