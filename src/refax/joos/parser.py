@@ -23,13 +23,17 @@ BINOP_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 4, "+": 5, "-": 5, "*": 6, "
 
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
-    return p.whole(p.program)
+    program = p.program()
+    p.expect_eof()
+    return program
 
 
 def parse_method(source: str) -> ast.MethodDecl:
     """Parse a single method declaration (used for introduction decl files)."""
     p = _Parser(source)
-    return p.whole(p.method)
+    method = p.method()
+    p.expect_eof()
+    return method
 
 
 class _Parser(TokenStream):
@@ -85,9 +89,7 @@ class _Parser(TokenStream):
         else:
             return_type = self._etype()
         name = self.expect_kind(IDENT, "method name").text
-        self.expect("(")
         formals = self.items(self.formal)
-        self.expect(")")
         body = self.block()
         return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))
 
@@ -170,9 +172,7 @@ class _Parser(TokenStream):
             self.pos = start + 1
             self.expect(".")
         name = self.expect_kind(IDENT, "method name").text
-        self.expect("(")
         args = self.items(self.expression)
-        self.expect(")")
         return ast.Call(this_qualified, name, args, span=self.span_from(start))
 
     def primary(self) -> ast.Expression:

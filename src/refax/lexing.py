@@ -200,17 +200,12 @@ class TokenStream:
             left = self.BinOp(op, left, right, span=self.span_from(start))
 
     def items(self, item: Callable[[], T]) -> tuple[T, ...]:
-        """Zero or more ``item()``s separated by commas, up to a ``)``
-        that is left unread."""
-        if self.tokens[self.pos].text == ")":
-            return ()
-        items = [item()]
-        while self.accept(","):
+        """A parenthesised list: ``(``, zero or more ``item()``s separated
+        by commas, and ``)``."""
+        self.expect("(")
+        items: list[T] = []
+        while not self.accept(")"):
+            if items and not self.accept(","):
+                self.fail(repr(")"))
             items.append(item())
         return tuple(items)
-
-    def whole(self, rule: Callable[[], T]) -> T:
-        """``rule()``, which must read the input to its end."""
-        result = rule()
-        self.expect_eof()
-        return result

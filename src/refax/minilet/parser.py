@@ -2,8 +2,10 @@
 
 ``*`` binds tighter than ``+``, both left-associative; a ``let`` extends
 as far right as possible, so a let used as an operand must be
-parenthesised. Spans are recorded as in the JOOS parser. Operator chains,
-comma lists and whole inputs are read by ``lexing.TokenStream``.
+parenthesised. Spans are recorded as in the JOOS parser. Operator chains
+and parameter lists are read by ``lexing.TokenStream``; call arguments are
+read in ``primary`` itself, so a nested call costs no frame beyond
+``expression`` and ``primary``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ BINOP_PRECEDENCE = {"+": 1, "*": 2}
 
 def parse_program(source: str) -> ast.Program:
     p = _Parser(source)
-    body = p.whole(p.expression)
+    body = p.expression()
+    p.expect_eof()
     return ast.Program(body, span=body.span)
 
 
 def parse_fundef(source: str) -> ast.FunDef:
     """Parse a single function definition (used for introduction decl files)."""
     p = _Parser(source)
-    return p.whole(p.fundef)
+    fd = p.fundef()
+    p.expect_eof()
+    return fd
 
 
 class _Parser(TokenStream):
@@ -49,9 +54,13 @@ class _Parser(TokenStream):
                 self.pos = start + 1
                 return ast.Var(text, span=self.span_from(start))
             self.pos = start + 2
-            args = self.items(self.expression)
+            args = []
+            if self.tokens[self.pos].text != ")":
+                args.append(self.expression())
+                while self.accept(","):
+                    args.append(self.expression())
             self.expect(")")
-            return ast.Call(text, args, span=self.span_from(start))
+            return ast.Call(text, tuple(args), span=self.span_from(start))
         if kind == INT:
             self.pos = start + 1
             return ast.IntLit(int(text), span=self.span_from(start))
@@ -76,9 +85,7 @@ class _Parser(TokenStream):
     def fundef(self) -> ast.FunDef:
         start = self.pos
         name = self.expect_kind(IDENT, "function name").text
-        self.expect("(")
         params = self.items(lambda: self.expect_kind(IDENT, "parameter name").text)
-        self.expect(")")
         self.expect("=")
         body = self.expression()
         self.expect(";")

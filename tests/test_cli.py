@@ -205,15 +205,6 @@ def test_extract_rejects_a_name_that_is_not_an_identifier(lang, name, tmp_path, 
     assert work.read_bytes() == original
 
 
-def test_check_reports_a_duplicate_parameter(tmp_path, capsys):
-    work = tmp_path / "dup.mlt"
-    work.write_text("let f(x, x) = x; in f(1, 2)", encoding="utf-8")
-    code = main(["check", "--lang", "minilet", "--file", str(work)])
-    captured = capsys.readouterr()
-    assert code == 1, captured.err
-    assert captured.out == "duplicate parameter 'x' of 'f'\n"
-
-
 def test_missing_file_reports_io_error(capsys):
     code = main(["check", "--lang", "joos", "--file", "/nonexistent/x.joos"])
     assert code == 2

@@ -60,6 +60,18 @@ def test_parse_error_text(source, message):
     assert str(exc.value) == message
 
 
+def test_deep_nested_calls_parse():
+    """450 calls nested as arguments stay within the default recursion
+    limit: a nested call costs the parser two frames, ``expression`` and
+    ``primary``, and no frame more for reading its argument list."""
+    depth = 450
+    node = parse_program("f(" * depth + "1" + ")" * depth).body
+    for _ in range(depth):
+        assert isinstance(node, ast.Call)
+        (node,) = node.args
+    assert node == ast.IntLit(1, span=Span(1, 2 * depth + 1, 1, 2 * depth + 2))
+
+
 def test_precedence():
     prog = parse_program("let f() = 1; in a + b * c")
     body = prog.body.body
@@ -124,6 +136,9 @@ def test_resolution_check():
     ]
     assert resolution_check(parse_program("let f() = 1; f() = 2; in f()")) == [
         "duplicate definition of 'f' in one let"
+    ]
+    assert resolution_check(parse_program("let f(x, x) = x; in f(1, 2)")) == [
+        "duplicate parameter 'x' of 'f'"
     ]
 
 
