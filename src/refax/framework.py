@@ -9,11 +9,15 @@ interface a language instance fills in; introduction; and the
 phases, written once for every language.
 
 A refactoring acts at one focus, so the steps that only need the focus
-walk the path from the root to it, not the whole tree: placing the focus
-by span enters only the children whose span encloses it,
-``bound_typed_names`` folds the environment over the focus's ancestors
-(``strategy.propagate_path_tu``), and ``mark_host`` searches and rebuilds
-only the path to the focus (``strategy.above_path_tp``).
+work on the path from the root to it, not the whole tree: placing the
+focus by span enters only the children whose span encloses it, and
+``Language.extract`` searches for the focus once (``strategy.focus_paths``)
+and then runs every phase on that one ``FocusPath``: the environment is
+folded over the focus's ancestors, the host is picked among them, and only
+the path is rebuilt. The phases also exist one by one, each searching from
+the root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
+``mark_host`` (``strategy.above_path_tp``), ``introduce`` and
+``replace_focus``.
 
 A language participates by filling in its ``Language`` record once:
 ``QueryTU`` analyses for declared and referenced names (free names are
@@ -36,6 +40,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Span, SpanMismatch
 from .strategy import (
+    FocusPath,
     QueryTU,
     SortCase,
     StrategyFailure,
@@ -43,11 +48,11 @@ from .strategy import (
     apply_tp,
     apply_tu,
     choice_tu,
+    focus_paths,
     map_tu,
     mono_tp,
     mono_tu,
     oncetd_tp,
-    oncetd_tu,
     propagate_path_tu,
     scoped_uses_tu,
 )
@@ -243,6 +248,15 @@ def free_names(
     return apply_tu(scoped_uses_tu(declared, referenced), t)
 
 
+def _scope(declared: QueryTU[Sequence[NameTypePair]]) -> Callable[[Environment], QueryTU[Environment]]:
+    """The environment update at one ancestor: its declared pairs appended."""
+
+    def update(env: Environment) -> QueryTU[Environment]:
+        return map_tu(lambda pairs: env + tuple(pairs), declared)
+
+    return update
+
+
 def bound_typed_names(
     declared: QueryTU[Sequence[NameTypePair]],
     get_focus: SortCase[Term],
@@ -251,12 +265,8 @@ def bound_typed_names(
     """Collect the name-type pairs declared on the root-to-focus path, in
     top-down order (deeper bindings later), together with the unwrapped
     focused fragment. ``declared`` runs only at the focus's ancestors."""
-
-    def update(env: Environment) -> QueryTU[Environment]:
-        return map_tu(lambda pairs: env + tuple(pairs), declared)
-
     try:
-        return apply_tu(propagate_path_tu((), update, mono_tu(get_focus)), prog)
+        return apply_tu(propagate_path_tu((), _scope(declared), mono_tu(get_focus)), prog)
     except StrategyFailure:
         raise NoFocus() from None
 
@@ -296,19 +306,31 @@ def introduce(
     prog: Term,
 ) -> Term:
     """Append ``abstr`` to the focused abstraction list, provided its name
-    is neither defined by the list nor free within it. One search: the
-    case that meets the list focus checks and extends the list there."""
+    is neither defined by the list nor free within it. One search, and only
+    the path to the list is rebuilt."""
+    at = _checked_list(declared, referenced, find2, sig, abstr, prog)
+    return at.rebuild(append_child(at.found, abstr))
 
-    def put(t: Term) -> Term:
-        lst = find2.fn(t)  # recognise the wrapper; declines elsewhere
-        name = sig.get_abs_name(abstr)
-        frees = free_names(declared_names(declared), referenced, lst)
-        defs = tuple(sig.get_abs_name(a) for a in lst.children())
-        if name in frees or name in defs:
-            raise NameClash(name)
-        return append_child(lst, abstr)
 
-    return replace_focus(SortCase(find2.sort, put, find2.on), prog)
+def _checked_list(
+    declared: QueryTU[Sequence[NameTypePair]],
+    referenced: QueryTU[Sequence[str]],
+    find2: SortCase[Term],
+    sig: AbstractionSignature,
+    abstr: Term,
+    prog: Term,
+) -> FocusPath[Term]:
+    """The first list focus in ``prog``, once the ``NameClash`` rule has
+    found ``abstr``'s name neither defined by the list nor free within it."""
+    at = next(focus_paths(mono_tu(find2), prog), None)
+    if at is None:
+        raise NoFocus()
+    name = sig.get_abs_name(abstr)
+    frees = free_names(declared_names(declared), referenced, at.found)
+    defs = tuple(sig.get_abs_name(a) for a in at.found.children())
+    if name in frees or name in defs:
+        raise NameClash(name)
+    return at
 
 
 @dataclass(frozen=True)
@@ -357,22 +379,49 @@ class Language:
         replaces the focus; the abstraction is introduced into the deepest
         enclosing abstraction list. Any precondition failure raises before
         the program is touched, so failure leaves the input intact.
+
+        The phases share one ``FocusPath``: one walk finds the first
+        fragment focus in preorder, ``declared`` is folded over its
+        ancestors (``bound_typed_names``), the host is the deepest ancestor
+        that ``host`` accepts (``mark_host``), the ``NameClash`` rule runs
+        over the host's list with the fragment still in place
+        (``introduce``), and only the path is rebuilt, with the application
+        in place of the focus (``replace_focus``) and the abstraction
+        appended at the host. The same walk goes on over the rest of the
+        tree: any other fragment or list wrapper would be left behind, so
+        after every precondition it raises ``RuntimeError``.
         """
-        declared, find, sig = self.declared, self.find, self.signature
-        env, fragment = bound_typed_names(declared, find, prog)
+        declared, referenced, find, find2, sig = (
+            self.declared, self.referenced, self.find, self.find2, self.signature)
+        wrappers = focus_paths(choice_tu(mono_tu(find), mono_tu(find2)), prog)
+        stray = False
+        for at in wrappers:
+            if isinstance(at.node, find.on):
+                break
+            stray = True
+        else:
+            raise NoFocus()
+        fragment = at.found
+        env = at.fold((), _scope(declared))
         self.extractable(fragment)
-        pairs = free_typed_names(declared, self.referenced, env, fragment)
+        pairs = free_typed_names(declared, referenced, env, fragment)
         formals = sig.make_formals(pairs)
         abstr = sig.make_abstraction(new_name, formals, sig.body_from_fragment(fragment))
-        marked = mark_host(self.host, find, prog)
-        extended = introduce(declared, self.referenced, self.find2, sig, abstr, marked)
+        host = at.deepest(mono_tp(self.host))
+        if host is None:
+            raise NoHost()
+        depth, marked = host
+        # The rule runs on the first list focus in preorder once the host is
+        # marked: the host's own, unless a list focus came before the focus.
+        _checked_list(declared, referenced, find2, sig, abstr,
+                    at.rebuild(marked, bottom=depth) if stray else marked)
         app = sig.fragment_from_application(sig.make_application(new_name, sig.make_actuals(pairs)))
-        result = replace_focus(SortCase(find.sort, lambda t: app, find.on), extended)
-        try:
-            apply_tu(oncetd_tu(choice_tu(mono_tu(find), mono_tu(self.find2))), result)
-        except StrategyFailure:
-            return result
-        raise RuntimeError("extraction left a focus wrapper behind")
+        if stray or next(wrappers, None) is not None:
+            raise RuntimeError("extraction left a focus wrapper behind")
+        # The host marks its list again, now with the application below it.
+        marked = apply_tp(mono_tp(self.host), at.rebuild(app, top=depth))
+        listed = next(focus_paths(mono_tu(find2), marked))
+        return at.rebuild(listed.rebuild(append_child(listed.found, abstr)), bottom=depth)
 
     def introduce(self, decl: Term, prog: Term) -> Term:
         """Append ``decl`` to the focused abstraction list, rejecting name

@@ -41,24 +41,24 @@ class, run at every node of its sort, constructs no exception at the
 nodes it passes.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd``, ``oncebu``, ``above``, ``above_path``,
-``propagate_path`` and ``scoped_uses`` recurse through one Python frame
-per tree level, with their one-layer step written into that frame. All
-are deterministic: children are tried left to right and the first
-success wins. The two ``_path`` schemes act at one focus, as a zipper
-does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): they search
-for the first node in preorder where a query succeeds, keep only the
-path to it, and then work on that path's ancestors alone, so nothing
-right of the path is visited. ``scoped_uses`` is the free-name scheme:
-the names a use query yields outside the scope of every binder a bind
-query yields, in one top-down pass that keeps the names in scope in a
-count map.
+recursive schemes ``oncetd``, ``oncebu``, ``above`` and ``scoped_uses``
+recurse through one Python frame per tree level, with their one-layer step
+written into that frame. All are deterministic: children are tried left to
+right and the first success wins. ``focus_paths`` finds nodes as a zipper
+does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): one walk with an
+explicit stack yields each node where a query succeeds, in preorder, as a
+``FocusPath`` that keeps only the path to it, so its ancestors can be
+folded over, one picked and the path rebuilt without visiting the rest.
+``above_path`` and ``propagate_path`` are its instances. ``scoped_uses``
+is the free-name scheme: the names a use query yields outside the scope of
+every binder a bind query yields, in one top-down pass that keeps the
+names in scope in a count map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterator, Sequence, TypeVar
 
 from .terms import Sort, Term
 
@@ -536,94 +536,93 @@ def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     return _tp(attempt)
 
 
-# A path from the root: each strict ancestor of a node, with its children
-# and the index of the child the path enters.
-_Path = list[tuple[Term, tuple[Term, ...], int]]
+@dataclass(slots=True)
+class FocusPath(Generic[A]):
+    """A ``node`` as a zipper holds it: what the query that picked it yielded
+    there (``found``), and its ``path``, each strict ancestor from the root
+    (depth 0) down with its children and the index of the child entered.
+    The rest of the tree is shared, so work on the path costs its length."""
 
+    found: A
+    node: Term
+    path: list[tuple[Term, tuple[Term, ...], int]]
 
-def _path_to(here: Attempt, t: Term) -> tuple[Any, _Path]:
-    """The first success of ``here`` in preorder below ``t`` (or at it),
-    and the path to the node where it succeeded; ``_FAIL`` when there is
-    none. The search keeps only the path to the node it is at."""
-    path: _Path = []
-
-    def search(n: Term) -> Any:  # one frame per tree level
-        out = here(n)
-        if out is not _FAIL:
-            return out
-        cs = n.children()
-        for i, c in enumerate(cs):
-            path.append((n, cs, i))
-            out = search(c)
-            if out is not _FAIL:
-                return out
-            path.pop()
-        return _FAIL
-
-    return search(t), path
-
-
-def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
-    """``above_tp`` along one path: find the first node in preorder where
-    ``below`` succeeds, then apply ``s`` at the deepest strict ancestor of
-    that node that ``s`` accepts, and rebuild only the ancestors above it.
-    Refuses when ``below`` holds nowhere, only at the root, or when ``s``
-    refuses every strict ancestor of the node found.
-
-    The search keeps only the path to the node it is at, so the cost is
-    that of a search stopping at the first ``below`` node, plus ``s`` and
-    one rebuild per level of the path; subtrees right of the path are not
-    visited. Where ``below`` holds at exactly one node this equals
-    ``above_tp``. Where it holds at several, only the first in preorder
-    counts, and ``above_tp`` can differ: it tries candidates in postorder,
-    so it may rewrite a node inside the first one's subtree (above a later
-    ``below`` node), or an ancestor of a later ``below`` node right of the
-    path before the ancestors the two share."""
-    here, holds = s._attempt, below._attempt
-
-    def attempt(t: Term) -> Any:
-        found, path = _path_to(holds, t)
-        if found is _FAIL:
-            return _FAIL
-        for depth in range(len(path) - 1, -1, -1):
-            out = here(path[depth][0])
-            if out is not _FAIL:
-                for node, cs, i in reversed(path[:depth]):
-                    out = _with_child(node, cs, i, out)
-                return out
-        return _FAIL
-
-    return _tp(attempt)
-
-
-def propagate_path_tu(
-    e0: E,
-    update: Callable[[E], QueryTU[E]],
-    select: QueryTU[A],
-) -> QueryTU[tuple[E, A]]:
-    """Top-down search threading an environment: the first node in
-    preorder where ``select`` succeeds, paired with the environment there,
-    which is ``e0`` extended by ``update`` at each strict ancestor.
-
-    The search keeps only the path to the node it is at. Once ``select``
-    succeeds, ``update`` is folded over that node's strict ancestors, root
-    first (refusal there means "no change"), so it runs once per level of
-    the path, not once per node the search passes."""
-    here = select._attempt
-
-    def attempt(t: Term) -> Any:
-        out, path = _path_to(here, t)
-        if out is _FAIL:
-            return out
+    def fold(self, e0: E, update: Callable[[E], QueryTU[E]]) -> E:
+        """``e0`` extended by ``update`` at each strict ancestor, root
+        first; refusal there (or ``StrategyFailure``) means "no change"."""
         env = e0
-        for node, _, _ in path:
+        for node, _, _ in self.path:
             try:
                 new = update(env)._attempt(node)
             except StrategyFailure:
                 continue
             if new is not _FAIL:
                 env = new
-        return env, out
+        return env
+
+    def deepest(self, s: TransformTP) -> tuple[int, Term] | None:
+        """The depth of the deepest strict ancestor ``s`` accepts, and
+        ``s``'s result there; None when ``s`` refuses them all."""
+        for depth in range(len(self.path) - 1, -1, -1):
+            out = s._attempt(self.path[depth][0])
+            if out is not _FAIL:
+                return depth, out
+        return None
+
+    def rebuild(self, new: Term, top: int = 0, bottom: int | None = None) -> Term:
+        """The ancestor at depth ``top`` with ``new`` in place of the node
+        at depth ``bottom`` (this node by default), rebuilding only the
+        ancestors in between."""
+        for node, cs, i in reversed(self.path[top:bottom]):
+            new = _with_child(node, cs, i, new)
+        return new
+
+
+def focus_paths(select: QueryTU[A], t: Term) -> Iterator[FocusPath[A]]:
+    """Every node of ``t`` where ``select`` succeeds, in preorder, each as
+    a ``FocusPath`` of its own. One walk, with a stack in place of a frame
+    per level, that holds only the path to the node it is at; taking the
+    first costs a search that stops there."""
+    here, path = select._attempt, []
+    node, cs, i = None, (t,), 0  # the root, as the only child of no node
+    while True:
+        if i < len(cs):
+            c = cs[i]
+            path.append((node, cs, i))
+            out = here(c)
+            if out is not _FAIL:
+                yield FocusPath(out, c, path[1:])
+            node, cs, i = c, c.children(), 0
+        elif path:
+            node, cs, i = path.pop()
+            i += 1
+        else:
+            return
+
+
+def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
+    """``above_tp`` on the ``FocusPath`` of the first node in preorder where
+    ``below`` succeeds: ``s`` at the deepest strict ancestor it accepts, and
+    only the path above it rebuilt; nothing right of the path is visited.
+    Where ``below`` holds at several nodes, ``above_tp`` can differ, as it
+    tries candidates in postorder."""
+
+    def attempt(t: Term) -> Any:
+        at = next(focus_paths(below, t), None)
+        host = None if at is None else at.deepest(s)
+        return _FAIL if host is None else at.rebuild(host[1], bottom=host[0])
+
+    return _tp(attempt)
+
+
+def propagate_path_tu(e0: E, update: Callable[[E], QueryTU[E]], select: QueryTU[A]) -> QueryTU[tuple[E, A]]:
+    """``select``'s result at the first node in preorder where it succeeds,
+    paired with ``e0`` folded with ``update`` over that node's ``FocusPath``:
+    once per level, not once per node the search passes."""
+
+    def attempt(t: Term) -> Any:
+        at = next(focus_paths(select, t), None)
+        return _FAIL if at is None else (at.fold(e0, update), at.found)
 
     return _tu(attempt)
 
