@@ -8,13 +8,14 @@ reported as one ``internal error: ...`` line without a traceback (the
 source file is untouched). Program text goes to the output stream,
 diagnostics about failures to the error stream, so outputs are pipeable.
 In-place rewriting is atomic (temp file plus rename in the same
-directory).
+directory) and keeps the file's permission bits.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 
@@ -33,7 +34,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _span_arg(text: str) -> Span:
-    return Span.parse(text)
+    try:
+        return Span.parse(text)
+    except ValueError as exc:  # argparse shows only this type's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,6 +159,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            shutil.copymode(args.file, tmp_path)
             os.replace(tmp_path, args.file)
         except BaseException:
             os.unlink(tmp_path)

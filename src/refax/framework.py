@@ -438,17 +438,9 @@ class Language:
         placed = _wrap_at_span(sort, wrapper, span, prog)
         if placed is not None:
             return placed
-        candidates: list[Span] = []
-
-        def collect(t: Term) -> None:
-            if t.sort == sort and t.span is not None:
-                candidates.append(t.span)
-            for c in t.children():
-                collect(c)
-
-        collect(prog)
+        spans = focus_paths(mono_tu(SortCase(sort, lambda t: t.span)), prog)
         nearest = sorted(
-            candidates,
+            (at.found for at in spans if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),
                            abs(s.end_line - span.end_line), abs(s.end_col - span.end_col)),
         )[:3]

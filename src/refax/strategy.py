@@ -41,18 +41,19 @@ class, run at every node of its sort, constructs no exception at the
 nodes it passes.
 
 ``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncetd``, ``oncebu``, ``above`` and ``scoped_uses``
-recurse through one Python frame per tree level, with their one-layer step
-written into that frame. All are deterministic: children are tried left to
-right and the first success wins. ``focus_paths`` finds nodes as a zipper
-does (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): one walk with an
-explicit stack yields each node where a query succeeds, in preorder, as a
-``FocusPath`` that keeps only the path to it, so its ancestors can be
+recursive schemes ``oncebu``, ``above`` and ``scoped_uses`` recurse
+through one Python frame per tree level, with their one-layer step written
+into that frame. All are deterministic: children are tried left to right
+and the first success wins. ``focus_paths`` finds nodes as a zipper does
+(Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): one walk with an
+explicit stack yields each node where a strategy succeeds, in preorder, as
+a ``FocusPath`` that keeps only the path to it, so its ancestors can be
 folded over, one picked and the path rebuilt without visiting the rest.
-``above_path`` and ``propagate_path`` are its instances. ``scoped_uses``
-is the free-name scheme: the names a use query yields outside the scope of
-every binder a bind query yields, in one top-down pass that keeps the
-names in scope in a count map.
+``oncetd``, ``above_path`` and ``propagate_path`` are its instances, so
+they spend no Python frame per tree level. ``scoped_uses`` is the
+free-name scheme: the names a use query yields outside the scope of every
+binder a bind query yields, in one top-down pass that keeps the names in
+scope in a count map.
 """
 
 from __future__ import annotations
@@ -439,37 +440,22 @@ def mono_tu(case: SortCase[A]) -> QueryTU[A]:
 
 
 def oncetd_tp(s: TransformTP) -> TransformTP:
-    """Apply ``s`` once, at the first node in preorder where it succeeds."""
-    here = s._attempt
+    """Apply ``s`` once, at the first node in preorder where it succeeds:
+    the first ``FocusPath`` of ``focus_paths``, with only its path rebuilt."""
 
-    def go(t: Term) -> Any:
-        out = here(t)
-        if out is not _FAIL:
-            return out
-        cs = t.children()
-        for i, c in enumerate(cs):
-            out = go(c)
-            if out is not _FAIL:
-                return _with_child(t, cs, i, out)
-        return _FAIL
+    def attempt(t: Term) -> Any:
+        at = next(focus_paths(s, t), None)
+        return _FAIL if at is None else at.rebuild(at.found)
 
-    return _tp(go)
+    return _tp(attempt)
 
 
 def oncetd_tu(q: QueryTU[A]) -> QueryTU[A]:
-    here = q._attempt
+    def attempt(t: Term) -> Any:
+        at = next(focus_paths(q, t), None)
+        return _FAIL if at is None else at.found
 
-    def go(t: Term) -> Any:
-        out = here(t)
-        if out is not _FAIL:
-            return out
-        for c in t.children():
-            out = go(c)
-            if out is not _FAIL:
-                return out
-        return _FAIL
-
-    return _tu(go)
+    return _tu(attempt)
 
 
 def oncebu_tp(s: TransformTP) -> TransformTP:
@@ -538,10 +524,11 @@ def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
 
 @dataclass(slots=True)
 class FocusPath(Generic[A]):
-    """A ``node`` as a zipper holds it: what the query that picked it yielded
-    there (``found``), and its ``path``, each strict ancestor from the root
-    (depth 0) down with its children and the index of the child entered.
-    The rest of the tree is shared, so work on the path costs its length."""
+    """A ``node`` as a zipper holds it: what the strategy that picked it
+    yielded there (``found``), and its ``path``, each strict ancestor from
+    the root (depth 0) down with its children and the index of the child
+    entered. The rest of the tree is shared, so work on the path costs its
+    length."""
 
     found: A
     node: Term
@@ -578,11 +565,11 @@ class FocusPath(Generic[A]):
         return new
 
 
-def focus_paths(select: QueryTU[A], t: Term) -> Iterator[FocusPath[A]]:
-    """Every node of ``t`` where ``select`` succeeds, in preorder, each as
-    a ``FocusPath`` of its own. One walk, with a stack in place of a frame
-    per level, that holds only the path to the node it is at; taking the
-    first costs a search that stops there."""
+def focus_paths(select: _Strategy, t: Term) -> Iterator[FocusPath[Any]]:
+    """Every node of ``t`` where ``select`` (a query or a transformation)
+    succeeds, in preorder, each as a ``FocusPath`` of its own. One walk,
+    with a stack in place of a frame per level, that holds only the path to
+    the node it is at; taking the first costs a search that stops there."""
     here, path = select._attempt, []
     node, cs, i = None, (t,), 0  # the root, as the only child of no node
     while True:

@@ -3,6 +3,7 @@ byte-exact stdout and the documented exit codes, plus output-mode behavior."""
 
 from __future__ import annotations
 
+import stat
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,20 @@ def test_in_place_success_rewrites_atomically(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [work]  # no temp litter
 
 
+def test_in_place_keeps_the_permission_bits(tmp_path, capsys):
+    path, focus = _EXTRACTABLE["minilet"]
+    work = tmp_path / path.name
+    work.write_bytes(path.read_bytes())
+    work.chmod(0o640)
+    code = main([
+        "extract", "--lang", "minilet", "--file", str(work),
+        "--focus", focus, "--name", "helper", "--in-place",
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert work.read_bytes() != path.read_bytes()
+    assert stat.S_IMODE(work.stat().st_mode) == 0o640
+
+
 def test_in_place_failure_leaves_file_byte_identical(tmp_path, capsys):
     work = tmp_path / "account.joos"
     original = (GOLDEN / "joos" / "account.joos").read_bytes()
@@ -265,16 +280,19 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_malformed_span_is_usage_error(capsys):
-    code = main([
-        "extract", "--lang", "joos", "--file", str(GOLDEN / "joos" / "account.joos"),
-        "--focus", "86", "--name", "x",
-    ])
-    assert code == 3
-    code = main([
-        "extract", "--lang", "joos", "--file", str(GOLDEN / "joos" / "account.joos"),
-        "--focus", "9:9-6:1", "--name", "x",
-    ])
-    assert code == 3
+    """A malformed ``--focus`` is a usage error that names its reason."""
+    for focus, reason in [
+        ("86", "malformed span '86', expected L:C-L:C"),
+        ("9:9-6:1", "span '9:9-6:1' is not well-ordered"),
+    ]:
+        code = main([
+            "extract", "--lang", "joos", "--file", str(GOLDEN / "joos" / "account.joos"),
+            "--focus", focus, "--name", "x",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"argument --focus: {reason}\n" in err
+        assert "_span_arg" not in err
 
 
 @pytest.mark.parametrize("depth", [60, 120, 180])

@@ -53,6 +53,7 @@ from refax.strategy import (
     SortCase,
     StrategyFailure,
     all_tu,
+    apply_tp,
     apply_tu,
     choice_tu,
     comb_tu,
@@ -60,7 +61,10 @@ from refax.strategy import (
     fail_tu,
     fix_tu,
     map_tu,
+    mono_tp,
     mono_tu,
+    oncetd_tp,
+    oncetd_tu,
 )
 from refax.terms import Term, accessors
 
@@ -771,9 +775,9 @@ def test_extract_equals_its_public_phases(lang):
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))
 def test_refactorings_leave_no_cycle_holding_the_program(lang):
     """With the cyclic collector off, a program is freed as soon as its last
-    reference goes, after ``extract``, ``introduce``, ``bound_typed_names``
-    or ``mark_host`` has run on it: no pass leaves a reference cycle that
-    holds the tree it walked."""
+    reference goes, after ``extract``, ``introduce``, ``bound_typed_names``,
+    ``mark_host``, ``replace_focus`` or ``wrap_first`` has run on it: no pass
+    leaves a reference cycle that holds the tree it walked."""
     language = LANGUAGES[lang]
     path, span, name = _GOLDEN_EXTRACTS[lang]
     source = (_GOLDEN / path).read_text(encoding="utf-8")
@@ -783,12 +787,16 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
     def fragment_focused():
         return language.place_focus_by_span(source, language.fragment_kind, Span.parse(span))
 
+    sort, wrapper = language.focus_kinds[language.fragment_kind]
     runs = {
         "extract": (fragment_focused, lambda p: language.extract(name, p)),
         "introduce": (lambda: _list_focused(language, list_source), lambda p: language.introduce(decl, p)),
         "bound_typed_names": (
             fragment_focused, lambda p: framework.bound_typed_names(language.declared, language.find, p)),
         "mark_host": (fragment_focused, lambda p: framework.mark_host(language.host, language.find, p)),
+        "replace_focus": (fragment_focused, lambda p: framework.replace_focus(language.find, p)),
+        "wrap_first": (
+            lambda: language.parse(source), lambda p: framework.wrap_first(sort, lambda t: True, wrapper, p)),
     }
     enabled = gc.isenabled()
     gc.disable()
@@ -802,6 +810,23 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_first_preorder_searches_pass_a_deep_left_spine():
+    """``oncetd`` and the framework passes built on it take no Python frame
+    per tree level: on ``1 + 1 + ... + 1 + x``, 3000 terms, the only
+    variable lies at the end of a preorder walk down the whole left spine.
+    Results are checked at the top only, as ``==`` on the tree recurses."""
+    prog = parse_minilet(" + ".join(["1"] * 2999 + ["x"]))
+    var = mast.Var
+    name = SortCase(mast.EXPRESSION, lambda t: t.name, var)
+    assert apply_tu(oncetd_tu(mono_tu(name)), prog) == "x"
+    renamed = apply_tp(oncetd_tp(mono_tp(SortCase(mast.EXPRESSION, lambda t: var("y"), var))), prog)
+    assert renamed.body.right == var("y") and renamed.body.left is prog.body.left
+    wrapped = framework.wrap_first(mast.EXPRESSION, lambda t: isinstance(t, var), mast.ExprFocus, prog)
+    assert wrapped.body.right == mast.ExprFocus(var("x")) and wrapped.body.left is prog.body.left
+    unwrapped = framework.replace_focus(LANGUAGES["minilet"].find, wrapped)
+    assert unwrapped.body.right == var("x") and unwrapped.body.left is prog.body.left
 
 
 # -- visit bounds ----------------------------------------------------------------

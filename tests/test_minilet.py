@@ -311,10 +311,10 @@ def test_span_mismatch_for_fundef_list():
 _CAPTURE = "a new function captures calls to an outer function of the same name"
 
 
-@pytest.mark.xfail(strict=True, reason=_CAPTURE)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CAPTURE)
 def test_extract_keeps_calls_to_an_outer_function_of_the_new_name():
     src = "let f(x) = x + 1; in\n    let g(y) = y * 10; in\n        let h(a) = f(a) + g(a); in h(4)\n"
-    focused = place_focus_by_span(src, "expression", Span.parse("3:27-3:31"))
+    focused = place_focus_by_span(src, "expr", Span.parse("3:27-3:31"))
     try:
         result = LANGUAGE.extract("f", focused)
     except framework.RefactoringError:
@@ -322,7 +322,7 @@ def test_extract_keeps_calls_to_an_outer_function_of_the_new_name():
     assert minilet_gen.eval_program(result) == minilet_gen.eval_program(parse_program(src))
 
 
-@pytest.mark.xfail(strict=True, reason=_CAPTURE)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CAPTURE)
 def test_introduce_keeps_calls_to_an_outer_function_of_the_new_name():
     src = "let f(x) = x + 1; in\n    let g(y) = y; in\n        f(2) * g(3)\n"
     focused = place_focus_by_span(src, "fundeflist", Span.parse("2:9-2:18"))

@@ -116,7 +116,7 @@ def test_append_child_extends_sequence_nodes():
     extra = jast.MethodDecl("void", "n", (), jast.Block(()))
     extended = append_child(method_list, extra)
     assert extended.methods == method_list.methods + (extra,)
-    with pytest.raises(Exception):
+    with pytest.raises(SortMismatch):
         append_child(method_list, Leaf(1))
 
 
