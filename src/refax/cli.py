@@ -8,7 +8,8 @@ reported as one ``internal error: ...`` line without a traceback (the
 source file is untouched). Program text goes to the output stream,
 diagnostics about failures to the error stream, so outputs are pipeable.
 In-place rewriting is atomic (temp file plus rename in the same
-directory) and keeps the file's permission bits.
+directory) and keeps the file's permission bits. Through a symbolic link
+it rewrites the file the link resolves to, so the link stays a link.
 """
 
 from __future__ import annotations
@@ -154,13 +155,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "in_place", False):
-        directory = os.path.dirname(os.path.abspath(args.file))
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        target = os.path.realpath(args.file)
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            shutil.copymode(args.file, tmp_path)
-            os.replace(tmp_path, args.file)
+            shutil.copymode(target, tmp_path)
+            os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)
             raise

@@ -10,14 +10,14 @@ phases, written once for every language.
 
 A refactoring acts at one focus, so the steps that only need the focus
 work on the path from the root to it, not the whole tree: placing the
-focus by span enters only the children whose span encloses it, and
-``Language.extract`` searches for the focus once (``strategy.focus_paths``)
-and then runs every phase on that one ``FocusPath``: the environment is
-folded over the focus's ancestors, the host is picked among them, and only
-the path is rebuilt. The phases also exist one by one, each searching from
-the root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
-``mark_host`` (``strategy.above_path_tp``), ``introduce`` and
-``replace_focus``.
+focus by span is a ``strategy.focus_paths`` walk guided into only the
+children whose span encloses it, and ``Language.extract`` searches for the
+focus once (``focus_paths`` again) and then runs every phase on that one
+``FocusPath``: the environment is folded over the focus's ancestors, the
+host is picked among them, and only the path is rebuilt. The phases also
+exist one by one, each searching from the root: ``bound_typed_names``
+(``strategy.propagate_path_tu``), ``mark_host``
+(``strategy.above_path_tp``), ``introduce`` and ``replace_focus``.
 
 A language participates by filling in its ``Language`` record once:
 ``QueryTU`` analyses for declared and referenced names (free names are
@@ -36,6 +36,7 @@ Everything here manipulates terms only through the uniform protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Span, SpanMismatch
@@ -173,36 +174,6 @@ def wrap_first(
         raise StrategyFailure("not the selected node")
 
     return apply_tp(oncetd_tp(mono_tp(SortCase(sort, put))), prog)
-
-
-def _encloses(outer: Span, inner: Span) -> bool:
-    return (outer.line, outer.col) <= (inner.line, inner.col) and (
-        inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
-
-
-def _wrap_at_span(sort: Sort, wrapper: Callable[[Term], Term], span: Span, prog: Term) -> Term | None:
-    """``prog`` with ``wrapper`` around the first node of ``sort``, in
-    preorder, whose span is ``span``; None when there is none.
-
-    The search enters only children whose span encloses ``span`` (or that
-    have none) and rebuilds only the path to the node, so it costs
-    O(depth · branching), not O(n). It finds what
-    ``wrap_first(sort, lambda t: t.span == span, wrapper, prog)`` finds
-    wherever each child's span lies within its parent's, as the parsers'
-    spans do: a subtree it skips holds no node of span ``span``."""
-
-    def go(t: Term) -> Term | None:  # one frame per tree level
-        if t.sort is sort and t.span == span:
-            return wrapper(t)
-        cs = t.children()
-        for i, c in enumerate(cs):
-            if c.span is None or _encloses(c.span, span):
-                out = go(c)
-                if out is not None:
-                    return t.rebuild(cs[:i] + (out,) + cs[i + 1 :])
-        return None
-
-    return go(prog)
 
 
 def replace_focus(put_focus: SortCase[Term], prog: Term) -> Term:
@@ -430,17 +401,25 @@ class Language:
 
     def place_focus_by_span(self, source: str, kind: str, span: Span) -> Term:
         """Parse ``source`` and wrap the first node of focus kind ``kind``
-        whose source span is exactly ``span``."""
+        whose source span is exactly ``span``, or raise ``SpanMismatch``
+        naming the nearest spans of that kind: two ``focus_paths`` walks
+        over one span query, the first guided by span enclosure."""
         if kind not in self.focus_kinds:
             raise ValueError(f"unknown focus kind {kind!r}")
         sort, wrapper = self.focus_kinds[kind]
         prog = self.parse(source)
-        placed = _wrap_at_span(sort, wrapper, span, prog)
-        if placed is not None:
-            return placed
-        spans = focus_paths(mono_tu(SortCase(sort, lambda t: t.span)), prog)
+        spans = mono_tu(SortCase(sort, attrgetter("span")))
+        start, end = span[:2], span[2:]
+
+        def encloses(c: Term) -> bool:  # spans nest, so no other child holds it
+            s = c.span
+            return s is None or (s[:2] <= start and end <= s[2:])
+
+        for at in focus_paths(spans, prog, encloses):
+            if at.found == span:
+                return at.rebuild(wrapper(at.node))
         nearest = sorted(
-            (at.found for at in spans if at.found is not None),
+            (at.found for at in focus_paths(spans, prog) if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),
                            abs(s.end_line - span.end_line), abs(s.end_col - span.end_col)),
         )[:3]

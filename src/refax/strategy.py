@@ -49,11 +49,13 @@ and the first success wins. ``focus_paths`` finds nodes as a zipper does
 explicit stack yields each node where a strategy succeeds, in preorder, as
 a ``FocusPath`` that keeps only the path to it, so its ancestors can be
 folded over, one picked and the path rebuilt without visiting the rest.
-``oncetd``, ``above_path`` and ``propagate_path`` are its instances, so
-they spend no Python frame per tree level. ``scoped_uses`` is the
-free-name scheme: the names a use query yields outside the scope of every
-binder a bind query yields, in one top-down pass that keeps the names in
-scope in a count map.
+``oncetd``, ``above_path`` and ``propagate_path`` are its instances, as
+are span placement and its ``SpanMismatch`` scan in ``framework``, so they
+spend no Python frame per tree level; placement passes a guide that keeps
+the walk out of the subtrees that cannot hold its span. ``scoped_uses``
+is the free-name scheme: the names a use query yields outside the scope
+of every binder a bind query yields, in one top-down pass that keeps the
+names in scope in a count map.
 """
 
 from __future__ import annotations
@@ -565,16 +567,23 @@ class FocusPath(Generic[A]):
         return new
 
 
-def focus_paths(select: _Strategy, t: Term) -> Iterator[FocusPath[Any]]:
+def focus_paths(
+    select: _Strategy, t: Term, enter: Callable[[Term], bool] | None = None
+) -> Iterator[FocusPath[Any]]:
     """Every node of ``t`` where ``select`` (a query or a transformation)
     succeeds, in preorder, each as a ``FocusPath`` of its own. One walk,
     with a stack in place of a frame per level, that holds only the path to
-    the node it is at; taking the first costs a search that stops there."""
+    the node it is at; taking the first costs a search that stops there.
+    A guide ``enter`` prunes the walk: a child below the root for which it
+    is false is skipped with its whole subtree."""
     here, path = select._attempt, []
     node, cs, i = None, (t,), 0  # the root, as the only child of no node
     while True:
         if i < len(cs):
             c = cs[i]
+            if enter is not None and path and not enter(c):
+                i += 1
+                continue
             path.append((node, cs, i))
             out = here(c)
             if out is not _FAIL:

@@ -178,6 +178,32 @@ def test_in_place_keeps_the_permission_bits(tmp_path, capsys):
     assert stat.S_IMODE(work.stat().st_mode) == 0o640
 
 
+@pytest.mark.parametrize("name,expected_code", [("stash", 0), ("log", 1)])
+def test_in_place_through_a_symlink_rewrites_its_target(name, expected_code, tmp_path, capsys):
+    """``--in-place`` on a symbolic link rewrites the file it points to, in
+    that file's directory, and leaves the link a link; a refused extract
+    leaves both byte-identical."""
+    original = (GOLDEN / "joos" / "account.joos").read_bytes()
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "c.joos"
+    target.write_bytes(original)
+    link = tmp_path / "link.joos"
+    link.symlink_to(target)
+    code = main([
+        "extract", "--lang", "joos", "--file", str(link),
+        "--focus", "6:9-10:10", "--name", name, "--in-place",
+    ])
+    assert code == expected_code, capsys.readouterr().err
+    assert link.is_symlink() and link.resolve() == target
+    if code == 0:
+        expected = (GOLDEN / "expected" / "j-extract-block.out").read_bytes()
+        assert target.read_bytes() == expected
+    else:
+        assert target.read_bytes() == original
+    assert link.read_bytes() == target.read_bytes()
+    assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", target]  # no temp litter
+
+
 def test_in_place_failure_leaves_file_byte_identical(tmp_path, capsys):
     work = tmp_path / "account.joos"
     original = (GOLDEN / "joos" / "account.joos").read_bytes()
@@ -354,6 +380,21 @@ def test_internal_fault_exits_4_without_traceback(tmp_path, capsys, monkeypatch)
     ])
     _assert_internal_error(code, capsys.readouterr(), "RuntimeError")
     assert work.read_text(encoding="utf-8") == source
+
+
+def test_a_span_no_node_has_in_a_long_chain_is_a_span_mismatch(tmp_path, capsys):
+    """Span placement takes no frame per tree level: on a one-line
+    ``let`` whose body is a 3000-term chain, a span that no node has is
+    reported as ``SpanMismatch`` (exit 2), not as a recursion fault."""
+    work = tmp_path / "chain.mlt"
+    work.write_text("let f(x) = x; in " + " + ".join(["1"] * 3000) + "\n", encoding="utf-8")
+    code = main([
+        "extract", "--lang", "minilet", "--file", str(work),
+        "--focus", "1:18-1:20", "--name", "h",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("SpanMismatch: no expr node covers exactly 1:18-1:20;")
 
 
 def test_nesting_past_the_limit_exits_4(tmp_path, capsys):

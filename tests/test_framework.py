@@ -813,11 +813,14 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
 
 
 def test_first_preorder_searches_pass_a_deep_left_spine():
-    """``oncetd`` and the framework passes built on it take no Python frame
-    per tree level: on ``1 + 1 + ... + 1 + x``, 3000 terms, the only
-    variable lies at the end of a preorder walk down the whole left spine.
-    Results are checked at the top only, as ``==`` on the tree recurses."""
-    prog = parse_minilet(" + ".join(["1"] * 2999 + ["x"]))
+    """``oncetd``, span placement and the framework passes built on them
+    take no Python frame per tree level: on ``1 + 1 + ... + 1 + x``, 3000
+    terms, the only variable lies at the end of a preorder walk down the
+    whole left spine, and the first term at the bottom of it. Results are
+    checked at the top and along the spine only, as ``==`` on the tree
+    recurses."""
+    source = " + ".join(["1"] * 2999 + ["x"])
+    prog = parse_minilet(source)
     var = mast.Var
     name = SortCase(mast.EXPRESSION, lambda t: t.name, var)
     assert apply_tu(oncetd_tu(mono_tu(name)), prog) == "x"
@@ -827,6 +830,18 @@ def test_first_preorder_searches_pass_a_deep_left_spine():
     assert wrapped.body.right == mast.ExprFocus(var("x")) and wrapped.body.left is prog.body.left
     unwrapped = framework.replace_focus(LANGUAGES["minilet"].find, wrapped)
     assert unwrapped.body.right == var("x") and unwrapped.body.left is prog.body.left
+
+    minilet = LANGUAGES["minilet"]
+    end = 4 * 2999 + 1
+    placed = minilet.place_focus_by_span(source, "expr", Span(1, end, 1, end + 1))
+    assert placed.body.right == mast.ExprFocus(var("x"))
+    placed = minilet.place_focus_by_span(source, "expr", Span(1, 1, 1, 2))
+    t, levels = placed.body, 0
+    while isinstance(t, mast.BinOp):
+        t, levels = t.left, levels + 1
+    assert levels == 2999 and t == mast.ExprFocus(mast.IntLit(1))
+    with pytest.raises(SpanMismatch):
+        minilet.place_focus_by_span(source, "expr", Span(1, 1, 1, 3))
 
 
 # -- visit bounds ----------------------------------------------------------------
@@ -913,6 +928,13 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
     assert extract_calls <= 1.5 * n
     if depth == 40 and innermost:
         assert extract_calls <= 1565
+    # Placement calls ``children`` only on nodes whose span encloses the
+    # focus, however large the rest of the tree; the counts are pinned.
+    placing = _children_calls(
+        monkeypatch, prog, lambda: minilet.LANGUAGE.place_focus_by_span(source, "expr", span)
+    ) - _children_calls(monkeypatch, prog, lambda: minilet.LANGUAGE.parse(source))
+    assert placing == {(10, False): 14, (10, True): 46, (20, False): 14, (20, True): 86,
+                       (40, False): 14, (40, True): 166}[depth, innermost]
     assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 0.05 * n
 
 

@@ -29,6 +29,7 @@ from refax.strategy import (
     fail_tp,
     fail_tu,
     fix_tu,
+    focus_paths,
     id_tp,
     let_tu,
     map_tu,
@@ -443,6 +444,57 @@ def test_above_path_takes_the_first_below_node_in_preorder():
     t = Tag("a", Node(Leaf(9), Tag("b", Leaf(9))))
     assert outcome_tp(above_path_tp(mark, nine), t) == ("ok", Tag("hit", t))
     assert outcome_tp(above_tp(mark, nine), t) == ("ok", Tag("a", Node(Leaf(9), Tag("hit", Tag("b", Leaf(9))))))
+
+
+def test_guided_focus_paths_keep_exactly_the_paths_the_guide_admits():
+    """With no guide, ``focus_paths`` yields every node ``select`` accepts,
+    in preorder, each with what ``select`` yields there and a path that
+    rebuilds the tree. Over random trees and random guides, the guided walk
+    yields exactly the unguided walk's paths whose nodes below the root all
+    pass the guide, in the same order, with the same ``found``, node and
+    rebuilt tree. The guide is asked about no node below one it refused,
+    nor about the root."""
+    rng = random.Random(41)
+    marker = Leaf(-1)
+
+    def records(paths):
+        return [(at.found, id(at.node), at.rebuild(marker)) for at in paths]
+
+    kept = pruned = 0
+    for t in sample_trees(80, seed=43, twig_chance=0.2):
+        nodes = preorder(t)
+        parent = {id(c): u for u in nodes for c in u.children()}
+
+        def below_root(u):  # ``u`` and its strict ancestors, the root excluded
+            while id(u) in parent:
+                yield u
+                u = parent[id(u)]
+
+        for select, outcome in ((mono_tu(SortCase(FIXTURE, lambda u: u)), outcome_tu),
+                                (mono_tu(leaf_value), outcome_tu), (mono_tp(inc_leaf), outcome_tp)):
+            unguided = list(focus_paths(select, t))
+            outcomes = [(outcome(select, u), id(u)) for u in nodes]
+            assert [(at.found, id(at.node)) for at in unguided] == [
+                (found, node) for (kind, found), node in outcomes if kind == "ok"]
+            assert all(at.rebuild(at.node) == t for at in unguided)
+            for rate in (0.1, 0.4):
+                refused = {id(u) for u in nodes if rng.random() < rate}
+                asked = []
+
+                def enter(c):
+                    asked.append(c)
+                    return id(c) not in refused
+
+                guided = records(focus_paths(select, t, enter))
+                admitted = [at for at in unguided
+                            if not any(id(u) in refused for u in below_root(at.node))]
+                assert guided == records(admitted)
+                assert all(c is not t for c in asked)
+                assert all(not any(id(u) in refused for u in below_root(parent[id(c)]))
+                           for c in asked)
+                kept += len(guided)
+                pruned += len(unguided) - len(guided)
+    assert kept > 500 and pruned > 500
 
 
 # -- the raising formulations, kept as references ---------------------------------
