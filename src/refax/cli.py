@@ -1,8 +1,9 @@
 """Command-line driver: parse, place a focus, refactor, check and dump.
 
 Exit codes: 0 success; 1 a refactoring precondition failed (the source
-file is untouched); 2 parse or span errors, or an input file that cannot
-be read (missing, or not UTF-8 text); 3 usage errors; 4 internal error:
+file is untouched); 2 parse or span errors, an input file that cannot be
+read (missing, or not UTF-8 text), or an ``--output`` path that cannot be
+written (say, in a missing directory); 3 usage errors; 4 internal error:
 any other exception, including input nested past the recursion limit,
 reported as one ``internal error: ...`` line without a traceback (the
 source file is untouched). Program text goes to the output stream,

@@ -14,10 +14,12 @@ focus by span is a ``strategy.focus_paths`` walk guided into only the
 children whose span encloses it, and ``Language.extract`` searches for the
 focus once (``focus_paths`` again) and then runs every phase on that one
 ``FocusPath``: the environment is folded over the focus's ancestors, the
-host is picked among them, and only the path is rebuilt. The phases also
-exist one by one, each searching from the root: ``bound_typed_names``
-(``strategy.propagate_path_tu``), ``mark_host``
-(``strategy.above_path_tp``), ``introduce`` and ``replace_focus``.
+host is picked among them, only the path is rebuilt, with the application
+in place of the focus, and ``extract`` ends with ``introduce`` on the
+marked host. The phases also exist one by one, each searching from the
+root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
+``mark_host`` (``strategy.above_path_tp``), ``introduce`` and
+``replace_focus``.
 
 A language participates by filling in its ``Language`` record once:
 ``QueryTU`` analyses for declared and referenced names (free names are
@@ -41,7 +43,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Span, SpanMismatch
 from .strategy import (
-    FocusPath,
     QueryTU,
     SortCase,
     StrategyFailure,
@@ -276,23 +277,10 @@ def introduce(
     abstr: Term,
     prog: Term,
 ) -> Term:
-    """Append ``abstr`` to the focused abstraction list, provided its name
-    is neither defined by the list nor free within it. One search, and only
-    the path to the list is rebuilt."""
-    at = _checked_list(declared, referenced, find2, sig, abstr, prog)
-    return at.rebuild(append_child(at.found, abstr))
-
-
-def _checked_list(
-    declared: QueryTU[Sequence[NameTypePair]],
-    referenced: QueryTU[Sequence[str]],
-    find2: SortCase[Term],
-    sig: AbstractionSignature,
-    abstr: Term,
-    prog: Term,
-) -> FocusPath[Term]:
-    """The first list focus in ``prog``, once the ``NameClash`` rule has
-    found ``abstr``'s name neither defined by the list nor free within it."""
+    """Append ``abstr`` to the first list focus in ``prog``, provided its
+    name is neither defined by the list nor free within it (the
+    ``NameClash`` rule). One search, and only the path to the list is
+    rebuilt. ``Language.extract`` ends with this call."""
     at = next(focus_paths(mono_tu(find2), prog), None)
     if at is None:
         raise NoFocus()
@@ -301,7 +289,7 @@ def _checked_list(
     defs = tuple(sig.get_abs_name(a) for a in at.found.children())
     if name in frees or name in defs:
         raise NameClash(name)
-    return at
+    return at.rebuild(append_child(at.found, abstr))
 
 
 @dataclass(frozen=True)
@@ -353,14 +341,16 @@ class Language:
 
         The phases share one ``FocusPath``: one walk finds the first
         fragment focus in preorder, ``declared`` is folded over its
-        ancestors (``bound_typed_names``), the host is the deepest ancestor
-        that ``host`` accepts (``mark_host``), the ``NameClash`` rule runs
-        over the host's list with the fragment still in place
-        (``introduce``), and only the path is rebuilt, with the application
-        in place of the focus (``replace_focus``) and the abstraction
-        appended at the host. The same walk goes on over the rest of the
-        tree: any other fragment or list wrapper would be left behind, so
-        after every precondition it raises ``RuntimeError``.
+        ancestors (``bound_typed_names``), and the host is the deepest
+        ancestor that ``host`` accepts (``mark_host``). Only the path below
+        the host is rebuilt, with the application in place of the focus
+        (``replace_focus``); the host is marked, and ``introduce`` appends
+        the abstraction to its list under the ``NameClash`` rule. The
+        fragment's free names are the application's actuals, so the rule
+        judges the list as it would with the fragment in place. The same
+        walk goes on over the rest of the tree: any other fragment or list
+        wrapper would be left behind, so after every precondition it raises
+        ``RuntimeError``.
         """
         declared, referenced, find, find2, sig = (
             self.declared, self.referenced, self.find, self.find2, self.signature)
@@ -378,21 +368,20 @@ class Language:
         pairs = free_typed_names(declared, referenced, env, fragment)
         formals = sig.make_formals(pairs)
         abstr = sig.make_abstraction(new_name, formals, sig.body_from_fragment(fragment))
-        host = at.deepest(mono_tp(self.host))
+        hosting = mono_tp(self.host)
+        host = at.deepest(hosting)
         if host is None:
             raise NoHost()
-        depth, marked = host
-        # The rule runs on the first list focus in preorder once the host is
-        # marked: the host's own, unless a list focus came before the focus.
-        _checked_list(declared, referenced, find2, sig, abstr,
-                    at.rebuild(marked, bottom=depth) if stray else marked)
+        depth = host[0]
         app = sig.fragment_from_application(sig.make_application(new_name, sig.make_actuals(pairs)))
+        marked = apply_tp(hosting, at.rebuild(app, top=depth))
+        # The abstraction goes into the first list focus in preorder: the
+        # host's own, unless a list focus came before the focus.
+        extended = introduce(declared, referenced, find2, sig, abstr,
+                             at.rebuild(marked, bottom=depth) if stray else marked)
         if stray or next(wrappers, None) is not None:
             raise RuntimeError("extraction left a focus wrapper behind")
-        # The host marks its list again, now with the application below it.
-        marked = apply_tp(mono_tp(self.host), at.rebuild(app, top=depth))
-        listed = next(focus_paths(mono_tu(find2), marked))
-        return at.rebuild(listed.rebuild(append_child(listed.found, abstr)), bottom=depth)
+        return at.rebuild(extended, bottom=depth)
 
     def introduce(self, decl: Term, prog: Term) -> Term:
         """Append ``decl`` to the focused abstraction list, rejecting name

@@ -151,6 +151,22 @@ def test_output_to_file(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == expected
 
 
+def test_output_that_cannot_be_written_reports_io_error(tmp_path, capsys):
+    """An ``--output`` path in a directory that does not exist is exit 2
+    with one ``error: ...`` line naming it, and nothing is created."""
+    out_path = tmp_path / "missing" / "result.joos"
+    code = main([
+        "extract", "--lang", "joos", "--file", str(GOLDEN / "joos" / "account.joos"),
+        "--focus", "6:9-10:10", "--name", "stash", "--output", str(out_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out_path) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_in_place_success_rewrites_atomically(tmp_path, capsys):
     work = tmp_path / "account.joos"
     work.write_bytes((GOLDEN / "joos" / "account.joos").read_bytes())

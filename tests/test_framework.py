@@ -922,12 +922,13 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
 
     # One walk of the tree, and the innermost let's short list once more for
     # the ``NameClash`` rule. Each further search for the focus would add
-    # its preorder position (434 nodes for the innermost of 40 lets).
+    # its preorder position (434 nodes for the innermost of 40 lets). The
+    # counts are pinned.
     extract_calls = _children_calls(monkeypatch, prog, extracting)
     assert marking <= 2 * n
     assert extract_calls <= 1.5 * n
-    if depth == 40 and innermost:
-        assert extract_calls <= 1565
+    assert extract_calls == {(10, False): 132, (10, True): 148, (20, False): 242, (20, True): 278,
+                             (40, False): 462, (40, True): 538}[depth, innermost]
     # Placement calls ``children`` only on nodes whose span encloses the
     # focus, however large the rest of the tree; the counts are pinned.
     placing = _children_calls(
@@ -981,7 +982,7 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 0.05 * n
     source, span = _wide_class(600)
     prog = language.place_focus_by_span(source, "statement", span)
-    assert _children_calls(monkeypatch, prog, extracting) <= 16549
+    assert _children_calls(monkeypatch, prog, extracting) == 13223
 
     counts = []
     for methods in (60, 600):

@@ -13,6 +13,7 @@ from refax.joos import (
     ast,
     check_extractable,
     extract_method,
+    focus_class_methods,
     introduce_method,
     parse_method,
     parse_program,
@@ -342,3 +343,53 @@ def test_introduce_method_appends_fresh():
     assert static_check(out) == []
     with pytest.raises(NameClash):
         introduce_method(parse_method("void a() { }"), focused)
+
+
+# -- known defects ------------------------------------------------------------
+# Each test states what a correct refactoring owes and fails today; strict, so
+# a fix shows up as an unexpected pass.
+
+# A new method named like a method the class calls but does not define
+# captures those calls: call names are not free names, so the NameClash rule
+# sees neither the call in the list nor the missing definition.
+_CALL_CAPTURE = "a new method captures calls to an undefined method of the same name"
+_UNDEFINED_ZZ = "C.run: call of undefined method 'zz'"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CALL_CAPTURE)
+def test_extract_keeps_calls_to_an_undefined_method_of_the_new_name():
+    src = "class C { void run(int x) { this.zz(x); { this.run(x); } } }"
+    assert static_check(parse_program(src)) == [_UNDEFINED_ZZ]
+    focused = _focus_first_stmt(src, stmt=1)
+    try:
+        result = extract_method("zz", focused)
+    except framework.RefactoringError:
+        return
+    assert _UNDEFINED_ZZ in static_check(result)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CALL_CAPTURE)
+def test_introduce_keeps_calls_to_an_undefined_method_of_the_new_name():
+    prog = parse_program("class C { void run(int x) { this.zz(x); } }")
+    assert static_check(prog) == [_UNDEFINED_ZZ]
+    try:
+        result = introduce_method(parse_method("void zz(int y) { this.run(y); }"), focus_class_methods(prog, "C"))
+    except framework.RefactoringError:
+        return
+    assert _UNDEFINED_ZZ in static_check(result)
+
+
+# A field read after a call that assigns the field is passed by value, as it
+# stood before the call: the fragment only assigns free names through the
+# call, which the AssignsFreeVariable check does not see.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a field read after a call that assigns it becomes a parameter snapshot")
+def test_extract_does_not_snapshot_a_field_a_call_assigns():
+    src = ("class C { int f; void m() { { this.inc(); this.use(f); } }"
+           " void inc() { f = f + 1; } void use(int x) { } }")
+    try:
+        result = extract_method("helper", _focus_first_stmt(src))
+    except framework.RefactoringError:
+        return
+    new = result.classes[0].methods.methods[-1]
+    assert "f" not in [g.name for g in new.formals]
