@@ -6,13 +6,13 @@ boolean) and method types (result plus parameter types).
 
 The queries feed the generic framework:
 
-* ``declared_pairs`` succeeds on binding constructs with the name-type
-  pairs they put in scope for their subtree: a block contributes its
-  immediate local declarations, a method its own header pair and its
-  parameters, a class its fields and the headers of its methods. Blocks
-  and classes are always binders, so one that declares nothing yields
-  ``()``. It also succeeds on the declaring nodes themselves (local
-  declarations, formals, fields) with their single pair.
+* ``binds`` states the variable scopes once: a block binds its immediate
+  local declarations, throughout the block; a method its parameters (the
+  class binds its header); a class its method headers and then its
+  fields, so a field hides a method of the same name.
+* ``declared_pairs`` succeeds on exactly those binders with ``binds``
+  typed (``MethodType`` for a header, ``ExprType`` otherwise), so a
+  block or class that declares nothing yields ``()``.
 * ``defined_names`` succeeds on assignments with the assigned name.
 * ``used_names`` succeeds on identifier expressions. Call names are
   member references resolved at class scope, not variable uses, so they
@@ -20,16 +20,18 @@ The queries feed the generic framework:
   unchanged and can never become parameters).
 * ``referenced_names`` is the choice of the two.
 
-``static_check`` resolves every use the same way a compiler frontend
-would (declarations are visible throughout their block) and reports
-unresolved names, duplicate methods, arity mismatches and assignments to
-non-variables. It is not a type checker. A focus wrapper is rejected
-(``FocusPresent``) where the check meets one.
+``static_check`` resolves every variable use through frames of what
+``binds`` yields at the class, the method and each block, and never types a
+declaration. It reports unresolved names, duplicate methods, arity
+mismatches and assignments to non-variables (method headers). It is not
+a type checker. A focus wrapper is rejected (``FocusPresent``) where
+the check meets one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, choice_tu, mono_tu
@@ -53,46 +55,33 @@ class MethodType:
         return f"({', '.join(self.params)}) -> {self.result}"
 
 
-def _method_header_pair(m: ast.MethodDecl) -> NameTypePair:
-    return NameTypePair(m.name, MethodType(m.return_type, tuple(f.type_name for f in m.formals)))
+def binds(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> Sequence[ast.JoosNode]:
+    """The declarations the binder ``t`` puts in scope over its subtree; a
+    later one hides an earlier one of the same name."""
+    if isinstance(t, ast.Block):
+        return [s for s in t.statements if isinstance(s, ast.LocalVarDecl)]
+    if isinstance(t, ast.MethodDecl):
+        return t.formals
+    methods = t.methods.methods if isinstance(t.methods, ast.MethodList) else ()
+    return methods + t.fields
 
 
-def _formal_pairs(m: ast.MethodDecl) -> tuple[NameTypePair, ...]:
-    return tuple(NameTypePair(f.name, ExprType(f.type_name)) for f in m.formals)
+def _pair(d: ast.JoosNode) -> NameTypePair:
+    if isinstance(d, ast.MethodDecl):
+        return NameTypePair(d.name, MethodType(d.return_type, tuple(f.type_name for f in d.formals)))
+    return NameTypePair(d.name, ExprType(d.type_name))
 
 
-def _declared_statement(t: ast.LocalVarDecl | ast.Block) -> tuple[NameTypePair, ...]:
-    if isinstance(t, ast.LocalVarDecl):
-        return (NameTypePair(t.name, ExprType(t.type_name)),)
-    return tuple(
-        NameTypePair(s.name, ExprType(s.type_name))
-        for s in t.statements if isinstance(s, ast.LocalVarDecl)
-    )
-
-
-def _declared_method(t: ast.MethodDecl) -> tuple[NameTypePair, ...]:
-    return (_method_header_pair(t),) + _formal_pairs(t)
-
-
-def _declared_class(t: ast.ClassDecl) -> tuple[NameTypePair, ...]:
-    pairs = [NameTypePair(f.name, ExprType(f.type_name)) for f in t.fields]
-    if isinstance(t.methods, ast.MethodList):
-        pairs.extend(_method_header_pair(m) for m in t.methods.methods)
-    return tuple(pairs)
+def _declared(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> tuple[NameTypePair, ...]:
+    return tuple(map(_pair, binds(t)))
 
 
 declared_pairs: QueryTU = choice_tu(
     choice_tu(
-        mono_tu(SortCase(ast.STATEMENT, _declared_statement, (ast.LocalVarDecl, ast.Block))),
-        mono_tu(SortCase(ast.METHOD, _declared_method)),
+        mono_tu(SortCase(ast.STATEMENT, _declared, ast.Block)),
+        mono_tu(SortCase(ast.METHOD, _declared)),
     ),
-    choice_tu(
-        choice_tu(
-            mono_tu(SortCase(ast.CLASS, _declared_class)),
-            mono_tu(SortCase(ast.FORMAL, lambda t: (NameTypePair(t.name, ExprType(t.type_name)),))),
-        ),
-        mono_tu(SortCase(ast.FIELD, lambda t: (NameTypePair(t.name, ExprType(t.type_name)),))),
-    ),
+    mono_tu(SortCase(ast.CLASS, _declared)),
 )
 
 
@@ -109,8 +98,6 @@ referenced_names: QueryTU = choice_tu(defined_names, used_names)
 # Static checking
 # ---------------------------------------------------------------------------
 
-_VAR = "variable"
-_METHOD = "method"
 _WRAPPED = "static check requires a wrapper-free program"
 
 
@@ -133,14 +120,17 @@ def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:
             diags.append(f"class {cls.name}: duplicate method '{m.name}'")
         else:
             arities[m.name] = len(m.formals)
-    class_scope = {m.name: _METHOD for m in methods}
-    class_scope.update({f.name: _VAR for f in cls.fields})
+    class_frame = _frame(binds(cls))
     for m in methods:
-        scopes = [class_scope, {f.name: _VAR for f in m.formals}]
+        scopes = [class_frame, _frame(binds(m))]
         _check_stmt(m.body, scopes, arities, f"{cls.name}.{m.name}", diags)
 
 
-def _resolve(name: str, scopes: list[dict[str, str]]) -> str | None:
+def _frame(decls: Sequence[ast.JoosNode]) -> dict[str, ast.JoosNode]:
+    return {d.name: d for d in decls}
+
+
+def _resolve(name: str, scopes: list[dict[str, ast.JoosNode]]) -> ast.JoosNode | None:
     for scope in reversed(scopes):
         if name in scope:
             return scope[name]
@@ -149,19 +139,21 @@ def _resolve(name: str, scopes: list[dict[str, str]]) -> str | None:
 
 def _check_stmt(s, scopes, arities, where, diags) -> None:
     if isinstance(s, ast.Block):
-        frame = {d.name: _VAR for d in s.statements if isinstance(d, ast.LocalVarDecl)}
-        scopes.append(frame)
+        decls = binds(s)
+        if decls:  # no empty frame for the uses below to search
+            scopes.append(_frame(decls))
         for inner in s.statements:
             _check_stmt(inner, scopes, arities, where, diags)
-        scopes.pop()
+        if decls:
+            scopes.pop()
     elif isinstance(s, ast.LocalVarDecl):
         if s.init is not None:
             _check_expr(s.init, scopes, arities, where, diags)
     elif isinstance(s, ast.Assign):
-        kind = _resolve(s.name, scopes)
-        if kind is None:
+        decl = _resolve(s.name, scopes)
+        if decl is None:
             diags.append(f"{where}: assignment to undeclared variable '{s.name}'")
-        elif kind != _VAR:
+        elif isinstance(decl, ast.MethodDecl):
             diags.append(f"{where}: assignment to non-variable '{s.name}'")
         _check_expr(s.value, scopes, arities, where, diags)
     elif isinstance(s, ast.If):

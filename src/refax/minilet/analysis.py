@@ -1,16 +1,17 @@
 """Name analyses for minilet.
 
-A function definition binds its own name and its formal parameters, all
-with the universal type ``"val"``; identifier expressions are the
-referencing occurrences. As in the JOOS instantiation, call names are
-references to functions that stay in scope across an extraction, so they
-are not part of the free-name currency.
+Variables are the parameters of function definitions: ``binds`` states
+that scope once, ``declared_pairs`` types it with the universal type
+``"val"`` and ``resolution_check`` reads it. Function names are not
+variables: a let binds them over all its definitions (letrec scoping) in
+the call name space, which only calls reference, so as in JOOS they are
+not part of the free-name currency. ``referenced_names`` succeeds on
+identifier expressions.
 
 ``resolution_check`` backs the CLI's check command: unbound variables,
 calls to undefined functions, call-arity mismatches and duplicate names
-within one definition list. Definitions in a list are mutually visible
-(letrec scoping). A focus wrapper is rejected (``FocusPresent``) where
-the check meets one.
+within one definition list. A focus wrapper is rejected
+(``FocusPresent``) where the check meets one.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from ..strategy import QueryTU, SortCase, mono_tu
 from . import ast
 
 
-def _declared_fundef(t: ast.FunDef) -> tuple[NameTypePair, ...]:
-    return (NameTypePair(t.name, ast.VAL),) + tuple(
-        NameTypePair(p, ast.VAL) for p in t.params
-    )
+def binds(t: ast.FunDef) -> tuple[str, ...]:
+    """The variables the binder ``t`` puts in scope over its body."""
+    return t.params
 
 
-declared_pairs: QueryTU = mono_tu(SortCase(ast.FUNDEF, _declared_fundef))
+declared_pairs: QueryTU = mono_tu(
+    SortCase(ast.FUNDEF, lambda t: tuple(NameTypePair(p, ast.VAL) for p in binds(t)))
+)
 referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, lambda t: (t.name,), ast.Var))
 
 
@@ -72,7 +74,7 @@ def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str
             dup = [p for p in fd.params if fd.params.count(p) > 1]
             if dup:
                 diags.append(f"duplicate parameter '{dup[0]}' of '{fd.name}'")
-            _check_expr(fd.body, inner, vars_ | frozenset(fd.params), diags)
+            _check_expr(fd.body, inner, vars_ | frozenset(binds(fd)), diags)
         _check_expr(e.body, inner, vars_, diags)
     elif not isinstance(e, ast.IntLit):
         raise FocusPresent(_WRAPPED)

@@ -26,12 +26,6 @@ def joos_refs_at(node) -> list[str]:
 
 
 def joos_binds_at(node) -> list[NameTypePair]:
-    if isinstance(node, jast.LocalVarDecl):
-        return [NameTypePair(node.name, ExprType(node.type_name))]
-    if isinstance(node, jast.Formal):
-        return [NameTypePair(node.name, ExprType(node.type_name))]
-    if isinstance(node, jast.FieldDecl):
-        return [NameTypePair(node.name, ExprType(node.type_name))]
     if isinstance(node, jast.Block):
         return [
             NameTypePair(s.name, ExprType(s.type_name))
@@ -39,12 +33,10 @@ def joos_binds_at(node) -> list[NameTypePair]:
             if isinstance(s, jast.LocalVarDecl)
         ]
     if isinstance(node, jast.MethodDecl):
-        header = NameTypePair(
-            node.name, MethodType(node.return_type, tuple(f.type_name for f in node.formals))
-        )
-        return [header] + [NameTypePair(f.name, ExprType(f.type_name)) for f in node.formals]
+        return [NameTypePair(f.name, ExprType(f.type_name)) for f in node.formals]
     if isinstance(node, jast.ClassDecl):
-        pairs = [NameTypePair(f.name, ExprType(f.type_name)) for f in node.fields]
+        # method headers first, so that a field hides a method of its name
+        pairs = []
         if isinstance(node.methods, jast.MethodList):
             for m in node.methods.methods:
                 pairs.append(
@@ -52,6 +44,7 @@ def joos_binds_at(node) -> list[NameTypePair]:
                         m.name, MethodType(m.return_type, tuple(f.type_name for f in m.formals))
                     )
                 )
+        pairs.extend(NameTypePair(f.name, ExprType(f.type_name)) for f in node.fields)
         return pairs
     return []
 
@@ -113,10 +106,8 @@ def minilet_refs_at(node) -> list[str]:
 
 
 def minilet_binds_at(node) -> list[NameTypePair]:
-    if isinstance(node, mast.FunDef):
-        return [NameTypePair(node.name, mast.VAL)] + [
-            NameTypePair(p, mast.VAL) for p in node.params
-        ]
+    if isinstance(node, mast.FunDef):  # the name is in the call name space
+        return [NameTypePair(p, mast.VAL) for p in node.params]
     return []
 
 

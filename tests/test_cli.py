@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from refax.cli import main
+from refax.minilet import parse_program as parse_minilet
 
-from .minilet_gen import nested_lets
+from .minilet_gen import eval_program, nested_lets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -425,3 +426,69 @@ def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
     ])
     _assert_internal_error(code, capsys.readouterr(), "RecursionError")
     assert work.read_text(encoding="utf-8") == source
+
+
+# -- one binding model: what ``check`` resolves, ``extract`` reads ------------
+
+_SHADOWING_FUNCTION = "let f(x) =\n  let x(y) = x + y; in x(1);\nin f(2)\n"
+
+_FIELD_AND_METHOD = """class C {
+    int f;
+    int f() {
+        return 1;
+    }
+    void use(int x) {
+    }
+    void m() {
+        this.use(f);
+    }
+}
+"""
+
+_LONE_DECLARATION = """class C {
+    void m(boolean b, int x) {
+        if (b) int x = x;
+    }
+}
+"""
+
+
+def _extract_then_check(lang, source, focus, tmp_path, capsys) -> str:
+    """Extract ``focus`` of ``source`` into ``g``, assert both the input
+    and the output pass ``check``, and return the output."""
+    src = tmp_path / f"in.{lang}"
+    src.write_text(source, encoding="utf-8")
+    assert main(["check", "--lang", lang, "--file", str(src)]) == 0
+    capsys.readouterr()
+    code = main(["extract", "--lang", lang, "--file", str(src), "--focus", focus, "--name", "g"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    result = tmp_path / f"out.{lang}"
+    result.write_text(out, encoding="utf-8")
+    code = main(["check", "--lang", lang, "--file", str(result)])
+    assert code == 0, capsys.readouterr().out
+    return out
+
+
+def test_extract_keeps_a_variable_a_local_function_name_shadows(tmp_path, capsys):
+    """A function's own name is in the call name space: inside the local
+    ``x(y) = x + y``, ``x`` is still ``f``'s parameter, so it is free in
+    the fragment and becomes a parameter of ``g``."""
+    out = _extract_then_check("minilet", _SHADOWING_FUNCTION, "2:3-2:28", tmp_path, capsys)
+    assert "g(x)" in out
+    assert eval_program(parse_minilet(_SHADOWING_FUNCTION)) == 3
+    assert eval_program(parse_minilet(out)) == 3
+
+
+def test_extract_passes_a_field_that_hides_a_method_of_its_name(tmp_path, capsys):
+    """As in ``check``, the field ``f`` hides the method ``f``: the
+    fragment reads the field, which becomes an ``int`` parameter."""
+    out = _extract_then_check("joos", _FIELD_AND_METHOD, "9:9-9:21", tmp_path, capsys)
+    assert "void g(int f) {" in out
+
+
+def test_extract_passes_a_variable_a_lone_declaration_reads(tmp_path, capsys):
+    """A declaration outside a block binds nothing, as in ``check``: its
+    initializer reads the parameter ``x``, which becomes a parameter."""
+    out = _extract_then_check("joos", _LONE_DECLARATION, "3:9-3:26", tmp_path, capsys)
+    assert "void g(boolean b, int x) {" in out

@@ -60,6 +60,7 @@ from refax.strategy import (
     const_tu,
     fail_tu,
     fix_tu,
+    focus_paths,
     map_tu,
     mono_tp,
     mono_tu,
@@ -280,6 +281,85 @@ def test_free_names_equal_the_bottom_up_reference():
     assert framework.free_names(_TAG_BINDS, _TAG_AND_LEAF_USES, nested) == ("v2",)
 
 
+def _rename_some(t, rng, renamed, pool):
+    """``t`` with the ``name`` of some nodes of the classes ``renamed``
+    replaced by a name drawn from ``pool``."""
+    t = t.rebuild([_rename_some(c, rng, renamed, pool) for c in t.children()])
+    if isinstance(t, renamed) and rng.random() < 0.2:
+        return dataclasses.replace(t, name=rng.choice(pool))
+    return t
+
+
+def _nodes(t):
+    yield t
+    for c in t.children():
+        yield from _nodes(c)
+
+
+def _uses_in_env(declared, uses, prog):
+    """Each node where ``uses`` succeeds, in preorder, with the record's
+    environment there: ``declared`` folded over the node's ancestors."""
+
+    def scope(env):
+        return map_tu(lambda pairs: env + tuple(pairs), declared)
+
+    for at in focus_paths(uses, prog):
+        yield at, at.fold((), scope)
+
+
+def test_check_resolves_variables_as_the_record_declares_them():
+    """One binding model: at every variable use of seeded programs whose
+    names are partly scrambled, ``check`` reports the use unresolved exactly
+    when the record's environment there holds no pair of that name, and a
+    JOOS assignment is to a non-variable exactly when the innermost pair is
+    a method header. Scrambling declarations too lets a field take a
+    method's name and a local function a parameter's."""
+    from refax.joos import static_check
+    from refax.minilet import resolution_check
+
+    rng = random.Random(2121)
+    joos_renamed = (jast.VarRef, jast.Assign, jast.LocalVarDecl, jast.Formal,
+                    jast.FieldDecl, jast.MethodDecl)
+    variable_diags = (": unresolved name '", ": assignment to undeclared variable '",
+                      ": assignment to non-variable '")
+    misses = to_methods = 0
+    for _ in range(300):
+        prog = joos_gen.gen_program(rng)
+        pool = sorted({n.name for n in _nodes(prog) if isinstance(n, joos_renamed)})
+        prog = _rename_some(prog, rng, joos_renamed, pool + ["zz"])
+        expected = []
+        for at, env in _uses_in_env(joos_declared, joos_referenced, prog):
+            cls, method = (next(a for a, _, _ in at.path if isinstance(a, kind))
+                           for kind in (jast.ClassDecl, jast.MethodDecl))
+            where, name, pair = f"{cls.name}.{method.name}", at.node.name, env_lookup(env, at.node.name)
+            if isinstance(at.node, jast.VarRef):
+                if pair is None:
+                    expected.append(f"{where}: unresolved name '{name}'")
+            elif pair is None:
+                expected.append(f"{where}: assignment to undeclared variable '{name}'")
+            elif isinstance(pair.tpe, MethodType):
+                expected.append(f"{where}: assignment to non-variable '{name}'")
+                to_methods += 1
+        assert [d for d in static_check(prog) if any(k in d for k in variable_diags)] == expected
+        misses += len(expected)
+
+    mini_renamed = (mast.Var, mast.FunDef)
+    for _ in range(300):
+        prog = minilet_gen.gen_program(rng)
+        pool = sorted({n.name for n in _nodes(prog) if isinstance(n, mini_renamed)})
+        prog = _rename_some(prog, rng, mini_renamed, pool + ["zz"])
+        expected = [
+            f"unbound variable '{at.node.name}'"
+            for at, env in _uses_in_env(mini_declared, mini_referenced, prog)
+            if env_lookup(env, at.node.name) is None
+        ]
+        unbound = [d for d in resolution_check(prog) if d.startswith("unbound variable '")]
+        assert unbound == expected
+        misses += len(expected)
+    # the scrambling leaves enough uses unresolved or assigning a method
+    assert misses > 300 and to_methods > 10
+
+
 def test_free_names_evaluates_each_query_once_per_node():
     """One ``free_names`` over n nodes calls ``declared`` and ``referenced``
     exactly n times each, on a JOOS program and on deeply nested lets."""
@@ -311,12 +391,11 @@ def test_bound_typed_names_path_env():
     focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
     env, fragment = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert fragment == target
-    # oracle-derived: class scope first, then the method header and params,
-    # then the block's locals
+    # oracle-derived: class scope first (the method headers), then the
+    # method's params, then the block's locals
     oracle_env, oracle_fragment = oracles.joos_env_at_focus(focused)
     assert env == oracle_env
     assert [(p.name, p.tpe) for p in env] == [
-        ("m", MethodType("void", ("int",))),
         ("m", MethodType("void", ("int",))),
         ("a", ExprType("int")),
         ("b", ExprType("int")),

@@ -20,7 +20,7 @@ from refax.joos import (
     static_check,
     used_names,
 )
-from refax.joos.analysis import ExprType, MethodType
+from refax.joos.analysis import ExprType
 from refax.lexing import ParseError, Span, SpanMismatch
 from refax.strategy import StrategyFailure, apply_tu
 
@@ -171,8 +171,12 @@ def _first_stmt(src: str) -> ast.Statement:
 
 
 def test_declared_on_local_declaration():
-    decl = _first_stmt("class C { void m() { int x; } }")
-    assert apply_tu(declared_pairs, decl) == (framework.NameTypePair("x", ExprType("int")),)
+    """A local declaration is bound by its block, throughout the block, as
+    ``static_check`` resolves it; the declaration itself binds nothing."""
+    block = parse_program("class C { void m() { int x; } }").classes[0].methods.methods[0].body
+    assert apply_tu(declared_pairs, block) == (framework.NameTypePair("x", ExprType("int")),)
+    with pytest.raises(StrategyFailure):
+        apply_tu(declared_pairs, block.statements[0])
 
 
 def test_declared_fails_on_non_declarations():
@@ -191,9 +195,10 @@ def test_declared_on_binders_that_declare_nothing_is_empty():
 
 
 def test_declared_on_method_header_and_params():
+    """A method binds its parameters only; its header pair is bound by the
+    class, as ``static_check`` resolves it."""
     method = parse_method("int f(int a, boolean b) { return 1; }")
     assert apply_tu(declared_pairs, method) == (
-        framework.NameTypePair("f", MethodType("int", ("int", "boolean"))),
         framework.NameTypePair("a", ExprType("int")),
         framework.NameTypePair("b", ExprType("boolean")),
     )
