@@ -16,6 +16,7 @@ it rewrites the file the link resolves to, so the link stays a link.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -86,6 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one request. The cyclic collector is paused for it and left as
+    the caller had it: trees and tokens hold no reference cycles, so they
+    are freed by reference counting, and a collection on the way would
+    only walk the nodes the parser just built."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

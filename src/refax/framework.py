@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
-from .lexing import Span, SpanMismatch
+from .lexing import Lines, Span, SpanMismatch
 from .strategy import (
     QueryTU,
     SortCase,
@@ -392,23 +392,28 @@ class Language:
         """Parse ``source`` and wrap the first node of focus kind ``kind``
         whose source span is exactly ``span``, or raise ``SpanMismatch``
         naming the nearest spans of that kind: two ``focus_paths`` walks
-        over one span query, the first guided by span enclosure."""
+        over one span query, the first guided by span enclosure. Node
+        spans are offsets, so ``span`` is converted once through the line
+        table, and a position the source does not have matches no node."""
         if kind not in self.focus_kinds:
             raise ValueError(f"unknown focus kind {kind!r}")
         sort, wrapper = self.focus_kinds[kind]
         prog = self.parse(source)
         spans = mono_tu(SortCase(sort, attrgetter("span")))
-        start, end = span[:2], span[2:]
+        lines = Lines(source)
+        wanted = lines.offsets(span)
+        if wanted is not None:
+            start, end = wanted
 
-        def encloses(c: Term) -> bool:  # spans nest, so no other child holds it
-            s = c.span
-            return s is None or (s[:2] <= start and end <= s[2:])
+            def encloses(c: Term) -> bool:  # spans nest, so no other child holds it
+                s = c.span
+                return s is None or (s[0] <= start and end <= s[1])
 
-        for at in focus_paths(spans, prog, encloses):
-            if at.found == span:
-                return at.rebuild(wrapper(at.node))
+            for at in focus_paths(spans, prog, encloses):
+                if at.found == wanted:
+                    return at.rebuild(wrapper(at.node))
         nearest = sorted(
-            (at.found for at in focus_paths(spans, prog) if at.found is not None),
+            (lines.span(at.found) for at in focus_paths(spans, prog) if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),
                            abs(s.end_line - span.end_line), abs(s.end_col - span.end_col)),
         )[:3]

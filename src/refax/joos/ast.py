@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..lexing import Span
+from ..lexing import Offsets
 from ..terms import Sort, Term
 
 PROGRAM = Sort("JoosProgram")
@@ -34,7 +34,7 @@ EXPRESSION = Sort("JoosExpression")
 
 @dataclass(frozen=True)
 class JoosNode(Term):
-    span: Span | None = field(default=None, kw_only=True, compare=False, repr=False)
+    span: Offsets | None = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 class Expression(JoosNode):

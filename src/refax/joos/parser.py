@@ -2,7 +2,7 @@
 
 Standard precedence (unary ! binds tightest, then * /, + -, <, ==, &&,
 ||), all binary operators left-associative. Every node records its source
-span (1-based line:col, end-exclusive) so a focus can later be placed by
+span (character offsets, end-exclusive) so a focus can later be placed by
 span; parenthesised expressions keep the parentheses inside their span.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..lexing import IDENT, INT, TokenStream, tokenize
+from ..lexing import IDENT, INT, TokenStream
 from . import ast
 
 _KEYWORDS = frozenset(
@@ -45,7 +45,7 @@ class _Parser(TokenStream):
     BinOp = ast.BinOp
 
     def __init__(self, source: str) -> None:
-        super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
+        super().__init__(source, _KEYWORDS, _SYMBOLS)
 
     def program(self) -> ast.Program:
         start = self.pos
@@ -69,8 +69,8 @@ class _Parser(TokenStream):
         if methods:
             list_span = self.span_from(methods_start)
         else:
-            brace = self.tokens[self.pos]
-            list_span = ast.Span(brace.line, brace.col, brace.line, brace.col)
+            brace = self.tokens[self.pos].start
+            list_span = (brace, brace)
         method_list = ast.MethodList(tuple(methods), span=list_span)
         self.expect("}")
         return ast.ClassDecl(name, tuple(fields), method_list, span=self.span_from(start))

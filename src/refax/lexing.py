@@ -1,12 +1,20 @@
 """The front end both languages share: tokens, spans and the parser cursor.
 
-Positions are 1-based line:column; spans are end-exclusive.
+Inside the engine a position is a character offset into the source, and
+a node's span is the pair of offsets ``(start, end)``, end-exclusive.
+Users see 1-based line:column positions (``Span``): ``Lines``, the line
+table of one source, converts at the edges only, for ``--focus``, the
+``ParseError`` texts and the ``SpanMismatch`` texts. Only a newline
+starts a line; blanks, tabs and carriage returns each take one column.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Any, Callable, NamedTuple, NoReturn, TypeVar
 
 IDENT = "ident"
@@ -15,9 +23,13 @@ KEYWORD = "kw"
 SYMBOL = "sym"
 EOF = "eof"
 
+# A node's source region as character offsets, end-exclusive.
+Offsets = tuple[int, int]
+
 
 class Span(NamedTuple):
-    """A source region, end-exclusive; a tuple, so it compares by value."""
+    """A source region as users give and see it: 1-based line:column,
+    end-exclusive; a tuple, so it compares by value."""
 
     line: int
     col: int
@@ -40,13 +52,45 @@ class Span(NamedTuple):
         return cls(line, col, end_line, end_col)
 
 
+class Lines:
+    """The line table of one source: the offset at which each line starts,
+    to convert between offsets and line:column positions."""
+
+    def __init__(self, source: str) -> None:
+        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+        self.length = len(source)
+
+    def position(self, offset: int) -> tuple[int, int]:
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
+
+    def span(self, offsets: Offsets) -> Span:
+        return Span(*self.position(offsets[0]), *self.position(offsets[1]))
+
+    def offset(self, line: int, col: int) -> int | None:
+        """The offset at ``line:col``, or None if the source has no such
+        position: a line past its end, a column before its line's first or
+        past its last character (a line's end is the column just after
+        it)."""
+        if not 1 <= line <= len(self.starts) or col < 1:
+            return None
+        line_end = self.starts[line] - 1 if line < len(self.starts) else self.length
+        offset = self.starts[line - 1] + col - 1
+        return offset if offset <= line_end else None
+
+    def offsets(self, span: Span) -> Offsets | None:
+        """``span`` as offsets, or None if either end is no position of the
+        source, so that no node can have it."""
+        start = self.offset(span.line, span.col)
+        end = self.offset(span.end_line, span.end_col)
+        return None if start is None or end is None else (start, end)
+
+
 class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+    start: int
+    end: int
 
 
 class ParseError(Exception):
@@ -54,6 +98,10 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+    @classmethod
+    def at(cls, source: str, offset: int, message: str) -> ParseError:
+        return cls(*Lines(source).position(offset), message)
 
 
 class SpanMismatch(Exception):
@@ -65,52 +113,77 @@ class SpanMismatch(Exception):
 # bounds test; the parsers look at most two tokens ahead.
 LOOKAHEAD = 2
 
-# The scanner's groups, in order: identifier, number, symbol, newline and
-# a stray character. Blanks after a token are part of its match, so a run
-# of them costs no step of its own.
-_KINDS = (None, IDENT, INT, SYMBOL, None, None)
-_IDENT_GROUP, _NEWLINE_GROUP = 1, 4
-_BLANKS = re.compile(r"[ \t\r]*")
+_BLANKS = " \t\r\n"
+_PIECE = 1 << 14  # characters scanned per pass, about 3,500 tokens
 _IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 T = TypeVar("T")
 
 
 @functools.cache
 def _scanner(symbols: tuple[str, ...]) -> re.Pattern[str]:
+    """Blanks, then one lexeme: an identifier, a number, a symbol (longest
+    first, so multi-character operators win over their prefixes) or one
+    stray character. A stray character is never a blank, so the blanks
+    before it cannot give one back."""
     alternatives = "|".join(re.escape(s) for s in sorted(symbols, key=len, reverse=True))
-    return re.compile(
-        rf"(?:({_IDENTIFIER})|([0-9]+)|({alternatives})|(\n)|(.))[ \t\r]*"
-    )
+    return re.compile(rf"[{_BLANKS}]*(?:{_IDENTIFIER}|[0-9]+|{alternatives}|[^{_BLANKS}])")
+
+
+class _Kinds(dict):
+    """Lexeme text to token kind, seeded with the keywords and symbols;
+    any other text is classified by its first character on first sight.
+    A stray character's kind is None."""
+
+    def __missing__(self, text: str) -> str | None:
+        first = text[0]
+        if first.isascii() and (first.isalpha() or first == "_"):
+            kind = IDENT
+        elif first.isascii() and first.isdigit():
+            kind = INT
+        else:
+            kind = None
+        self[text] = kind
+        return kind
+
+
+@functools.cache
+def _known_kinds(keywords: frozenset[str], symbols: tuple[str, ...]) -> dict[str, str]:
+    return {**dict.fromkeys(symbols, SYMBOL), **dict.fromkeys(keywords, KEYWORD)}
 
 
 def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> list[Token]:
-    """Scan ``source`` into tokens, ending with one EOF token.
+    """Scan ``source`` into tokens, one per lexeme, ending with one EOF
+    token at the end of the source.
 
-    One compiled regex per symbol set does the scanning, its symbols
-    longest first so multi-character operators win over their prefixes.
-    Identifiers and numbers are ASCII; blanks, tabs and carriage returns
-    each take one column."""
+    Each step is one pass in C over the lexemes of a piece of the source:
+    one ``findall`` of the compiled scanner, whose matches tile the piece,
+    the running sum of the match lengths for the token ends,
+    ``str.lstrip`` for the texts and one dict lookup per text for the
+    kinds. A piece is about ``_PIECE`` characters, cut before a newline,
+    which no lexeme spans, so the lists a pass builds stay small and only
+    the token list grows with the source. Each scan stops before the
+    piece's trailing blanks, so that they are not retried at every
+    position. Identifiers and numbers are ASCII."""
+    scan = _scanner(symbols).findall
+    kind_of = _Kinds(_known_kinds(keywords, symbols)).__getitem__
     new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
     tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
-    for m in _scanner(symbols).finditer(source, _BLANKS.match(source).end()):
-        group = m.lastindex
-        kind = _KINDS[group]
-        if kind is None:
-            if group == _NEWLINE_GROUP:
-                line += 1
-                line_start = m.start() + 1
-                continue
-            col = m.start() - line_start + 1
-            raise ParseError(line, col, f"unexpected character {m.group(group)!r}")
-        text = m.group(group)
-        col = m.start() - line_start + 1
-        if group == _IDENT_GROUP and text in keywords:
-            kind = KEYWORD
-        append(new(Token, (kind, text, line, col, line, col + len(text))))
-    col = len(source) - line_start + 1
-    append(new(Token, (EOF, "", line, col, line, col)))
+    pos = 0
+    while pos < len(source):
+        cut = source.find("\n", pos + _PIECE)
+        if cut < 0:
+            cut = len(source)
+        matches = scan(source, pos, pos + len(source[pos:cut].rstrip(_BLANKS)))
+        ends = list(accumulate(map(len, matches), initial=pos))[1:]
+        texts = list(map(str.lstrip, matches, repeat(_BLANKS)))
+        del matches
+        kinds = list(map(kind_of, texts))
+        if None in kinds:
+            i = kinds.index(None)
+            raise ParseError.at(source, ends[i] - 1, f"unexpected character {texts[i]!r}")
+        tokens += map(new, repeat(Token), zip(kinds, texts, map(sub, ends, map(len, texts)), ends))
+        pos = cut
+    tokens.append(new(Token, (EOF, "", len(source), len(source))))
     return tokens
 
 
@@ -120,11 +193,12 @@ def is_identifier(text: str, keywords: frozenset[str]) -> bool:
 
 
 class TokenStream:
-    """Cursor over a token list by index, with the lookahead helpers and
-    the readers that both recursive descent parsers need.
+    """Cursor by index over the tokens of ``source``, scanned with the
+    parser's keywords and symbols, with the lookahead helpers and the
+    readers that both recursive descent parsers need.
 
-    ``tokens`` is the list padded with ``LOOKAHEAD`` more copies of its EOF
-    token, and ``pos`` never moves past the first EOF, so
+    ``tokens`` is the token list padded with ``LOOKAHEAD`` more copies of
+    its EOF token, and ``pos`` never moves past the first EOF, so
     ``tokens[pos + ahead]`` needs no bounds test for ``ahead <= LOOKAHEAD``.
     The parsers read ``tokens[pos]`` directly on their hot paths.
 
@@ -135,8 +209,10 @@ class TokenStream:
     BinOp: Callable[..., Any]
     operand: Callable[[], Any]
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens + tokens[-1:] * LOOKAHEAD
+    def __init__(self, source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> None:
+        self.source = source
+        self.tokens = tokenize(source, keywords, symbols)
+        self.tokens += self.tokens[-1:] * LOOKAHEAD  # in place: no copy of the list
         self.pos = 0
 
     def at(self, text: str, ahead: int = 0) -> bool:
@@ -146,25 +222,26 @@ class TokenStream:
     def at_kind(self, kind: str, ahead: int = 0) -> bool:
         return self.tokens[self.pos + ahead].kind == kind
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
-
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in (KEYWORD, SYMBOL):
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in (KEYWORD, SYMBOL):
+            self.pos += 1
+            return tok
         return self.fail(repr(text))
 
     def expect_kind(self, kind: str, what: str) -> Token:
-        if self.at_kind(kind):
-            return self.advance()
+        """The current token if it is of ``kind``, which is not ``EOF``."""
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
+            self.pos += 1
+            return tok
         return self.fail(what)
 
     def expect_eof(self) -> None:
@@ -174,20 +251,22 @@ class TokenStream:
     def fail(self, expected: str) -> NoReturn:
         tok = self.tokens[self.pos]
         found = repr(tok.text) if tok.kind != EOF else "end of input"
-        raise ParseError(tok.line, tok.col, f"expected {expected}, found {found}")
+        raise ParseError.at(self.source, tok.start, f"expected {expected}, found {found}")
 
-    def span_from(self, start_pos: int) -> Span:
+    def span_from(self, start_pos: int) -> Offsets:
         """Span from the token at ``start_pos`` to the last one consumed."""
-        first = self.tokens[start_pos]
-        last = self.tokens[self.pos - 1]
-        return Span(first.line, first.col, last.end_line, last.end_col)
+        return self.tokens[start_pos].start, self.tokens[self.pos - 1].end
 
-    def expression(self, min_prec: int = 1) -> Any:
-        """Precedence climbing, all operators left-associative. It reads a
-        right operand by calling itself, so a level of nesting costs no
-        frame beyond the grammar's own rules."""
+    def expression(self) -> Any:
+        """Precedence climbing, all operators left-associative."""
         start = self.pos
-        left = self.operand()
+        return self._climb(start, self.operand(), 1)
+
+    def _climb(self, start: int, left: Any, min_prec: int) -> Any:
+        """Extend ``left``, read from ``start``, with every operator that
+        binds at least as tightly as ``min_prec``. A right operand is read
+        by ``operand`` and climbs, in one more frame, only if the operator
+        after it binds more tightly, so a leaf operand costs no frame."""
         tokens = self.tokens
         precedence = self.BINOP_PRECEDENCE
         while True:
@@ -196,7 +275,11 @@ class TokenStream:
             if prec is None or prec < min_prec:
                 return left
             self.pos += 1
-            right = self.expression(prec + 1)
+            right_start = self.pos
+            right = self.operand()
+            after = precedence.get(tokens[self.pos].text)
+            if after is not None and after > prec:
+                right = self._climb(right_start, right, prec + 1)
             left = self.BinOp(op, left, right, span=self.span_from(start))
 
     def items(self, item: Callable[[], T]) -> tuple[T, ...]:

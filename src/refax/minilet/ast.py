@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..lexing import Span
+from ..lexing import Offsets
 from ..terms import Sort, Term
 
 PROGRAM = Sort("MiniletProgram")
@@ -24,7 +24,7 @@ VAL = "val"
 
 @dataclass(frozen=True)
 class MiniletNode(Term):
-    span: Span | None = field(default=None, kw_only=True, compare=False, repr=False)
+    span: Offsets | None = field(default=None, kw_only=True, compare=False, repr=False)
 
 
 class Expression(MiniletNode):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..lexing import IDENT, INT, TokenStream, tokenize
+from ..lexing import IDENT, INT, TokenStream
 from . import ast
 
 _KEYWORDS = frozenset(["let", "in"])
@@ -43,7 +43,7 @@ class _Parser(TokenStream):
     BinOp = ast.BinOp
 
     def __init__(self, source: str) -> None:
-        super().__init__(tokenize(source, _KEYWORDS, _SYMBOLS))
+        super().__init__(source, _KEYWORDS, _SYMBOLS)
 
     def primary(self) -> ast.Expression:
         start = self.pos

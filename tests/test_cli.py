@@ -492,3 +492,92 @@ def test_extract_passes_a_variable_a_lone_declaration_reads(tmp_path, capsys):
     initializer reads the parameter ``x``, which becomes a parameter."""
     out = _extract_then_check("joos", _LONE_DECLARATION, "3:9-3:26", tmp_path, capsys)
     assert "void g(boolean b, int x) {" in out
+
+
+_EDGE_MINILET = "let\n    f(x) = x + 1;\nin\n    f(2)\n"
+_EDGE_JOOS = "class C {\n    void m(int a) {\n        a = 1;\n    }\n}\n"
+
+
+@pytest.mark.parametrize("lang,source,focus,message", [
+    # Column 8 of the two-character line 3 is no position; counted on
+    # from the line's start it would be 4:5, where ``f(2)`` begins.
+    ("minilet", _EDGE_MINILET, "3:8-3:12",
+     "no expr node covers exactly 3:8-3:12; nearest candidate spans: 4:7-4:8, 4:5-4:9, 2:12-2:13"),
+    ("minilet", _EDGE_MINILET, "9:1-9:2",
+     "no expr node covers exactly 9:1-9:2; nearest candidate spans: 4:5-4:9, 4:7-4:8, 2:12-2:13"),
+    ("minilet", _EDGE_MINILET, "4:0-4:9",
+     "no expr node covers exactly 4:0-4:9; nearest candidate spans: 4:5-4:9, 4:7-4:8, 2:12-2:13"),
+    # 5:1 is the end of the source, after its last newline.
+    ("minilet", _EDGE_MINILET, "4:5-5:1",
+     "no expr node covers exactly 4:5-5:1; nearest candidate spans: 4:5-4:9, 4:7-4:8, 2:12-2:13"),
+    ("minilet", _EDGE_MINILET, "2:5-5:1",
+     "no expr node covers exactly 2:5-5:1; nearest candidate spans: 2:12-2:13, 2:12-2:17, 2:16-2:17"),
+    ("joos", _EDGE_JOOS, "3:16-3:22",
+     "no statement node covers exactly 3:16-3:22; nearest candidate spans: 3:9-3:15, 2:19-4:6"),
+    ("joos", _EDGE_JOOS, "6:1-6:1",
+     "no statement node covers exactly 6:1-6:1; nearest candidate spans: 3:9-3:15, 2:19-4:6"),
+])
+def test_focus_at_the_edges_of_the_source_is_a_span_mismatch(lang, source, focus, message, tmp_path, capsys):
+    """A ``--focus`` past a line's end, past the last line, at column 0 or
+    ending at the end of the source: exit 2, naming the nearest spans."""
+    work = tmp_path / "edge.src"
+    work.write_text(source, encoding="utf-8")
+    code = main(["extract", "--lang", lang, "--file", str(work), "--focus", focus, "--name", "g"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"SpanMismatch: {message}\n")
+
+
+def test_a_focus_ending_at_the_end_of_the_source_places(tmp_path, capsys):
+    work = tmp_path / "edge.mlt"
+    work.write_text(_EDGE_MINILET.rstrip("\n"), encoding="utf-8")
+    code = main(["extract", "--lang", "minilet", "--file", str(work), "--focus", "4:5-4:9", "--name", "g"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "let\n    f(x) = x + 1;\n    g() = f(2);\nin\n    g()\n"
+
+
+def _collector_runs(tmp_path):
+    """One ``main`` argv per exit code, 0 to 4."""
+    clean, dirty, bad = tmp_path / "clean.mlt", tmp_path / "dirty.mlt", tmp_path / "bad.mlt"
+    clean.write_text("let f(x) = x; in f(1)\n", encoding="utf-8")
+    dirty.write_text("let f(x) = y; in f(1)\n", encoding="utf-8")
+    bad.write_text("let f(x) = ; in f(1)\n", encoding="utf-8")
+    return {
+        0: ["check", "--lang", "minilet", "--file", str(clean)],
+        1: ["check", "--lang", "minilet", "--file", str(dirty)],
+        2: ["check", "--lang", "minilet", "--file", str(bad)],
+        3: ["check", "--lang", "minilet"],
+        4: ["extract", "--lang", "minilet", "--file", str(clean), "--focus", "1:12-1:13", "--name", "g"],
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(enabled, tmp_path, capsys, monkeypatch):
+    """``main`` runs its request with the cyclic collector off and leaves
+    it as the caller had it, on every exit code."""
+    import gc
+    from dataclasses import replace
+
+    from refax import cli
+
+    language = cli.LANGUAGES["minilet"]
+    seen = []
+
+    def parse(source):
+        seen.append(gc.isenabled())
+        return language.parse(source)
+
+    def broken(fragment):
+        raise RuntimeError("fault")
+
+    monkeypatch.setitem(cli.LANGUAGES, "minilet", replace(language, parse=parse, extractable=broken))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for expected, argv in _collector_runs(tmp_path).items():
+            assert main(argv) == expected, capsys.readouterr().err
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False] * 4  # every request but the usage error parses

@@ -38,7 +38,7 @@ from refax.joos import (
     statement_focus,
 )
 from refax.joos.analysis import ExprType, MethodType
-from refax.lexing import Span, SpanMismatch
+from refax.lexing import Lines, Span, SpanMismatch
 from refax.minilet import ast as mast
 from refax.minilet import (
     declared_pairs as mini_declared,
@@ -496,19 +496,8 @@ def _sources(lang, count, seed):
         yield language.pretty(_GENERATORS[lang].gen_program(rng))
 
 
-def _span_text(source, span):
-    lines = source.split("\n")
-    if span.line == span.end_line:
-        return lines[span.line - 1][span.col - 1 : span.end_col - 1]
-    return "\n".join(
-        [lines[span.line - 1][span.col - 1 :], *lines[span.line : span.end_line - 1],
-         lines[span.end_line - 1][: span.end_col - 1]]
-    )
-
-
 def _encloses(outer, inner):
-    return (outer.line, outer.col) <= (inner.line, inner.col) and (
-        inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))
@@ -524,11 +513,11 @@ def test_child_spans_lie_within_their_parents(lang):
             assert t.span is not None
             for c in t.children():
                 assert _encloses(t.span, c.span), (t.tag, t.span, c.tag, c.span)
-            if _span_text(source, t.span).startswith("("):
+            if source[t.span[0] : t.span[1]].startswith("("):
                 parenthesised += 1
             if isinstance(t, jast.MethodList) and not t.methods:
                 empty_lists += 1
-                assert t.span.line == t.span.end_line and t.span.col == t.span.end_col
+                assert t.span[0] == t.span[1]
     assert parenthesised > 0
     assert empty_lists > 0 or lang == "minilet"
 
@@ -541,13 +530,13 @@ def test_span_placement_equals_the_whole_tree_formulation(lang):
     language = LANGUAGES[lang]
     placed = 0
     for source in _sources(lang, 40, seed=43):
-        prog = language.parse(source)
+        prog, lines = language.parse(source), Lines(source)
         for kind, (sort, wrapper) in language.focus_kinds.items():
             for t in preorder(prog):
                 if t.sort is not sort:
                     continue
                 expected = framework.wrap_first(sort, lambda u: u.span == t.span, wrapper, prog)
-                assert language.place_focus_by_span(source, kind, t.span) == expected
+                assert language.place_focus_by_span(source, kind, lines.span(t.span)) == expected
                 placed += 1
     assert placed > 500
 
@@ -628,12 +617,12 @@ def test_language_recognisers_unwrap_what_span_placement_wrapped(lang):
     language = LANGUAGES[lang]
     unwrapped = refused = 0
     for source in _sources(lang, 25, seed=53):
-        prog = language.parse(source)
+        prog, lines = language.parse(source), Lines(source)
         for case, kind in ((language.find, language.fragment_kind), (language.find2, language.list_kind)):
             for t in preorder(prog):
                 if t.sort is not case.sort:
                     continue
-                focused = language.place_focus_by_span(source, kind, t.span)
+                focused = language.place_focus_by_span(source, kind, lines.span(t.span))
                 (wrapped,) = [u for u in preorder(focused) if isinstance(u, case.on)]
                 first = next(u for u in preorder(prog) if u.sort is case.sort and u.span == t.span)
                 assert case.fn(wrapped) is wrapped.children()[0]
@@ -659,7 +648,7 @@ def _list_focused(language, source):
     """``source`` parsed, with the list focus on its first list."""
     sort = language.focus_kinds[language.list_kind][0]
     first = next(t for t in preorder(language.parse(source)) if t.sort is sort)
-    return language.place_focus_by_span(source, language.list_kind, first.span)
+    return language.place_focus_by_span(source, language.list_kind, Lines(source).span(first.span))
 
 
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))

@@ -21,7 +21,7 @@ from refax.joos import (
     used_names,
 )
 from refax.joos.analysis import ExprType
-from refax.lexing import ParseError, Span, SpanMismatch
+from refax.lexing import Lines, ParseError, Span, SpanMismatch
 from refax.strategy import StrategyFailure, apply_tu
 
 from . import joos_gen, oracles
@@ -143,8 +143,9 @@ def test_place_focus_on_statement_span():
     src = "class C {\n    void m(int a) {\n        a = a + 1;\n    }\n}\n"
     prog = parse_program(src)
     stmt = prog.classes[0].methods.methods[0].body.statements[0]
-    assert stmt.span == Span(3, 9, 3, 19)
-    focused = place_focus_by_span(src, "statement", stmt.span)
+    span = Lines(src).span(stmt.span)
+    assert span == Span(3, 9, 3, 19)
+    focused = place_focus_by_span(src, "statement", span)
     assert framework.bound_typed_names(declared_pairs, statement_focus, focused)[1] == stmt
 
 
@@ -159,7 +160,7 @@ def test_place_focus_on_method_list():
     src = "class C {\n    void m() {\n    }\n\n    void n() {\n    }\n}\n"
     prog = parse_program(src)
     method_list = prog.classes[0].methods
-    focused = place_focus_by_span(src, "methodlist", method_list.span)
+    focused = place_focus_by_span(src, "methodlist", Lines(src).span(method_list.span))
     assert isinstance(focused.classes[0].methods, ast.MethodDeclarationFocus)
 
 

@@ -3,14 +3,15 @@ reference it replaced, and a pin on the spans both parsers record."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
 import pytest
 
-from refax import joos, minilet
+from refax import joos, lexing, minilet
 from refax.joos import parser as jparser
-from refax.lexing import EOF, IDENT, INT, KEYWORD, SYMBOL, ParseError, tokenize
+from refax.lexing import EOF, IDENT, INT, KEYWORD, SYMBOL, Lines, ParseError, tokenize
 from refax.minilet import parser as mparser
 
 from . import joos_gen, minilet_gen
@@ -25,22 +26,21 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
 
 
+def _position(source, offset):
+    """1-based line:column of ``offset``, counted without a line table."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 def tokenize_reference(source, keywords, symbols):
     """The scanner the compiled one replaced: one character per step, each
-    symbol tried in turn. Tokens as ``(kind, text, line, col, end_line,
-    end_col)`` tuples."""
+    symbol tried in turn. Tokens as ``(kind, text, start, end)`` tuples of
+    character offsets."""
     tokens = []
-    line, col, i = 1, 1, 0
+    i = 0
     n = len(source)
     while i < n:
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
+        if ch in " \t\r\n":
             i += 1
             continue
         if ch in _IDENT_START:
@@ -48,39 +48,40 @@ def tokenize_reference(source, keywords, symbols):
             while j < n and source[j] in _IDENT_CONT:
                 j += 1
             text = source[i:j]
-            kind = KEYWORD if text in keywords else IDENT
-            tokens.append((kind, text, line, col, line, col + (j - i)))
-            col += j - i
+            tokens.append((KEYWORD if text in keywords else IDENT, text, i, j))
             i = j
             continue
         if ch in _DIGITS:
             j = i
             while j < n and source[j] in _DIGITS:
                 j += 1
-            tokens.append((INT, source[i:j], line, col, line, col + (j - i)))
-            col += j - i
+            tokens.append((INT, source[i:j], i, j))
             i = j
             continue
         for sym in symbols:
             if source.startswith(sym, i):
-                tokens.append((SYMBOL, sym, line, col, line, col + len(sym)))
-                col += len(sym)
+                tokens.append((SYMBOL, sym, i, i + len(sym)))
                 i += len(sym)
                 break
         else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append((EOF, "", line, col, line, col))
+            raise ParseError(*_position(source, i), f"unexpected character {ch!r}")
+    tokens.append((EOF, "", n, n))
     return tokens
 
 
 def _outcome(scan, source, parser):
+    """The tokens, each with its line:column ends, or the error text. The
+    compiled scanner's positions go through the line table; the
+    reference's are counted directly."""
     try:
         tokens = scan(source, parser._KEYWORDS, parser._SYMBOLS)
     except ParseError as exc:
         return str(exc)
     if scan is tokenize_reference:
-        return tokens
-    return [(t.kind, t.text, t.line, t.col, t.end_line, t.end_col) for t in tokens]
+        position = functools.partial(_position, source)
+    else:
+        position = Lines(source).position
+    return [(*t, *position(t[2]), *position(t[3])) for t in tokens]
 
 
 def _sources(lang, count=200, seed=17):
@@ -127,6 +128,15 @@ LAYOUTS = [
     "x\f= 1",
     "café = 1",
     "x = 1\x00",
+    "x  ",
+    "x \t\r\n",
+    "  ",
+    "\n\t\r\n ",
+    "x\r\n= 1\r\n",
+    "x =\x0b1",
+    "é",
+    "x = a & b",
+    "x = a &\n",
 ]
 
 
@@ -134,6 +144,18 @@ LAYOUTS = [
 @pytest.mark.parametrize("lang", sorted(LANGS))
 def test_scanner_matches_reference_on_layouts(lang, source):
     _assert_same(source, LANGS[lang][0])
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_scanner_matches_reference_across_piece_cuts(lang, monkeypatch):
+    """The scanner takes the source a piece at a time; with pieces of a
+    few characters, cuts fall on every line of the generated programs and
+    layouts, after trailing blanks and between a carriage return and its
+    newline."""
+    parser = LANGS[lang][0]
+    monkeypatch.setattr(lexing, "_PIECE", 3)
+    for source in [*_sources(lang, 50), *LAYOUTS, "x" + " " * 50 + "\n" + "y \r\n\t= 1"]:
+        _assert_same(source, parser)
 
 
 def _relayout(text, rng):
@@ -147,23 +169,24 @@ def _relayout(text, rng):
     return "".join(out)
 
 
-def _preorder(t, out):
-    out.append((t.tag, str(t.span)))
+def _preorder(t, lines, out):
+    out.append((t.tag, str(lines.span(t.span))))
     for c in t.children():
-        _preorder(c, out)
+        _preorder(c, lines, out)
     return out
 
 
 def span_digest(lang, count=100, seed=2002):
     """sha256 over the preorder ``(tag, span)`` lists of ``count`` seeded
-    generated programs, each parsed as printed and once relaid out."""
+    generated programs, each parsed as printed and once relaid out. Spans
+    are digested in their line:column view."""
     parser, pretty, gen = LANGS[lang]
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(count):
         text = pretty(gen(rng))
         for source in (text, _relayout(text, rng)):
-            for tag, span in _preorder(parser.parse_program(source), []):
+            for tag, span in _preorder(parser.parse_program(source), Lines(source), []):
                 h.update(f"{tag} {span}\n".encode())
     return h.hexdigest()
 
@@ -180,3 +203,26 @@ def test_spans_are_pinned(lang):
     """Spans take no part in tree equality, so a round trip cannot see a
     wrong one; this pin does."""
     assert span_digest(lang) == SPAN_DIGESTS[lang]
+
+
+@pytest.mark.parametrize("lang,source,message", [
+    ("joos", "x  ", "line 1, col 1: expected 'class', found 'x'"),
+    ("joos", "class C {  \t\r\n", "line 2, col 1: expected 'int' or 'boolean', found end of input"),
+    ("minilet", "let f(x) = x; in \r\n\t ", "line 2, col 3: expected an expression, found end of input"),
+    ("joos", "  \n\t", "line 2, col 2: expected 'class', found end of input"),
+    ("minilet", "", "line 1, col 1: expected an expression, found end of input"),
+    ("joos", "class C {\r\n  void m() {\r\n    x = 1 +;\r\n  }\r\n}\r\n",
+     "line 3, col 12: expected an expression, found ';'"),
+    ("minilet", "1 +\x0b2", "line 1, col 4: unexpected character '\\x0b'"),
+    ("joos", "class Café { }", "line 1, col 10: unexpected character 'é'"),
+    ("joos", "class C { void m() { x = a & b; } }", "line 1, col 28: unexpected character '&'"),
+    ("minilet", "let\r\n  f(x) = x;\r\nin f(1) &", "line 3, col 9: unexpected character '&'"),
+])
+def test_parse_error_texts_are_pinned(lang, source, message):
+    """Parse errors name their position in line:column, through the line
+    table: at the end of input after trailing blanks, after carriage
+    returns, and at a stray character."""
+    with pytest.raises(ParseError) as exc:
+        LANGS[lang][0].parse_program(source)
+    assert str(exc.value) == message
+

@@ -9,7 +9,7 @@ import pytest
 
 from refax import framework
 from refax.framework import NameClash, NoFocus, NoHost
-from refax.lexing import ParseError, Span, SpanMismatch
+from refax.lexing import Lines, ParseError, Span, SpanMismatch
 from refax.minilet import (
     LANGUAGE,
     ast,
@@ -69,7 +69,7 @@ def test_deep_nested_calls_parse():
     for _ in range(depth):
         assert isinstance(node, ast.Call)
         (node,) = node.args
-    assert node == ast.IntLit(1, span=Span(1, 2 * depth + 1, 1, 2 * depth + 2))
+    assert node == ast.IntLit(1) and node.span == (2 * depth, 2 * depth + 1)
 
 
 def test_precedence():
@@ -267,7 +267,7 @@ def test_introduce_function_by_span():
     src = "let\n    f(x) = x + 1;\nin\n    f(2)\n"
     prog = parse_program(src)
     list_span = prog.body.defs.span
-    focused = place_focus_by_span(src, "fundeflist", list_span)
+    focused = place_focus_by_span(src, "fundeflist", Lines(src).span(list_span))
     out = introduce_function(parse_fundef("g(y) = y * 2;"), focused)
     assert [fd.name for fd in out.body.defs.defs] == ["f", "g"]
     with pytest.raises(NameClash):
