@@ -16,6 +16,7 @@ it rewrites the file the link resolves to, so the link stays a link.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import shutil
@@ -43,7 +44,10 @@ def _span_arg(text: str) -> Span:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and ``--lang`` reads its choices from ``LANGUAGES`` itself."""
     parser = _ArgumentParser(prog="refax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,10 +2,13 @@
 
 4-space indent, one statement per line, a single space around binary
 operators, and only the parentheses that precedence requires, so the
-printer is a fixpoint of print-then-parse. Programs containing focus
-wrappers are rejected (``FocusPresent``) where the printer meets one;
-wrappers are an internal refactoring device and never part of source
-text.
+printer is a fixpoint of print-then-parse. Every body under a head (a
+method header, ``while``, ``if``, ``else``) follows one rule, ``_body``:
+a block opens with `` {`` on the head's line and closes with ``}`` at
+its indent; any other statement goes on the next line, one level deeper.
+An ``else`` after a block joins its ``}``, and a method body that is not
+a block still prints inside braces. Focus wrappers are rejected
+(``FocusPresent``) where the printer meets one.
 """
 
 from __future__ import annotations
@@ -32,24 +35,28 @@ def _class_lines(cls: ast.ClassDecl) -> str:
     for i, m in enumerate(cls.methods.methods):
         if i > 0 or cls.fields:
             lines.append("")
-        lines.extend(_method_lines(m))
+        params = ", ".join(f"{f.type_name} {f.name}" for f in m.formals)
+        body = m.body if isinstance(m.body, ast.Block) else ast.Block((m.body,))
+        _body(f"{_INDENT}{m.return_type} {m.name}({params})", body, 1, lines)
     lines.append("}")
     return "\n".join(lines)
 
 
-def _method_lines(m: ast.MethodDecl) -> list[str]:
-    params = ", ".join(f"{f.type_name} {f.name}" for f in m.formals)
-    lines = [f"{_INDENT}{m.return_type} {m.name}({params}) {{"]
-    body = m.body.statements if isinstance(m.body, ast.Block) else (m.body,)
-    for s in body:
-        _stmt_lines(s, 2, lines)
-    lines.append(f"{_INDENT}}}")
-    return lines
+def _body(head: str, s: ast.Statement, indent: int, out: list[str]) -> None:
+    """Print ``s`` as the body of ``head``, a line at ``indent``."""
+    if isinstance(s, ast.Block):
+        out.append(head + " {")
+        for inner in s.statements:
+            _stmt_lines(inner, indent + 1, out)
+        out.append(_INDENT * indent + "}")
+    else:
+        out.append(head)
+        _stmt_lines(s, indent + 1, out)
 
 
 def _stmt_lines(s: ast.Statement, indent: int, out: list[str]) -> None:
     pad = _INDENT * indent
-    if isinstance(s, ast.Block):
+    if isinstance(s, ast.Block):  # not through _body: one frame per nested block
         out.append(pad + "{")
         for inner in s.statements:
             _stmt_lines(inner, indent + 1, out)
@@ -66,44 +73,14 @@ def _stmt_lines(s: ast.Statement, indent: int, out: list[str]) -> None:
     elif isinstance(s, ast.CallStmt):
         out.append(f"{pad}{_expr(s.call)};")
     elif isinstance(s, ast.While):
-        head = f"{pad}while ({_expr(s.condition)})"
-        _branch_lines(head, s.body, None, indent, out)
+        _body(f"{pad}while ({_expr(s.condition)})", s.body, indent, out)
     elif isinstance(s, ast.If):
-        head = f"{pad}if ({_expr(s.condition)})"
-        _branch_lines(head, s.then_branch, s.else_branch, indent, out)
+        _body(f"{pad}if ({_expr(s.condition)})", s.then_branch, indent, out)
+        if s.else_branch is not None:  # after a block, else joins its closing brace
+            head = out.pop() + " else" if isinstance(s.then_branch, ast.Block) else pad + "else"
+            _body(head, s.else_branch, indent, out)
     else:
         raise FocusPresent(_WRAPPED)
-
-
-def _branch_lines(
-    head: str,
-    branch: ast.Statement,
-    else_branch: ast.Statement | None,
-    indent: int,
-    out: list[str],
-) -> None:
-    pad = _INDENT * indent
-    if isinstance(branch, ast.Block):
-        out.append(head + " {")
-        for inner in branch.statements:
-            _stmt_lines(inner, indent + 1, out)
-        closing = pad + "}"
-    else:
-        out.append(head)
-        _stmt_lines(branch, indent + 1, out)
-        closing = None
-    if else_branch is None:
-        if closing is not None:
-            out.append(closing)
-        return
-    if isinstance(else_branch, ast.Block):
-        out.append((closing + " else {") if closing is not None else pad + "else {")
-        for inner in else_branch.statements:
-            _stmt_lines(inner, indent + 1, out)
-        out.append(pad + "}")
-    else:
-        out.append((closing + " else") if closing is not None else pad + "else")
-        _stmt_lines(else_branch, indent + 1, out)
 
 
 def _expr(e: ast.Expression, context: int = 0) -> str:

@@ -1,10 +1,12 @@
 """Deterministic minilet pretty-printer.
 
-Lets print over several lines with 4-space indentation; simple
-expressions stay inline. A let in operand position is parenthesised so
-the in-expression cannot absorb the surrounding operator when reparsed.
-Programs containing focus wrappers are rejected (``FocusPresent``) where
-the printer meets one.
+Simple expressions stay inline. A let spans several lines, indented by 4
+spaces: ``let`` where its caller put it, each definition one level deeper
+than that line, ``in`` at its level and the body one level deeper. A let
+that is a definition's body starts on the next line, one level deeper; a
+let in operand position is parenthesised so the in-expression cannot
+absorb the surrounding operator when reparsed. Focus wrappers are
+rejected (``FocusPresent``) where the printer meets one.
 """
 
 from __future__ import annotations
@@ -39,19 +41,15 @@ def _expr(e: ast.Expression, indent: int, context: int = 0) -> str:
 
 
 def _let(e: ast.Let, indent: int) -> str:
-    pad = _INDENT * indent
-    inner = _INDENT * (indent + 1)
     if not isinstance(e.defs, ast.FunDefList):
         raise FocusPresent(_WRAPPED)
-    lines = [pad + "let"]
-    for fd in e.defs.defs:
+    pad = _INDENT * indent
+    lines = ["let"]
+    for fd in e.defs.defs:  # a plain loop: a generator would add a frame per level
         lines.append(_fundef(fd, indent + 1))
     lines.append(pad + "in")
-    lines.append(inner + _expr(e.body, indent + 1))
-    # the let keyword itself is placed by the caller's context, so the
-    # first line carries no pad when the let is inline
-    text = "\n".join(lines)
-    return text[len(pad):] if text.startswith(pad) else text
+    lines.append(pad + _INDENT + _expr(e.body, indent + 1))
+    return "\n".join(lines)
 
 
 def _fundef(fd: ast.FunDef, indent: int) -> str:

@@ -3,11 +3,16 @@ byte-exact stdout and the documented exit codes, plus output-mode behavior."""
 
 from __future__ import annotations
 
+import argparse
+import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import refax
 from refax.cli import main
 from refax.minilet import parse_program as parse_minilet
 
@@ -416,7 +421,7 @@ def test_a_span_no_node_has_in_a_long_chain_is_a_span_mismatch(tmp_path, capsys)
 
 def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
     """Input nested past the recursion limit (an innermost extract first
-    fails at about 200 nested lets) is exit 4, not a traceback."""
+    fails at 198 nested lets) is exit 4, not a traceback."""
     source, spans = nested_lets(250)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
@@ -581,3 +586,28 @@ def test_main_pauses_the_collector_and_restores_it(enabled, tmp_path, capsys, mo
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
     assert seen == [False] * 4  # every request but the usage error parses
+
+
+@pytest.mark.parametrize("name", ["j-extract-block", "j-extract-clash", "j-extract-span-mismatch", "j-extract-usage"])
+def test_a_later_request_reuses_the_argument_parser(name, capsys, monkeypatch):
+    """The argument parser is built once per process: a request after the
+    first constructs no ``ArgumentParser``, and its output and exit code
+    are those of a fresh ``refax`` process."""
+    template = next(s[1] for s in SCENARIOS if s[0] == name)
+    run_scenario(template, capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    later = run_scenario(template, capsys)
+    assert built == []
+    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "refax.cli", *template.format(g=GOLDEN).split()],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert later == (fresh.returncode, fresh.stdout, fresh.stderr)
