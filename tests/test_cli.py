@@ -4,6 +4,7 @@ byte-exact stdout and the documented exit codes, plus output-mode behavior."""
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import subprocess
@@ -560,7 +561,6 @@ def _collector_runs(tmp_path):
 def test_main_pauses_the_collector_and_restores_it(enabled, tmp_path, capsys, monkeypatch):
     """``main`` runs its request with the cyclic collector off and leaves
     it as the caller had it, on every exit code."""
-    import gc
     from dataclasses import replace
 
     from refax import cli
@@ -611,3 +611,21 @@ def test_a_later_request_reuses_the_argument_parser(name, capsys, monkeypatch):
         capture_output=True, text=True, env=env, check=False,
     )
     assert later == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("name", ["j-extract-block", "m-extract-inner"])
+def test_a_later_extract_leaves_no_cyclic_garbage(name, capsys):
+    """With the cyclic collector off, an extract through ``main`` after a
+    first one leaves nothing that only the collector can free: no pass of
+    the request builds a reference cycle."""
+    template = next(s[1] for s in SCENARIOS if s[0] == name)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        run_scenario(template, capsys)
+        gc.collect()
+        assert run_scenario(template, capsys)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

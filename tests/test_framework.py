@@ -48,18 +48,13 @@ from refax.minilet import (
     referenced_names as mini_referenced,
 )
 from refax.strategy import (
-    MonoidSpec,
     QueryTU,
     SortCase,
     StrategyFailure,
-    all_tu,
     apply_tp,
     apply_tu,
     choice_tu,
-    comb_tu,
-    const_tu,
     fail_tu,
-    fix_tu,
     focus_paths,
     map_tu,
     mono_tp,
@@ -71,6 +66,7 @@ from refax.terms import Term, accessors
 
 from . import fixture_trees, joos_gen, minilet_gen, oracles
 from .fixture_trees import FIXTURE, Leaf, Node, Tag, leaf_case, preorder
+from .reference_strategies import Monoid, all_tu_reference, comb_reference, const_reference, fix_reference
 
 # Fixture-level focus convention: Tag("focus", t) wraps the fragment.
 
@@ -208,10 +204,10 @@ def _minus(a, b):
 
 
 def free_names_reference(declared, referenced, t):
-    dec = choice_tu(map_tu(tuple, declared), const_tu(()))
-    ref = choice_tu(map_tu(lambda names: tuple(dict.fromkeys(names)), referenced), const_tu(()))
-    query = fix_tu(
-        lambda q: comb_tu(_minus, comb_tu(_union, ref, all_tu(MonoidSpec((), _union), q)), dec)
+    dec = choice_tu(map_tu(tuple, declared), const_reference(()))
+    ref = choice_tu(map_tu(lambda names: tuple(dict.fromkeys(names)), referenced), const_reference(()))
+    query = fix_reference(
+        lambda q: comb_reference(_minus, comb_reference(_union, ref, all_tu_reference(Monoid((), _union), q)), dec)
     )
     return apply_tu(query, t)
 

@@ -3,13 +3,15 @@ traversal, recursive schemes, and environment propagation."""
 
 from __future__ import annotations
 
+import ast
 import random
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from refax import strategy
 from refax.strategy import (
-    MonoidSpec,
     QueryTU,
     SortCase,
     StrategyFailure,
@@ -18,32 +20,19 @@ from refax.strategy import (
     above_tp,
     adhoc_tp,
     adhoc_tu,
-    all_tp,
-    all_tu,
     apply_tp,
     apply_tu,
-    choice_tp,
     choice_tu,
-    comb_tu,
-    const_tu,
     fail_tp,
     fail_tu,
-    fix_tu,
     focus_paths,
-    id_tp,
-    let_tu,
     map_tu,
     mono_tp,
     mono_tu,
-    oncebu_tp,
-    oncebu_tu,
     oncetd_tp,
     oncetd_tu,
-    one_tp,
-    one_tu,
     propagate_path_tu,
     scoped_uses_tu,
-    seq_tp,
 )
 
 from . import joos_gen, minilet_gen
@@ -60,8 +49,25 @@ from .fixture_trees import (
     leaf_value,
     preorder,
 )
+from .reference_strategies import (
+    Monoid,
+    adhoc_reference,
+    all_tp_reference,
+    all_tu_reference,
+    choice_reference,
+    comb_reference,
+    const_reference,
+    id_reference,
+    let_reference,
+    one_tp_reference,
+    one_tu_reference,
+    oncebu_reference,
+    oncetd_reference,
+    propagate_reference,
+    seq_reference,
+)
 
-LIST_MONOID = MonoidSpec((), lambda a, b: a + b)
+LIST_MONOID = Monoid((), lambda a, b: a + b)
 
 
 def sample_trees(n=60, seed=3, twig_chance=0.0):
@@ -69,43 +75,41 @@ def sample_trees(n=60, seed=3, twig_chance=0.0):
     return [gen_tree(rng, tag_chance=0.15, twig_chance=twig_chance) for _ in range(n)]
 
 
-def outcome_tp(s, t):
+def _outcome(apply, s, t):
     try:
-        return ("ok", apply_tp(s, t))
+        out = apply(s, t)
     except StrategyFailure:
         return ("fail", None)
+    assert out is not strategy._FAIL
+    return ("ok", out)
 
 
-def outcome_tu(q, t):
-    try:
-        return ("ok", apply_tu(q, t))
-    except StrategyFailure:
-        return ("fail", None)
+outcome_tp, outcome_tu = partial(_outcome, apply_tp), partial(_outcome, apply_tu)
 
 
 def test_identity_and_failure_units():
     t = Node(Leaf(1), Leaf(2))
-    assert apply_tp(id_tp(), t) == t
+    assert apply_tp(id_reference(), t) == t
     with pytest.raises(StrategyFailure):
         apply_tp(fail_tp(), t)
     with pytest.raises(StrategyFailure):
         apply_tu(fail_tu(), t)
-    assert apply_tu(const_tu(42), Leaf(0)) == 42
-    assert apply_tu(const_tu([]), t) == []
+    assert apply_tu(const_reference(42), Leaf(0)) == 42
+    assert apply_tu(const_reference([]), t) == []
 
 
 def test_adhoc_dispatch():
     from refax.minilet import ast as mast
 
     assert apply_tp(adhoc_tp(fail_tp(), inc_leaf), Leaf(3)) == Leaf(4)
-    assert apply_tu(adhoc_tu(const_tu(0), leaf_value), Leaf(9)) == 9
+    assert apply_tu(adhoc_tu(const_reference(0), leaf_value), Leaf(9)) == 9
     # sort miss takes the default branch
-    assert apply_tu(adhoc_tu(const_tu(0), leaf_value), mast.IntLit(5)) == 0
+    assert apply_tu(adhoc_tu(const_reference(0), leaf_value), mast.IntLit(5)) == 0
     with pytest.raises(StrategyFailure):
         apply_tu(adhoc_tu(fail_tu(), leaf_value), mast.IntLit(5))
     # a matching sort whose case declines fails without falling back
     with pytest.raises(StrategyFailure):
-        apply_tu(adhoc_tu(const_tu(0), leaf_value), Node(Leaf(1), Leaf(2)))
+        apply_tu(adhoc_tu(const_reference(0), leaf_value), Node(Leaf(1), Leaf(2)))
 
 
 def test_mono_is_adhoc_over_failure():
@@ -119,56 +123,58 @@ def test_mono_is_adhoc_over_failure():
 
 
 def test_seq_and_let():
-    bump2 = seq_tp(mono_tp(inc_leaf), mono_tp(inc_leaf))
+    bump2 = seq_reference(mono_tp(inc_leaf), mono_tp(inc_leaf))
     assert apply_tp(bump2, Leaf(1)) == Leaf(3)
     with pytest.raises(StrategyFailure):
-        apply_tp(seq_tp(fail_tp(), id_tp()), Leaf(1))
-    assert apply_tu(let_tu(const_tu(5), lambda n: const_tu(n + 1)), Leaf(0)) == 6
+        apply_tp(seq_reference(fail_tp(), id_reference()), Leaf(1))
+    assert apply_tu(let_reference(const_reference(5), lambda n: const_reference(n + 1)), Leaf(0)) == 6
     with pytest.raises(StrategyFailure):
-        apply_tu(let_tu(fail_tu(), lambda n: const_tu(n)), Leaf(0))
+        apply_tu(let_reference(fail_tu(), lambda n: const_reference(n)), Leaf(0))
 
 
 def test_seq_unit_and_associativity_laws():
     inc = mono_tp(inc_leaf)
     for t in sample_trees():
-        assert outcome_tp(seq_tp(id_tp(), inc), t) == outcome_tp(inc, t)
-        assert outcome_tp(seq_tp(inc, id_tp()), t) == outcome_tp(inc, t)
-        a, b, c = oncetd_tp(inc), all_tp(choice_tp(inc, id_tp())), id_tp()
-        assert outcome_tp(seq_tp(seq_tp(a, b), c), t) == outcome_tp(seq_tp(a, seq_tp(b, c)), t)
+        assert outcome_tp(seq_reference(id_reference(), inc), t) == outcome_tp(inc, t)
+        assert outcome_tp(seq_reference(inc, id_reference()), t) == outcome_tp(inc, t)
+        a, b, c = oncetd_tp(inc), all_tp_reference(choice_reference(TransformTP, inc, id_reference())), id_reference()
+        left, right = seq_reference(seq_reference(a, b), c), seq_reference(a, seq_reference(b, c))
+        assert outcome_tp(left, t) == outcome_tp(right, t)
 
 
 def test_choice_left_bias_and_units():
-    assert apply_tu(choice_tu(fail_tu(), const_tu(1)), Leaf(0)) == 1
-    assert apply_tu(choice_tu(const_tu(1), const_tu(2)), Leaf(0)) == 1
-    inc = mono_tp(inc_leaf)
+    assert apply_tu(choice_tu(fail_tu(), const_reference(1)), Leaf(0)) == 1
+    assert apply_tu(choice_tu(const_reference(1), const_reference(2)), Leaf(0)) == 1
+    inc, value = mono_tp(inc_leaf), mono_tu(leaf_value)
     for t in sample_trees():
-        assert outcome_tp(choice_tp(fail_tp(), inc), t) == outcome_tp(inc, t)
-        assert outcome_tp(choice_tp(inc, fail_tp()), t) == outcome_tp(inc, t)
-        assert outcome_tp(choice_tp(fail_tp(), id_tp()), t) == outcome_tp(id_tp(), t)
+        assert outcome_tu(choice_tu(fail_tu(), value), t) == outcome_tu(value, t)
+        assert outcome_tu(choice_tu(value, fail_tu()), t) == outcome_tu(value, t)
+        assert outcome_tp(choice_reference(TransformTP, fail_tp(), inc), t) == outcome_tp(inc, t)
+        assert outcome_tp(choice_reference(TransformTP, inc, fail_tp()), t) == outcome_tp(inc, t)
+        assert outcome_tp(choice_reference(TransformTP, fail_tp(), id_reference()), t) == ("ok", t)
         # recovery: a leaf-only rewrite with identity fallback leaves nodes alone
-        assert apply_tp(choice_tp(mono_tp(inc_leaf), id_tp()), t) == (
+        assert apply_tp(choice_reference(TransformTP, inc, id_reference()), t) == (
             Leaf(t.value + 1) if isinstance(t, Leaf) else t
         )
 
 
 def test_all_tp():
-    inc = choice_tp(mono_tp(inc_leaf), id_tp())
-    assert apply_tp(all_tp(inc), Node(Leaf(1), Leaf(2))) == Node(Leaf(2), Leaf(3))
-    for s in (fail_tp(), id_tp(), mono_tp(inc_leaf)):
-        assert apply_tp(all_tp(s), Leaf(5)) == Leaf(5)
+    inc = choice_reference(TransformTP, mono_tp(inc_leaf), id_reference())
+    assert apply_tp(all_tp_reference(inc), Node(Leaf(1), Leaf(2))) == Node(Leaf(2), Leaf(3))
+    for s in (fail_tp(), id_reference(), mono_tp(inc_leaf)):
+        assert apply_tp(all_tp_reference(s), Leaf(5)) == Leaf(5)
     with pytest.raises(StrategyFailure):
-        apply_tp(all_tp(mono_tp(inc_leaf)), Node(Leaf(1), Node(Leaf(2), Leaf(3))))
+        apply_tp(all_tp_reference(mono_tp(inc_leaf)), Node(Leaf(1), Node(Leaf(2), Leaf(3))))
     for t in sample_trees():
-        assert apply_tp(all_tp(id_tp()), t) == t
+        assert apply_tp(all_tp_reference(id_reference()), t) == t
 
 
 def test_one_tp_leftmost_only():
-    assert apply_tp(one_tp(mono_tp(inc_leaf)), Node(Leaf(1), Leaf(2))) == Node(Leaf(2), Leaf(2))
-    assert apply_tp(
-        one_tp(mono_tp(inc_leaf)), Node(Node(Leaf(1), Leaf(2)), Leaf(7))
-    ) == Node(Node(Leaf(1), Leaf(2)), Leaf(8))
+    inc_one = one_tp_reference(mono_tp(inc_leaf))
+    assert apply_tp(inc_one, Node(Leaf(1), Leaf(2))) == Node(Leaf(2), Leaf(2))
+    assert apply_tp(inc_one, Node(Node(Leaf(1), Leaf(2)), Leaf(7))) == Node(Node(Leaf(1), Leaf(2)), Leaf(8))
     with pytest.raises(StrategyFailure):
-        apply_tp(one_tp(mono_tp(inc_leaf)), Leaf(1))
+        apply_tp(inc_one, Leaf(1))
 
 
 def test_one_tp_touches_exactly_one_child():
@@ -182,34 +188,35 @@ def test_one_tp_touches_exactly_one_child():
             return u
 
         s = TransformTP(counting)
-        apply_tp(one_tp(s), t)
+        apply_tp(one_tp_reference(s), t)
         assert len(hits) == 1 and hits[0] is t.children()[0]
 
 
 def test_all_tu_and_one_tu():
     as_list = mono_tu(leaf_case(lambda t: (t.value,)))
-    q = choice_tu(as_list, const_tu(()))
-    assert apply_tu(all_tu(LIST_MONOID, q), Node(Leaf(1), Leaf(2))) == (1, 2)
-    assert apply_tu(all_tu(LIST_MONOID, q), Leaf(9)) == ()
+    q = choice_tu(as_list, const_reference(()))
+    assert apply_tu(all_tu_reference(LIST_MONOID, q), Node(Leaf(1), Leaf(2))) == (1, 2)
+    assert apply_tu(all_tu_reference(LIST_MONOID, q), Leaf(9)) == ()
     with pytest.raises(StrategyFailure):
-        apply_tu(all_tu(LIST_MONOID, fail_tu()), Node(Leaf(1), Leaf(2)))
+        apply_tu(all_tu_reference(LIST_MONOID, fail_tu()), Node(Leaf(1), Leaf(2)))
     # oneTU: first child success, left to right
-    assert apply_tu(one_tu(mono_tu(leaf_value)), Node(Node(Leaf(1), Leaf(2)), Leaf(5))) == 5
+    value_one = one_tu_reference(mono_tu(leaf_value))
+    assert apply_tu(value_one, Node(Node(Leaf(1), Leaf(2)), Leaf(5))) == 5
     with pytest.raises(StrategyFailure):
-        apply_tu(one_tu(mono_tu(leaf_value)), Node(Node(Leaf(1), Leaf(2)), Node(Leaf(3), Leaf(4))))
+        apply_tu(value_one, Node(Node(Leaf(1), Leaf(2)), Node(Leaf(3), Leaf(4))))
 
 
 def test_all_tu_length_equals_child_count():
     for t in sample_trees():
-        got = apply_tu(all_tu(LIST_MONOID, const_tu((1,))), t)
+        got = apply_tu(all_tu_reference(LIST_MONOID, const_reference((1,))), t)
         assert len(got) == len(t.children())
 
 
 def test_comb_tu():
     union = lambda a, b: tuple(dict.fromkeys(a + b))
-    assert apply_tu(comb_tu(union, const_tu((1,)), const_tu((1, 2))), Leaf(0)) == (1, 2)
+    assert apply_tu(comb_reference(union, const_reference((1,)), const_reference((1, 2))), Leaf(0)) == (1, 2)
     with pytest.raises(StrategyFailure):
-        apply_tu(comb_tu(union, fail_tu(), const_tu((1,))), Leaf(0))
+        apply_tu(comb_reference(union, fail_tu(), const_reference((1,))), Leaf(0))
 
 
 def test_oncetd_first_preorder_match():
@@ -225,7 +232,7 @@ def test_oncetd_first_preorder_match():
 def test_oncebu_first_postorder_match():
     tag_label = mono_tu(SortCase(FIXTURE, lambda t: t.label if isinstance(t, Tag) else _refuse()))
     t = Tag("root", Node(Tag("deep", Leaf(1)), Tag("right", Leaf(2))))
-    assert apply_tu(oncebu_tu(tag_label), t) == "deep"
+    assert apply_tu(oncebu_reference(QueryTU, one_tu_reference, tag_label), t) == "deep"
     assert apply_tu(oncetd_tu(tag_label), t) == "root"
 
 
@@ -243,7 +250,7 @@ def test_propagate_select_at_root_short_circuits():
 
         return QueryTU(run)
 
-    q = propagate_path_tu((), update, const_tu("hit"))
+    q = propagate_path_tu((), update, const_reference("hit"))
     assert apply_tu(q, Node(Leaf(1), Leaf(2))) == ((), "hit")
     assert calls == []
 
@@ -349,7 +356,7 @@ def above_reference(s, below):
 
     def run(t):
         try:
-            return one_tp(scheme)(t)
+            return one_tp_reference(scheme)(t)
         except StrategyFailure:
             pass
         if not met_below(t):
@@ -497,116 +504,6 @@ def test_guided_focus_paths_keep_exactly_the_paths_the_guide_admits():
     assert kept > 500 and pruned > 500
 
 
-# -- the raising formulations, kept as references ---------------------------------
-#
-# These are the combinators as they were when refusal was signalled by raising
-# ``StrategyFailure`` at every node. The core now passes refusal as a value;
-# the tests below require both to agree on every outcome.
-
-
-def choice_reference(make, s1, s2):
-    def run(t):
-        try:
-            return s1(t)
-        except StrategyFailure:
-            return s2(t)
-
-    return make(run)
-
-
-def adhoc_reference(make, deflt, case):
-    def run(t):
-        if t.sort == case.sort:
-            return case.fn(t)
-        return deflt(t)
-
-    return make(run)
-
-
-def all_tp_reference(s):
-    return TransformTP(lambda t: t.rebuild(tuple(s(c) for c in t.children())))
-
-
-def one_tp_reference(s):
-    def run(t):
-        cs = t.children()
-        for i, c in enumerate(cs):
-            try:
-                new = s(c)
-            except StrategyFailure:
-                continue
-            return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
-        raise StrategyFailure("oneTP: no child succeeded")
-
-    return TransformTP(run)
-
-
-def all_tu_reference(monoid, q):
-    def run(t):
-        acc = monoid.empty
-        for c in t.children():
-            acc = monoid.combine(acc, q(c))
-        return acc
-
-    return QueryTU(run)
-
-
-def one_tu_reference(q):
-    def run(t):
-        for c in t.children():
-            try:
-                return q(c)
-            except StrategyFailure:
-                continue
-        raise StrategyFailure("oneTU: no child succeeded")
-
-    return QueryTU(run)
-
-
-def oncetd_reference(make, one, s):
-    def run(t):
-        try:
-            return s(t)
-        except StrategyFailure:
-            return descend(t)
-
-    scheme = make(run)
-    descend = one(scheme)
-    return scheme
-
-
-def oncebu_reference(make, one, s):
-    def run(t):
-        try:
-            return descend(t)
-        except StrategyFailure:
-            return s(t)
-
-    scheme = make(run)
-    descend = one(scheme)
-    return scheme
-
-
-def propagate_reference(e0, update, select):
-    def go(t, env):
-        try:
-            return select(env)(t)
-        except StrategyFailure:
-            pass
-        try:
-            env = update(env)(t)
-        except StrategyFailure:
-            pass
-        for c in t.children():
-            try:
-                return go(c, env)
-            except StrategyFailure:
-                continue
-        raise StrategyFailure("propagateTU: selection failed everywhere")
-
-    return QueryTU(lambda t: go(t, e0))
-
-
 def _label(t):
     return (t.label,)
 
@@ -623,14 +520,14 @@ TP_PARTS = {
     "inc": mono_tp(inc_leaf),
     "mark": mono_tp(SortCase(FIXTURE, _hit_on_even_left)),
     "user": TransformTP(_hit_on_even_left),
-    "id": id_tp(),
+    "id": id_reference(),
     "fail": fail_tp(),
 }
 TU_PARTS = {
     "leaf": mono_tu(leaf_case(lambda t: (t.value,))),
     "odd": mono_tu(SortCase(FIXTURE, _odd_leaf)),
     "user": QueryTU(_odd_leaf),
-    "const": const_tu(("c",)),
+    "const": const_reference(("c",)),
     "fail": fail_tu(),
 }
 
@@ -684,8 +581,8 @@ def _guarded_pairs():
     for a, case in GUARDED_TU.items():
         mono = _mono_reference(QueryTU, fail_tu(), case)
         yield "mono_tu", ("guarded", a), mono_tu(case), mono, apply_tu
-        yield "adhoc_tu", ("const", "guarded", a), adhoc_tu(const_tu(("c",)), case), _mono_reference(
-            QueryTU, const_tu(("c",)), case), apply_tu
+        yield "adhoc_tu", ("const", "guarded", a), adhoc_tu(const_reference(("c",)), case), _mono_reference(
+            QueryTU, const_reference(("c",)), case), apply_tu
         yield "adhoc_tu", ("twig", "guarded", a), adhoc_tu(ODD_TWIG_TU, case), _mono_reference(
             QueryTU, ODD_TWIG_TU, case), apply_tu
         yield "choice_tu", ("guarded", a, "odd"), choice_tu(mono_tu(case), TU_PARTS["odd"]), choice_reference(
@@ -695,56 +592,39 @@ def _guarded_pairs():
     for a, case in GUARDED_TP.items():
         mono = _mono_reference(TransformTP, fail_tp(), case)
         yield "mono_tp", ("guarded", a), mono_tp(case), mono, apply_tp
-        yield "adhoc_tp", ("id", "guarded", a), adhoc_tp(id_tp(), case), _mono_reference(
-            TransformTP, id_tp(), case), apply_tp
-        yield "choice_tp", ("guarded", a, "twig"), choice_tp(mono_tp(case), ODD_TWIG_TP), choice_reference(
-            TransformTP, mono, ODD_TWIG_TP), apply_tp
+        yield "adhoc_tp", ("id", "guarded", a), adhoc_tp(id_reference(), case), _mono_reference(
+            TransformTP, id_reference(), case), apply_tp
+        yield "adhoc_tp", ("twig", "guarded", a), adhoc_tp(ODD_TWIG_TP, case), _mono_reference(
+            TransformTP, ODD_TWIG_TP, case), apply_tp
     # Two guarded cases on one sort: the merged table tries both.
     odd, tag = GUARDED_TU["odd leaf"], GUARDED_TU["tag"]
     yield "choice_tu", ("guarded", "odd leaf", "tag"), choice_tu(mono_tu(odd), mono_tu(tag)), choice_reference(
         QueryTU, _mono_reference(QueryTU, fail_tu(), odd), _mono_reference(QueryTU, fail_tu(), tag)), apply_tu
-    inc, relabel = GUARDED_TP["inc"], GUARDED_TP["relabel"]
-    yield "choice_tp", ("guarded", "inc", "relabel"), choice_tp(mono_tp(inc), mono_tp(relabel)), choice_reference(
-        TransformTP, _mono_reference(TransformTP, fail_tp(), inc),
-        _mono_reference(TransformTP, fail_tp(), relabel)), apply_tp
 
 
 def _reference_pairs():
     """(combinator, part names, new strategy, reference strategy, apply)."""
     for a, s in TP_PARTS.items():
-        yield "all_tp", a, all_tp(s), all_tp_reference(s), apply_tp
-        yield "one_tp", a, one_tp(s), one_tp_reference(s), apply_tp
         yield "oncetd_tp", a, oncetd_tp(s), oncetd_reference(TransformTP, one_tp_reference, s), apply_tp
-        yield "oncebu_tp", a, oncebu_tp(s), oncebu_reference(TransformTP, one_tp_reference, s), apply_tp
-        for b, s2 in TP_PARTS.items():
-            yield "choice_tp", (a, b), choice_tp(s, s2), choice_reference(TransformTP, s, s2), apply_tp
     for a, q in TU_PARTS.items():
-        yield "all_tu", a, all_tu(LIST_MONOID, q), all_tu_reference(LIST_MONOID, q), apply_tu
-        yield "one_tu", a, one_tu(q), one_tu_reference(q), apply_tu
         yield "oncetd_tu", a, oncetd_tu(q), oncetd_reference(QueryTU, one_tu_reference, q), apply_tu
-        yield "oncebu_tu", a, oncebu_tu(q), oncebu_reference(QueryTU, one_tu_reference, q), apply_tu
         for b, q2 in TU_PARTS.items():
             yield "choice_tu", (a, b), choice_tu(q, q2), choice_reference(QueryTU, q, q2), apply_tu
-    # nested: a scheme over a choice over a one-layer traversal
-    inc_or_id = choice_tp(TP_PARTS["inc"], id_tp())
-    yield "oncetd_tp", "all", oncetd_tp(all_tp(TP_PARTS["inc"])), oncetd_reference(
+    # nested: a scheme over a one-layer traversal
+    yield "oncetd_tp", "all", oncetd_tp(all_tp_reference(TP_PARTS["inc"])), oncetd_reference(
         TransformTP, one_tp_reference, all_tp_reference(TP_PARTS["inc"])), apply_tp
-    yield "all_tp", "choice", all_tp(inc_or_id), all_tp_reference(
-        choice_reference(TransformTP, TP_PARTS["inc"], id_tp())), apply_tp
 
-    # Case tables. Over disjoint sorts a choice is one merged table; with
-    # a sort on both sides the second must still run where the first
-    # refuses; and an adhoc case over a table default replaces the
-    # default's case for its sort, so its refusal does not fall through.
-    for a in ("inc", "mark"):
-        s = TP_PARTS[a]
-        yield "choice_tp", (a, "twig"), choice_tp(s, ODD_TWIG_TP), choice_reference(
-            TransformTP, s, ODD_TWIG_TP), apply_tp
-        yield "choice_tp", ("twig", a), choice_tp(ODD_TWIG_TP, s), choice_reference(
-            TransformTP, ODD_TWIG_TP, s), apply_tp
-        mark = SortCase(FIXTURE, _hit_on_even_left)
-        yield "adhoc_tp", (a, "twig", "mark"), adhoc_tp(choice_tp(s, ODD_TWIG_TP), mark), adhoc_reference(
-            TransformTP, choice_reference(TransformTP, s, ODD_TWIG_TP), mark), apply_tp
+    # Case tables. An adhoc case over a table default of another sort
+    # merges into one table, and over a table default of its own sort it
+    # replaces the default's case, so its refusal does not fall through.
+    # Over disjoint sorts a choice is one merged table; with a sort on
+    # both sides the second must still run where the first refuses.
+    mark = SortCase(FIXTURE, _hit_on_even_left)
+    for a, case in (("inc", inc_leaf), ("mark", mark)):
+        merged, merged_ref = adhoc_tp(ODD_TWIG_TP, case), adhoc_reference(TransformTP, ODD_TWIG_TP, case)
+        yield "adhoc_tp", ("twig", a), merged, merged_ref, apply_tp
+        yield "adhoc_tp", ("twig", a, "mark"), adhoc_tp(merged, mark), adhoc_reference(
+            TransformTP, merged_ref, mark), apply_tp
     for a in ("leaf", "odd"):
         q = TU_PARTS[a]
         yield "choice_tu", (a, "twig"), choice_tu(q, ODD_TWIG_TU), choice_reference(
@@ -753,8 +633,8 @@ def _reference_pairs():
             QueryTU, ODD_TWIG_TU, q), apply_tu
         yield "adhoc_tu", (a, "twig", "odd"), adhoc_tu(choice_tu(q, ODD_TWIG_TU), ODD_CASE), adhoc_reference(
             QueryTU, choice_reference(QueryTU, q, ODD_TWIG_TU), ODD_CASE), apply_tu
-        yield "adhoc_tu", ("const", a), adhoc_tu(const_tu(("c",)), ODD_CASE), adhoc_reference(
-            QueryTU, const_tu(("c",)), ODD_CASE), apply_tu
+        yield "adhoc_tu", ("const", a), adhoc_tu(const_reference(("c",)), ODD_CASE), adhoc_reference(
+            QueryTU, const_reference(("c",)), ODD_CASE), apply_tu
     yield "choice_tu", ("twig", "any twig"), choice_tu(ODD_TWIG_TU, ANY_TWIG_TU), choice_reference(
         QueryTU, ODD_TWIG_TU, ANY_TWIG_TU), apply_tu
     yield "oncetd_tu", "table", oncetd_tu(choice_tu(ODD_TWIG_TU, TU_PARTS["odd"])), oncetd_reference(
@@ -762,22 +642,13 @@ def _reference_pairs():
     yield from _guarded_pairs()
 
 
-def _outcome(apply, s, t):
-    try:
-        out = apply(s, t)
-    except StrategyFailure:
-        return ("fail", None)
-    assert out is not strategy._FAIL
-    return ("ok", out)
-
-
 def test_combinators_match_their_raising_reference_formulations():
     """Over random trees, some of them with leaves of a second sort, every
     combinator gives the outcome, result or refusal, of its raising
     formulation, for parts that refuse at some nodes, guarded cases
     included; and each combinator both succeeds and refuses somewhere.
-    Choices of case tables merge into one table, and a merged
-    type-preserving table still rejects a case that changes sort. A
+    Choices and adhoc cases over case tables merge into one table, and a
+    merged type-preserving table still rejects a case that changes sort. A
     guarded case refuses other constructors as a public call too, and each
     language's focus and host functions, called directly on another
     constructor, still raise."""
@@ -792,10 +663,10 @@ def test_combinators_match_their_raising_reference_formulations():
 
     assert set(choice_tu(TU_PARTS["odd"], ODD_TWIG_TU)._cases) == {FIXTURE, TWIG}
     assert set(adhoc_tu(ODD_TWIG_TU, ODD_CASE)._cases) == {FIXTURE, TWIG}
-    to_twig = mono_tp(SortCase(FIXTURE, lambda t: Twig(t.value) if isinstance(t, Leaf) else _refuse()))
-    merged = choice_tp(ODD_TWIG_TP, to_twig)
+    to_twig = SortCase(FIXTURE, lambda t: Twig(t.value) if isinstance(t, Leaf) else _refuse())
+    merged = adhoc_tp(ODD_TWIG_TP, to_twig)
     assert set(merged._cases) == {FIXTURE, TWIG}
-    for s in (merged, choice_reference(TransformTP, ODD_TWIG_TP, to_twig)):
+    for s in (merged, adhoc_reference(TransformTP, ODD_TWIG_TP, to_twig)):
         with pytest.raises(TypeError):
             apply_tp(s, Leaf(1))
         assert apply_tp(s, Twig(1)) == Twig(3)
@@ -841,39 +712,22 @@ def _refusing_strategies():
     big = mono_tp(leaf_case(lambda t: t if t.value >= 7 else _refuse()))
     yield "fail_tp", fail_tp()
     yield "fail_tu", fail_tu()
-    yield "seq_tp", seq_tp(id_tp(), fail_tp())
-    yield "seq_tp", seq_tp(fail_tp(), id_tp())
-    yield "let_tu", let_tu(fail_tu(), lambda a: const_tu(a))
-    yield "let_tu", let_tu(const_tu(1), lambda a: fail_tu())
-    yield "let_tu", let_tu(const_tu(1), _raise)
     yield "map_tu", map_tu(len, fail_tu())
-    yield "map_tu", map_tu(_raise, const_tu(1))
-    yield "choice_tp", choice_tp(fail_tp(), big)
+    yield "map_tu", map_tu(_raise, const_reference(1))
     yield "choice_tu", choice_tu(fail_tu(), odd)
-    yield "comb_tu", comb_tu(max, const_tu(1), fail_tu())
-    yield "comb_tu", comb_tu(max, fail_tu(), const_tu(1))
-    yield "comb_tu", comb_tu(_raise, const_tu(1), const_tu(2))
-    yield "fix_tu", fix_tu(lambda q: choice_tu(mono_tu(SortCase(FIXTURE, _odd_leaf)), one_tu(q)))
-    yield "all_tp", all_tp(big)
-    yield "all_tu", all_tu(LIST_MONOID, odd)
-    yield "all_tu", all_tu(MonoidSpec((), _raise), leaf)
-    yield "one_tp", one_tp(big)
-    yield "one_tu", one_tu(odd)
-    yield "adhoc_tp", adhoc_tp(id_tp(), inc_leaf)
-    yield "adhoc_tu", adhoc_tu(const_tu(0), leaf_value)
+    yield "adhoc_tp", adhoc_tp(id_reference(), inc_leaf)
+    yield "adhoc_tu", adhoc_tu(const_reference(0), leaf_value)
     yield "mono_tp", mono_tp(inc_leaf)
     yield "mono_tu", mono_tu(leaf_value)
     yield "mono_tu", mono_tu(GUARDED_TU["tag"])
     yield "mono_tp", mono_tp(GUARDED_TP["relabel"])
     yield "oncetd_tp", oncetd_tp(big)
     yield "oncetd_tu", oncetd_tu(odd)
-    yield "oncebu_tp", oncebu_tp(big)
-    yield "oncebu_tu", oncebu_tu(odd)
     yield "above_tp", above_tp(TP_PARTS["mark"], odd)
     yield "above_tp", above_tp(big, leaf)
     yield "above_path_tp", above_path_tp(TP_PARTS["mark"], odd)
     yield "above_path_tp", above_path_tp(big, leaf)
-    yield "propagate_path_tu", propagate_path_tu((), lambda env: const_tu(env), odd)
+    yield "propagate_path_tu", propagate_path_tu((), lambda env: const_reference(env), odd)
     yield "propagate_path_tu", propagate_path_tu((), _raise, odd)
     yield "TransformTP", TransformTP(_raise)
     yield "QueryTU", QueryTU(_raise)
@@ -894,6 +748,43 @@ def test_refusal_surfaces_as_strategy_failure():
     public = {n for n in dir(strategy) if n.endswith(("_tp", "_tu")) and not n.startswith("_")}
     # The schemes that cannot refuse: refusal of scoped_uses_tu's parts
     # counts as "none".
-    assert names >= public - {"apply_tp", "apply_tu", "id_tp", "const_tu", "scoped_uses_tu"}
-    assert apply_tu(const_tu(None), t) is None
+    assert names >= public - {"apply_tp", "apply_tu", "scoped_uses_tu"}
+    assert apply_tu(const_reference(None), t) is None
     assert apply_tu(scoped_uses_tu(fail_tu(), QueryTU(_raise)), t) == ()
+
+
+def _names(code):
+    """The names ``code`` refers to: variables, attributes and imports."""
+    for node in ast.walk(code):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_combinator_has_a_caller():
+    """Each public function and class of ``refax.strategy`` is reached from
+    a refactoring or the benchmark: named in another module of ``src`` or
+    in ``bench``, or by a definition in ``strategy.py`` that is reached.
+    What nothing runs belongs in ``tests/reference_strategies.py``."""
+    root = Path(__file__).resolve().parents[1]
+    module = root / "src" / "refax" / "strategy.py"
+    defs = {
+        node.name: node
+        for node in ast.parse(module.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "bench").rglob("*.py")]:
+        if path != module:
+            reached.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    todo = [name for name in defs if name in reached]
+    while todo:
+        for name in _names(defs[todo.pop()]):
+            if name in defs and name not in reached:
+                reached.add(name)
+                todo.append(name)
+    unused = sorted(name for name in defs if not name.startswith("_") and name not in reached)
+    assert not unused, f"no caller in src or bench: {unused}"
