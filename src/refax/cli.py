@@ -1,9 +1,10 @@
 """Command-line driver: parse, place a focus, refactor, check and dump.
 
 Exit codes: 0 success; 1 a refactoring precondition failed (the source
-file is untouched); 2 parse or span errors, an input file that cannot be
-read (missing, or not UTF-8 text), or an ``--output`` path that cannot be
-written (say, in a missing directory); 3 usage errors; 4 internal error:
+file is untouched); 2 span errors, parse errors (naming the file), an
+input file that cannot be read (missing, or not UTF-8 text), or an
+``--output`` path that cannot be written (say, in a missing directory);
+3 usage errors, found before any file is read; 4 internal error:
 any other exception, including input nested past the recursion limit,
 reported as one ``internal error: ...`` line without a traceback (the
 source file is untouched). Program text goes to the output stream,
@@ -16,12 +17,14 @@ it rewrites the file the link resolves to, so the link stays a link.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Iterator
 
 from . import joos, minilet
 from .framework import FocusPresent, RefactoringError
@@ -140,22 +143,19 @@ def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
     return 3
 
 
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """A ``ParseError`` raised inside names ``path``, as it was given."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     lang = LANGUAGES[args.lang]
-    source = _read(args.file)
-    if args.command == "check":
-        diags = lang.check(lang.parse(source))
-        for diag in diags:
-            print(diag)
-        return 0 if not diags else 1
-    if args.command == "ast":
-        print(dump(lang.parse(source)))
-        return 0
-    if args.command == "extract":
-        focused = lang.place_focus_by_span(source, lang.fragment_kind, args.focus)
-        result = lang.extract(args.name, focused)
-    else:
-        decl_source = _read(args.decl)
+    if args.command == "introduce":
         by_class = lang.focus_class is not None
         given = {"--class": args.class_name, "--focus": args.focus}
         flag, other = ("--class", "--focus") if by_class else ("--focus", "--class")
@@ -163,11 +163,30 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             return _usage_error(parser, f"introduce --lang {lang.name} requires {flag}")
         if given[other] is not None:
             return _usage_error(parser, f"introduce --lang {lang.name} does not take {other}")
-        decl = lang.parse_decl(decl_source)
-        if by_class:
-            focused = lang.focus_class(lang.parse(source), args.class_name)
-        else:
-            focused = lang.place_focus_by_span(source, lang.list_kind, args.focus)
+    source = _read(args.file)
+    if args.command == "check":
+        with _naming(args.file):
+            diags = lang.check(lang.parse(source))
+        for diag in diags:
+            print(diag)
+        return 0 if not diags else 1
+    if args.command == "ast":
+        with _naming(args.file):
+            print(dump(lang.parse(source)))
+        return 0
+    if args.command == "extract":
+        with _naming(args.file):
+            at = lang.focus_path_by_span(source, lang.fragment_kind, args.focus)
+        result = lang.extract_at(args.name, at)
+    else:
+        decl_source = _read(args.decl)
+        with _naming(args.decl):
+            decl = lang.parse_decl(decl_source)
+        with _naming(args.file):
+            if by_class:
+                focused = lang.focus_class(lang.parse(source), args.class_name)
+            else:
+                focused = lang.place_focus_by_span(source, lang.list_kind, args.focus)
         result = lang.introduce(decl, focused)
     _emit(lang.pretty(result), args)
     return 0

@@ -9,14 +9,18 @@ interface a language instance fills in; introduction; and the
 phases, written once for every language.
 
 A refactoring acts at one focus, so the steps that only need the focus
-work on the path from the root to it, not the whole tree: placing the
-focus by span is a ``strategy.focus_paths`` walk guided into only the
-children whose span encloses it, and ``Language.extract`` searches for the
-focus once (``focus_paths`` again) and then runs every phase on that one
-``FocusPath``: the environment is folded over the focus's ancestors, the
-host is picked among them, only the path is rebuilt, with the application
-in place of the focus, and ``extract`` ends with ``introduce`` on the
-marked host. The phases also exist one by one, each searching from the
+work on the path from the root to it, not the whole tree.
+``Language.focus_path_by_span`` finds the focus as a ``FocusPath``, by a
+``strategy.focus_paths`` walk guided into only the children whose span
+encloses it, and ``Language.extract_at`` runs every phase on that path:
+the environment is folded over the focus's ancestors, the host is picked
+among them, only the path is rebuilt, with the application in place of
+the focus, and it ends with ``introduce`` on the marked host. The CLI's
+extract is these two, with no focus wrapper. ``Language.extract`` is the
+paper's entry on a program holding one focus wrapper (as
+``place_focus_by_span`` builds one): one whole-tree walk checks its
+wrappers up front and hands the fragment wrapper's path to
+``extract_at``. The phases also exist one by one, each searching from the
 root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
 ``mark_host`` (``strategy.above_path_tp``), ``introduce`` and
 ``replace_focus``.
@@ -43,6 +47,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .lexing import Lines, Span, SpanMismatch
 from .strategy import (
+    FocusPath,
     QueryTU,
     SortCase,
     StrategyFailure,
@@ -295,7 +300,9 @@ def introduce(
 @dataclass(frozen=True)
 class Language:
     """One language instance: its front end, printer and checker, and the
-    ingredients from which ``extract`` and ``introduce`` are built.
+    ingredients from which ``extract`` and ``introduce`` are built:
+    ``extract_at`` on the ``FocusPath`` that ``focus_path_by_span`` finds,
+    ``extract`` on a program holding one focus wrapper.
 
     ``declared`` and ``referenced`` are the name queries; ``host`` marks
     the node whose abstraction list receives an extracted abstraction;
@@ -331,37 +338,32 @@ class Language:
         object.__setattr__(self, "find2", focus_case(*self.focus_kinds[self.list_kind]))
 
     def extract(self, new_name: str, prog: Term) -> Term:
-        """Extract the focused fragment into a new abstraction.
-
-        The fragment's typed free names become the formal parameters of
-        the abstraction and the actual parameters of the application that
-        replaces the focus; the abstraction is introduced into the deepest
-        enclosing abstraction list. Any precondition failure raises before
-        the program is touched, so failure leaves the input intact.
-
-        The phases share one ``FocusPath``: one walk finds the first
-        fragment focus in preorder, ``declared`` is folded over its
-        ancestors (``bound_typed_names``), and the host is the deepest
-        ancestor that ``host`` accepts (``mark_host``). Only the path below
-        the host is rebuilt, with the application in place of the focus
-        (``replace_focus``); the host is marked, and ``introduce`` appends
-        the abstraction to its list under the ``NameClash`` rule. The
-        fragment's free names are the application's actuals, so the rule
-        judges the list as it would with the fragment in place. The same
-        walk goes on over the rest of the tree: any other fragment or list
-        wrapper would be left behind, so after every precondition it raises
-        ``RuntimeError``.
-        """
-        declared, referenced, find, find2, sig = (
-            self.declared, self.referenced, self.find, self.find2, self.signature)
-        wrappers = focus_paths(choice_tu(mono_tu(find), mono_tu(find2)), prog)
-        stray = False
-        for at in wrappers:
-            if isinstance(at.node, find.on):
-                break
-            stray = True
-        else:
+        """The paper's entry: extract the fragment under ``prog``'s one focus
+        wrapper. One whole-tree walk first finds the wrappers: ``NoFocus``
+        without a fragment wrapper, else ``RuntimeError`` with any other
+        (the result would keep it); then ``extract_at`` on its path."""
+        wrappers = list(focus_paths(choice_tu(mono_tu(self.find), mono_tu(self.find2)), prog))
+        at = next((w for w in wrappers if isinstance(w.node, self.find.on)), None)
+        if at is None:
             raise NoFocus()
+        if len(wrappers) > 1:
+            raise RuntimeError("extraction would leave a focus wrapper behind")
+        return self.extract_at(new_name, at)
+
+    def extract_at(self, new_name: str, at: FocusPath[Term]) -> Term:
+        """Extract ``at.found`` into a new abstraction whose application takes
+        the place of ``at.node`` (the fragment, or its wrapper) in the
+        program at the root of ``at``'s path.
+
+        The fragment's typed free names become the abstraction's formals and
+        the application's actuals; the abstraction goes into the deepest
+        enclosing abstraction list under the ``NameClash`` rule, which judges
+        the list as it would with the fragment in place. A failed
+        precondition raises before the program is touched. No phase
+        searches: ``declared`` is folded over ``at``'s ancestors, the host is
+        the deepest one ``host`` accepts, and only the path below it is
+        rebuilt before the marked host goes to ``introduce``."""
+        declared, referenced, sig = self.declared, self.referenced, self.signature
         fragment = at.found
         env = at.fold((), _scope(declared))
         self.extractable(fragment)
@@ -375,12 +377,7 @@ class Language:
         depth = host[0]
         app = sig.fragment_from_application(sig.make_application(new_name, sig.make_actuals(pairs)))
         marked = apply_tp(hosting, at.rebuild(app, top=depth))
-        # The abstraction goes into the first list focus in preorder: the
-        # host's own, unless a list focus came before the focus.
-        extended = introduce(declared, referenced, find2, sig, abstr,
-                             at.rebuild(marked, bottom=depth) if stray else marked)
-        if stray or next(wrappers, None) is not None:
-            raise RuntimeError("extraction left a focus wrapper behind")
+        extended = introduce(declared, referenced, self.find2, sig, abstr, marked)
         return at.rebuild(extended, bottom=depth)
 
     def introduce(self, decl: Term, prog: Term) -> Term:
@@ -389,15 +386,22 @@ class Language:
         return introduce(self.declared, self.referenced, self.find2, self.signature, decl, prog)
 
     def place_focus_by_span(self, source: str, kind: str, span: Span) -> Term:
-        """Parse ``source`` and wrap the first node of focus kind ``kind``
-        whose source span is exactly ``span``, or raise ``SpanMismatch``
-        naming the nearest spans of that kind: two ``focus_paths`` walks
-        over one span query, the first guided by span enclosure. Node
-        spans are offsets, so ``span`` is converted once through the line
-        table, and a position the source does not have matches no node."""
+        """Parse ``source`` and wrap the node ``focus_path_by_span`` finds
+        in the wrapper class of ``kind``, rebuilding only its path."""
+        at = self.focus_path_by_span(source, kind, span)
+        return at.rebuild(self.focus_kinds[kind][1](at.node))
+
+    def focus_path_by_span(self, source: str, kind: str, span: Span) -> FocusPath[Term]:
+        """Parse ``source`` and return the ``FocusPath`` of the first node of
+        focus kind ``kind`` whose source span is exactly ``span``, the node
+        as its ``found``, or raise ``SpanMismatch`` naming the nearest spans
+        of that kind: two ``focus_paths`` walks over one span query, the
+        first guided by span enclosure. Node spans are offsets, so ``span``
+        is converted once through the line table, and a position the
+        source does not have matches no node."""
         if kind not in self.focus_kinds:
             raise ValueError(f"unknown focus kind {kind!r}")
-        sort, wrapper = self.focus_kinds[kind]
+        sort = self.focus_kinds[kind][0]
         prog = self.parse(source)
         spans = mono_tu(SortCase(sort, attrgetter("span")))
         lines = Lines(source)
@@ -411,7 +415,7 @@ class Language:
 
             for at in focus_paths(spans, prog, encloses):
                 if at.found == wanted:
-                    return at.rebuild(wrapper(at.node))
+                    return FocusPath(at.node, at.node, at.path)
         nearest = sorted(
             (lines.span(at.found) for at in focus_paths(spans, prog) if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),

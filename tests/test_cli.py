@@ -47,7 +47,7 @@ SCENARIOS = [
      2, "", "SpanMismatch"),
     ("j-extract-parse-error",
      "extract --lang joos --file {g}/joos/bad_syntax.joos --focus 1:1-1:2 --name x",
-     2, "", "ParseError"),
+     2, "", "/joos/bad_syntax.joos: line 2, col 15: expected 'int' or 'boolean'"),
     ("j-extract-usage",
      "extract --lang joos --file {g}/joos/account.joos --focus 6:9-10:10",
      3, "", "--name"),
@@ -59,19 +59,28 @@ SCENARIOS = [
      1, "", "NameClash"),
     ("j-introduce-bad-decl",
      "introduce --lang joos --file {g}/joos/account.joos --class Account --decl {g}/joos/bad.jdecl",
-     2, "", "ParseError"),
+     2, "", "/joos/bad.jdecl: line 1, col 14: expected 'int' or 'boolean'"),
     ("j-introduce-unknown-class",
      "introduce --lang joos --file {g}/joos/account.joos --class Missing --decl {g}/joos/newmethod.jdecl",
      1, "", "NoHost"),
     ("j-introduce-missing-class",
      "introduce --lang joos --file {g}/joos/account.joos --decl {g}/joos/newmethod.jdecl",
      3, "", "--class"),
+    ("j-introduce-missing-class-unread",  # usage is checked before any file is read
+     "introduce --lang joos --file {g}/joos/missing.joos --decl {g}/joos/missing.jdecl",
+     3, "", "introduce --lang joos requires --class"),
+    ("j-introduce-parse-error",
+     "introduce --lang joos --file {g}/joos/bad_syntax.joos --class C --decl {g}/joos/newmethod.jdecl",
+     2, "", "/joos/bad_syntax.joos: line 2, col 15: expected 'int' or 'boolean'"),
     ("j-check-clean",
      "check --lang joos --file {g}/joos/account.joos",
      0, "", None),
     ("j-check-dirty",
      "check --lang joos --file {g}/joos/unresolved.joos",
      1, "j-check-dirty.out", None),
+    ("j-check-parse-error",
+     "check --lang joos --file {g}/joos/bad_syntax.joos",
+     2, "", "/joos/bad_syntax.joos: line 2, col 15: expected 'int' or 'boolean'"),
     ("j-ast",
      "ast --lang joos --file {g}/joos/fields.joos",
      0, "j-ast.out", None),
@@ -93,7 +102,7 @@ SCENARIOS = [
      2, "", "SpanMismatch"),
     ("m-extract-parse-error",
      "extract --lang minilet --file {g}/minilet/bad.mlt --focus 1:1-1:2 --name x",
-     2, "", "ParseError"),
+     2, "", "/minilet/bad.mlt: line 1, col 12: expected an expression"),
     ("m-extract-usage",
      "extract --lang minilet --file {g}/minilet/pipeline.mlt --name x",
      3, "", "--focus"),
@@ -106,6 +115,13 @@ SCENARIOS = [
     ("m-introduce-missing-focus",
      "introduce --lang minilet --file {g}/minilet/pipeline.mlt --decl {g}/minilet/newfun.mdecl",
      3, "", "--focus"),
+    ("m-introduce-stray-class-unread",  # usage is checked before any file is read
+     "introduce --lang minilet --file {g}/minilet/missing.mlt --focus 2:5-3:23 --class Foo "
+     "--decl {g}/minilet/missing.mdecl",
+     3, "", "introduce --lang minilet does not take --class"),
+    ("m-introduce-parse-error",
+     "introduce --lang minilet --file {g}/minilet/bad.mlt --focus 1:1-1:2 --decl {g}/minilet/newfun.mdecl",
+     2, "", "/minilet/bad.mlt: line 1, col 12: expected an expression"),
     ("m-check-clean",
      "check --lang minilet --file {g}/minilet/pipeline.mlt",
      0, "", None),
@@ -115,6 +131,9 @@ SCENARIOS = [
     ("m-ast",
      "ast --lang minilet --file {g}/minilet/pipeline.mlt",
      0, "m-ast.out", None),
+    ("m-ast-parse-error",
+     "ast --lang minilet --file {g}/minilet/bad.mlt",
+     2, "", "/minilet/bad.mlt: line 1, col 12: expected an expression"),
 ]
 
 

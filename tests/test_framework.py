@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from refax import framework
-from refax.cli import LANGUAGES
+from refax.cli import LANGUAGES, build_parser
 from refax.framework import (
     AbstractionSignature,
     CheckFailed,
@@ -38,7 +38,7 @@ from refax.joos import (
     statement_focus,
 )
 from refax.joos.analysis import ExprType, MethodType
-from refax.lexing import Lines, Span, SpanMismatch
+from refax.lexing import Lines, ParseError, Span, SpanMismatch
 from refax.minilet import ast as mast
 from refax.minilet import (
     declared_pairs as mini_declared,
@@ -67,6 +67,7 @@ from refax.terms import Term, accessors
 from . import fixture_trees, joos_gen, minilet_gen, oracles
 from .fixture_trees import FIXTURE, Leaf, Node, Tag, leaf_case, preorder
 from .reference_strategies import Monoid, all_tu_reference, comb_reference, const_reference, fix_reference
+from .test_cli import SCENARIOS
 
 # Fixture-level focus convention: Tag("focus", t) wraps the fragment.
 
@@ -760,14 +761,20 @@ def test_extract_refuses_to_leave_a_wrapper_behind():
     prog = parse_program("class C { void m() { this.n(); this.n(); } void n() { } }")
     for target in prog.classes[0].methods.methods[0].body.statements:
         prog = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
-    with pytest.raises(RuntimeError, match="left a focus wrapper"):
+    with pytest.raises(RuntimeError, match="would leave a focus wrapper"):
         extract_method("helper", prog)
 
 
 def _extract_by_phases(language, name, prog):
-    """``Language.extract`` as the composition of the public phases, each of
-    which searches from the root, followed by a whole-tree wrapper scan."""
+    """``Language.extract`` as a whole-tree wrapper scan, up front, followed
+    by the composition of the public phases, each of which searches from
+    the root."""
     declared, find, sig = language.declared, language.find, language.signature
+    wrappers = [t for t in preorder(prog) if isinstance(t, (find.on, language.find2.on))]
+    if not any(isinstance(t, find.on) for t in wrappers):
+        raise NoFocus()
+    if len(wrappers) > 1:
+        raise RuntimeError("extraction would leave a focus wrapper behind")
     env, fragment = framework.bound_typed_names(declared, find, prog)
     language.extractable(fragment)
     pairs = framework.free_typed_names(declared, language.referenced, env, fragment)
@@ -775,10 +782,7 @@ def _extract_by_phases(language, name, prog):
     marked = framework.mark_host(language.host, find, prog)
     extended = framework.introduce(declared, language.referenced, language.find2, sig, abstr, marked)
     app = sig.fragment_from_application(sig.make_application(name, sig.make_actuals(pairs)))
-    result = framework.replace_focus(SortCase(find.sort, lambda t: app, find.on), extended)
-    if any(isinstance(t, (find.on, language.find2.on)) for t in preorder(result)):
-        raise RuntimeError("extraction left a focus wrapper behind")
-    return result
+    return framework.replace_focus(SortCase(find.sort, lambda t: app, find.on), extended)
 
 
 def _with_spans(t):
@@ -789,7 +793,7 @@ def _outcome(run):
     """``run()``'s tree with its spans, or its refusal's type and message."""
     try:
         return _with_spans(run())
-    except (framework.RefactoringError, RuntimeError) as exc:
+    except (framework.RefactoringError, RuntimeError, ParseError, SpanMismatch) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -834,6 +838,42 @@ def test_extract_equals_its_public_phases(lang):
                     assert _outcome(lambda: language.extract(name, focused)) == expected
                     seen.add(expected[0] if len(expected) == 2 else "ok")
     assert {"ok", "NameClash", "RuntimeError"} <= seen
+
+
+def _golden_extracts():
+    """``(lang, source, span, name)`` of each extract in the CLI's golden
+    corpus that gets past its arguments."""
+    for _, argv, code, *_ in SCENARIOS:
+        if argv.startswith("extract") and code != 3:
+            args = build_parser().parse_args(argv.format(g=_GOLDEN).split())
+            yield args.lang, Path(args.file).read_text(encoding="utf-8"), args.focus, args.name
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_extract_at_equals_the_wrapper_entry(lang, seed):
+    """The CLI's path form and the paper's wrapper entry agree: at every
+    node of the fragment sort of generated programs, under a fresh and a
+    taken name, and at each golden extract, ``extract_at`` on the path
+    ``focus_path_by_span`` finds gives what ``extract`` gives on the
+    program ``place_focus_by_span`` wraps: the same tree with the same
+    spans, or the same exception type and message."""
+    language, gen, rng = LANGUAGES[lang], _GENERATORS[lang], random.Random(seed)
+    kind = language.fragment_kind
+    fragment = language.focus_kinds[kind][0]
+    cases = [case[1:] for case in _golden_extracts() if case[0] == lang]
+    for source in _sources(lang, 12, seed):
+        prog, lines = language.parse(source), Lines(source)
+        names = (gen.fresh_name(prog), rng.choice(sorted(gen.used_identifiers(prog))))
+        cases += [(source, lines.span(t.span), name)
+                  for t in preorder(prog) if t.sort is fragment for name in names]
+    seen = set()
+    for source, span, name in cases:
+        expected = _outcome(lambda: language.extract(name, language.place_focus_by_span(source, kind, span)))
+        found = _outcome(lambda: language.extract_at(name, language.focus_path_by_span(source, kind, span)))
+        assert found == expected
+        seen.add(expected[0] if len(expected) == 2 else "ok")
+    assert {"ok", "NameClash", "SpanMismatch", "ParseError"} <= seen
 
 
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))
@@ -993,6 +1033,12 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
     assert extract_calls <= 1.5 * n
     assert extract_calls == {(10, False): 132, (10, True): 148, (20, False): 242, (20, True): 278,
                              (40, False): 462, (40, True): 538}[depth, innermost]
+    # The CLI's path form runs on the path placement found: no search, so
+    # it does not grow with the tree, only with the focus's depth.
+    path = minilet.LANGUAGE.focus_path_by_span(source, "expr", span)
+    path_calls = _children_calls(monkeypatch, prog, lambda: minilet.LANGUAGE.extract_at("h", path))
+    assert path_calls == {(10, False): 20, (10, True): 36, (20, False): 20, (20, True): 56,
+                          (40, False): 20, (40, True): 96}[depth, innermost]
     # Placement calls ``children`` only on nodes whose span encloses the
     # focus, however large the rest of the tree; the counts are pinned.
     placing = _children_calls(
@@ -1047,6 +1093,10 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     source, span = _wide_class(600)
     prog = language.place_focus_by_span(source, "statement", span)
     assert _children_calls(monkeypatch, prog, extracting) == 13223
+    # The CLI's path form makes no search for the focus; what is left is
+    # the ``NameClash`` rule's pass over the method list.
+    path = language.focus_path_by_span(source, "statement", span)
+    assert _children_calls(monkeypatch, prog, lambda: language.extract_at("helper", path)) == 6617
 
     counts = []
     for methods in (60, 600):
