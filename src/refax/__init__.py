@@ -7,7 +7,7 @@ analyses, extraction and introduction), and two language instantiations,
 driven by the ``refax`` command-line tool.
 """
 
-from .terms import ArityMismatch, Sort, SortMismatch, Term, TermError, append_child, dump
+from .terms import ArityMismatch, Sort, SortMismatch, Term, TermError, append_child, dump, node
 
 __all__ = [
     "Sort",
@@ -17,4 +17,5 @@ __all__ = [
     "SortMismatch",
     "append_child",
     "dump",
+    "node",
 ]

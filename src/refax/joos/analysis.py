@@ -35,6 +35,7 @@ from typing import Sequence
 
 from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, choice_tu, mono_tu
+from ..terms import Term
 from . import ast
 
 
@@ -55,7 +56,7 @@ class MethodType:
         return f"({', '.join(self.params)}) -> {self.result}"
 
 
-def binds(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> Sequence[ast.JoosNode]:
+def binds(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> Sequence[Term]:
     """The declarations the binder ``t`` puts in scope over its subtree; a
     later one hides an earlier one of the same name."""
     if isinstance(t, ast.Block):
@@ -66,7 +67,7 @@ def binds(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> Sequence[ast.JoosNod
     return methods + t.fields
 
 
-def _pair(d: ast.JoosNode) -> NameTypePair:
+def _pair(d: Term) -> NameTypePair:
     if isinstance(d, ast.MethodDecl):
         return NameTypePair(d.name, MethodType(d.return_type, tuple(f.type_name for f in d.formals)))
     return NameTypePair(d.name, ExprType(d.type_name))
@@ -126,11 +127,11 @@ def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:
         _check_stmt(m.body, scopes, arities, f"{cls.name}.{m.name}", diags)
 
 
-def _frame(decls: Sequence[ast.JoosNode]) -> dict[str, ast.JoosNode]:
+def _frame(decls: Sequence[Term]) -> dict[str, Term]:
     return {d.name: d for d in decls}
 
 
-def _resolve(name: str, scopes: list[dict[str, ast.JoosNode]]) -> ast.JoosNode | None:
+def _resolve(name: str, scopes: list[dict[str, Term]]) -> Term | None:
     for scope in reversed(scopes):
         if name in scope:
             return scope[name]

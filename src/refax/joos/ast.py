@@ -9,18 +9,17 @@ Node kinds per sort:
 * ``JoosMethodList``: MethodList and the MethodDeclarationFocus wrapper.
 * One sort each for programs, classes, fields, methods and formals.
 
+Each node class is declared with ``terms.node`` on its sort class; its
+source span is the one ``Term`` declares for every node, parse metadata
+(excluded from structural equality) used only to place a focus.
+
 Focus wrappers share the sort of the domain they wrap, so wrapping and
 unwrapping are sort-preserving rewrites; ``FOCUS_KINDS`` lists them.
-Source spans are parse metadata (excluded from structural equality) used
-only to place a focus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..lexing import Offsets
-from ..terms import Sort, Term
+from ..terms import Sort, Term, node
 
 PROGRAM = Sort("JoosProgram")
 CLASS = Sort("JoosClass")
@@ -32,114 +31,109 @@ STATEMENT = Sort("JoosStatement")
 EXPRESSION = Sort("JoosExpression")
 
 
-@dataclass(frozen=True)
-class JoosNode(Term):
-    span: Offsets | None = field(default=None, kw_only=True, compare=False, repr=False)
-
-
-class Expression(JoosNode):
+class Expression(Term):
     sort = EXPRESSION
 
 
-class Statement(JoosNode):
+class Statement(Term):
     sort = STATEMENT
 
 
-class MethodSection(JoosNode):
+class MethodSection(Term):
     """Either a plain method list or one wrapped in a host focus."""
 
     sort = METHOD_LIST
 
 
-@dataclass(frozen=True)
+@node
 class IntLit(Expression):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class BoolLit(Expression):
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class VarRef(Expression):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Call(Expression):
     this_qualified: bool
     name: str
     args: tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
+@node
 class BinOp(Expression):
     op: str
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@node
 class Not(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True)
+@node
 class Block(Statement):
     statements: tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@node
 class LocalVarDecl(Statement):
     type_name: str
     name: str
     init: Expression | None
 
 
-@dataclass(frozen=True)
+@node
 class Assign(Statement):
     name: str
     value: Expression
 
 
-@dataclass(frozen=True)
+@node
 class If(Statement):
     condition: Expression
     then_branch: Statement
     else_branch: Statement | None
 
 
-@dataclass(frozen=True)
+@node
 class While(Statement):
     condition: Expression
     body: Statement
 
 
-@dataclass(frozen=True)
+@node
 class Return(Statement):
     value: Expression | None
 
 
-@dataclass(frozen=True)
+@node
 class CallStmt(Statement):
     call: Call
 
 
-@dataclass(frozen=True)
+@node
 class StatementFocus(Statement):
     statement: Statement
 
 
-@dataclass(frozen=True)
-class Formal(JoosNode):
+@node
+class Formal(Term):
     sort = FORMAL
     type_name: str
     name: str
 
 
-@dataclass(frozen=True)
-class MethodDecl(JoosNode):
+@node
+class MethodDecl(Term):
     sort = METHOD
     return_type: str
     name: str
@@ -147,33 +141,33 @@ class MethodDecl(JoosNode):
     body: Statement
 
 
-@dataclass(frozen=True)
+@node
 class MethodList(MethodSection):
     methods: tuple[MethodDecl, ...]
 
 
-@dataclass(frozen=True)
+@node
 class MethodDeclarationFocus(MethodSection):
     inner: MethodList
 
 
-@dataclass(frozen=True)
-class FieldDecl(JoosNode):
+@node
+class FieldDecl(Term):
     sort = FIELD
     type_name: str
     name: str
 
 
-@dataclass(frozen=True)
-class ClassDecl(JoosNode):
+@node
+class ClassDecl(Term):
     sort = CLASS
     name: str
     fields: tuple[FieldDecl, ...]
     methods: MethodSection
 
 
-@dataclass(frozen=True)
-class Program(JoosNode):
+@node
+class Program(Term):
     sort = PROGRAM
     classes: tuple[ClassDecl, ...]
 

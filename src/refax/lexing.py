@@ -17,14 +17,13 @@ from itertools import accumulate, repeat
 from operator import sub
 from typing import Any, Callable, NamedTuple, NoReturn, TypeVar
 
+from .terms import Offsets
+
 IDENT = "ident"
 INT = "int"
 KEYWORD = "kw"
 SYMBOL = "sym"
 EOF = "eof"
-
-# A node's source region as character offsets, end-exclusive.
-Offsets = tuple[int, int]
 
 
 class Span(NamedTuple):

@@ -2,17 +2,15 @@
 construct is ``let`` over a list of function definitions, with genuinely
 nested scopes. Every name has the single universal type ``"val"``.
 
-Focus wrappers (ExprFocus for fragments, FunDefListFocus for hosts) share
-the sort of what they wrap, as in the JOOS instantiation; ``FOCUS_KINDS``
-lists them.
+Node classes are declared with ``terms.node``, each on its sort class,
+and carry the span ``Term`` declares, as in the JOOS instantiation. Focus
+wrappers (ExprFocus for fragments, FunDefListFocus for hosts) share the
+sort of what they wrap; ``FOCUS_KINDS`` lists them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..lexing import Offsets
-from ..terms import Sort, Term
+from ..terms import Sort, Term, node
 
 PROGRAM = Sort("MiniletProgram")
 EXPRESSION = Sort("MiniletExpr")
@@ -22,75 +20,70 @@ FUNDEF_LIST = Sort("MiniletFunDefList")
 VAL = "val"
 
 
-@dataclass(frozen=True)
-class MiniletNode(Term):
-    span: Offsets | None = field(default=None, kw_only=True, compare=False, repr=False)
-
-
-class Expression(MiniletNode):
+class Expression(Term):
     sort = EXPRESSION
 
 
-class FunDefSection(MiniletNode):
+class FunDefSection(Term):
     """Either a plain definition list or one wrapped in a host focus."""
 
     sort = FUNDEF_LIST
 
 
-@dataclass(frozen=True)
+@node
 class IntLit(Expression):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class Var(Expression):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Call(Expression):
     name: str
     args: tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
+@node
 class BinOp(Expression):
     op: str
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
+@node
 class Let(Expression):
     defs: FunDefSection
     body: Expression
 
 
-@dataclass(frozen=True)
+@node
 class ExprFocus(Expression):
     expr: Expression
 
 
-@dataclass(frozen=True)
-class FunDef(MiniletNode):
+@node
+class FunDef(Term):
     sort = FUNDEF
     name: str
     params: tuple[str, ...]
     body: Expression
 
 
-@dataclass(frozen=True)
+@node
 class FunDefList(FunDefSection):
     defs: tuple[FunDef, ...]
 
 
-@dataclass(frozen=True)
+@node
 class FunDefListFocus(FunDefSection):
     inner: FunDefList
 
 
-@dataclass(frozen=True)
-class Program(MiniletNode):
+@node
+class Program(Term):
     sort = PROGRAM
     body: Expression
 

@@ -8,17 +8,20 @@ depend on this protocol only, never on concrete node shapes; that is what
 keeps them language-independent while each language keeps an ordinary
 typed AST.
 
-Nodes are frozen dataclasses. Field annotations drive the protocol:
+Node classes are declared with the ``node`` decorator, which makes each a
+frozen dataclass. Field annotations drive the protocol:
 
 * fields typed as a ``Term`` subclass are single child slots,
 * ``X | None`` (X a ``Term`` subclass) is an optional child slot,
 * ``tuple[X, ...]`` is a child sequence (or an atom sequence for str/int),
-* ``str``/``int``/``bool`` fields are atoms,
-* fields declared with ``compare=False`` (source spans) are metadata and
-  take no part in the protocol or in structural equality.
+* ``str``/``int``/``bool`` fields are atoms.
 
-Each node class builds its own ``children``, ``rebuild`` and ``atoms``
-from these slots the first time it is used (one-layer accessors, as in
+``Term`` itself declares the one metadata field every node carries, its
+source ``span``, which takes no part in the protocol or in structural
+equality.
+
+``node`` builds each class's ``children``, ``rebuild`` and ``atoms`` from
+these slots when the class is defined (one-layer accessors, as in
 Uniplate: Mitchell and Runciman, Haskell'07), so a traversal step or a
 dump reads fields directly instead of interpreting the slot table at
 every node.
@@ -27,12 +30,17 @@ every node.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import sys
 import types
 import typing
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, ClassVar, Sequence, TypeVar, get_args, get_origin
 
 Atom = str | int
+
+# A node's source region as character offsets, end-exclusive.
+Offsets = tuple[int, int]
 
 
 class Sort:
@@ -99,40 +107,32 @@ def _classify(owner: type, name: str, tp: Any) -> tuple[int, Any]:
 
 
 def _slots(cls: type) -> tuple[tuple[int, str, Any], ...]:
-    table = cls.__dict__.get("_term_slots")
-    if table is None:
-        hints = get_type_hints(cls)
-        entries = []
-        for f in dataclasses.fields(cls):
-            if not f.compare:
-                continue  # metadata, outside the protocol
-            kind, arg = _classify(cls, f.name, hints[f.name])
-            entries.append((kind, f.name, arg))
-        table = tuple(entries)
-        cls._term_slots = table  # type: ignore[attr-defined]
-    return table
+    # Only each field's own annotation is evaluated, in the module of the
+    # class declaring it: ``get_type_hints`` would also evaluate ``Term``'s
+    # for every node class, several times the cost at import.
+    entries = []
+    for f in dataclasses.fields(cls):
+        if not f.compare:
+            continue  # the span: metadata, outside the protocol
+        tp = f.type
+        if isinstance(tp, str):
+            owner = next(base for base in cls.__mro__ if f.name in inspect.get_annotations(base))
+            tp = eval(tp, vars(sys.modules[owner.__module__]))
+        kind, arg = _classify(cls, f.name, tp)
+        entries.append((kind, f.name, arg))
+    return tuple(entries)
 
 
-# The per-class methods that ``accessors`` builds, in its order.
-_ACCESSORS = ("children", "rebuild", "atoms")
-
-
+@dataclasses.dataclass(frozen=True)
 class Term:
-    """Base class for tree nodes exposing the uniform protocol.
-
-    ``children``, ``rebuild`` and ``atoms`` are built once per node
-    class, at its first use, from its slot table (see ``accessors``); what
-    ``Term`` defines are the stubs that build them."""
+    """Base class for tree nodes exposing the uniform protocol, and owner
+    of every node's ``span`` (None for a node not parsed). ``node``
+    installs each class's ``children``, ``rebuild`` and ``atoms``; here
+    they are stubs that reject a class declared without it."""
 
     sort: ClassVar[Sort]
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        # A subclass may add slots, so it builds its own accessors rather
-        # than inheriting its base's.
-        for name in _ACCESSORS:
-            if name not in cls.__dict__:
-                setattr(cls, name, getattr(Term, name))
+    _term_slots: ClassVar[tuple[tuple[int, str, Any], ...]]
+    span: Offsets | None = dataclasses.field(default=None, kw_only=True, compare=False, repr=False)
 
     @property
     def tag(self) -> str:
@@ -140,16 +140,49 @@ class Term:
 
     def children(self) -> tuple[Term, ...]:
         """Immediate child terms, left to right."""
-        return accessors(type(self))[0](self)
+        raise TypeError(f"{self.tag} is not declared with terms.node")
 
     def atoms(self) -> tuple[Atom, ...]:
         """Scalar atoms, in field order; an atom sequence is spliced in."""
-        return accessors(type(self))[2](self)
+        raise TypeError(f"{self.tag} is not declared with terms.node")
 
     def rebuild(self, new_children: Sequence[Term]) -> Term:
         """Same node with substituted children; tag, atoms, sort and span
         unchanged."""
-        return accessors(type(self))[1](self, new_children)
+        raise TypeError(f"{self.tag} is not declared with terms.node")
+
+
+_T = TypeVar("_T", bound=Term)
+
+
+def node(cls: type[_T]) -> type[_T]:
+    """Declare node class ``cls``: make it a frozen dataclass, then install
+    its slot table as ``_term_slots`` and the ``children``, ``atoms`` and
+    ``rebuild`` built from it.
+
+    ``children`` and ``atoms`` are generated as source by one ``exec``, in
+    the way ``dataclasses`` writes ``__init__``: each is one tuple
+    expression over its fields, the cheapest form of the step every
+    traversal takes at every node. ``rebuild``, which runs only where a
+    pass changes the tree, is a closure over the constructor's fields: it
+    checks arity and child sorts against the old children, then calls the
+    constructor with the new children, the old atoms and the old span."""
+    cls = dataclasses.dataclass(frozen=True)(cls)
+    table = _slots(cls)
+    kinds = {name: kind for kind, name, _ in table}
+    namespace: dict[str, Any] = {}
+    exec(
+        f"def children(self):\n    return {_tuple_of(kinds, _CHILD, _OPT_CHILD, _CHILD_SEQ)}\n"
+        f"def atoms(self):\n    return {_tuple_of(kinds, _ATOM, None, _ATOM_SEQ)}\n",
+        namespace,
+    )
+    namespace["rebuild"] = _rebuild_for(cls, kinds)
+    cls._term_slots = table
+    for name in ("children", "atoms", "rebuild"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
 
 
 _sort_of = attrgetter("sort")
@@ -166,40 +199,10 @@ def _mismatch(t: Term, new: tuple[Term, ...], old: tuple[Term, ...]) -> TermErro
     )
 
 
-def accessors(cls: type) -> tuple[Callable[..., Any], Callable[..., Any], Callable[..., Any]]:
-    """The ``(children, rebuild, atoms)`` of node class ``cls``, built and
-    installed on the class the first time it is asked for.
-
-    ``children`` is generated as source, in the way ``dataclasses`` writes
-    ``__init__``: one tuple expression over the child fields, the cheapest
-    form of the step every traversal takes at every node. ``atoms`` is
-    generated the same way over the atom fields. ``rebuild``,
-    which runs only where a pass changes the tree, is a closure over the
-    constructor's fields, so no class pays to compile it: it checks arity
-    and child sorts against the old children, then calls the constructor
-    with the new children, the old atoms and the old metadata (the span)."""
-    found = cls.__dict__.get("_term_accessors")
-    if found is not None:
-        return found
-    kinds = {name: kind for kind, name, _ in _slots(cls)}
-    found = (
-        _compile_tuple(cls, kinds, "children", _CHILD, _OPT_CHILD, _CHILD_SEQ),
-        _rebuild_for(cls, kinds),
-        _compile_tuple(cls, kinds, "atoms", _ATOM, None, _ATOM_SEQ),
-    )
-    cls._term_accessors = found  # type: ignore[attr-defined]
-    for name, fn in zip(_ACCESSORS, found):
-        if getattr(cls, name) is getattr(Term, name):
-            setattr(cls, name, fn)
-    return found
-
-
-def _compile_tuple(
-    cls: type, kinds: dict[str, int], fn: str, one: int, optional: int | None, seq: int
-) -> Callable[..., Any]:
-    """The method ``fn`` returning, in field order, the fields of kind
-    ``one`` (single values), ``optional`` (a value or None) and ``seq``
-    (tuples, spliced in). Runs of single values become one tuple display."""
+def _tuple_of(kinds: dict[str, int], one: int, optional: int | None, seq: int) -> str:
+    """A tuple expression of, in field order, the fields of kind ``one``
+    (single values), ``optional`` (a value or None) and ``seq`` (tuples,
+    spliced in). Runs of single values become one tuple display."""
     parts: list[str] = []
     run: list[str] = []
     for name, kind in kinds.items():
@@ -217,11 +220,7 @@ def _compile_tuple(
             parts.append(f"self.{name}")
     if run:
         parts.append("(" + " ".join(run) + ")")
-    namespace: dict[str, Any] = {}
-    exec(f"def {fn}(self):\n    return {' + '.join(parts) or '()'}", namespace)
-    method = namespace[fn]
-    method.__qualname__ = f"{cls.__qualname__}.{fn}"
-    return method
+    return " + ".join(parts) or "()"
 
 
 def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
@@ -249,14 +248,13 @@ def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
                 args.append(value)
         return cls(*args, **keywords)
 
-    rebuild.__qualname__ = f"{cls.__qualname__}.rebuild"
     return rebuild
 
 
 def append_child(t: Term, child: Term) -> Term:
     """Extend a sequence node (one whose children form a single homogeneous
     sequence slot) with one more child at the end."""
-    seq_slots = [s for s in _slots(type(t)) if s[0] == _CHILD_SEQ]
+    seq_slots = [s for s in type(t)._term_slots if s[0] == _CHILD_SEQ]
     if len(seq_slots) != 1:
         raise TermError(f"{t.tag}: not a single-sequence node")
     _, name, elem_cls = seq_slots[0]

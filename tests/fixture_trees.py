@@ -6,10 +6,9 @@ sort, for the tests of dispatch by sort."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from refax.strategy import SortCase, StrategyFailure
-from refax.terms import Sort, Term
+from refax.terms import Sort, Term, node
 
 FIXTURE = Sort("FixtureTree")
 TWIG = Sort("FixtureTwig")
@@ -19,24 +18,24 @@ class Tree(Term):
     sort = FIXTURE
 
 
-@dataclass(frozen=True)
+@node
 class Leaf(Tree):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class Node(Tree):
     left: Tree
     right: Tree
 
 
-@dataclass(frozen=True)
+@node
 class Tag(Tree):
     label: str
     child: Tree
 
 
-@dataclass(frozen=True)
+@node
 class Twig(Tree):
     """A leaf of the second sort."""
 

@@ -62,7 +62,7 @@ from refax.strategy import (
     oncetd_tp,
     oncetd_tu,
 )
-from refax.terms import Term, accessors
+from refax.terms import Term
 
 from . import fixture_trees, joos_gen, minilet_gen, oracles
 from .fixture_trees import FIXTURE, Leaf, Node, Tag, leaf_case, preorder
@@ -980,18 +980,14 @@ def _calls(monkeypatch, owners, name, run):
 
 
 def _node_classes():
-    """Every node class of both languages and of the fixtures, with its
-    accessors compiled: each class has its own ``children``, so a count
-    must wrap each one."""
-    classes = [
+    """Every node class of both languages and of the fixtures: each class
+    has its own ``children``, so a count must wrap each one."""
+    return [
         cls
         for module in (jast, mast, fixture_trees)
         for cls in vars(module).values()
-        if isinstance(cls, type) and issubclass(cls, Term) and dataclasses.is_dataclass(cls)
+        if isinstance(cls, type) and issubclass(cls, Term) and "children" in cls.__dict__ and cls is not Term
     ]
-    for cls in classes:
-        accessors(cls)
-    return classes
 
 
 def _children_calls(monkeypatch, prog, run):

@@ -5,8 +5,8 @@ interpretation they replace."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any
 
@@ -26,14 +26,45 @@ from refax.terms import (
     Sort,
     SortMismatch,
     Term,
-    _slots,
-    accessors,
     append_child,
     dump,
+    node,
 )
 
-from . import joos_gen, minilet_gen
-from .fixture_trees import FIXTURE, Leaf, Node, Tag, Tree, gen_tree, preorder
+from . import fixture_trees, joos_gen, minilet_gen
+from .fixture_trees import FIXTURE, Leaf, Node, Tag, Tree, Twig, gen_tree, preorder
+
+
+def _declares_fields(cls):
+    return any(not str(a).startswith("ClassVar") for a in inspect.get_annotations(cls).values())
+
+
+def test_node_classes_own_their_protocol_from_import():
+    """Every ``Term`` subclass of both languages and of the fixtures that
+    declares fields was declared with ``node``, so it owns its slot table
+    and accessors from the start and inherits none from another class;
+    and ``span`` is declared once, by ``Term``."""
+    classes = {
+        cls
+        for module in (jast, mast, fixture_trees)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Term) and cls is not Term
+    }
+    declared = {cls for cls in classes if _declares_fields(cls)}
+    assert {jast.While, jast.Program, mast.Let, mast.FunDef, Leaf, Twig} <= declared
+    for cls in declared:
+        assert cls.__dict__["__dataclass_params__"].frozen, cls
+        for name in ("children", "atoms", "rebuild", "_term_slots"):
+            assert name in cls.__dict__, (cls, name)
+    span = Term.__dataclass_fields__["span"]
+    assert span.kw_only and not span.compare and not span.repr and span.default is None
+    for cls in classes:
+        assert "span" not in inspect.get_annotations(cls), cls
+        if cls in declared:
+            assert cls.__dataclass_fields__["span"] is span, cls
+    for call in (lambda t: t.children(), lambda t: t.atoms(), lambda t: t.rebuild(())):
+        with pytest.raises(TypeError, match=r"^Tree is not declared with terms\.node$"):
+            call(Tree())
 
 
 def test_sorts_are_interned():
@@ -144,7 +175,7 @@ def test_dump_is_deterministic():
 
 def children_reference(t):
     out = []
-    for kind, name, _ in _slots(type(t)):
+    for kind, name, _ in type(t)._term_slots:
         value = getattr(t, name)
         if kind == _CHILD:
             out.append(value)
@@ -158,7 +189,7 @@ def children_reference(t):
 
 def atoms_reference(t):
     out = []
-    for kind, name, _ in _slots(type(t)):
+    for kind, name, _ in type(t)._term_slots:
         value = getattr(t, name)
         if kind == _ATOM:
             out.append(value)
@@ -177,7 +208,7 @@ def rebuild_reference(t, new_children):
             raise SortMismatch(i, o.sort, n.sort)
     it = iter(new)
     replaced: dict[str, Any] = {}
-    for kind, name, _ in _slots(type(t)):
+    for kind, name, _ in type(t)._term_slots:
         value = getattr(t, name)
         if kind == _CHILD:
             replaced[name] = next(it)
@@ -249,7 +280,7 @@ def test_compiled_accessors_equal_the_slot_interpretation():
                 with_atoms.add(type(t))
             rebuilt = t.rebuild(cs)
             assert rebuilt == t and rebuilt.span == t.span and type(rebuilt) is type(t)
-            for kind, name, _ in _slots(type(t)):
+            for kind, name, _ in type(t)._term_slots:
                 value = getattr(t, name)
                 if kind == _OPT_CHILD:
                     optional.add((type(t), value is None))
@@ -278,7 +309,7 @@ def test_a_subclass_of_a_compiled_class_compiles_its_own_accessors():
     base = Node(Leaf(1), Leaf(2))
     assert base.rebuild(base.children()) == base  # Node's accessors are compiled
 
-    @dataclass(frozen=True)
+    @node
     class Labelled(Node):
         label: str
         extra: Tree
@@ -287,5 +318,5 @@ def test_a_subclass_of_a_compiled_class_compiles_its_own_accessors():
     assert t.children() == (Leaf(1), Leaf(2), Leaf(3)) == children_reference(t)
     assert t.atoms() == ("x",) == atoms_reference(t)
     assert t.rebuild((Leaf(4), Leaf(5), Leaf(6))) == Labelled(Leaf(4), Leaf(5), "x", Leaf(6))
-    assert accessors(Labelled) != accessors(Node)
+    assert Labelled.children is not Node.children
     assert base.children() == (Leaf(1), Leaf(2))
