@@ -33,16 +33,19 @@ EXPRESSION = Sort("JoosExpression")
 
 class Expression(Term):
     sort = EXPRESSION
+    __slots__ = ()
 
 
 class Statement(Term):
     sort = STATEMENT
+    __slots__ = ()
 
 
 class MethodSection(Term):
     """Either a plain method list or one wrapped in a host focus."""
 
     sort = METHOD_LIST
+    __slots__ = ()
 
 
 @node

@@ -22,12 +22,14 @@ VAL = "val"
 
 class Expression(Term):
     sort = EXPRESSION
+    __slots__ = ()
 
 
 class FunDefSection(Term):
     """Either a plain definition list or one wrapped in a host focus."""
 
     sort = FUNDEF_LIST
+    __slots__ = ()
 
 
 @node

@@ -9,7 +9,9 @@ keeps them language-independent while each language keeps an ordinary
 typed AST.
 
 Node classes are declared with the ``node`` decorator, which makes each a
-frozen dataclass. Field annotations drive the protocol:
+slotted frozen dataclass with a generated ``__init__``, so a node has no
+``__dict__`` and is built by writing its slots directly. Field
+annotations drive the protocol:
 
 * fields typed as a ``Term`` subclass are single child slots,
 * ``X | None`` (X a ``Term`` subclass) is an optional child slot,
@@ -123,16 +125,24 @@ def _slots(cls: type) -> tuple[tuple[int, str, Any], ...]:
     return tuple(entries)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Term:
     """Base class for tree nodes exposing the uniform protocol, and owner
     of every node's ``span`` (None for a node not parsed). ``node``
-    installs each class's ``children``, ``rebuild`` and ``atoms``; here
-    they are stubs that reject a class declared without it."""
+    installs each class's ``__init__``, ``children``, ``rebuild`` and
+    ``atoms``; here they are stubs that reject a class declared without
+    it. A sort class between ``Term`` and its nodes declares
+    ``__slots__ = ()``, so that no node has a ``__dict__``."""
+
+    # Written out: ``dataclass(weakref_slot=True)`` needs Python 3.11.
+    __slots__ = ("__weakref__",)
 
     sort: ClassVar[Sort]
     _term_slots: ClassVar[tuple[tuple[int, str, Any], ...]]
     span: Offsets | None = dataclasses.field(default=None, kw_only=True, compare=False, repr=False)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(f"{self.tag} is not declared with terms.node")
 
     @property
     def tag(self) -> str:
@@ -156,29 +166,51 @@ _T = TypeVar("_T", bound=Term)
 
 
 def node(cls: type[_T]) -> type[_T]:
-    """Declare node class ``cls``: make it a frozen dataclass, then install
-    its slot table as ``_term_slots`` and the ``children``, ``atoms`` and
-    ``rebuild`` built from it.
+    """Declare node class ``cls``: make it a slotted frozen dataclass, then
+    install its ``__init__``, its slot table as ``_term_slots`` and the
+    ``children``, ``atoms`` and ``rebuild`` built from that table.
 
-    ``children`` and ``atoms`` are generated as source by one ``exec``, in
-    the way ``dataclasses`` writes ``__init__``: each is one tuple
-    expression over its fields, the cheapest form of the step every
+    ``__init__``, ``children`` and ``atoms`` are generated as source by
+    one ``exec``, in the way ``dataclasses`` writes its methods.
+    ``__init__`` takes the dataclass's parameters (the fields in order,
+    then ``span``, keyword-only and defaulting to None) and writes each
+    field through the ``__set__`` of its slot's descriptor; the dataclass
+    one calls ``object.__setattr__`` per field, which is most of the cost
+    of building a node. ``children`` and ``atoms`` are each one tuple
+    expression over their fields, the cheapest form of the step every
     traversal takes at every node. ``rebuild``, which runs only where a
     pass changes the tree, is a closure over the constructor's fields: it
     checks arity and child sorts against the old children, then calls the
     constructor with the new children, the old atoms and the old span."""
-    cls = dataclasses.dataclass(frozen=True)(cls)
+    given, doc = cls, cls.__doc__
+    cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
+    # ``slots=True`` makes a new class, but the frozen ``__setattr__`` and
+    # ``__delattr__`` test ``type(self) is cls`` against the given one:
+    # point them at the new class, so that assigning any name raises
+    # FrozenInstanceError and the given class can be freed.
+    for method in (cls.__setattr__, cls.__delattr__):
+        for cell in method.__closure__ or ():
+            if cell.cell_contents is given:
+                cell.cell_contents = cls
+    # dataclasses documents an undocumented class by the signature it finds
+    # then, which is Term's rejecting one.
+    cls.__doc__ = doc
     table = _slots(cls)
     kinds = {name: kind for kind, name, _ in table}
-    namespace: dict[str, Any] = {}
+    # The constructor's parameters: the fields in order, then ``span``,
+    # keyword-only. A node field takes no default.
+    fields = (*kinds, "span")
+    namespace: dict[str, Any] = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
     exec(
-        f"def children(self):\n    return {_tuple_of(kinds, _CHILD, _OPT_CHILD, _CHILD_SEQ)}\n"
+        f"def __init__(self, {''.join(f'{name}, ' for name in kinds)}*, span=None):\n"
+        + "".join(f"    _set_{name}(self, {name})\n" for name in fields)
+        + f"def children(self):\n    return {_tuple_of(kinds, _CHILD, _OPT_CHILD, _CHILD_SEQ)}\n"
         f"def atoms(self):\n    return {_tuple_of(kinds, _ATOM, None, _ATOM_SEQ)}\n",
         namespace,
     )
     namespace["rebuild"] = _rebuild_for(cls, kinds)
     cls._term_slots = table
-    for name in ("children", "atoms", "rebuild"):
+    for name in ("__init__", "children", "atoms", "rebuild"):
         method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
@@ -224,7 +256,7 @@ def _tuple_of(kinds: dict[str, int], one: int, optional: int | None, seq: int) -
 
 
 def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
-    fields = tuple((kinds.get(f.name), f.name, f.kw_only) for f in dataclasses.fields(cls) if f.init)
+    fields = tuple(kinds.items())
 
     def rebuild(self: Term, new_children: Sequence[Term]) -> Term:
         new = tuple(new_children)
@@ -232,9 +264,8 @@ def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
         if len(new) != len(old) or list(map(_sort_of, new)) != list(map(_sort_of, old)):
             raise _mismatch(self, new, old)
         args = []
-        keywords = {}
         i = 0
-        for kind, name, kw_only in fields:
+        for name, kind in fields:
             value = getattr(self, name)
             if kind == _CHILD or (kind == _OPT_CHILD and value is not None):
                 value = new[i]
@@ -242,11 +273,8 @@ def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
             elif kind == _CHILD_SEQ:
                 value = new[i : i + len(value)]
                 i += len(value)
-            if kw_only:
-                keywords[name] = value
-            else:
-                args.append(value)
-        return cls(*args, **keywords)
+            args.append(value)
+        return cls(*args, span=self.span)
 
     return rebuild
 
@@ -273,10 +301,10 @@ def dump(t: Term, indent: int = 0) -> str:
 def _dump_lines(t: Term, indent: int, lines: list[str]) -> None:
     # One frame per tree level, and each line is joined once, not once
     # per ancestor.
-    head = "  " * indent + t.tag
+    head = "  " * indent + type(t).__name__
     atoms = t.atoms()
     if atoms:
-        head += "(" + ", ".join(str(a) for a in atoms) + ")"
+        head += "(" + ", ".join(map(str, atoms)) + ")"
     lines.append(head)
     for c in t.children():
         _dump_lines(c, indent + 1, lines)

@@ -16,6 +16,7 @@ TWIG = Sort("FixtureTwig")
 
 class Tree(Term):
     sort = FIXTURE
+    __slots__ = ()
 
 
 @node

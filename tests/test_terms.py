@@ -5,9 +5,11 @@ interpretation they replace."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
 import random
-from itertools import islice
+import weakref
+from itertools import chain, islice
 from typing import Any
 
 import pytest
@@ -41,9 +43,10 @@ def _declares_fields(cls):
 
 def test_node_classes_own_their_protocol_from_import():
     """Every ``Term`` subclass of both languages and of the fixtures that
-    declares fields was declared with ``node``, so it owns its slot table
-    and accessors from the start and inherits none from another class;
-    and ``span`` is declared once, by ``Term``."""
+    declares fields was declared with ``node``, so it owns its
+    constructor, slots, slot table and accessors from the start and
+    inherits none from another class; ``span`` is declared once, by
+    ``Term``; and a class not declared with ``node`` cannot be built."""
     classes = {
         cls
         for module in (jast, mast, fixture_trees)
@@ -54,7 +57,7 @@ def test_node_classes_own_their_protocol_from_import():
     assert {jast.While, jast.Program, mast.Let, mast.FunDef, Leaf, Twig} <= declared
     for cls in declared:
         assert cls.__dict__["__dataclass_params__"].frozen, cls
-        for name in ("children", "atoms", "rebuild", "_term_slots"):
+        for name in ("__init__", "__slots__", "children", "atoms", "rebuild", "_term_slots"):
             assert name in cls.__dict__, (cls, name)
     span = Term.__dataclass_fields__["span"]
     assert span.kw_only and not span.compare and not span.repr and span.default is None
@@ -62,9 +65,13 @@ def test_node_classes_own_their_protocol_from_import():
         assert "span" not in inspect.get_annotations(cls), cls
         if cls in declared:
             assert cls.__dataclass_fields__["span"] is span, cls
+    # Only ``node`` gives a class a constructor; the accessors are stubs
+    # that reject an instance made without one.
+    with pytest.raises(TypeError, match=r"^Tree is not declared with terms\.node$"):
+        Tree()
     for call in (lambda t: t.children(), lambda t: t.atoms(), lambda t: t.rebuild(())):
         with pytest.raises(TypeError, match=r"^Tree is not declared with terms\.node$"):
-            call(Tree())
+            call(object.__new__(Tree))
 
 
 def test_sorts_are_interned():
@@ -167,6 +174,24 @@ def test_dump_is_deterministic():
     assert dump(prog).splitlines()[0] == "Program"
 
 
+@pytest.mark.parametrize("lang, seed, expected", [
+    ("joos", 1, "54d718480de0324f"),
+    ("joos", 7919, "928cac28b8727a5c"),
+    ("minilet", 1, "513c62b25586d0ee"),
+    ("minilet", 7919, "af322194ed098d18"),
+])
+def test_dump_text_is_pinned(lang, seed, expected):
+    """SHA-256 over the dump (the text ``refax ast`` prints) of 1000
+    generated programs. A digest changes when the dump's format does, or
+    when the generator draws other programs."""
+    gen = {"joos": joos_gen, "minilet": minilet_gen}[lang]
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        digest.update(dump(gen.gen_program(rng)).encode())
+    assert digest.hexdigest()[:16] == expected
+
+
 # -- the generic slot interpretation, kept as the reference -------------------
 #
 # ``children``, ``rebuild`` and ``atoms`` as every node class shared them
@@ -257,6 +282,48 @@ def _parsed_samples():
     yield jast.CallStmt(jast.Call(True, "m", ()))
     yield minilet.LANGUAGE.parse("let f() = 1; in f()")
     yield mast.Let(mast.FunDefList(()), mast.IntLit(0))
+
+
+def test_nodes_are_slotted_and_built_by_generated_constructors():
+    """No node of either language or of the fixtures has a ``__dict__``,
+    and the ``__init__`` that ``node`` generates for its class takes the
+    dataclass's parameters (``span`` keyword-only, default None), builds
+    the same node by position and by keyword, and leaves ``span`` out of
+    equality, hashing and ``repr``; ``dataclasses.replace``, weak
+    references and ``FrozenInstanceError`` on assigning or deleting any
+    attribute keep working."""
+    samples: dict[type, Term] = {}
+    fixtures = (gen_tree(random.Random(k), tag_chance=0.3, twig_chance=0.3) for k in range(20))
+    for tree in chain(_parsed_samples(), fixtures):
+        for t in preorder(tree):
+            samples.setdefault(type(t), t)
+    assert set(samples) == _concrete_classes(jast) | _concrete_classes(mast) | _concrete_classes(fixture_trees)
+    P = inspect.Parameter
+    for cls, t in samples.items():
+        assert not hasattr(t, "__dict__"), cls
+        fields = [f for f in dataclasses.fields(cls) if f.init]
+        assert [f.name for f in fields if f.kw_only] == ["span"], cls
+        names = [f.name for f in fields if not f.kw_only]
+        expected = [P(name, P.POSITIONAL_OR_KEYWORD) for name in names]
+        expected.append(P("span", P.KEYWORD_ONLY, default=None))
+        assert list(inspect.signature(cls.__init__).parameters.values())[1:] == expected, cls
+        values = [getattr(t, name) for name in names]
+        by_position = cls(*values, span=(0, 1))
+        by_keyword = cls(**dict(zip(names, values)), span=(2, 3))
+        assert by_position == by_keyword == t == cls(*values), cls
+        assert hash(by_position) == hash(by_keyword) == hash(t), cls
+        assert repr(by_position) == repr(t) and (by_position.span, by_keyword.span) == ((0, 1), (2, 3))
+        assert cls(*values).span is None
+        moved = dataclasses.replace(t, span=(5, 9))
+        assert type(moved) is cls and moved == t and moved.span == (5, 9)
+        assert weakref.ref(t)() is t
+        for name in names + ["span"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.not_a_field = 0
 
 
 def test_compiled_accessors_equal_the_slot_interpretation():
