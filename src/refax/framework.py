@@ -14,8 +14,9 @@ work on the path from the root to it, not the whole tree.
 ``strategy.focus_paths`` walk guided into only the children whose span
 encloses it, and ``Language.extract_at`` runs every phase on that path:
 the environment is folded over the focus's ancestors, the host is picked
-among them, only the path is rebuilt, with the application in place of
-the focus, and it ends with ``introduce`` on the marked host. The CLI's
+among them and marked with the fragment still in place, ``introduce``
+judges and extends its list, and only the path below the host is walked
+again and rebuilt, with the application in place of the focus. The CLI's
 extract is these two, with no focus wrapper. ``Language.extract`` is the
 paper's entry on a program holding one focus wrapper (as
 ``place_focus_by_span`` builds one): one whole-tree walk checks its
@@ -27,7 +28,10 @@ root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
 
 A language participates by filling in its ``Language`` record once:
 ``QueryTU`` analyses for declared and referenced names (free names are
-one scoped top-down pass of the two, ``strategy.scoped_uses_tu``); a
+one scoped top-down pass of the two, ``strategy.scoped_uses_tu``), where
+each name ``referenced`` yields at a node must be one of that node's
+``atoms()``: the ``NameClash`` rule asks whether a name occurs among the
+atoms before it runs the free-name pass, and is sound only so; a
 host-marking ``SortCase`` that names the constructor it accepts, so that
 the passes refuse every other node without raising; an extraction
 precondition; an ``AbstractionSignature`` with the constructors for its
@@ -285,16 +289,36 @@ def introduce(
     """Append ``abstr`` to the first list focus in ``prog``, provided its
     name is neither defined by the list nor free within it (the
     ``NameClash`` rule). One search, and only the path to the list is
-    rebuilt. ``Language.extract`` ends with this call."""
+    rebuilt. ``Language.extract_at`` makes this call on the marked host
+    with the fragment still in place.
+
+    The rule asks about one name, so it is judged as a query for that
+    name: the list's definitions first, then a walk that stops at the
+    first node whose atoms hold it, and the scoped free-name pass only
+    when it occurs. A free name is an atom of the node ``referenced``
+    yields it at, so the verdict is that of the free-name pass alone."""
     at = next(focus_paths(mono_tu(find2), prog), None)
     if at is None:
         raise NoFocus()
-    name = sig.get_abs_name(abstr)
-    frees = free_names(declared_names(declared), referenced, at.found)
-    defs = tuple(sig.get_abs_name(a) for a in at.found.children())
-    if name in frees or name in defs:
+    name, target = sig.get_abs_name(abstr), at.found
+    if name in (sig.get_abs_name(a) for a in target.children()) or (
+        _occurs(name, target) and name in free_names(declared_names(declared), referenced, target)
+    ):
         raise NameClash(name)
-    return at.rebuild(append_child(at.found, abstr))
+    return at.rebuild(append_child(target, abstr))
+
+
+def _occurs(name: str, t: Term) -> bool:
+    """Whether ``name`` is an atom of a node of ``t``: a walk with an
+    explicit stack that stops at the first."""
+    stack = [t]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        n = pop()
+        if name in n.atoms():
+            return True
+        push(n.children())
+    return False
 
 
 @dataclass(frozen=True)
@@ -358,11 +382,14 @@ class Language:
         The fragment's typed free names become the abstraction's formals and
         the application's actuals; the abstraction goes into the deepest
         enclosing abstraction list under the ``NameClash`` rule, which judges
-        the list as it would with the fragment in place. A failed
-        precondition raises before the program is touched. No phase
-        searches: ``declared`` is folded over ``at``'s ancestors, the host is
-        the deepest one ``host`` accepts, and only the path below it is
-        rebuilt before the marked host goes to ``introduce``."""
+        the list with the fragment in place. A failed precondition raises
+        before the program is touched. No phase searches: ``declared`` is
+        folded over ``at``'s ancestors, the host is the deepest one ``host``
+        accepts, and it goes to ``introduce`` marked, with the fragment still
+        in place, so the application's own call does not make the new name
+        occur there. ``at``'s child indices below the host then lead to the
+        fragment in the extended host, and only that path and the one above
+        the host are rebuilt."""
         declared, referenced, sig = self.declared, self.referenced, self.signature
         fragment = at.found
         env = at.fold((), _scope(declared))
@@ -374,11 +401,17 @@ class Language:
         host = at.deepest(hosting)
         if host is None:
             raise NoHost()
-        depth = host[0]
+        depth, marked = host
         app = sig.fragment_from_application(sig.make_application(new_name, sig.make_actuals(pairs)))
-        marked = apply_tp(hosting, at.rebuild(app, top=depth))
         extended = introduce(declared, referenced, self.find2, sig, abstr, marked)
-        return at.rebuild(extended, bottom=depth)
+        # Appending moves no child, so the path's indices below the host
+        # still lead to the fragment in the extended host.
+        below, t = [], extended
+        for _, _, i in at.path[depth:]:
+            cs = t.children()
+            below.append((t, cs, i))
+            t = cs[i]
+        return at.rebuild(FocusPath(t, t, below).rebuild(app), bottom=depth)
 
     def introduce(self, decl: Term, prog: Term) -> Term:
         """Append ``decl`` to the focused abstraction list, rejecting name

@@ -755,6 +755,68 @@ def test_introduce_requires_focus():
         )
 
 
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_introduce_clashes_exactly_when_the_name_is_defined_or_free(lang, seed):
+    """The ``NameClash`` rule as a one-name query gives the whole free-name
+    pass's verdict: at every abstraction list of generated programs,
+    ``introduce`` raises ``NameClash`` exactly when the name is one of the
+    list's definitions or among its free names. Names are every
+    identifier atom of the program, the list's definitions and two fresh
+    names, so each branch of the query is taken: a definition, a free
+    name, a name that occurs but is bound, and an absent name."""
+    language, gen = LANGUAGES[lang], _GENERATORS[lang]
+    sig, declared = language.signature, framework.declared_names(language.declared)
+    lists, wrap_list = language.focus_kinds[language.list_kind]
+    seen = set()
+    for source in _sources(lang, 12, seed):
+        prog = language.parse(source)
+        nodes = list(preorder(prog))
+        fresh = gen.fresh_name(prog)
+        atoms = {a for t in nodes for a in t.atoms() if isinstance(a, str)}
+        for k, target in enumerate(nodes):
+            if target.sort is not lists:
+                continue
+            focused = _wrapped_at(prog, {k: wrap_list})
+            defs = {sig.get_abs_name(a) for a in target.children()}
+            frees = framework.free_names(declared, language.referenced, target)
+            for name in sorted(atoms | defs) + [fresh, fresh + "x"]:
+                # the rule reads only the name; any body will do
+                call = sig.fragment_from_application(sig.make_application(name, sig.make_actuals(())))
+                try:
+                    abstr = sig.make_abstraction(name, sig.make_formals(()), sig.body_from_fragment(call))
+                except ConstructorRejected:
+                    continue
+                clash = name in defs or name in frees
+                try:
+                    language.introduce(abstr, focused)
+                except NameClash:
+                    assert clash, name
+                else:
+                    assert not clash, name
+                occurs = any(name in t.atoms() for t in preorder(target))
+                seen.add("defined" if name in defs else "free" if clash else "bound" if occurs else "absent")
+    assert seen == {"defined", "free", "bound", "absent"}
+
+
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_referenced_names_are_atoms_of_their_node(lang):
+    """The requirement the ``NameClash`` query rests on: at every node of
+    generated programs, each name ``referenced`` yields there is one of
+    that node's atoms."""
+    language, rng = LANGUAGES[lang], random.Random(61)
+    uses = 0
+    for _ in range(100):
+        for t in preorder(_GENERATORS[lang].gen_program(rng)):
+            try:
+                names = language.referenced(t)
+            except StrategyFailure:
+                continue
+            assert set(names) <= set(t.atoms()), (t.tag, names, t.atoms())
+            uses += 1
+    assert uses > 500
+
+
 def test_extract_refuses_to_leave_a_wrapper_behind():
     from refax.joos import extract_method
 
@@ -1027,14 +1089,14 @@ def test_extract_visits_are_linear_in_minilet_depth(depth, innermost, monkeypatc
     extract_calls = _children_calls(monkeypatch, prog, extracting)
     assert marking <= 2 * n
     assert extract_calls <= 1.5 * n
-    assert extract_calls == {(10, False): 132, (10, True): 148, (20, False): 242, (20, True): 278,
-                             (40, False): 462, (40, True): 538}[depth, innermost]
+    assert extract_calls == {(10, False): 138, (10, True): 154, (20, False): 248, (20, True): 284,
+                             (40, False): 468, (40, True): 544}[depth, innermost]
     # The CLI's path form runs on the path placement found: no search, so
     # it does not grow with the tree, only with the focus's depth.
     path = minilet.LANGUAGE.focus_path_by_span(source, "expr", span)
     path_calls = _children_calls(monkeypatch, prog, lambda: minilet.LANGUAGE.extract_at("h", path))
-    assert path_calls == {(10, False): 20, (10, True): 36, (20, False): 20, (20, True): 56,
-                          (40, False): 20, (40, True): 96}[depth, innermost]
+    assert path_calls == {(10, False): 25, (10, True): 41, (20, False): 25, (20, True): 61,
+                          (40, False): 25, (40, True): 101}[depth, innermost]
     # Placement calls ``children`` only on nodes whose span encloses the
     # focus, however large the rest of the tree; the counts are pinned.
     placing = _children_calls(
@@ -1088,11 +1150,13 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
     assert _calls(monkeypatch, [StrategyFailure], "__init__", extracting) <= 0.05 * n
     source, span = _wide_class(600)
     prog = language.place_focus_by_span(source, "statement", span)
-    assert _children_calls(monkeypatch, prog, extracting) == 13223
+    assert _children_calls(monkeypatch, prog, extracting) == 13227
     # The CLI's path form makes no search for the focus; what is left is
-    # the ``NameClash`` rule's pass over the method list.
+    # the ``NameClash`` rule's walk of the method list for the new name,
+    # and the path below the host walked once more to put the application
+    # into the extended host.
     path = language.focus_path_by_span(source, "statement", span)
-    assert _children_calls(monkeypatch, prog, lambda: language.extract_at("helper", path)) == 6617
+    assert _children_calls(monkeypatch, prog, lambda: language.extract_at("helper", path)) == 6620
 
     counts = []
     for methods in (60, 600):
@@ -1109,6 +1173,53 @@ def test_extract_visits_are_linear_in_joos_breadth(monkeypatch):
         )
         counts.append((placing, marking))
     assert counts[0] == counts[1]
+
+
+def _query_calls(language, run):
+    """Attempts of ``language``'s ``declared`` and ``referenced`` queries
+    made by ``run`` on a copy of the record that counts them."""
+    calls = {"declared": 0, "referenced": 0}
+
+    def counted(what):
+        query = getattr(language, what)
+
+        def attempt(t):
+            calls[what] += 1
+            return query(t)
+
+        return QueryTU(attempt)
+
+    run(dataclasses.replace(language, declared=counted("declared"), referenced=counted("referenced")))
+    return calls["declared"], calls["referenced"]
+
+
+def test_a_fresh_name_costs_queries_only_on_the_path():
+    """The ``NameClash`` rule runs the scoped free-name pass only when the
+    new name occurs in the host's list. So an extract under a fresh name
+    makes as many ``declared``/``referenced`` attempts on a class of 600
+    methods as on one of 60: the environment folded over the path and the
+    fragment's own free names. A name that occurs in the list (``t``, bound
+    in every method, or the field ``f0``, free in the list) still costs the
+    pass over the whole list. The counts are pinned."""
+    from refax import joos
+
+    counts = {}
+    for methods in (60, 600):
+        source, span = _wide_class(methods)
+        path = joos.LANGUAGE.focus_path_by_span(source, "statement", span)
+        for name in ("helper", "t", "f0"):
+
+            def extracting(language):
+                try:
+                    language.extract_at(name, path)
+                except NameClash:
+                    pass
+
+            counts[methods, name] = _query_calls(joos.LANGUAGE, extracting)
+    assert counts == {
+        (60, "helper"): (8, 3), (60, "t"): (669, 664), (60, "f0"): (669, 664),
+        (600, "helper"): (8, 3), (600, "t"): (6609, 6604), (600, "f0"): (6609, 6604),
+    }
 
 
 def _declared_calls(declared, focus, prog):
