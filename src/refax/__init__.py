@@ -7,10 +7,9 @@ analyses, extraction and introduction), and two language instantiations,
 driven by the ``refax`` command-line tool.
 """
 
-from .terms import ArityMismatch, Sort, SortMismatch, Term, TermError, append_child, dump, node
+from .terms import ArityMismatch, SortMismatch, Term, TermError, append_child, dump, node
 
 __all__ = [
-    "Sort",
     "Term",
     "TermError",
     "ArityMismatch",

@@ -36,9 +36,9 @@ host-marking ``SortCase`` that names the constructor it accepts, so that
 the passes refuse every other node without raising; an extraction
 precondition; an ``AbstractionSignature`` with the constructors for its
 abstraction form (methods, functions, ...); its focus kinds (kind name
-to sort and wrapper class), from which focus placement works and
-``focus_case`` derives the focus recognisers; and the parser, printer
-and checker. The printer and the checker reject a focus wrapper where
+to wrapper class; a wrapper has the sort of what it wraps), from which
+focus placement works and ``focus_case`` derives the focus recognisers;
+and the parser, printer and checker. The printer and the checker reject a focus wrapper where
 their own dispatch meets one (``FocusPresent``), without a separate pass.
 Everything here manipulates terms only through the uniform protocol.
 """
@@ -67,7 +67,7 @@ from .strategy import (
     propagate_path_tu,
     scoped_uses_tu,
 )
-from .terms import Sort, Term, append_child
+from .terms import Term, append_child
 
 
 class RefactoringError(Exception):
@@ -152,12 +152,12 @@ class AbstractionSignature:
 # Focus and scope
 # ---------------------------------------------------------------------------
 
-# A language's focus kinds: kind name -> (sort, wrapper class). A wrapper
-# class is built from the node it wraps and has the same sort.
-FocusKinds = Mapping[str, tuple[Sort, type]]
+# A language's focus kinds: kind name -> wrapper class. A wrapper class is
+# built from the node it wraps and has the same sort.
+FocusKinds = Mapping[str, type[Term]]
 
 
-def focus_case(sort: Sort, wrapper: type) -> SortCase[Term]:
+def focus_case(wrapper: type[Term]) -> SortCase[Term]:
     """The recogniser of one focus wrapper class: it yields the node the
     wrapper wraps. Strategies built from it pass every other constructor
     without entering it; called directly, its function raises
@@ -168,22 +168,22 @@ def focus_case(sort: Sort, wrapper: type) -> SortCase[Term]:
             return t.children()[0]
         raise StrategyFailure(f"no {wrapper.__name__} here")
 
-    return SortCase(sort, unwrap, wrapper)
+    return SortCase(wrapper, unwrap)
 
 
 def wrap_first(
-    sort: Sort, accept: Callable[[Term], bool], wrap: Callable[[Term], Term], prog: Term
+    on: type[Term], accept: Callable[[Term], bool], wrap: Callable[[Term], Term], prog: Term
 ) -> Term:
-    """Rewrite with ``wrap`` the first node of ``sort``, in preorder, that
-    ``accept`` admits, in one top-down pass. Raises ``StrategyFailure``
-    when no node is admitted."""
+    """Rewrite with ``wrap`` the first node of class ``on``, in preorder,
+    that ``accept`` admits, in one top-down pass. Raises
+    ``StrategyFailure`` when no node is admitted."""
 
     def put(t: Term) -> Term:
         if accept(t):
             return wrap(t)
         raise StrategyFailure("not the selected node")
 
-    return apply_tp(oncetd_tp(mono_tp(SortCase(sort, put))), prog)
+    return apply_tp(oncetd_tp(mono_tp(SortCase(on, put))), prog)
 
 
 def replace_focus(put_focus: SortCase[Term], prog: Term) -> Term:
@@ -358,8 +358,8 @@ class Language:
     find2: SortCase[Term] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "find", focus_case(*self.focus_kinds[self.fragment_kind]))
-        object.__setattr__(self, "find2", focus_case(*self.focus_kinds[self.list_kind]))
+        object.__setattr__(self, "find", focus_case(self.focus_kinds[self.fragment_kind]))
+        object.__setattr__(self, "find2", focus_case(self.focus_kinds[self.list_kind]))
 
     def extract(self, new_name: str, prog: Term) -> Term:
         """The paper's entry: extract the fragment under ``prog``'s one focus
@@ -422,7 +422,7 @@ class Language:
         """Parse ``source`` and wrap the node ``focus_path_by_span`` finds
         in the wrapper class of ``kind``, rebuilding only its path."""
         at = self.focus_path_by_span(source, kind, span)
-        return at.rebuild(self.focus_kinds[kind][1](at.node))
+        return at.rebuild(self.focus_kinds[kind](at.node))
 
     def focus_path_by_span(self, source: str, kind: str, span: Span) -> FocusPath[Term]:
         """Parse ``source`` and return the ``FocusPath`` of the first node of
@@ -434,9 +434,8 @@ class Language:
         source does not have matches no node."""
         if kind not in self.focus_kinds:
             raise ValueError(f"unknown focus kind {kind!r}")
-        sort = self.focus_kinds[kind][0]
         prog = self.parse(source)
-        spans = mono_tu(SortCase(sort, attrgetter("span")))
+        spans = mono_tu(SortCase(self.focus_kinds[kind].sort, attrgetter("span")))
         lines = Lines(source)
         wanted = lines.offsets(span)
         if wanted is not None:

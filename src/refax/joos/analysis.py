@@ -79,10 +79,10 @@ def _declared(t: ast.Block | ast.MethodDecl | ast.ClassDecl) -> tuple[NameTypePa
 
 declared_pairs: QueryTU = choice_tu(
     choice_tu(
-        mono_tu(SortCase(ast.STATEMENT, _declared, ast.Block)),
-        mono_tu(SortCase(ast.METHOD, _declared)),
+        mono_tu(SortCase(ast.Block, _declared)),
+        mono_tu(SortCase(ast.MethodDecl, _declared)),
     ),
-    mono_tu(SortCase(ast.CLASS, _declared)),
+    mono_tu(SortCase(ast.ClassDecl, _declared)),
 )
 
 
@@ -90,8 +90,8 @@ def _name(t: ast.Assign | ast.VarRef) -> tuple[str, ...]:
     return (t.name,)
 
 
-defined_names: QueryTU = mono_tu(SortCase(ast.STATEMENT, _name, ast.Assign))
-used_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, _name, ast.VarRef))
+defined_names: QueryTU = mono_tu(SortCase(ast.Assign, _name))
+used_names: QueryTU = mono_tu(SortCase(ast.VarRef, _name))
 referenced_names: QueryTU = choice_tu(defined_names, used_names)
 
 

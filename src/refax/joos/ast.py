@@ -1,50 +1,40 @@
 """JOOS abstract syntax: a mini-Java with classes, fields, void/int/boolean
 methods, structured statements and expressions.
 
+A sort is the class deriving ``Term`` that its node classes derive.
 Node kinds per sort:
 
-* ``JoosStatement``: Block, LocalVarDecl, Assign, If, While, Return,
+* ``Statement``: Block, LocalVarDecl, Assign, If, While, Return,
   CallStmt, and the StatementFocus wrapper.
-* ``JoosExpression``: IntLit, BoolLit, VarRef, Call, BinOp, Not.
-* ``JoosMethodList``: MethodList and the MethodDeclarationFocus wrapper.
-* One sort each for programs, classes, fields, methods and formals.
+* ``Expression``: IntLit, BoolLit, VarRef, Call, BinOp, Not.
+* ``MethodSection``: MethodList and the MethodDeclarationFocus wrapper.
+* Programs, classes, fields, methods and formals: one node class each,
+  deriving ``Term`` directly, so each is its own sort.
 
-Each node class is declared with ``terms.node`` on its sort class; its
-source span is the one ``Term`` declares for every node, parse metadata
-(excluded from structural equality) used only to place a focus.
+Each node class is declared with ``terms.node``; its source span is the
+one ``Term`` declares for every node, parse metadata (excluded from
+structural equality) used only to place a focus.
 
-Focus wrappers share the sort of the domain they wrap, so wrapping and
-unwrapping are sort-preserving rewrites; ``FOCUS_KINDS`` lists them.
+Focus wrappers derive the sort class of the domain they wrap, so wrapping
+and unwrapping are sort-preserving rewrites; ``FOCUS_KINDS`` lists them.
 """
 
 from __future__ import annotations
 
-from ..terms import Sort, Term, node
-
-PROGRAM = Sort("JoosProgram")
-CLASS = Sort("JoosClass")
-FIELD = Sort("JoosField")
-METHOD = Sort("JoosMethod")
-METHOD_LIST = Sort("JoosMethodList")
-FORMAL = Sort("JoosFormal")
-STATEMENT = Sort("JoosStatement")
-EXPRESSION = Sort("JoosExpression")
+from ..terms import Term, node
 
 
 class Expression(Term):
-    sort = EXPRESSION
     __slots__ = ()
 
 
 class Statement(Term):
-    sort = STATEMENT
     __slots__ = ()
 
 
 class MethodSection(Term):
     """Either a plain method list or one wrapped in a host focus."""
 
-    sort = METHOD_LIST
     __slots__ = ()
 
 
@@ -130,14 +120,12 @@ class StatementFocus(Statement):
 
 @node
 class Formal(Term):
-    sort = FORMAL
     type_name: str
     name: str
 
 
 @node
 class MethodDecl(Term):
-    sort = METHOD
     return_type: str
     name: str
     formals: tuple[Formal, ...]
@@ -156,14 +144,12 @@ class MethodDeclarationFocus(MethodSection):
 
 @node
 class FieldDecl(Term):
-    sort = FIELD
     type_name: str
     name: str
 
 
 @node
 class ClassDecl(Term):
-    sort = CLASS
     name: str
     fields: tuple[FieldDecl, ...]
     methods: MethodSection
@@ -171,14 +157,13 @@ class ClassDecl(Term):
 
 @node
 class Program(Term):
-    sort = PROGRAM
     classes: tuple[ClassDecl, ...]
 
 
 ETYPES = ("int", "boolean")
 
-# Focus kinds a caller can place: kind name -> (sort, wrapper class).
+# Focus kinds a caller can place: kind name -> wrapper class.
 FOCUS_KINDS = {
-    "statement": (STATEMENT, StatementFocus),
-    "methodlist": (METHOD_LIST, MethodDeclarationFocus),
+    "statement": StatementFocus,
+    "methodlist": MethodDeclarationFocus,
 }

@@ -29,7 +29,7 @@ def _wrap_method_list(t: ast.MethodSection) -> ast.MethodSection:
 
 # The host case names the constructor it accepts, so the strategies built
 # from it pass every other node without entering it.
-method_list_host = SortCase(ast.METHOD_LIST, _wrap_method_list, ast.MethodList)
+method_list_host = SortCase(ast.MethodList, _wrap_method_list)
 
 
 # -- the Abstraction instance for JOOS method declarations ------------------
@@ -87,7 +87,7 @@ method_signature = AbstractionSignature(
 
 def _contains_return(fragment: ast.Statement) -> bool:
     try:
-        apply_tu(oncetd_tu(mono_tu(SortCase(ast.STATEMENT, lambda t: True, ast.Return))), fragment)
+        apply_tu(oncetd_tu(mono_tu(SortCase(ast.Return, lambda t: True))), fragment)
         return True
     except StrategyFailure:
         return False
@@ -116,6 +116,6 @@ def focus_class_methods(program: ast.Program, class_name: str) -> ast.Program:
         return dataclasses.replace(cls, methods=ast.MethodDeclarationFocus(cls.methods))
 
     try:
-        return framework.wrap_first(ast.CLASS, lambda c: c.name == class_name, wrap, program)
+        return framework.wrap_first(ast.ClassDecl, lambda c: c.name == class_name, wrap, program)
     except StrategyFailure:
         raise NoHost(f"no class named {class_name!r}") from None

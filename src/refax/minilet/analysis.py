@@ -27,9 +27,9 @@ def binds(t: ast.FunDef) -> tuple[str, ...]:
 
 
 declared_pairs: QueryTU = mono_tu(
-    SortCase(ast.FUNDEF, lambda t: tuple(NameTypePair(p, ast.VAL) for p in binds(t)))
+    SortCase(ast.FunDef, lambda t: tuple(NameTypePair(p, ast.VAL) for p in binds(t)))
 )
-referenced_names: QueryTU = mono_tu(SortCase(ast.EXPRESSION, lambda t: (t.name,), ast.Var))
+referenced_names: QueryTU = mono_tu(SortCase(ast.Var, lambda t: (t.name,)))
 
 
 _WRAPPED = "resolution check requires a wrapper-free program"

@@ -2,33 +2,28 @@
 construct is ``let`` over a list of function definitions, with genuinely
 nested scopes. Every name has the single universal type ``"val"``.
 
-Node classes are declared with ``terms.node``, each on its sort class,
-and carry the span ``Term`` declares, as in the JOOS instantiation. Focus
-wrappers (ExprFocus for fragments, FunDefListFocus for hosts) share the
-sort of what they wrap; ``FOCUS_KINDS`` lists them.
+Node classes are declared with ``terms.node`` and carry the span
+``Term`` declares, as in the JOOS instantiation. A sort is the class
+deriving ``Term`` that its node classes derive: ``Expression``,
+``FunDefSection``, and ``FunDef`` and ``Program``, each its own sort.
+Focus wrappers (ExprFocus for fragments, FunDefListFocus for hosts)
+derive the sort class of what they wrap; ``FOCUS_KINDS`` lists them.
 """
 
 from __future__ import annotations
 
-from ..terms import Sort, Term, node
-
-PROGRAM = Sort("MiniletProgram")
-EXPRESSION = Sort("MiniletExpr")
-FUNDEF = Sort("MiniletFunDef")
-FUNDEF_LIST = Sort("MiniletFunDefList")
+from ..terms import Term, node
 
 VAL = "val"
 
 
 class Expression(Term):
-    sort = EXPRESSION
     __slots__ = ()
 
 
 class FunDefSection(Term):
     """Either a plain definition list or one wrapped in a host focus."""
 
-    sort = FUNDEF_LIST
     __slots__ = ()
 
 
@@ -68,7 +63,6 @@ class ExprFocus(Expression):
 
 @node
 class FunDef(Term):
-    sort = FUNDEF
     name: str
     params: tuple[str, ...]
     body: Expression
@@ -86,12 +80,11 @@ class FunDefListFocus(FunDefSection):
 
 @node
 class Program(Term):
-    sort = PROGRAM
     body: Expression
 
 
-# Focus kinds a caller can place: kind name -> (sort, wrapper class).
+# Focus kinds a caller can place: kind name -> wrapper class.
 FOCUS_KINDS = {
-    "expr": (EXPRESSION, ExprFocus),
-    "fundeflist": (FUNDEF_LIST, FunDefListFocus),
+    "expr": ExprFocus,
+    "fundeflist": FunDefListFocus,
 }

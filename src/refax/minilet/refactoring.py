@@ -28,7 +28,7 @@ def _wrap_let_defs(t: ast.Expression) -> ast.Expression:
 
 
 # As in JOOS, the host case names the constructor it accepts.
-let_defs_host = SortCase(ast.EXPRESSION, _wrap_let_defs, ast.Let)
+let_defs_host = SortCase(ast.Let, _wrap_let_defs)
 
 
 def _make_formals(pairs) -> tuple[str, ...]:

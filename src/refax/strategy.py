@@ -37,14 +37,14 @@ Strafunski Application Letter*, PADL'03). ``mono_*`` carries a case table
 ``{sort: case}`` and refuses every other sort; ``adhoc_*`` over a table
 adds its case to a copy of the table; ``choice_tu`` of two tables is one
 table, whose entry for a sort both sides list is the choice of the two
-cases. Since ``Sort`` is interned, a composed type case such as a
-language's five-way ``declared`` query is one identity-hashed lookup on
-``t.sort``, not a chain of closures. A ``SortCase`` may also name the
-constructors it is written for (``on``, a node class or a tuple of them):
-its entry then tests ``isinstance`` before entering the case and refuses
-the sort's other constructors as a value. So a recogniser of one wrapper
-class, run at every node of its sort, constructs no exception at the
-nodes it passes.
+cases. A sort is a class, hashed by identity, so a composed type case
+such as a language's three-way ``declared`` query is one identity-hashed
+lookup on ``t.sort``, not a chain of closures. A ``SortCase`` names one
+class, ``on``: a sort class covers every constructor of that sort, and a
+node class only itself. Its entry is keyed by ``on``'s sort and tests
+``isinstance`` before entering the case, so it refuses the sort's other
+constructors as a value, and a recogniser of one wrapper class, run at
+every node of its sort, constructs no exception at the nodes it passes.
 
 The recursive schemes ``above`` and ``scoped_uses`` recurse through one
 Python frame per tree level, with their one-layer step written into that
@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Sequence, TypeVar
 
-from .terms import Sort, Term
+from .terms import Term, sort_name
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -80,7 +80,7 @@ _FAIL: Any = object()
 _MET: Any = object()
 
 Attempt = Callable[[Term], Any]
-Cases = dict[Sort, Attempt]
+Cases = dict[type, Attempt]
 
 
 class StrategyFailure(Exception):
@@ -104,14 +104,10 @@ class _Strategy:
 
 
 def _sort_changed(t: Term, out: Term) -> TypeError:
-    return TypeError(f"type-preserving strategy changed sort {t.sort.id} -> {out.sort.id}")
+    return TypeError(f"type-preserving strategy changed sort {sort_name(t.sort)} -> {sort_name(out.sort)}")
 
 
-# The constructors a ``SortCase`` admits: a node class or a tuple of them.
-Constructors = type | tuple[type, ...]
-
-
-def _enter_tp(run: Callable[[Term], Term], on: Constructors = object) -> Attempt:
+def _enter_tp(run: Callable[[Term], Term], on: type = object) -> Attempt:
     """User code of a type-preserving strategy, as an attempt. It refuses a
     term of a constructor outside ``on`` without entering ``run``."""
 
@@ -129,7 +125,7 @@ def _enter_tp(run: Callable[[Term], Term], on: Constructors = object) -> Attempt
     return attempt
 
 
-def _enter_tu(run: Callable[[Term], Any], on: Constructors = object) -> Attempt:
+def _enter_tu(run: Callable[[Term], Any], on: type = object) -> Attempt:
     """User code of a type-unifying strategy, as an attempt; ``on`` as for
     ``_enter_tp``."""
 
@@ -195,19 +191,23 @@ def _table(make: Callable[[Attempt, Cases], Any], cases: Cases) -> Any:
 
 @dataclass(frozen=True)
 class SortCase(Generic[A]):
-    """A partial function defined only on terms of one declared sort.
+    """A partial function defined only on the terms of class ``on``: every
+    constructor of a sort, when ``on`` is that sort's class, or one
+    constructor, when it is a node class.
 
-    ``fn`` may still refuse individual terms of that sort by raising
-    ``StrategyFailure``. ``on`` names the constructors (a node class or a
-    tuple of them; every constructor by default) that ``fn`` is meant for:
-    ``mono_*`` and ``adhoc_*`` refuse the sort's other constructors as a
-    value, without calling ``fn``, so a recogniser that accepts one wrapper
-    class costs no exception at the nodes it passes.
+    ``fn`` may still refuse individual terms by raising
+    ``StrategyFailure``. ``mono_*`` and ``adhoc_*`` enter ``fn`` only on
+    instances of ``on`` and refuse the sort's other constructors as a
+    value, so a recogniser that accepts one wrapper class costs no
+    exception at the nodes it passes.
     """
 
-    sort: Sort
+    on: type[Term]
     fn: Callable[[Term], A]
-    on: Constructors = object
+
+    @property
+    def sort(self) -> type[Term]:
+        return self.on.sort
 
 
 def apply_tp(s: TransformTP, t: Term) -> Term:
@@ -267,7 +267,7 @@ def choice_tu(q1: QueryTU[A], q2: QueryTU[A]) -> QueryTU[A]:
     return _table(_tu, cases)
 
 
-def _adhoc(make: Callable[..., Any], deflt: _Strategy, sort: Sort, here: Attempt) -> Any:
+def _adhoc(make: Callable[..., Any], deflt: _Strategy, sort: type, here: Attempt) -> Any:
     """``here`` on ``sort``, ``deflt`` elsewhere. Over a case table this is
     the table with ``here`` in ``sort``'s entry: the case replaces the
     default there, refusal included."""

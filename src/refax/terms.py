@@ -18,6 +18,11 @@ annotations drive the protocol:
 * ``tuple[X, ...]`` is a child sequence (or an atom sequence for str/int),
 * ``str``/``int``/``bool`` fields are atoms.
 
+A node's sort is a class: the class in its MRO that derives ``Term``
+directly (a language's ``Statement``, say, which its statement node
+classes derive). A class is hashed and compared by identity, so every sort
+dispatch and every ``rebuild`` child check stays cheap.
+
 ``Term`` itself declares the one metadata field every node carries, its
 source ``span``, which takes no part in the protocol or in structural
 equality.
@@ -45,31 +50,6 @@ Atom = str | int
 Offsets = tuple[int, int]
 
 
-class Sort:
-    """Identity of a syntactic category (e.g. the statements of one language).
-
-    Interned: ``Sort(id)`` is the one sort object for ``id``, so equality
-    and hashing are object identity, which every sort dispatch and every
-    ``rebuild`` child check relies on to stay cheap."""
-
-    __slots__ = ("id",)
-    _interned: ClassVar[dict[str, Sort]] = {}
-
-    def __new__(cls, id: str) -> Sort:
-        sort = cls._interned.get(id)
-        if sort is None:
-            sort = super().__new__(cls)
-            object.__setattr__(sort, "id", id)
-            cls._interned[id] = sort
-        return sort
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self) -> str:
-        return f"Sort({self.id!r})"
-
-
 class TermError(Exception):
     """Violation of a term-protocol precondition."""
 
@@ -79,9 +59,15 @@ class ArityMismatch(TermError):
 
 
 class SortMismatch(TermError):
-    def __init__(self, slot: int, expected: Sort, got: Sort) -> None:
-        super().__init__(f"child slot {slot} expects sort {expected.id}, got {got.id}")
+    def __init__(self, slot: int, expected: type, got: type) -> None:
+        super().__init__(f"child slot {slot} expects sort {sort_name(expected)}, got {sort_name(got)}")
         self.slot = slot
+
+
+def sort_name(sort: type) -> str:
+    """A sort's name in messages: its module and qualified name, since two
+    languages may each have a sort class of the same name."""
+    return f"{sort.__module__}.{sort.__qualname__}"
 
 
 # Slot kinds, derived once per node class from its field annotations.
@@ -137,9 +123,17 @@ class Term:
     # Written out: ``dataclass(weakref_slot=True)`` needs Python 3.11.
     __slots__ = ("__weakref__",)
 
-    sort: ClassVar[Sort]
+    sort: ClassVar[type[Term]]
     _term_slots: ClassVar[tuple[tuple[int, str, Any], ...]]
     span: Offsets | None = dataclasses.field(default=None, kw_only=True, compare=False, repr=False)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # A class deriving ``Term`` directly is a sort, and its subclasses
+        # inherit it. This runs again for the class ``dataclass(slots=True)``
+        # builds in place of the given one, so ``sort`` is the final class.
+        super().__init_subclass__(**kwargs)
+        if Term in cls.__bases__:
+            cls.sort = cls
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         raise TypeError(f"{self.tag} is not declared with terms.node")
@@ -286,7 +280,7 @@ def append_child(t: Term, child: Term) -> Term:
     if len(seq_slots) != 1:
         raise TermError(f"{t.tag}: not a single-sequence node")
     _, name, elem_cls = seq_slots[0]
-    if child.sort != elem_cls.sort:
+    if child.sort is not elem_cls.sort:
         raise SortMismatch(len(getattr(t, name)), elem_cls.sort, child.sort)
     return dataclasses.replace(t, **{name: getattr(t, name) + (child,)})
 

@@ -1,21 +1,18 @@
 """Fixture algebra for combinator-law tests: small binary trees over
 integers, plus a labelled wrapper used to plant host candidates, all in
-one sort so every strategy applies everywhere; and a leaf of a second
-sort, for the tests of dispatch by sort."""
+one sort (``Tree``) so every strategy applies everywhere; and a leaf of a
+second sort (``Twig``, which derives ``Term`` directly and so is its own
+sort), for the tests of dispatch by sort."""
 
 from __future__ import annotations
 
 import random
 
 from refax.strategy import SortCase, StrategyFailure
-from refax.terms import Sort, Term, node
-
-FIXTURE = Sort("FixtureTree")
-TWIG = Sort("FixtureTwig")
+from refax.terms import Term, node
 
 
 class Tree(Term):
-    sort = FIXTURE
     __slots__ = ()
 
 
@@ -37,10 +34,9 @@ class Tag(Tree):
 
 
 @node
-class Twig(Tree):
+class Twig(Term):
     """A leaf of the second sort."""
 
-    sort = TWIG
     value: int
 
 
@@ -86,7 +82,7 @@ def leaf_case(fn) -> SortCase:
             return fn(t)
         raise StrategyFailure("not a leaf")
 
-    return SortCase(FIXTURE, run)
+    return SortCase(Tree, run)
 
 
 inc_leaf = leaf_case(lambda t: Leaf(t.value + 1))

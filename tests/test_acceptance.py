@@ -34,10 +34,10 @@ from refax.terms import dump
 
 from . import joos_gen, minilet_gen, oracles
 from .fixture_trees import (
-    FIXTURE,
     Leaf,
     Node,
     Tag,
+    Tree,
     all_paths,
     gen_tree,
     inc_leaf,
@@ -115,7 +115,7 @@ def test_criterion_2_traversal_order_oracle():
             hits.append(u)
             return result
 
-        case = SortCase(FIXTURE, probe)
+        case = SortCase(Tree, probe)
         marked = [n for n in preorder(t) if isinstance(n, Leaf) and n.value == 99]
         if not marked:
             with pytest.raises(StrategyFailure):
@@ -137,8 +137,8 @@ def test_criterion_3_above_bottom_most_law():
     for ``above_tp`` and for ``above_path_tp``, the scheme ``mark_host``
     runs: each tree holds one focus, where the two must agree."""
     rng = random.Random(303)
-    mark = SortCase(FIXTURE, _mark_candidate)
-    is_focus = SortCase(FIXTURE, _is_focus_leaf)
+    mark = SortCase(Tree, _mark_candidate)
+    is_focus = SortCase(Tree, _is_focus_leaf)
     for _ in range(400):
         t = gen_tree(rng, 5)
         leaf_paths = [p for p in all_paths(t) if isinstance(node_at(t, p), Leaf)]
@@ -206,7 +206,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         assert framework.free_names(declared, jr, prog) == oracles.joos_free_names(prog)
         stmts = joos_gen.statement_nodes(prog)
         target = rng.choice(stmts)
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         env, fragment = framework.bound_typed_names(jd, statement_focus, focused)
         oracle_env, oracle_fragment = oracles.joos_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -226,7 +226,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
+        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
         env, fragment = framework.bound_typed_names(md, expr_focus, focused)
         oracle_env, oracle_fragment = oracles.minilet_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -250,7 +250,7 @@ def test_criterion_5_extraction_postconditions():
         if not stmts:
             continue
         target = rng.choice(stmts)
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         name = joos_gen.fresh_name(focused)
         before = dump(focused)
         try:
@@ -277,7 +277,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void m(int a) {{ {{ {stmts} return; }} }} void log(int x) {{ }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -290,7 +290,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ int shared; void m() {{ {{ shared = {i}; }} }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -303,7 +303,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void taken{i}() {{ }} void m(int a) {{ this.taken{i}(); }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[1].body.statements[0]
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         before = dump(focused)
         with pytest.raises(NameClash):
             extract_method(f"taken{i}", focused)
@@ -333,7 +333,7 @@ def test_criterion_7_nested_scope_and_meaning_preservation():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
+        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
         try:
             result = extract_function(minilet_gen.fresh_name(prog), focused)
         except framework.RefactoringError:

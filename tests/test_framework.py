@@ -65,7 +65,7 @@ from refax.strategy import (
 from refax.terms import Term
 
 from . import fixture_trees, joos_gen, minilet_gen, oracles
-from .fixture_trees import FIXTURE, Leaf, Node, Tag, leaf_case, preorder
+from .fixture_trees import Leaf, Node, Tag, Tree, leaf_case, preorder
 from .reference_strategies import Monoid, all_tu_reference, comb_reference, const_reference, fix_reference
 from .test_cli import SCENARIOS
 
@@ -78,7 +78,7 @@ def _unwrap_focus_tag(t):
     raise StrategyFailure("no focus tag")
 
 
-fix_focus = SortCase(FIXTURE, _unwrap_focus_tag)
+fix_focus = SortCase(Tree, _unwrap_focus_tag)
 
 
 def test_replace_focus_removes_wrapper():
@@ -100,10 +100,10 @@ def test_replace_focus_removes_wrapper():
     ]
     for t, fragment, expected in cases:
         fragments.clear()
-        assert framework.replace_focus(SortCase(FIXTURE, put), t) == expected
+        assert framework.replace_focus(SortCase(Tree, put), t) == expected
         assert fragments == [fragment]
     with pytest.raises(NoFocus):
-        framework.replace_focus(SortCase(FIXTURE, put), Node(Leaf(0), Leaf(1)))
+        framework.replace_focus(SortCase(Tree, put), Node(Leaf(0), Leaf(1)))
 
 
 def test_replace_focus_rejection_propagates_and_leaves_input_usable():
@@ -114,7 +114,7 @@ def test_replace_focus_rejection_propagates_and_leaves_input_usable():
         raise CheckFailed("guard failed")
 
     with pytest.raises(CheckFailed):
-        framework.replace_focus(SortCase(FIXTURE, put), t)
+        framework.replace_focus(SortCase(Tree, put), t)
     assert t == Node(Leaf(0), Tag("focus", Leaf(1)))
 
 
@@ -124,7 +124,7 @@ def _host_case():
             return Tag("host", u)
         raise StrategyFailure("not a candidate")
 
-    return SortCase(FIXTURE, set_host)
+    return SortCase(Tree, set_host)
 
 
 def test_mark_host_picks_deepest_candidate():
@@ -219,16 +219,16 @@ def _label(t):
 
 # On fixture trees: a Tag binds its label and also uses it; leaf 0 uses
 # "x", every other leaf "v<value>".
-_TAG_BINDS = mono_tu(SortCase(FIXTURE, _label, Tag))
+_TAG_BINDS = mono_tu(SortCase(Tag, _label))
 _TAG_AND_LEAF_USES = choice_tu(
-    mono_tu(SortCase(FIXTURE, _label, Tag)),
+    mono_tu(SortCase(Tag, _label)),
     mono_tu(leaf_case(lambda t: ("x",) if t.value == 0 else (f"v{t.value}",))),
 )
 
 
 def contains_focus(kinds, t):
     """Whether ``t`` holds a wrapper of any of ``kinds``."""
-    wrappers = tuple(wrapper for _, wrapper in kinds.values())
+    wrappers = tuple(kinds.values())
     return any(isinstance(n, wrappers) for n in preorder(t))
 
 
@@ -239,7 +239,8 @@ def _focused_subtrees(language, gen, rng, count):
     for k in range(count):
         prog = gen.gen_program(rng)
         yield prog
-        sort, wrapper = kinds[list(kinds)[k % 2]]
+        wrapper = kinds[list(kinds)[k % 2]]
+        sort = wrapper.sort
         targets = [t for t in preorder(prog) if t.sort is sort]
         if not targets:
             continue
@@ -385,7 +386,7 @@ def test_bound_typed_names_path_env():
     method = parse_method("void m(int a) { int b; b = a; }")
     target = method.body.statements[1]
     prog = jast.Program((jast.ClassDecl("C", (), jast.MethodList((method,))),))
-    focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+    focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
     env, fragment = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert fragment == target
     # oracle-derived: class scope first (the method headers), then the
@@ -402,7 +403,7 @@ def test_bound_typed_names_path_env():
 def test_bound_typed_names_shadowing_lookup():
     prog = parse_program("class C { void m(int a) { boolean a; a = true; } }")
     target = prog.classes[0].methods.methods[0].body.statements[1]
-    focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+    focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
     env, _ = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert env_lookup(env, "a") == NameTypePair("a", ExprType("boolean"))
 
@@ -528,11 +529,11 @@ def test_span_placement_equals_the_whole_tree_formulation(lang):
     placed = 0
     for source in _sources(lang, 40, seed=43):
         prog, lines = language.parse(source), Lines(source)
-        for kind, (sort, wrapper) in language.focus_kinds.items():
+        for kind, wrapper in language.focus_kinds.items():
             for t in preorder(prog):
-                if t.sort is not sort:
+                if t.sort is not wrapper.sort:
                     continue
-                expected = framework.wrap_first(sort, lambda u: u.span == t.span, wrapper, prog)
+                expected = framework.wrap_first(wrapper.sort, lambda u: u.span == t.span, wrapper, prog)
                 assert language.place_focus_by_span(source, kind, lines.span(t.span)) == expected
                 placed += 1
     assert placed > 500
@@ -573,7 +574,8 @@ def test_focus_wrappers_are_rejected(lang, op, kind):
     programs, makes the printer and the checker raise ``FocusPresent``
     where they meet it."""
     language = LANGUAGES[lang]
-    sort, wrapper = language.focus_kinds[kind]
+    wrapper = language.focus_kinds[kind]
+    sort = wrapper.sort
     rng = random.Random(47)
     programs = [language.parse(_WRAPPER_SAMPLES[lang])]
     programs += [_GENERATORS[lang].gen_program(rng) for _ in range(25)]
@@ -601,7 +603,7 @@ def test_language_recognisers_come_from_its_focus_kinds(lang):
     assert language.fragment_kind in language.focus_kinds
     assert language.list_kind in language.focus_kinds
     for case, kind in ((language.find, language.fragment_kind), (language.find2, language.list_kind)):
-        assert (case.sort, case.on) == language.focus_kinds[kind]
+        assert case.on is language.focus_kinds[kind] and case.sort is case.on.sort
     assert language.find is language.find and language.find2 is language.find2
 
 
@@ -643,7 +645,7 @@ _INTRODUCE_SAMPLES = {
 
 def _list_focused(language, source):
     """``source`` parsed, with the list focus on its first list."""
-    sort = language.focus_kinds[language.list_kind][0]
+    sort = language.focus_kinds[language.list_kind].sort
     first = next(t for t in preorder(language.parse(source)) if t.sort is sort)
     return language.place_focus_by_span(source, language.list_kind, Lines(source).span(first.span))
 
@@ -661,7 +663,7 @@ def test_introduce_enters_the_list_recogniser_once(lang):
         calls.append(t)
         return language.find2.fn(t)
 
-    case = SortCase(language.find2.sort, counted, language.find2.on)
+    case = SortCase(language.find2.on, counted)
     out = framework.introduce(language.declared, language.referenced, case, language.signature, decl, focused)
     assert len(calls) == 1 and isinstance(calls[0], case.on)
     assert out == language.introduce(decl, focused)
@@ -767,7 +769,8 @@ def test_introduce_clashes_exactly_when_the_name_is_defined_or_free(lang, seed):
     name, a name that occurs but is bound, and an absent name."""
     language, gen = LANGUAGES[lang], _GENERATORS[lang]
     sig, declared = language.signature, framework.declared_names(language.declared)
-    lists, wrap_list = language.focus_kinds[language.list_kind]
+    wrap_list = language.focus_kinds[language.list_kind]
+    lists = wrap_list.sort
     seen = set()
     for source in _sources(lang, 12, seed):
         prog = language.parse(source)
@@ -822,7 +825,7 @@ def test_extract_refuses_to_leave_a_wrapper_behind():
 
     prog = parse_program("class C { void m() { this.n(); this.n(); } void n() { } }")
     for target in prog.classes[0].methods.methods[0].body.statements:
-        prog = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        prog = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
     with pytest.raises(RuntimeError, match="would leave a focus wrapper"):
         extract_method("helper", prog)
 
@@ -844,7 +847,7 @@ def _extract_by_phases(language, name, prog):
     marked = framework.mark_host(language.host, find, prog)
     extended = framework.introduce(declared, language.referenced, language.find2, sig, abstr, marked)
     app = sig.fragment_from_application(sig.make_application(name, sig.make_actuals(pairs)))
-    return framework.replace_focus(SortCase(find.sort, lambda t: app, find.on), extended)
+    return framework.replace_focus(SortCase(find.on, lambda t: app), extended)
 
 
 def _with_spans(t):
@@ -880,8 +883,8 @@ def test_extract_equals_its_public_phases(lang):
     focus path gives what the phases give one search each: the same tree
     with the same spans, or the same exception type and message."""
     language, gen, rng = LANGUAGES[lang], _GENERATORS[lang], random.Random(53)
-    fragment, wrap = language.focus_kinds[language.fragment_kind]
-    lists, wrap_list = language.focus_kinds[language.list_kind]
+    wrap, wrap_list = language.focus_kinds[language.fragment_kind], language.focus_kinds[language.list_kind]
+    fragment, lists = wrap.sort, wrap_list.sort
     seen = set()
     for source in _sources(lang, 12, seed=59):
         prog = language.parse(source)
@@ -922,7 +925,7 @@ def test_extract_at_equals_the_wrapper_entry(lang, seed):
     spans, or the same exception type and message."""
     language, gen, rng = LANGUAGES[lang], _GENERATORS[lang], random.Random(seed)
     kind = language.fragment_kind
-    fragment = language.focus_kinds[kind][0]
+    fragment = language.focus_kinds[kind].sort
     cases = [case[1:] for case in _golden_extracts() if case[0] == lang]
     for source in _sources(lang, 12, seed):
         prog, lines = language.parse(source), Lines(source)
@@ -953,7 +956,7 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
     def fragment_focused():
         return language.place_focus_by_span(source, language.fragment_kind, Span.parse(span))
 
-    sort, wrapper = language.focus_kinds[language.fragment_kind]
+    wrapper = language.focus_kinds[language.fragment_kind]
     runs = {
         "extract": (fragment_focused, lambda p: language.extract(name, p)),
         "introduce": (lambda: _list_focused(language, list_source), lambda p: language.introduce(decl, p)),
@@ -962,7 +965,7 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
         "mark_host": (fragment_focused, lambda p: framework.mark_host(language.host, language.find, p)),
         "replace_focus": (fragment_focused, lambda p: framework.replace_focus(language.find, p)),
         "wrap_first": (
-            lambda: language.parse(source), lambda p: framework.wrap_first(sort, lambda t: True, wrapper, p)),
+            lambda: language.parse(source), lambda p: framework.wrap_first(wrapper.sort, lambda t: True, wrapper, p)),
     }
     enabled = gc.isenabled()
     gc.disable()
@@ -988,11 +991,11 @@ def test_first_preorder_searches_pass_a_deep_left_spine():
     source = " + ".join(["1"] * 2999 + ["x"])
     prog = parse_minilet(source)
     var = mast.Var
-    name = SortCase(mast.EXPRESSION, lambda t: t.name, var)
+    name = SortCase(var, lambda t: t.name)
     assert apply_tu(oncetd_tu(mono_tu(name)), prog) == "x"
-    renamed = apply_tp(oncetd_tp(mono_tp(SortCase(mast.EXPRESSION, lambda t: var("y"), var))), prog)
+    renamed = apply_tp(oncetd_tp(mono_tp(SortCase(var, lambda t: var("y")))), prog)
     assert renamed.body.right == var("y") and renamed.body.left is prog.body.left
-    wrapped = framework.wrap_first(mast.EXPRESSION, lambda t: isinstance(t, var), mast.ExprFocus, prog)
+    wrapped = framework.wrap_first(mast.Expression, lambda t: isinstance(t, var), mast.ExprFocus, prog)
     assert wrapped.body.right == mast.ExprFocus(var("x")) and wrapped.body.left is prog.body.left
     unwrapped = framework.replace_focus(LANGUAGES["minilet"].find, wrapped)
     assert unwrapped.body.right == var("x") and unwrapped.body.left is prog.body.left

@@ -61,7 +61,7 @@ GOLDEN_OUT = """class C {
 def _focus_first_stmt(src: str, *, method=0, stmt=0) -> ast.Program:
     prog = parse_program(src)
     target = prog.classes[0].methods.methods[method].body.statements[stmt]
-    return framework.wrap_first(ast.STATEMENT, lambda t: t is target, ast.StatementFocus, prog)
+    return framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
 
 
 # -- preconditions ----------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_extract_shadowed_type_wins():
     src = "class C { void m(int a) { { boolean a; { int t; t = 1; this.use(a, t); } } } void use(boolean q, int x) { } }"
     prog = parse_program(src)
     target = prog.classes[0].methods.methods[0].body.statements[0].statements[1]
-    focused = framework.wrap_first(ast.STATEMENT, lambda t: t is target, ast.StatementFocus, prog)
+    focused = framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
     result = extract_method("inner", focused)
     new = result.classes[0].methods.methods[-1]
     assert [(f.type_name, f.name) for f in new.formals] == [("boolean", "a")]
@@ -245,7 +245,7 @@ def test_extract_postconditions_on_generated_programs():
         if not stmts:
             continue
         target = rng.choice(stmts)
-        focused = framework.wrap_first(ast.STATEMENT, lambda t: t is target, ast.StatementFocus, prog)
+        focused = framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
         name = joos_gen.fresh_name(focused)
         before = dump(focused)
         try:

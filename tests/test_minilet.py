@@ -163,7 +163,7 @@ def test_extract_targets_innermost_list_on_three_level_nesting():
     # focus on `c * a` inside h, three lets deep
     h = prog.body.defs.defs[0].body.defs.defs[0].body.defs.defs[0]
     target = h.body.left
-    focused = framework.wrap_first(ast.EXPRESSION, lambda t: t is target, ast.ExprFocus, prog)
+    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
     result = extract_function("mul", focused)
     inner_defs = result.body.defs.defs[0].body.defs.defs[0].body.defs.defs[0:]
     inner_list = result.body.defs.defs[0].body.defs.defs[0].body.defs
@@ -188,7 +188,7 @@ def test_host_depth_matches_ancestor_oracle():
         from refax.minilet import let_defs_host
 
         target = rng.choice(exprs)
-        focused = framework.wrap_first(ast.EXPRESSION, lambda t: t is target, ast.ExprFocus, prog)
+        focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
         marked = framework.mark_host(let_defs_host, expr_focus, focused)
         # oracle: deepest Let ancestor of the focus wrapper
         path = _path_to(focused, lambda n: isinstance(n, ast.ExprFocus))
@@ -223,7 +223,7 @@ def _node_at(t, path):
 def test_extract_no_host_at_top_level():
     prog = parse_program("1 + 2")
     target = prog.body.left
-    focused = framework.wrap_first(ast.EXPRESSION, lambda t: t is target, ast.ExprFocus, prog)
+    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
     with pytest.raises(NoHost):
         extract_function("q", focused)
 
@@ -231,7 +231,7 @@ def test_extract_no_host_at_top_level():
 def test_extract_name_clash_with_sibling():
     prog = parse_program("let f(x) = x; g(y) = y; in f(g(1))")
     target = prog.body.defs.defs[0].body
-    focused = framework.wrap_first(ast.EXPRESSION, lambda t: t is target, ast.ExprFocus, prog)
+    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
     with pytest.raises(NameClash):
         extract_function("g", focused)
 
@@ -250,7 +250,7 @@ def test_meaning_preserved_on_sampled_extractions():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(ast.EXPRESSION, lambda t: t is target, ast.ExprFocus, prog)
+        focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
         try:
             result = extract_function(minilet_gen.fresh_name(prog), focused)
         except framework.RefactoringError:

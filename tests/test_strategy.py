@@ -37,11 +37,10 @@ from refax.strategy import (
 
 from . import joos_gen, minilet_gen
 from .fixture_trees import (
-    FIXTURE,
-    TWIG,
     Leaf,
     Node,
     Tag,
+    Tree,
     Twig,
     gen_tree,
     inc_leaf,
@@ -230,7 +229,7 @@ def test_oncetd_first_preorder_match():
 
 
 def test_oncebu_first_postorder_match():
-    tag_label = mono_tu(SortCase(FIXTURE, lambda t: t.label if isinstance(t, Tag) else _refuse()))
+    tag_label = mono_tu(SortCase(Tree, lambda t: t.label if isinstance(t, Tag) else _refuse()))
     t = Tag("root", Node(Tag("deep", Leaf(1)), Tag("right", Leaf(2))))
     assert apply_tu(oncebu_reference(QueryTU, one_tu_reference, tag_label), t) == "deep"
     assert apply_tu(oncetd_tu(tag_label), t) == "root"
@@ -257,7 +256,7 @@ def test_propagate_select_at_root_short_circuits():
 
 def test_propagate_threads_environment_along_path():
     def update(env):
-        return mono_tu(SortCase(FIXTURE, lambda t: env + (t.label,) if isinstance(t, Tag) else _refuse()))
+        return mono_tu(SortCase(Tree, lambda t: env + (t.label,) if isinstance(t, Tag) else _refuse()))
 
     select = mono_tu(leaf_case(lambda t: t.value if t.value == 99 else _refuse()))
     q = propagate_path_tu((), update, select)
@@ -286,7 +285,7 @@ def test_propagate_path_agrees_with_propagate():
 
     def update(env):
         return mono_tu(SortCase(
-            FIXTURE, lambda t: env + ((t.tag, len(preorder(t))),) if not isinstance(t, Leaf) else _refuse()
+            Tree, lambda t: env + ((t.tag, len(preorder(t))),) if not isinstance(t, Leaf) else _refuse()
         ))
 
     outcomes = set()
@@ -311,7 +310,7 @@ def test_propagate_path_agrees_with_propagate():
     for _ in range(40):
         prog = joos_gen.gen_program(rng)
         target = rng.choice(joos_gen.statement_nodes(prog))
-        focused = framework.wrap_first(jast.STATEMENT, lambda t: t is target, jast.StatementFocus, prog)
+        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
         select, update = mono_tu(statement_focus), collect(joos_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
         assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
@@ -322,7 +321,7 @@ def test_propagate_path_agrees_with_propagate():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.EXPRESSION, lambda t: t is target, mast.ExprFocus, prog)
+        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
         select, update = mono_tu(expr_focus), collect(mini_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
         assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
@@ -335,7 +334,8 @@ def test_type_preservation_is_enforced():
     def bad(t):
         return mast.IntLit(0)
 
-    with pytest.raises(TypeError):
+    changed = r"^type-preserving strategy changed sort tests\.fixture_trees\.Tree -> refax\.minilet\.ast\.Expression$"
+    with pytest.raises(TypeError, match=changed):
         apply_tp(TransformTP(bad), Leaf(1))
 
 
@@ -382,12 +382,12 @@ def test_above_matches_reference_formulation():
     with several ``below`` hits, with ``s`` refusing at some candidates,
     with ``below`` holding only at the root (which must fail), and with no
     match at all."""
-    mark_all = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t)))
-    mark_some = mono_tp(SortCase(FIXTURE, _hit_on_even_left))
+    mark_all = mono_tp(SortCase(Tree, lambda t: Tag("hit", t)))
+    mark_some = mono_tp(SortCase(Tree, _hit_on_even_left))
     big_leaf = mono_tu(leaf_case(lambda t: t.value if t.value >= 7 else _refuse()))
     outcomes = set()
     for t in sample_trees(200, seed=17):
-        at_root = mono_tu(SortCase(FIXTURE, lambda u, root=t: u if u is root else _refuse()))
+        at_root = mono_tu(SortCase(Tree, lambda u, root=t: u if u is root else _refuse()))
         for s in (mark_all, mark_some):
             for below in (big_leaf, mono_tu(leaf_value)):
                 got = outcome_tp(above_tp(s, below), t)
@@ -406,15 +406,15 @@ def test_above_path_matches_above_at_one_below_node():
     accepting every ancestor or refusing some, and with the host markers
     and focus recognisers of both languages on generated programs, whose
     passes refuse at every ancestor that is not a host."""
-    mark_all = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t)))
-    mark_some = mono_tp(SortCase(FIXTURE, _hit_on_even_left))
+    mark_all = mono_tp(SortCase(Tree, lambda t: Tag("hit", t)))
+    mark_some = mono_tp(SortCase(Tree, _hit_on_even_left))
     outcomes = set()
     for t in sample_trees(60, seed=23):
         nodes = preorder(t)
         for target in nodes:
             if sum(u is target for u in nodes) != 1:
                 continue
-            below = mono_tu(SortCase(FIXTURE, lambda u, target=target: u if u is target else _refuse()))
+            below = mono_tu(SortCase(Tree, lambda u, target=target: u if u is target else _refuse()))
             for s in (mark_all, mark_some):
                 got = outcome_tp(above_path_tp(s, below), t)
                 assert got == outcome_tp(above_tp(s, below), t)
@@ -428,7 +428,8 @@ def test_above_path_matches_above_at_one_below_node():
         (joos.LANGUAGE, joos_gen, joos.method_list_host, joos.statement_focus),
         (minilet.LANGUAGE, minilet_gen, minilet.let_defs_host, minilet.expr_focus),
     ):
-        sort, wrapper = language.focus_kinds[language.fragment_kind]
+        wrapper = language.focus_kinds[language.fragment_kind]
+        sort = wrapper.sort
         for _ in range(30):
             prog = gen.gen_program(rng)
             for target in [u for u in preorder(prog) if u.sort is sort]:
@@ -441,7 +442,7 @@ def test_above_path_takes_the_first_below_node_in_preorder():
     """With several ``below`` nodes the path scheme considers only the
     first in preorder, as its docstring states; ``above_tp`` tries every
     candidate in postorder."""
-    mark = mono_tp(SortCase(FIXTURE, lambda t: Tag("hit", t) if isinstance(t, Tag) else _refuse()))
+    mark = mono_tp(SortCase(Tree, lambda t: Tag("hit", t) if isinstance(t, Tag) else _refuse()))
     nine = mono_tu(leaf_case(lambda t: t if t.value == 9 else _refuse()))
     # the first 9 has no Tag above it; a later one has
     t = Node(Node(Leaf(9), Leaf(1)), Tag("a", Leaf(9)))
@@ -477,7 +478,7 @@ def test_guided_focus_paths_keep_exactly_the_paths_the_guide_admits():
                 yield u
                 u = parent[id(u)]
 
-        for select, outcome in ((mono_tu(SortCase(FIXTURE, lambda u: u)), outcome_tu),
+        for select, outcome in ((mono_tu(SortCase(Tree, lambda u: u)), outcome_tu),
                                 (mono_tu(leaf_value), outcome_tu), (mono_tp(inc_leaf), outcome_tp)):
             unguided = list(focus_paths(select, t))
             outcomes = [(outcome(select, u), id(u)) for u in nodes]
@@ -518,14 +519,14 @@ def _odd_leaf(t):
 # refusal can enter the core: a combinator, a ``SortCase`` and user code.
 TP_PARTS = {
     "inc": mono_tp(inc_leaf),
-    "mark": mono_tp(SortCase(FIXTURE, _hit_on_even_left)),
+    "mark": mono_tp(SortCase(Tree, _hit_on_even_left)),
     "user": TransformTP(_hit_on_even_left),
     "id": id_reference(),
     "fail": fail_tp(),
 }
 TU_PARTS = {
     "leaf": mono_tu(leaf_case(lambda t: (t.value,))),
-    "odd": mono_tu(SortCase(FIXTURE, _odd_leaf)),
+    "odd": mono_tu(SortCase(Tree, _odd_leaf)),
     "user": QueryTU(_odd_leaf),
     "const": const_reference(("c",)),
     "fail": fail_tu(),
@@ -540,24 +541,28 @@ def _odd_twig(t):
 
 # Cases of the second sort: a twig case that refuses even twigs, and one
 # that takes every twig.
-ODD_TWIG_TP = mono_tp(SortCase(TWIG, lambda t: Twig(_odd_twig(t).value + 2)))
-ODD_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("twig", _odd_twig(t).value)))
-ANY_TWIG_TU = mono_tu(SortCase(TWIG, lambda t: ("any twig", t.value)))
-ODD_CASE = SortCase(FIXTURE, _odd_leaf)
+ODD_TWIG_TP = mono_tp(SortCase(Twig, lambda t: Twig(_odd_twig(t).value + 2)))
+ODD_TWIG_TU = mono_tu(SortCase(Twig, lambda t: ("twig", _odd_twig(t).value)))
+ANY_TWIG_TU = mono_tu(SortCase(Twig, lambda t: ("any twig", t.value)))
+ODD_CASE = SortCase(Tree, _odd_leaf)
 
 
-# Guarded cases: ``on`` names the constructors each ``fn`` is written for,
+# Guarded cases: ``on`` names the constructor each ``fn`` is written for,
 # and ``fn`` would break on the sort's other constructors (no ``value`` or
 # ``label`` there), so every outcome shows that the guard ran first. The
 # odd-leaf case also refuses some of its own constructor's terms by raising.
+# The leaf-or-tag case is on the sort class, so it is entered at every
+# constructor of the sort and refuses the others itself.
 GUARDED_TU = {
-    "odd leaf": SortCase(FIXTURE, lambda t: (t.value,) if t.value % 2 else _refuse(), Leaf),
-    "tag": SortCase(FIXTURE, _label, Tag),
-    "leaf or tag": SortCase(FIXTURE, lambda t: (t.value,) if isinstance(t, Leaf) else _label(t), (Leaf, Tag)),
+    "odd leaf": SortCase(Leaf, lambda t: (t.value,) if t.value % 2 else _refuse()),
+    "tag": SortCase(Tag, _label),
+    "leaf or tag": SortCase(
+        Tree, lambda t: (t.value,) if isinstance(t, Leaf) else _label(t) if isinstance(t, Tag) else _refuse()
+    ),
 }
 GUARDED_TP = {
-    "inc": SortCase(FIXTURE, lambda t: Leaf(t.value + 1), Leaf),
-    "relabel": SortCase(FIXTURE, lambda t: Tag("hit", t.child), (Tag,)),
+    "inc": SortCase(Leaf, lambda t: Leaf(t.value + 1)),
+    "relabel": SortCase(Tag, lambda t: Tag("hit", t.child)),
 }
 
 
@@ -619,7 +624,7 @@ def _reference_pairs():
     # replaces the default's case, so its refusal does not fall through.
     # Over disjoint sorts a choice is one merged table; with a sort on
     # both sides the second must still run where the first refuses.
-    mark = SortCase(FIXTURE, _hit_on_even_left)
+    mark = SortCase(Tree, _hit_on_even_left)
     for a, case in (("inc", inc_leaf), ("mark", mark)):
         merged, merged_ref = adhoc_tp(ODD_TWIG_TP, case), adhoc_reference(TransformTP, ODD_TWIG_TP, case)
         yield "adhoc_tp", ("twig", a), merged, merged_ref, apply_tp
@@ -661,11 +666,11 @@ def test_combinators_match_their_raising_reference_formulations():
             seen.setdefault(name, set()).add(got[0])
     assert all(kinds == {"ok", "fail"} for kinds in seen.values()), seen
 
-    assert set(choice_tu(TU_PARTS["odd"], ODD_TWIG_TU)._cases) == {FIXTURE, TWIG}
-    assert set(adhoc_tu(ODD_TWIG_TU, ODD_CASE)._cases) == {FIXTURE, TWIG}
-    to_twig = SortCase(FIXTURE, lambda t: Twig(t.value) if isinstance(t, Leaf) else _refuse())
+    assert set(choice_tu(TU_PARTS["odd"], ODD_TWIG_TU)._cases) == {Tree, Twig}
+    assert set(adhoc_tu(ODD_TWIG_TU, ODD_CASE)._cases) == {Tree, Twig}
+    to_twig = SortCase(Tree, lambda t: Twig(t.value) if isinstance(t, Leaf) else _refuse())
     merged = adhoc_tp(ODD_TWIG_TP, to_twig)
-    assert set(merged._cases) == {FIXTURE, TWIG}
+    assert set(merged._cases) == {Tree, Twig}
     for s in (merged, adhoc_reference(TransformTP, ODD_TWIG_TP, to_twig)):
         with pytest.raises(TypeError):
             apply_tp(s, Leaf(1))
@@ -673,7 +678,7 @@ def test_combinators_match_their_raising_reference_formulations():
         assert outcome_tp(s, Node(Leaf(1), Leaf(2))) == ("fail", None)
 
     two = choice_tu(mono_tu(GUARDED_TU["odd leaf"]), mono_tu(GUARDED_TU["tag"]))
-    assert set(two._cases) == {FIXTURE}
+    assert set(two._cases) == {Tree}
     guarded = mono_tu(GUARDED_TU["tag"])
     for t in (Node(Leaf(1), Leaf(2)), Leaf(1), Twig(1)):
         with pytest.raises(StrategyFailure):
@@ -700,6 +705,20 @@ def test_combinators_match_their_raising_reference_formulations():
             case.fn(t)
         with pytest.raises(StrategyFailure):
             mono_tu(case)(t)
+
+
+def test_language_name_queries_are_one_case_table_each():
+    """Each language's name queries, composed from its sort cases, are one
+    case table each, keyed by the sorts of the constructors they cover, so
+    each runs as one lookup on ``t.sort``."""
+    from refax import joos, minilet
+    from refax.joos import ast as jast
+    from refax.minilet import ast as mast
+
+    assert set(joos.declared_pairs._cases) == {jast.Statement, jast.MethodDecl, jast.ClassDecl}
+    assert set(joos.referenced_names._cases) == {jast.Statement, jast.Expression}
+    assert set(minilet.declared_pairs._cases) == {mast.FunDef}
+    assert set(minilet.referenced_names._cases) == {mast.Expression}
 
 
 def _raise(*_):

@@ -18,6 +18,7 @@ from refax import framework, joos, minilet
 from refax.joos import ast as jast
 from refax.joos import parse_program
 from refax.minilet import ast as mast
+from refax.strategy import SortCase
 from refax.terms import (
     _ATOM,
     _ATOM_SEQ,
@@ -25,7 +26,6 @@ from refax.terms import (
     _CHILD_SEQ,
     _OPT_CHILD,
     ArityMismatch,
-    Sort,
     SortMismatch,
     Term,
     append_child,
@@ -34,7 +34,7 @@ from refax.terms import (
 )
 
 from . import fixture_trees, joos_gen, minilet_gen
-from .fixture_trees import FIXTURE, Leaf, Node, Tag, Tree, Twig, gen_tree, preorder
+from .fixture_trees import Leaf, Node, Tag, Tree, Twig, gen_tree, preorder
 
 
 def _declares_fields(cls):
@@ -74,15 +74,30 @@ def test_node_classes_own_their_protocol_from_import():
             call(object.__new__(Tree))
 
 
-def test_sorts_are_interned():
-    """One object per sort id, so sort equality and hashing are identity."""
-    assert Sort("x") is Sort("x")
-    assert Sort("x") == Sort("x") and hash(Sort("x")) == hash(Sort("x"))
-    assert Sort("x") != Sort("y")
-    assert FIXTURE is Sort("FixtureTree") and jast.STATEMENT is Sort(jast.STATEMENT.id)
-    assert len({Sort("x"), Sort("x"), Sort("y")}) == 2
-    with pytest.raises(AttributeError):
-        Sort("x").id = "y"
+def test_a_node_sort_is_the_class_that_derives_term():
+    """The sort of every class declared with ``node``, in both languages
+    and in the fixtures, is the one class in its MRO that derives ``Term``
+    directly: the class ``node`` returned, for a node class deriving
+    ``Term`` (not the one ``dataclass(slots=True)`` replaced), and its
+    sort class otherwise. A ``SortCase`` on a class has that class's
+    sort."""
+    nodes = [
+        cls
+        for module in (jast, mast, fixture_trees)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Term) and "_term_slots" in cls.__dict__
+    ]
+    assert {jast.Formal, jast.Block, jast.StatementFocus, mast.FunDef, mast.Let, Leaf, Twig} <= set(nodes)
+    for cls in nodes:
+        (sort,) = [c for c in cls.__mro__ if Term in c.__bases__]
+        assert cls.sort is sort, cls
+        if Term in cls.__bases__:
+            assert cls.sort is cls, cls
+        assert SortCase(cls, dump).sort is cls.sort and SortCase(sort, dump).sort is sort
+    assert jast.Formal.sort is jast.Formal and mast.FunDef.sort is mast.FunDef
+    assert jast.Block.sort is jast.StatementFocus.sort is jast.Statement
+    assert mast.Let.sort is mast.ExprFocus.sort is mast.Expression is not jast.Expression
+    assert Leaf.sort is Node.sort is Tag.sort is Tree and Twig.sort is Twig
 
 
 def test_children_of_node_and_leaf():
@@ -125,7 +140,7 @@ def test_rebuild_laws_on_random_trees():
     for _ in range(200):
         t = gen_tree(rng, tag_chance=0.2)
         assert t.rebuild(t.children()) == t
-        assert t.sort == FIXTURE
+        assert t.sort == Tree
         if t.children():
             swapped = tuple(reversed(t.children()))
             rebuilt = t.rebuild(swapped)
@@ -272,7 +287,8 @@ def _parsed_samples():
         for k in range(30):
             prog = language.parse(language.pretty(gen.gen_program(rng)))
             yield prog
-            sort, wrapper = language.focus_kinds[list(language.focus_kinds)[k % 2]]
+            wrapper = language.focus_kinds[list(language.focus_kinds)[k % 2]]
+            sort = wrapper.sort
             targets = [t for t in preorder(prog) if t.sort is sort and not isinstance(t, wrapper)]
             if targets:
                 target = rng.choice(targets)
@@ -368,7 +384,9 @@ def test_mismatch_messages():
     with pytest.raises(ArityMismatch, match=r"^Node: expected 2 children, got 1$"):
         t.rebuild((Leaf(1),))
     method = parse_program("class C { void m() { return; } }").classes[0].methods.methods[0]
-    with pytest.raises(SortMismatch, match=r"^child slot 0 expects sort JoosStatement, got FixtureTree$"):
+    with pytest.raises(
+        SortMismatch, match=r"^child slot 0 expects sort refax\.joos\.ast\.Statement, got tests\.fixture_trees\.Tree$"
+    ):
         method.rebuild((Leaf(0),))
 
 
