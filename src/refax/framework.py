@@ -75,8 +75,8 @@ class RefactoringError(Exception):
 
 
 class NoFocus(RefactoringError):
-    def __init__(self, detail: str = "no focus wrapper present") -> None:
-        super().__init__(detail)
+    def __init__(self) -> None:
+        super().__init__("no focus wrapper present")
 
 
 class NoHost(RefactoringError):
@@ -103,8 +103,7 @@ class UntypedFreeName(RefactoringError):
 
 
 class ConstructorRejected(RefactoringError):
-    def __init__(self, detail: str) -> None:
-        super().__init__(detail)
+    """A language's abstraction constructor refused its arguments."""
 
 
 class FocusPresent(Exception):

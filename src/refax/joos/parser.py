@@ -37,15 +37,12 @@ def parse_method(source: str) -> ast.MethodDecl:
 
 
 class _Parser(TokenStream):
-    """The parser is its own token cursor. Hot paths read
-    ``self.tokens[self.pos]`` and compare its text alone: a keyword's or a
-    symbol's text is never that of another kind of token."""
+    """The parser is its own token cursor."""
 
+    KEYWORDS = _KEYWORDS
+    SYMBOLS = _SYMBOLS
     BINOP_PRECEDENCE = BINOP_PRECEDENCE
     BinOp = ast.BinOp
-
-    def __init__(self, source: str) -> None:
-        super().__init__(source, _KEYWORDS, _SYMBOLS)
 
     def program(self) -> ast.Program:
         start = self.pos
@@ -57,7 +54,7 @@ class _Parser(TokenStream):
     def class_decl(self) -> ast.ClassDecl:
         start = self.pos
         self.expect("class")
-        name = self.expect_kind(IDENT, "class name").text
+        name = self.expect_kind(IDENT, "class name")
         self.expect("{")
         fields = []
         while self.tokens[self.pos].text in ast.ETYPES and self.at(";", 2):
@@ -78,7 +75,7 @@ class _Parser(TokenStream):
     def field_decl(self) -> ast.FieldDecl:
         start = self.pos
         type_name = self._etype()
-        name = self.expect_kind(IDENT, "field name").text
+        name = self.expect_kind(IDENT, "field name")
         self.expect(";")
         return ast.FieldDecl(type_name, name, span=self.span_from(start))
 
@@ -88,7 +85,7 @@ class _Parser(TokenStream):
             return_type = "void"
         else:
             return_type = self._etype()
-        name = self.expect_kind(IDENT, "method name").text
+        name = self.expect_kind(IDENT, "method name")
         formals = self.items(self.formal)
         body = self.block()
         return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))
@@ -96,7 +93,7 @@ class _Parser(TokenStream):
     def formal(self) -> ast.Formal:
         start = self.pos
         type_name = self._etype()
-        name = self.expect_kind(IDENT, "parameter name").text
+        name = self.expect_kind(IDENT, "parameter name")
         return ast.Formal(type_name, name, span=self.span_from(start))
 
     def _etype(self) -> str:
@@ -133,7 +130,7 @@ class _Parser(TokenStream):
             return self.block()
         elif text in ast.ETYPES:
             self.pos = start + 1
-            name = self.expect_kind(IDENT, "variable name").text
+            name = self.expect_kind(IDENT, "variable name")
             init = None
             if self.accept("="):
                 init = self.expression()
@@ -171,7 +168,7 @@ class _Parser(TokenStream):
         if this_qualified:
             self.pos = start + 1
             self.expect(".")
-        name = self.expect_kind(IDENT, "method name").text
+        name = self.expect_kind(IDENT, "method name")
         args = self.items(self.expression)
         return ast.Call(this_qualified, name, args, span=self.span_from(start))
 

@@ -154,6 +154,10 @@ def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) ->
     """Scan ``source`` into tokens, one per lexeme, ending with one EOF
     token at the end of the source.
 
+    The kinds are seeded with the keywords and symbols, so a keyword's or
+    a symbol's text always scans as that keyword or symbol, and a parser
+    matches them by their text alone.
+
     Each step is one pass in C over the lexemes of a piece of the source:
     one ``findall`` of the compiled scanner, whose matches tile the piece,
     the running sum of the match lengths for the token ends,
@@ -192,59 +196,56 @@ def is_identifier(text: str, keywords: frozenset[str]) -> bool:
 
 
 class TokenStream:
-    """Cursor by index over the tokens of ``source``, scanned with the
-    parser's keywords and symbols, with the lookahead helpers and the
-    readers that both recursive descent parsers need.
+    """Cursor by index over the tokens of ``source``, with the lookahead
+    helpers and the readers that both recursive descent parsers need.
+    ``at``, ``accept`` and ``expect`` match a keyword or a symbol by its
+    text (see ``tokenize``).
 
     ``tokens`` is the token list padded with ``LOOKAHEAD`` more copies of
     its EOF token, and ``pos`` never moves past the first EOF, so
     ``tokens[pos + ahead]`` needs no bounds test for ``ahead <= LOOKAHEAD``.
     The parsers read ``tokens[pos]`` directly on their hot paths.
 
-    A parser sets ``BINOP_PRECEDENCE`` (1 binds loosest), its ``BinOp``
-    node class and its ``operand`` rule for ``expression`` to read."""
+    A parser sets ``KEYWORDS`` and ``SYMBOLS`` for ``tokenize``,
+    ``BINOP_PRECEDENCE`` (1 binds loosest), its ``BinOp`` node class and
+    its ``operand`` rule for ``expression`` to read."""
 
+    KEYWORDS: frozenset[str]
+    SYMBOLS: tuple[str, ...]
     BINOP_PRECEDENCE: dict[str, int]
     BinOp: Callable[..., Any]
     operand: Callable[[], Any]
 
-    def __init__(self, source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> None:
+    def __init__(self, source: str) -> None:
         self.source = source
-        self.tokens = tokenize(source, keywords, symbols)
+        self.tokens = tokenize(source, self.KEYWORDS, self.SYMBOLS)
         self.tokens += self.tokens[-1:] * LOOKAHEAD  # in place: no copy of the list
         self.pos = 0
 
     def at(self, text: str, ahead: int = 0) -> bool:
-        tok = self.tokens[self.pos + ahead]
-        return tok.text == text and tok.kind in (KEYWORD, SYMBOL)
+        return self.tokens[self.pos + ahead].text == text
 
-    def at_kind(self, kind: str, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead].kind == kind
-
-    def accept(self, text: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in (KEYWORD, SYMBOL):
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos].text == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in (KEYWORD, SYMBOL):
-            self.pos += 1
-            return tok
-        return self.fail(repr(text))
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos].text != text:
+            self.fail(repr(text))
+        self.pos += 1
 
-    def expect_kind(self, kind: str, what: str) -> Token:
-        """The current token if it is of ``kind``, which is not ``EOF``."""
+    def expect_kind(self, kind: str, what: str) -> str:
+        """The current token's text, if it is of ``kind`` (not ``EOF``)."""
         tok = self.tokens[self.pos]
-        if tok.kind == kind:
-            self.pos += 1
-            return tok
-        return self.fail(what)
+        if tok.kind != kind:
+            self.fail(what)
+        self.pos += 1
+        return tok.text
 
     def expect_eof(self) -> None:
-        if not self.at_kind(EOF):
+        if self.tokens[self.pos].kind != EOF:
             self.fail("end of input")
 
     def fail(self, expected: str) -> NoReturn:

@@ -39,11 +39,10 @@ def parse_fundef(source: str) -> ast.FunDef:
 class _Parser(TokenStream):
     """The parser is its own token cursor, read as in the JOOS parser."""
 
+    KEYWORDS = _KEYWORDS
+    SYMBOLS = _SYMBOLS
     BINOP_PRECEDENCE = BINOP_PRECEDENCE
     BinOp = ast.BinOp
-
-    def __init__(self, source: str) -> None:
-        super().__init__(source, _KEYWORDS, _SYMBOLS)
 
     def primary(self) -> ast.Expression:
         start = self.pos
@@ -84,8 +83,8 @@ class _Parser(TokenStream):
 
     def fundef(self) -> ast.FunDef:
         start = self.pos
-        name = self.expect_kind(IDENT, "function name").text
-        params = self.items(lambda: self.expect_kind(IDENT, "parameter name").text)
+        name = self.expect_kind(IDENT, "function name")
+        params = self.items(lambda: self.expect_kind(IDENT, "parameter name"))
         self.expect("=")
         body = self.expression()
         self.expect(";")

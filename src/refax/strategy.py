@@ -390,11 +390,10 @@ class FocusPath(Generic[A]):
                 return depth, out
         return None
 
-    def rebuild(self, new: Term, top: int = 0, bottom: int | None = None) -> Term:
-        """The ancestor at depth ``top`` with ``new`` in place of the node
-        at depth ``bottom`` (this node by default), rebuilding only the
-        ancestors in between."""
-        for node, cs, i in reversed(self.path[top:bottom]):
+    def rebuild(self, new: Term, bottom: int | None = None) -> Term:
+        """The root with ``new`` in place of the node at depth ``bottom``
+        (this node by default), rebuilding only the ancestors above it."""
+        for node, cs, i in reversed(self.path[:bottom]):
             new = _with_child(node, cs, i, new)
         return new
 

@@ -285,10 +285,10 @@ def append_child(t: Term, child: Term) -> Term:
     return dataclasses.replace(t, **{name: getattr(t, name) + (child,)})
 
 
-def dump(t: Term, indent: int = 0) -> str:
+def dump(t: Term) -> str:
     """Deterministic indented dump of a term: tag, atoms, then children."""
     lines: list[str] = []
-    _dump_lines(t, indent, lines)
+    _dump_lines(t, 0, lines)
     return "\n".join(lines)
 
 

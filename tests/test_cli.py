@@ -440,9 +440,12 @@ def test_a_span_no_node_has_in_a_long_chain_is_a_span_mismatch(tmp_path, capsys)
 
 
 def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
-    """Input nested past the recursion limit (on CPython 3.11.7 an
-    innermost extract first fails at 199 nested lets) is exit 4, not a
-    traceback."""
+    """Input nested past the recursion limit is exit 4, not a traceback.
+    On CPython 3.10 to 3.13, through ``cli.main`` or the ``refax`` script,
+    an innermost extract first fails at 199 nested lets (see the fresh
+    interpreter test below); ``python -m refax.cli`` fails one level
+    earlier on 3.10 and 3.11, and pytest's own frames lower the limit
+    here further."""
     source, spans = nested_lets(250)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
@@ -452,6 +455,32 @@ def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
     ])
     _assert_internal_error(code, capsys.readouterr(), "RecursionError")
     assert work.read_text(encoding="utf-8") == source
+
+
+@pytest.mark.parametrize("depth,code", [(198, 0), (199, 4)])
+def test_the_documented_nesting_limit_holds_in_a_fresh_interpreter(depth, code, tmp_path):
+    """The limit README documents, measured as a user meets it: an
+    extract at the innermost of 198 nested lets, run through ``cli.main``
+    in a new interpreter, succeeds, and one at 199 is exit 4 with one
+    ``internal error: RecursionError`` line. The interpreter runs ``-c``,
+    not ``-m refax.cli``, whose runpy frames take a level on 3.10 and
+    3.11."""
+    source, spans = nested_lets(depth)
+    work = tmp_path / "deep.mlt"
+    work.write_text(source, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from refax.cli import main; sys.exit(main(sys.argv[1:]))",
+         "extract", "--lang", "minilet", "--file", str(work), "--focus", spans[depth], "--name", "h"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == code, run.stderr
+    if code == 0:
+        assert run.stderr == "" and run.stdout.startswith("let")
+    else:
+        assert run.stdout == ""
+        assert run.stderr.startswith("internal error: RecursionError: ")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 # -- one binding model: what ``check`` resolves, ``extract`` reads ------------

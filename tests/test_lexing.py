@@ -1,11 +1,14 @@
 """Shared front end: the compiled scanner against the character-loop
-reference it replaced, and a pin on the spans both parsers record."""
+reference it replaced, the rule that lets the parsers match keywords and
+symbols by text, and pins on the spans both parsers record and on their
+parse error texts."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +229,102 @@ def test_parse_error_texts_are_pinned(lang, source, message):
         LANGS[lang][0].parse_program(source)
     assert str(exc.value) == message
 
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Each language's golden inputs, by suffix, with the entry that parses them.
+_ENTRIES = {
+    "joos": {".joos": jparser.parse_program, ".jdecl": jparser.parse_method},
+    "minilet": {".mlt": mparser.parse_program, ".mdecl": mparser.parse_fundef},
+}
+
+
+def _golden(lang):
+    """Each golden input of ``lang``, by name, with its parse entry."""
+    entries = _ENTRIES[lang]
+    return [
+        (path.name, path.read_text(encoding="utf-8"), entries[path.suffix])
+        for path in sorted((GOLDEN / lang).iterdir())
+    ]
+
+
+def _inputs(lang):
+    """The golden corpus, seeded generated programs and ``LAYOUTS``, each
+    with the entry that parses it."""
+    parse = LANGS[lang][0].parse_program
+    return [
+        *((source, entry) for _, source, entry in _golden(lang)),
+        *((source, parse) for source in [*_sources(lang, 50), *LAYOUTS]),
+    ]
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_a_token_kind_is_keyword_or_symbol_exactly_when_its_text_is(lang):
+    """What lets the readers match by text alone: a token is a keyword
+    exactly when its text is one of the language's keywords, and a symbol
+    exactly when its text is one of its symbols."""
+    cls = LANGS[lang][0]._Parser
+    seen = set()
+    for source, _ in _inputs(lang):
+        try:
+            tokens = tokenize(source, cls.KEYWORDS, cls.SYMBOLS)
+        except ParseError:
+            continue
+        for tok in tokens:
+            assert (tok.kind == KEYWORD) == (tok.text in cls.KEYWORDS), tok
+            assert (tok.kind == SYMBOL) == (tok.text in cls.SYMBOLS), tok
+            seen.add(tok.kind)
+    assert seen == {KEYWORD, SYMBOL, IDENT, INT, EOF}
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_the_readers_are_given_only_keywords_and_symbols(lang, monkeypatch):
+    """``at``, ``accept`` and ``expect`` compare text alone, which also
+    matches the kind only for a keyword's or a symbol's text: while the
+    parser reads every input, they are given nothing else."""
+    cls = LANGS[lang][0]._Parser
+    known = cls.KEYWORDS | set(cls.SYMBOLS)
+    given = []
+    for name in ("at", "accept", "expect"):
+        read = getattr(lexing.TokenStream, name)
+
+        def checked(self, text, *args, read=read):
+            given.append(text)
+            return read(self, text, *args)
+
+        monkeypatch.setattr(lexing.TokenStream, name, checked)
+    for source, parse in _inputs(lang):
+        try:
+            parse(source)
+        except ParseError:
+            pass
+    assert given and set(given) <= known, set(given) - known
+
+
+def parse_error_digest(lang):
+    """sha256 over the outcome of parsing every prefix of every golden
+    input of ``lang``: its ``ParseError`` text, or ``ok``."""
+    h = hashlib.sha256()
+    for name, source, parse in _golden(lang):
+        for end in range(len(source) + 1):
+            try:
+                parse(source[:end])
+                outcome = "ok"
+            except ParseError as exc:
+                outcome = str(exc)
+            h.update(f"{name} {end}: {outcome}\n".encode())
+    return h.hexdigest()
+
+
+# Computed with the readers that also tested each token's kind.
+PARSE_ERROR_DIGESTS = {
+    "joos": "a76b1144a4a332178996abfae388f4cc89930a51fe158ba62b02efa1be9f3628",
+    "minilet": "659f887d467021185a9aa9070cda1e051836f15602eb665b49307305a94c5496",
+}
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_parse_errors_on_golden_prefixes_are_pinned(lang):
+    """Each prefix of a golden input parses, or fails with a
+    ``ParseError`` whose position, expected and found texts are pinned."""
+    assert parse_error_digest(lang) == PARSE_ERROR_DIGESTS[lang]

@@ -4,12 +4,15 @@ interpretation they replace."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import inspect
+import pickle
 import random
 import weakref
-from itertools import chain, islice
+from itertools import chain, count, islice
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -340,6 +343,32 @@ def test_nodes_are_slotted_and_built_by_generated_constructors():
                 delattr(t, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.not_a_field = 0
+
+
+def _spanned(t: Term, offsets: Any) -> Term:
+    """``t`` with a span on every node, numbered in preorder."""
+    start = next(offsets)
+    rebuilt = t.rebuild([_spanned(c, offsets) for c in t.children()])
+    return dataclasses.replace(rebuilt, span=(start, next(offsets)))
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_nodes_survive_copy_and_pickle(copier):
+    """A node copied, deep-copied or pickled and loaded again equals the
+    original, and every node in it keeps its span: the slotted frozen
+    classes that ``node`` makes must still get and set their state."""
+    golden = Path(__file__).parent / "golden"
+    trees = [
+        parse_program((golden / "joos" / "account.joos").read_text(encoding="utf-8")),
+        minilet.LANGUAGE.parse((golden / "minilet" / "nested.mlt").read_text(encoding="utf-8")),
+        _spanned(gen_tree(random.Random(3), tag_chance=0.3, twig_chance=0.3), count()),
+    ]
+    for tree in trees:
+        assert all(t.span is not None for t in preorder(tree))
+        out = copier(tree)
+        assert type(out) is type(tree) and out == tree
+        assert [(type(t), t.span) for t in preorder(out)] == [(type(t), t.span) for t in preorder(tree)]
 
 
 def test_compiled_accessors_equal_the_slot_interpretation():
