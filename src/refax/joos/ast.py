@@ -19,8 +19,6 @@ Focus wrappers derive the sort class of the domain they wrap, so wrapping
 and unwrapping are sort-preserving rewrites; ``FOCUS_KINDS`` lists them.
 """
 
-from __future__ import annotations
-
 from ..terms import Term, node
 
 

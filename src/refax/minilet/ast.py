@@ -10,8 +10,6 @@ Focus wrappers (ExprFocus for fragments, FunDefListFocus for hosts)
 derive the sort class of what they wrap; ``FOCUS_KINDS`` lists them.
 """
 
-from __future__ import annotations
-
 from ..terms import Term, node
 
 VAL = "val"

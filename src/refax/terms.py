@@ -15,8 +15,14 @@ annotations drive the protocol:
 
 * fields typed as a ``Term`` subclass are single child slots,
 * ``X | None`` (X a ``Term`` subclass) is an optional child slot,
-* ``tuple[X, ...]`` is a child sequence (or an atom sequence for str/int),
+* ``tuple[X, ...]`` is a child sequence (or an atom sequence for str),
 * ``str``/``int``/``bool`` fields are atoms.
+
+``node`` reads each annotation as the class body evaluated it, so a node
+module does not postpone its annotations (no ``from __future__ import
+annotations``), and each annotation names a class defined above it; an
+annotation left as a string is rejected with a ``TypeError`` naming the
+class and the field.
 
 A node's sort is a class: the class in its MRO that derives ``Term``
 directly (a language's ``Statement``, say, which its statement node
@@ -37,10 +43,7 @@ every node.
 from __future__ import annotations
 
 import dataclasses
-import inspect
-import sys
 import types
-import typing
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Sequence, TypeVar, get_args, get_origin
 
@@ -85,9 +88,9 @@ def _classify(owner: type, name: str, tp: Any) -> tuple[int, Any]:
         if len(args) == 2 and args[1] is Ellipsis:
             if isinstance(args[0], type) and issubclass(args[0], Term):
                 return _CHILD_SEQ, args[0]
-            if args[0] in (str, int):
-                return _ATOM_SEQ, args[0]
-    if origin in (types.UnionType, typing.Union):
+            if args[0] is str:
+                return _ATOM_SEQ, str
+    if origin is types.UnionType:
         args = [a for a in get_args(tp) if a is not type(None)]
         if len(args) == 1 and isinstance(args[0], type) and issubclass(args[0], Term):
             return _OPT_CHILD, args[0]
@@ -95,18 +98,11 @@ def _classify(owner: type, name: str, tp: Any) -> tuple[int, Any]:
 
 
 def _slots(cls: type) -> tuple[tuple[int, str, Any], ...]:
-    # Only each field's own annotation is evaluated, in the module of the
-    # class declaring it: ``get_type_hints`` would also evaluate ``Term``'s
-    # for every node class, several times the cost at import.
     entries = []
     for f in dataclasses.fields(cls):
         if not f.compare:
             continue  # the span: metadata, outside the protocol
-        tp = f.type
-        if isinstance(tp, str):
-            owner = next(base for base in cls.__mro__ if f.name in inspect.get_annotations(base))
-            tp = eval(tp, vars(sys.modules[owner.__module__]))
-        kind, arg = _classify(cls, f.name, tp)
+        kind, arg = _classify(cls, f.name, f.type)
         entries.append((kind, f.name, arg))
     return tuple(entries)
 

@@ -4,8 +4,6 @@ one sort (``Tree``) so every strategy applies everywhere; and a leaf of a
 second sort (``Twig``, which derives ``Term`` directly and so is its own
 sort), for the tests of dispatch by sort."""
 
-from __future__ import annotations
-
 import random
 
 from refax.strategy import SortCase, StrategyFailure

@@ -2,8 +2,6 @@
 real language nodes, and the compiled accessors against the generic slot
 interpretation they replace."""
 
-from __future__ import annotations
-
 import copy
 import dataclasses
 import hashlib
@@ -41,7 +39,7 @@ from .fixture_trees import Leaf, Node, Tag, Tree, Twig, gen_tree, preorder
 
 
 def _declares_fields(cls):
-    return any(not str(a).startswith("ClassVar") for a in inspect.get_annotations(cls).values())
+    return any(f.name in inspect.get_annotations(cls) for f in dataclasses.fields(cls))
 
 
 def test_node_classes_own_their_protocol_from_import():
@@ -101,6 +99,28 @@ def test_a_node_sort_is_the_class_that_derives_term():
     assert jast.Block.sort is jast.StatementFocus.sort is jast.Statement
     assert mast.Let.sort is mast.ExprFocus.sort is mast.Expression is not jast.Expression
     assert Leaf.sort is Node.sort is Tag.sort is Tree and Twig.sort is Twig
+
+
+def test_slot_tables_are_pinned():
+    """Every node class's slot table, as ``(kind, field, qualified name of
+    the slot's class)`` triples, in both languages and in the fixtures:
+    SHA-256 over the tables sorted by class, pinned when ``node`` still
+    evaluated annotation strings, so reading the evaluated annotations
+    builds the same tables."""
+    tables = sorted(
+        (
+            f"{cls.__module__}.{cls.__qualname__}",
+            tuple((kind, name, f"{arg.__module__}.{arg.__qualname__}") for kind, name, arg in cls._term_slots),
+        )
+        for module in (jast, mast, fixture_trees)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Term) and "_term_slots" in cls.__dict__
+    )
+    assert len(tables) == 35
+    assert dict(tables)["refax.joos.ast.If"][2] == (_OPT_CHILD, "else_branch", "refax.joos.ast.Statement")
+    assert dict(tables)["refax.minilet.ast.FunDef"][1] == (_ATOM_SEQ, "params", "builtins.str")
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "3c92a2b6b0609fed7548b121fb23b5622a26851ad57e29b92265457d178163cc"
 
 
 def test_children_of_node_and_leaf():
@@ -434,3 +454,19 @@ def test_a_subclass_of_a_compiled_class_compiles_its_own_accessors():
     assert t.rebuild((Leaf(4), Leaf(5), Leaf(6))) == Labelled(Leaf(4), Leaf(5), "x", Leaf(6))
     assert Labelled.children is not Node.children
     assert base.children() == (Leaf(1), Leaf(2))
+
+
+def test_a_string_annotation_is_rejected_where_the_class_is_declared():
+    """``node`` reads annotations as evaluated: a field annotated with a
+    string, as in a module that postpones its annotations, raises a
+    ``TypeError`` naming the class and the field when the class is
+    declared."""
+    with pytest.raises(TypeError, match=r"^Quoted\.value: unsupported term field annotation 'int'$"):
+
+        @node
+        class Quoted(Tree):
+            value: "int"
+
+    postponed = "from __future__ import annotations\n@node\nclass Postponed(Tree):\n    child: Tree\n"
+    with pytest.raises(TypeError, match=r"^Postponed\.child: unsupported term field annotation 'Tree'$"):
+        exec(compile(postponed, "postponed", "exec"), {"node": node, "Tree": Tree})
