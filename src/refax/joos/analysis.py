@@ -20,12 +20,15 @@ The queries feed the generic framework:
   unchanged and can never become parameters).
 * ``referenced_names`` is the choice of the two.
 
-``static_check`` resolves every variable use through frames of what
-``binds`` yields at the class, the method and each block, and never types a
-declaration. It reports unresolved names, duplicate methods, arity
-mismatches and assignments to non-variables (method headers). It is not
-a type checker. A focus wrapper is rejected (``FocusPresent``) where
-the check meets one.
+``static_check`` walks each method body once, in preorder over
+``children()``, and names only the kinds it judges: a variable use, a
+call, an assignment, and a block, which opens a frame of what ``binds``
+yields over those of the class and the method. It walks every other node
+through in field order, which is source order, so its diagnostics come
+in source order. It reports unresolved names, duplicate methods, arity
+mismatches and assignments to non-variables (method headers). It never
+types a declaration: it is not a type checker. A focus wrapper is
+rejected (``FocusPresent``) where the walk meets one.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:
     class_frame = _frame(binds(cls))
     for m in methods:
         scopes = [class_frame, _frame(binds(m))]
-        _check_stmt(m.body, scopes, arities, f"{cls.name}.{m.name}", diags)
+        _check(m.body, scopes, arities, f"{cls.name}.{m.name}", diags)
 
 
 def _frame(decls: Sequence[Term]) -> dict[str, Term]:
@@ -138,58 +141,35 @@ def _resolve(name: str, scopes: list[dict[str, Term]]) -> Term | None:
     return None
 
 
-def _check_stmt(s, scopes, arities, where, diags) -> None:
-    if isinstance(s, ast.Block):
-        decls = binds(s)
-        if decls:  # no empty frame for the uses below to search
-            scopes.append(_frame(decls))
-        for inner in s.statements:
-            _check_stmt(inner, scopes, arities, where, diags)
-        if decls:
-            scopes.pop()
-    elif isinstance(s, ast.LocalVarDecl):
-        if s.init is not None:
-            _check_expr(s.init, scopes, arities, where, diags)
-    elif isinstance(s, ast.Assign):
-        decl = _resolve(s.name, scopes)
-        if decl is None:
-            diags.append(f"{where}: assignment to undeclared variable '{s.name}'")
-        elif isinstance(decl, ast.MethodDecl):
-            diags.append(f"{where}: assignment to non-variable '{s.name}'")
-        _check_expr(s.value, scopes, arities, where, diags)
-    elif isinstance(s, ast.If):
-        _check_expr(s.condition, scopes, arities, where, diags)
-        _check_stmt(s.then_branch, scopes, arities, where, diags)
-        if s.else_branch is not None:
-            _check_stmt(s.else_branch, scopes, arities, where, diags)
-    elif isinstance(s, ast.While):
-        _check_expr(s.condition, scopes, arities, where, diags)
-        _check_stmt(s.body, scopes, arities, where, diags)
-    elif isinstance(s, ast.Return):
-        if s.value is not None:
-            _check_expr(s.value, scopes, arities, where, diags)
-    elif isinstance(s, ast.CallStmt):
-        _check_expr(s.call, scopes, arities, where, diags)
-    else:
-        raise FocusPresent(_WRAPPED)
-
-
-def _check_expr(e, scopes, arities, where, diags) -> None:
-    if isinstance(e, ast.VarRef):
-        if _resolve(e.name, scopes) is None:
-            diags.append(f"{where}: unresolved name '{e.name}'")
-    elif isinstance(e, ast.Call):
-        if e.name not in arities:
-            diags.append(f"{where}: call of undefined method '{e.name}'")
-        elif arities[e.name] != len(e.args):
+def _check(t: Term, scopes, arities, where, diags) -> None:
+    """Judge ``t``, then walk its children in field order, which is source
+    order; a block that declares opens a frame over its statements."""
+    kind = type(t)
+    if kind is ast.VarRef:
+        if _resolve(t.name, scopes) is None:
+            diags.append(f"{where}: unresolved name '{t.name}'")
+        return
+    if kind is ast.Call:
+        if t.name not in arities:
+            diags.append(f"{where}: call of undefined method '{t.name}'")
+        elif arities[t.name] != len(t.args):
             diags.append(
-                f"{where}: call arity mismatch for '{e.name}' "
-                f"(expected {arities[e.name]}, got {len(e.args)})"
+                f"{where}: call arity mismatch for '{t.name}' "
+                f"(expected {arities[t.name]}, got {len(t.args)})"
             )
-        for a in e.args:
-            _check_expr(a, scopes, arities, where, diags)
-    elif isinstance(e, ast.BinOp):
-        _check_expr(e.left, scopes, arities, where, diags)
-        _check_expr(e.right, scopes, arities, where, diags)
-    elif isinstance(e, ast.Not):
-        _check_expr(e.operand, scopes, arities, where, diags)
+    elif kind is ast.Assign:
+        decl = _resolve(t.name, scopes)
+        if decl is None:
+            diags.append(f"{where}: assignment to undeclared variable '{t.name}'")
+        elif isinstance(decl, ast.MethodDecl):
+            diags.append(f"{where}: assignment to non-variable '{t.name}'")
+    elif kind is ast.Block and (decls := binds(t)):  # no empty frame to search
+        scopes.append(_frame(decls))
+        for child in t.children():
+            _check(child, scopes, arities, where, diags)
+        scopes.pop()
+        return
+    elif kind is ast.StatementFocus:
+        raise FocusPresent(_WRAPPED)
+    for child in t.children():
+        _check(child, scopes, arities, where, diags)

@@ -10,8 +10,11 @@ identifier expressions.
 
 ``resolution_check`` backs the CLI's check command: unbound variables,
 calls to undefined functions, call-arity mismatches and duplicate names
-within one definition list. A focus wrapper is rejected
-(``FocusPresent``) where the check meets one.
+within one definition list. It is one preorder walk over ``children()``
+that names only the kinds it judges (a variable, a call, and a let,
+which walks its definitions itself) and walks the rest through in field
+order, so its diagnostics come in source order. A focus wrapper is
+rejected (``FocusPresent``) where the walk meets one.
 """
 
 from __future__ import annotations
@@ -44,22 +47,24 @@ def resolution_check(program: ast.Program) -> list[str]:
 
 
 def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str]) -> None:
-    if isinstance(e, ast.Var):
+    """Judge ``e``, then walk its children in field order, which is source
+    order, with the functions and variables in scope there. A let walks
+    each definition's body itself, with its parameters in scope: one frame
+    for a let nested in a definition body, not one each for the let, its
+    definition list and the definition."""
+    kind = type(e)
+    if kind is ast.Var:
         if e.name not in vars_:
             diags.append(f"unbound variable '{e.name}'")
-    elif isinstance(e, ast.Call):
+        return
+    if kind is ast.Call:
         if e.name not in funcs:
             diags.append(f"call of undefined function '{e.name}'")
         elif funcs[e.name] != len(e.args):
             diags.append(
                 f"call arity mismatch for '{e.name}' (expected {funcs[e.name]}, got {len(e.args)})"
             )
-        for a in e.args:
-            _check_expr(a, funcs, vars_, diags)
-    elif isinstance(e, ast.BinOp):
-        _check_expr(e.left, funcs, vars_, diags)
-        _check_expr(e.right, funcs, vars_, diags)
-    elif isinstance(e, ast.Let):
+    elif kind is ast.Let:
         if not isinstance(e.defs, ast.FunDefList):
             raise FocusPresent(_WRAPPED)
         defs = e.defs.defs
@@ -68,13 +73,15 @@ def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str
             if fd.name in seen:
                 diags.append(f"duplicate definition of '{fd.name}' in one let")
             seen.add(fd.name)
-        inner = dict(funcs)
-        inner.update({fd.name: len(fd.params) for fd in defs})
+        funcs = funcs | {fd.name: len(fd.params) for fd in defs}
         for fd in defs:
             dup = [p for p in fd.params if fd.params.count(p) > 1]
             if dup:
                 diags.append(f"duplicate parameter '{dup[0]}' of '{fd.name}'")
-            _check_expr(fd.body, inner, vars_ | frozenset(binds(fd)), diags)
-        _check_expr(e.body, inner, vars_, diags)
-    elif not isinstance(e, ast.IntLit):
+            _check_expr(fd.body, funcs, vars_ | frozenset(binds(fd)), diags)
+        _check_expr(e.body, funcs, vars_, diags)
+        return
+    elif kind is ast.ExprFocus:
         raise FocusPresent(_WRAPPED)
+    for child in e.children():
+        _check_expr(child, funcs, vars_, diags)

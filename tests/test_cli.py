@@ -457,6 +457,15 @@ def test_nesting_past_the_limit_exits_4(tmp_path, capsys):
     assert work.read_text(encoding="utf-8") == source
 
 
+def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` run by ``-c`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from refax.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
 @pytest.mark.parametrize("depth,code", [(198, 0), (199, 4)])
 def test_the_documented_nesting_limit_holds_in_a_fresh_interpreter(depth, code, tmp_path):
     """The limit README documents, measured as a user meets it: an
@@ -468,12 +477,7 @@ def test_the_documented_nesting_limit_holds_in_a_fresh_interpreter(depth, code, 
     source, spans = nested_lets(depth)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys; from refax.cli import main; sys.exit(main(sys.argv[1:]))",
-         "extract", "--lang", "minilet", "--file", str(work), "--focus", spans[depth], "--name", "h"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    run = _run_fresh("extract", "--lang", "minilet", "--file", str(work), "--focus", spans[depth], "--name", "h")
     assert run.returncode == code, run.stderr
     if code == 0:
         assert run.stderr == "" and run.stdout.startswith("let")
@@ -481,6 +485,42 @@ def test_the_documented_nesting_limit_holds_in_a_fresh_interpreter(depth, code, 
         assert run.stdout == ""
         assert run.stderr.startswith("internal error: RecursionError: ")
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def _lets_in_definitions(depth: int) -> str:
+    source = "1"
+    for _ in range(depth):
+        source = f"let f(x) = {source}; in 1"
+    return source + "\n"
+
+
+# On CPython 3.10 to 3.13, ``check`` first fails on these shapes at 495,
+# 987, 992, 331, 495 and 995 levels (the lowest over the four versions):
+# the parser's frames set the limit on the nested shapes, the checker's on
+# the chains, which the parser reads in a loop. Each depth here is 10 or 11
+# below that.
+_DEEP_CHECKS = {
+    "484 nested blocks": ("joos", "class C {\n    void m() {\n" + "{" * 484 + "}" * 484 + "\n    }\n}\n"),
+    "976 nested ifs": ("joos", "class C {\n    void m() {\n" + "if (true) " * 976 + "return;\n    }\n}\n"),
+    "981-term chain": ("joos", "class C {\n    int m() {\n        return " + " + ".join(["1"] * 981) + ";\n    }\n}\n"),
+    "320 lets in definitions": ("minilet", _lets_in_definitions(320)),
+    "485 lets in bodies": ("minilet", "let f(x) = x; in " * 485 + "1\n"),
+    "985-term chain": ("minilet", " + ".join(["1"] * 985) + "\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_CHECKS))
+def test_check_holds_at_depth_in_a_fresh_interpreter(shape, tmp_path):
+    """``check`` on deep input, run as in the test above, gives its
+    diagnostics (exit 0 or 1), not an internal error: on the nested shapes
+    the checker takes no more frames per level than the parser, and on a
+    chain one frame per term."""
+    lang, source = _DEEP_CHECKS[shape]
+    work = tmp_path / "deep.src"
+    work.write_text(source, encoding="utf-8")
+    run = _run_fresh("check", "--lang", lang, "--file", str(work))
+    assert run.returncode in (0, 1), run.stderr
+    assert "Traceback" not in run.stderr
 
 
 # -- one binding model: what ``check`` resolves, ``extract`` reads ------------

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import importlib
 import itertools
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -356,6 +358,79 @@ def test_check_resolves_variables_as_the_record_declares_them():
         misses += len(expected)
     # the scrambling leaves enough uses unresolved or assigning a method
     assert misses > 300 and to_methods > 10
+
+
+# Names the generators give (JOOS methods, formals, fields and locals;
+# minilet functions and parameters), and one that none of them gives.
+_CHECK_POOLS = {
+    "joos": ("m0", "m1", "p0", "p1", "fld0", "v0_0", "zz"),
+    "minilet": ("f1", "f2", "x1_0", "x1_1", "x2_0", "zz"),
+}
+_CHECK_GENERATORS = {"joos": joos_gen.gen_program, "minilet": minilet_gen.gen_program}
+# One pattern per kind of message ``check`` gives.
+_CHECK_MESSAGES = {
+    "joos": {
+        "unresolved": r"\w+\.\w+: unresolved name '\w+'",
+        "undefined": r"\w+\.\w+: call of undefined method '\w+'",
+        "arity": r"\w+\.\w+: call arity mismatch for '\w+' \(expected \d+, got \d+\)",
+        "undeclared": r"\w+\.\w+: assignment to undeclared variable '\w+'",
+        "non-variable": r"\w+\.\w+: assignment to non-variable '\w+'",
+        "duplicate": r"class \w+: duplicate method '\w+'",
+    },
+    "minilet": {
+        "unbound": r"unbound variable '\w+'",
+        "undefined": r"call of undefined function '\w+'",
+        "arity": r"call arity mismatch for '\w+' \(expected \d+, got \d+\)",
+        "duplicate": r"duplicate definition of '\w+' in one let",
+        "parameter": r"duplicate parameter '\w+' of '\w+'",
+    },
+}
+
+
+def defective_sources(lang, seed):
+    """100 seeded programs of ``lang``, pretty-printed, each with some of
+    its identifiers renamed to names from ``_CHECK_POOLS``."""
+    keywords = importlib.import_module(f"refax.{lang}.parser")._Parser.KEYWORDS
+    pool, rng = _CHECK_POOLS[lang], random.Random(seed)
+
+    def rename(match):
+        word = match.group()
+        return rng.choice(pool) if word not in keywords and rng.random() < 0.2 else word
+
+    for _ in range(100):
+        yield re.sub(r"[A-Za-z_]\w*", rename, LANGUAGES[lang].pretty(_CHECK_GENERATORS[lang](rng)))
+
+
+def check_digest(lang, seed):
+    """sha256 over the ``check`` result of every defective source, and the
+    message kinds that occur in them."""
+    record, h, kinds = LANGUAGES[lang], hashlib.sha256(), set()
+    for i, source in enumerate(defective_sources(lang, seed)):
+        diags = record.check(record.parse(source))
+        h.update(f"{i}: {diags!r}\n".encode())
+        for diag in diags:
+            matched = [k for k, p in _CHECK_MESSAGES[lang].items() if re.fullmatch(p, diag)]
+            assert len(matched) == 1, diag
+            kinds.update(matched)
+    return h.hexdigest(), kinds
+
+
+# Computed with the checkers that spelled out a branch per node kind.
+CHECK_DIGESTS = {
+    ("joos", 1): "9bd38f421b2ea5a84f666356c5808136a13c3a9f495c5d09c67fdffd4f0e579e",
+    ("joos", 7919): "76d8e637a2028ac3099e001c978296321b201096a390c13d5ef450ef74d84573",
+    ("minilet", 1): "d03c63d6d7b6495ea68be20e6da0f5ba88e585d5aa93942f9d2555dd0e42bb9f",
+    ("minilet", 7919): "860c9e68e6e1f0c92cddc89c48ca7e0f6de32fdbfdef06ec472920b1bf6e5d03",
+}
+
+
+@pytest.mark.parametrize("lang,seed", sorted(CHECK_DIGESTS))
+def test_check_on_defective_programs_is_pinned(lang, seed):
+    """``check`` on seeded programs with scrambled names gives the pinned
+    diagnostics, in the pinned order, and every kind of message occurs."""
+    digest, kinds = check_digest(lang, seed)
+    assert kinds == set(_CHECK_MESSAGES[lang])
+    assert digest == CHECK_DIGESTS[lang, seed]
 
 
 def test_free_names_evaluates_each_query_once_per_node():
