@@ -57,7 +57,7 @@ class _Parser(TokenStream):
         name = self.expect_kind(IDENT, "class name")
         self.expect("{")
         fields = []
-        while self.tokens[self.pos].text in ast.ETYPES and self.at(";", 2):
+        while self.texts[self.pos] in ast.ETYPES and self.at(";", 2):
             fields.append(self.field_decl())
         methods_start = self.pos
         methods = []
@@ -66,7 +66,7 @@ class _Parser(TokenStream):
         if methods:
             list_span = self.span_from(methods_start)
         else:
-            brace = self.tokens[self.pos].start
+            brace = self.starts[self.pos]
             list_span = (brace, brace)
         method_list = ast.MethodList(tuple(methods), span=list_span)
         self.expect("}")
@@ -97,7 +97,7 @@ class _Parser(TokenStream):
         return ast.Formal(type_name, name, span=self.span_from(start))
 
     def _etype(self) -> str:
-        text = self.tokens[self.pos].text
+        text = self.texts[self.pos]
         if text not in ast.ETYPES:
             self.fail("'int' or 'boolean'")
         self.pos += 1
@@ -107,22 +107,22 @@ class _Parser(TokenStream):
         start = self.pos
         self.expect("{")
         statements = []
-        while self.tokens[self.pos].text != "}":
+        while self.texts[self.pos] != "}":
             statements.append(self.statement())
         self.pos += 1
         return ast.Block(tuple(statements), span=self.span_from(start))
 
     def statement(self) -> ast.Statement:
         start = self.pos
-        tok = self.tokens[start]
-        text = tok.text
-        following = self.tokens[start + 1].text
-        if tok.kind == IDENT and following == "=":
+        kind = self.kinds[start]
+        text = self.texts[start]
+        following = self.texts[start + 1]
+        if kind == IDENT and following == "=":
             self.pos = start + 2
             value = self.expression()
             self.expect(";")
             return ast.Assign(text, value, span=self.span_from(start))
-        elif text == "this" or tok.kind == IDENT and following == "(":
+        elif text == "this" or kind == IDENT and following == "(":
             call = self.call()
             self.expect(";")
             return ast.CallStmt(call, span=self.span_from(start))
@@ -156,7 +156,7 @@ class _Parser(TokenStream):
         elif text == "return":
             self.pos = start + 1
             value = None
-            if self.tokens[self.pos].text != ";":
+            if self.texts[self.pos] != ";":
                 value = self.expression()
             self.expect(";")
             return ast.Return(value, span=self.span_from(start))
@@ -164,7 +164,7 @@ class _Parser(TokenStream):
 
     def call(self) -> ast.Call:
         start = self.pos
-        this_qualified = self.tokens[start].text == "this"
+        this_qualified = self.texts[start] == "this"
         if this_qualified:
             self.pos = start + 1
             self.expect(".")
@@ -174,16 +174,15 @@ class _Parser(TokenStream):
 
     def primary(self) -> ast.Expression:
         start = self.pos
-        tok = self.tokens[start]
-        kind, text = tok.kind, tok.text
-        if text == "this" or kind == IDENT and self.tokens[start + 1].text == "(":
+        kind = self.kinds[start]
+        text = self.texts[start]
+        if text == "this" or kind == IDENT and self.texts[start + 1] == "(":
             return self.call()
         if kind == IDENT:
             self.pos = start + 1
             return ast.VarRef(text, span=self.span_from(start))
         if kind == INT:
-            self.pos = start + 1
-            return ast.IntLit(int(text), span=self.span_from(start))
+            return ast.IntLit(self.integer(), span=self.span_from(start))
         if text == "true" or text == "false":
             self.pos = start + 1
             return ast.BoolLit(text == "true", span=self.span_from(start))

@@ -85,13 +85,6 @@ class Lines:
         return None if start is None or end is None else (start, end)
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
 class ParseError(Exception):
     def __init__(self, line: int, col: int, message: str) -> None:
         super().__init__(f"line {line}, col {col}: {message}")
@@ -131,16 +124,16 @@ def _scanner(symbols: tuple[str, ...]) -> re.Pattern[str]:
 class _Kinds(dict):
     """Lexeme text to token kind, seeded with the keywords and symbols;
     any other text is classified by its first character on first sight.
-    A stray character's kind is None."""
+    A stray character has no kind: looking it up raises ``KeyError``."""
 
-    def __missing__(self, text: str) -> str | None:
+    def __missing__(self, text: str) -> str:
         first = text[0]
         if first.isascii() and (first.isalpha() or first == "_"):
             kind = IDENT
         elif first.isascii() and first.isdigit():
             kind = INT
         else:
-            kind = None
+            raise KeyError(text)
         self[text] = kind
         return kind
 
@@ -150,9 +143,27 @@ def _known_kinds(keywords: frozenset[str], symbols: tuple[str, ...]) -> dict[str
     return {**dict.fromkeys(symbols, SYMBOL), **dict.fromkeys(keywords, KEYWORD)}
 
 
-def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> list[Token]:
-    """Scan ``source`` into tokens, one per lexeme, ending with one EOF
-    token at the end of the source.
+class Tokens:
+    """The tokens of one source as four parallel lists, one entry per
+    token: ``kinds``, ``texts``, and the ``starts`` and ``ends`` offsets.
+    Its length is the number of tokens, EOF included."""
+
+    __slots__ = ("kinds", "texts", "starts", "ends")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], ends: list[int]) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) -> Tokens:
+    """Scan ``source`` into its tokens, one per lexeme, ending with one EOF
+    token (kind ``EOF``, text ``""``) at the end of the source. The tokens
+    are returned as columns, not one object each (see ``Tokens``).
 
     The kinds are seeded with the keywords and symbols, so a keyword's or
     a symbol's text always scans as that keyword or symbol, and a parser
@@ -161,16 +172,23 @@ def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) ->
     Each step is one pass in C over the lexemes of a piece of the source:
     one ``findall`` of the compiled scanner, whose matches tile the piece,
     the running sum of the match lengths for the token ends,
-    ``str.lstrip`` for the texts and one dict lookup per text for the
-    kinds. A piece is about ``_PIECE`` characters, cut before a newline,
-    which no lexeme spans, so the lists a pass builds stay small and only
-    the token list grows with the source. Each scan stops before the
-    piece's trailing blanks, so that they are not retried at every
-    position. Identifiers and numbers are ASCII."""
+    ``str.lstrip`` for the texts, and one dict lookup per text for the
+    kinds, which also finds a stray character. A piece is about
+    ``_PIECE`` characters, cut before a newline, which no lexeme spans, so
+    that only one piece's matches, each with its leading blanks, are held
+    at a time. Each scan stops before the piece's trailing blanks, so that
+    they are not retried at every position. Identifiers and numbers are
+    ASCII.
+
+    After the scan each column is joined from the pieces' lists by ``+=``,
+    one column at a time: columns that grow together, piece by piece,
+    make the allocator move each past the others, which fragments the
+    heap (the peak RSS of a minilet-deep benchmark run rose by about
+    0.2 MB). The starts are then the ends less the text lengths, in one
+    pass."""
     scan = _scanner(symbols).findall
     kind_of = _Kinds(_known_kinds(keywords, symbols)).__getitem__
-    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
-    tokens: list[Token] = []
+    pieces = []
     pos = 0
     while pos < len(source):
         cut = source.find("\n", pos + _PIECE)
@@ -180,14 +198,19 @@ def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) ->
         ends = list(accumulate(map(len, matches), initial=pos))[1:]
         texts = list(map(str.lstrip, matches, repeat(_BLANKS)))
         del matches
-        kinds = list(map(kind_of, texts))
-        if None in kinds:
-            i = kinds.index(None)
-            raise ParseError.at(source, ends[i] - 1, f"unexpected character {texts[i]!r}")
-        tokens += map(new, repeat(Token), zip(kinds, texts, map(sub, ends, map(len, texts)), ends))
+        try:
+            kinds = list(map(kind_of, texts))
+        except KeyError as exc:  # the first stray character
+            i = texts.index(exc.args[0])
+            raise ParseError.at(source, ends[i] - 1, f"unexpected character {texts[i]!r}") from None
+        pieces.append((kinds, texts, ends))
         pos = cut
-    tokens.append(new(Token, (EOF, "", len(source), len(source))))
-    return tokens
+    pieces.append(([EOF], [""], [len(source)]))
+    kinds, texts, ends = [], [], []
+    for column, parts in zip((kinds, texts, ends), zip(*pieces)):
+        for part in parts:
+            column += part
+    return Tokens(kinds, texts, list(map(sub, ends, map(len, texts))), ends)
 
 
 def is_identifier(text: str, keywords: frozenset[str]) -> bool:
@@ -201,10 +224,11 @@ class TokenStream:
     ``at``, ``accept`` and ``expect`` match a keyword or a symbol by its
     text (see ``tokenize``).
 
-    ``tokens`` is the token list padded with ``LOOKAHEAD`` more copies of
-    its EOF token, and ``pos`` never moves past the first EOF, so
-    ``tokens[pos + ahead]`` needs no bounds test for ``ahead <= LOOKAHEAD``.
-    The parsers read ``tokens[pos]`` directly on their hot paths.
+    ``kinds``, ``texts``, ``starts`` and ``ends`` are the columns of the
+    tokens, each padded with ``LOOKAHEAD`` more EOF entries, and ``pos``
+    never moves past the first EOF, so ``texts[pos + ahead]`` needs no
+    bounds test for ``ahead <= LOOKAHEAD``. The parsers read
+    ``texts[pos]`` and ``kinds[pos]`` directly on their hot paths.
 
     A parser sets ``KEYWORDS`` and ``SYMBOLS`` for ``tokenize``,
     ``BINOP_PRECEDENCE`` (1 binds loosest), its ``BinOp`` node class and
@@ -218,44 +242,62 @@ class TokenStream:
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.tokens = tokenize(source, self.KEYWORDS, self.SYMBOLS)
-        self.tokens += self.tokens[-1:] * LOOKAHEAD  # in place: no copy of the list
+        tokens = tokenize(source, self.KEYWORDS, self.SYMBOLS)
+        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.starts, self.ends = tokens.starts, tokens.ends
+        for column in (self.kinds, self.texts, self.starts, self.ends):
+            column += column[-1:] * LOOKAHEAD  # in place: no copy of the list
         self.pos = 0
 
     def at(self, text: str, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead].text == text
+        return self.texts[self.pos + ahead] == text
 
     def accept(self, text: str) -> bool:
-        if self.tokens[self.pos].text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> None:
-        if self.tokens[self.pos].text != text:
+        if self.texts[self.pos] != text:
             self.fail(repr(text))
         self.pos += 1
 
     def expect_kind(self, kind: str, what: str) -> str:
         """The current token's text, if it is of ``kind`` (not ``EOF``)."""
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             self.fail(what)
-        self.pos += 1
-        return tok.text
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def expect_eof(self) -> None:
-        if self.tokens[self.pos].kind != EOF:
+        if self.kinds[self.pos] != EOF:
             self.fail("end of input")
 
+    def integer(self) -> int:
+        """The value of the current token, an ``INT``. A literal with more
+        digits than ``int`` converts (``sys.get_int_max_str_digits``) is a
+        ``ParseError`` at its start."""
+        pos = self.pos
+        text = self.texts[pos]
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError.at(
+                self.source, self.starts[pos], f"integer literal of {len(text)} digits is too long"
+            ) from None
+        self.pos = pos + 1
+        return value
+
     def fail(self, expected: str) -> NoReturn:
-        tok = self.tokens[self.pos]
-        found = repr(tok.text) if tok.kind != EOF else "end of input"
-        raise ParseError.at(self.source, tok.start, f"expected {expected}, found {found}")
+        pos = self.pos
+        found = repr(self.texts[pos]) if self.kinds[pos] != EOF else "end of input"
+        raise ParseError.at(self.source, self.starts[pos], f"expected {expected}, found {found}")
 
     def span_from(self, start_pos: int) -> Offsets:
         """Span from the token at ``start_pos`` to the last one consumed."""
-        return self.tokens[start_pos].start, self.tokens[self.pos - 1].end
+        return self.starts[start_pos], self.ends[self.pos - 1]
 
     def expression(self) -> Any:
         """Precedence climbing, all operators left-associative."""
@@ -267,17 +309,17 @@ class TokenStream:
         binds at least as tightly as ``min_prec``. A right operand is read
         by ``operand`` and climbs, in one more frame, only if the operator
         after it binds more tightly, so a leaf operand costs no frame."""
-        tokens = self.tokens
+        texts = self.texts
         precedence = self.BINOP_PRECEDENCE
         while True:
-            op = tokens[self.pos].text
+            op = texts[self.pos]
             prec = precedence.get(op)
             if prec is None or prec < min_prec:
                 return left
             self.pos += 1
             right_start = self.pos
             right = self.operand()
-            after = precedence.get(tokens[self.pos].text)
+            after = precedence.get(texts[self.pos])
             if after is not None and after > prec:
                 right = self._climb(right_start, right, prec + 1)
             left = self.BinOp(op, left, right, span=self.span_from(start))

@@ -46,27 +46,26 @@ class _Parser(TokenStream):
 
     def primary(self) -> ast.Expression:
         start = self.pos
-        tok = self.tokens[start]
-        kind, text = tok.kind, tok.text
+        kind = self.kinds[start]
+        text = self.texts[start]
         if kind == IDENT:
-            if self.tokens[start + 1].text != "(":
+            if self.texts[start + 1] != "(":
                 self.pos = start + 1
                 return ast.Var(text, span=self.span_from(start))
             self.pos = start + 2
             args = []
-            if self.tokens[self.pos].text != ")":
+            if self.texts[self.pos] != ")":
                 args.append(self.expression())
                 while self.accept(","):
                     args.append(self.expression())
             self.expect(")")
             return ast.Call(text, tuple(args), span=self.span_from(start))
         if kind == INT:
-            self.pos = start + 1
-            return ast.IntLit(int(text), span=self.span_from(start))
+            return ast.IntLit(self.integer(), span=self.span_from(start))
         if text == "let":
             self.pos = defs_start = start + 1
             defs = [self.fundef()]
-            while self.tokens[self.pos].text != "in":
+            while self.texts[self.pos] != "in":
                 defs.append(self.fundef())
             def_list = ast.FunDefList(tuple(defs), span=self.span_from(defs_start))
             self.pos += 1

@@ -323,6 +323,37 @@ def test_undecodable_input_reports_io_error(argv, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+# A program around one integer literal of ``digits`` nines, and the
+# 1-based column at which the literal starts.
+_LITERAL_PROGRAMS = {
+    "joos": ("class C {{ void m() {{ int x = {digits}; }} }}", 30),
+    "minilet": ("let f(x) = x; in f({digits})", 20),
+}
+_INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_MAX_STR_DIGITS, reason="int() converts strings of any length")
+@pytest.mark.parametrize("command", ["check", "ast"])
+@pytest.mark.parametrize("lang", sorted(_LITERAL_PROGRAMS))
+def test_an_integer_literal_past_the_int_limit_is_a_parse_error(lang, command, tmp_path, capsys):
+    """A literal with more digits than ``int`` converts is exit 2, with
+    one ``ParseError`` line at the literal's start; a literal at the limit
+    still parses."""
+    template, col = _LITERAL_PROGRAMS[lang]
+    work = tmp_path / f"literal.{lang}"
+    for digits, code in ((_INT_MAX_STR_DIGITS, 0), (_INT_MAX_STR_DIGITS + 1, 2)):
+        work.write_text(template.format(digits="9" * digits), encoding="utf-8")
+        assert main([command, "--lang", lang, "--file", str(work)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+            assert command == "check" or "9" * digits in captured.out
+            continue
+        assert captured.out == ""
+        assert captured.err == (f"ParseError: {work}: line 1, col {col}: "
+                                f"integer literal of {digits} digits is too long\n")
+
+
 _STRAY_TARGETS = {
     "joos-focus": ("introduce --lang joos --file {g}/joos/account.joos --class Account "
                    "--focus 9:9-9:10 --decl {g}/joos/newmethod.jdecl", "--focus"),

@@ -1,7 +1,7 @@
 """Shared front end: the compiled scanner against the character-loop
-reference it replaced, the rule that lets the parsers match keywords and
-symbols by text, and pins on the spans both parsers record and on their
-parse error texts."""
+reference it replaced, the token columns it returns and the stream pads,
+the rule that lets the parsers match keywords and symbols by text, and
+pins on the spans both parsers record and on their parse error texts."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 from refax import joos, lexing, minilet
 from refax.joos import parser as jparser
-from refax.lexing import EOF, IDENT, INT, KEYWORD, SYMBOL, Lines, ParseError, tokenize
+from refax.lexing import EOF, IDENT, INT, KEYWORD, LOOKAHEAD, SYMBOL, Lines, ParseError, tokenize
 from refax.minilet import parser as mparser
 
 from . import joos_gen, minilet_gen
@@ -74,8 +74,8 @@ def tokenize_reference(source, keywords, symbols):
 
 def _outcome(scan, source, parser):
     """The tokens, each with its line:column ends, or the error text. The
-    compiled scanner's positions go through the line table; the
-    reference's are counted directly."""
+    compiled scanner's columns are read row by row and its positions go
+    through the line table; the reference's are counted directly."""
     try:
         tokens = scan(source, parser._KEYWORDS, parser._SYMBOLS)
     except ParseError as exc:
@@ -84,6 +84,7 @@ def _outcome(scan, source, parser):
         position = functools.partial(_position, source)
     else:
         position = Lines(source).position
+        tokens = zip(tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
     return [(*t, *position(t[2]), *position(t[3])) for t in tokens]
 
 
@@ -159,6 +160,46 @@ def test_scanner_matches_reference_across_piece_cuts(lang, monkeypatch):
     monkeypatch.setattr(lexing, "_PIECE", 3)
     for source in [*_sources(lang, 50), *LAYOUTS, "x" + " " * 50 + "\n" + "y \r\n\t= 1"]:
         _assert_same(source, parser)
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_the_columns_hold_one_entry_per_reference_token(lang):
+    """``len`` of the tokens is the reference's token count, EOF included
+    (the benchmark counts tokens by it), and each of the four columns has
+    that length, so reading them row by row drops no entry."""
+    parser = LANGS[lang][0]
+    for source in [*_sources(lang), *LAYOUTS]:
+        try:
+            expected = len(tokenize_reference(source, parser._KEYWORDS, parser._SYMBOLS))
+        except ParseError:
+            continue
+        tokens = tokenize(source, parser._KEYWORDS, parser._SYMBOLS)
+        assert len(tokens) == expected
+        columns = (tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
+        assert [len(column) for column in columns] == [expected] * 4
+
+
+@pytest.mark.parametrize("source", ["", " \r\n\t", "x", "f(x, 1) = (x)  ", "f\n(1);\n"])
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_the_stream_pads_each_column_with_eof_entries(lang, source):
+    """A stream's columns are the tokens' columns with ``LOOKAHEAD`` more
+    EOF entries: each ends with ``LOOKAHEAD + 1`` entries of kind ``EOF``,
+    text ``""`` and start and end at the end of the source."""
+    cls = LANGS[lang][0]._Parser
+    count = len(tokenize(source, cls.KEYWORDS, cls.SYMBOLS))
+    stream = cls(source)
+    tail = LOOKAHEAD + 1
+    eof = {"kinds": EOF, "texts": "", "starts": len(source), "ends": len(source)}
+    for name, value in eof.items():
+        column = getattr(stream, name)
+        assert len(column) == count + LOOKAHEAD, name
+        assert column[-tail:] == [value] * tail, name
+    assert EOF not in stream.kinds[:-tail]
+
+
+def test_lexing_has_no_token_class():
+    """Tokens are columns; no object is built per lexeme."""
+    assert not hasattr(lexing, "Token")
 
 
 def _relayout(text, rng):
@@ -270,10 +311,10 @@ def test_a_token_kind_is_keyword_or_symbol_exactly_when_its_text_is(lang):
             tokens = tokenize(source, cls.KEYWORDS, cls.SYMBOLS)
         except ParseError:
             continue
-        for tok in tokens:
-            assert (tok.kind == KEYWORD) == (tok.text in cls.KEYWORDS), tok
-            assert (tok.kind == SYMBOL) == (tok.text in cls.SYMBOLS), tok
-            seen.add(tok.kind)
+        for kind, text in zip(tokens.kinds, tokens.texts):
+            assert (kind == KEYWORD) == (text in cls.KEYWORDS), (kind, text)
+            assert (kind == SYMBOL) == (text in cls.SYMBOLS), (kind, text)
+            seen.add(kind)
     assert seen == {KEYWORD, SYMBOL, IDENT, INT, EOF}
 
 
