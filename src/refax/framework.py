@@ -87,7 +87,6 @@ class NoHost(RefactoringError):
 class NameClash(RefactoringError):
     def __init__(self, name: str) -> None:
         super().__init__(f"name {name!r} is already defined or free in the target scope")
-        self.name = name
 
 
 class CheckFailed(RefactoringError):
@@ -99,7 +98,6 @@ class CheckFailed(RefactoringError):
 class UntypedFreeName(RefactoringError):
     def __init__(self, name: str) -> None:
         super().__init__(f"free name {name!r} has no binding in the environment")
-        self.name = name
 
 
 class ConstructorRejected(RefactoringError):
@@ -430,11 +428,10 @@ class Language:
         of that kind: two ``focus_paths`` walks over one span query, the
         first guided by span enclosure. Node spans are offsets, so ``span``
         is converted once through the line table, and a position the
-        source does not have matches no node."""
-        if kind not in self.focus_kinds:
-            raise ValueError(f"unknown focus kind {kind!r}")
-        prog = self.parse(source)
+        source does not have matches no node. An unknown ``kind`` is a
+        ``KeyError``, raised before ``source`` is parsed."""
         spans = mono_tu(SortCase(self.focus_kinds[kind].sort, attrgetter("span")))
+        prog = self.parse(source)
         lines = Lines(source)
         wanted = lines.offsets(span)
         if wanted is not None:

@@ -46,9 +46,6 @@ from . import ast
 class ExprType:
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class MethodType:

@@ -95,11 +95,10 @@ def _expr(e: ast.Expression, context: int = 0) -> str:
         return f"{receiver}{e.name}({', '.join(_expr(a) for a in e.args)})"
     if isinstance(e, ast.Not):
         return _wrap(f"!{_expr(e.operand, _UNARY_PRECEDENCE)}", _UNARY_PRECEDENCE, context)
-    if isinstance(e, ast.BinOp):
-        prec = BINOP_PRECEDENCE[e.op]
-        text = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
-        return _wrap(text, prec, context)
-    raise FocusPresent(f"unprintable expression {e.tag}")
+    # A BinOp: no focus wrapper is an Expression.
+    prec = BINOP_PRECEDENCE[e.op]
+    text = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
+    return _wrap(text, prec, context)
 
 
 def _wrap(text: str, prec: int, context: int) -> str:

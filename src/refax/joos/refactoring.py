@@ -11,11 +11,12 @@ so no value flows back. Generated calls are this-qualified.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 
 from .. import framework
 from ..framework import AbstractionSignature, CheckFailed, ConstructorRejected, NoHost
 from ..lexing import is_identifier
-from ..strategy import SortCase, StrategyFailure, apply_tu, mono_tu, oncetd_tu
+from ..strategy import SortCase, StrategyFailure, focus_paths, mono_tu
 from . import ast
 from .analysis import ExprType, declared_pairs, defined_names
 from .parser import _KEYWORDS
@@ -33,12 +34,6 @@ method_list_host = SortCase(ast.MethodList, _wrap_method_list)
 
 
 # -- the Abstraction instance for JOOS method declarations ------------------
-
-
-def _get_abs_name(m) -> str:
-    if isinstance(m, ast.MethodDecl):
-        return m.name
-    raise ConstructorRejected(f"not a method declaration: {m.tag}")
 
 
 def _make_formals(pairs) -> tuple[ast.Formal, ...]:
@@ -60,8 +55,6 @@ def _make_actuals(pairs) -> tuple[ast.VarRef, ...]:
 def _make_abstraction(name: str, formals, body) -> ast.MethodDecl:
     if not is_identifier(name, _KEYWORDS):
         raise ConstructorRejected(f"{name!r} is not a JOOS identifier")
-    if not isinstance(body, ast.Block):
-        raise ConstructorRejected(f"method body must be a block, got {body.tag}")
     return ast.MethodDecl("void", name, tuple(formals), body)
 
 
@@ -72,7 +65,7 @@ def _body_from_fragment(fragment) -> ast.Block:
 
 
 method_signature = AbstractionSignature(
-    get_abs_name=_get_abs_name,
+    get_abs_name=attrgetter("name"),
     make_abstraction=_make_abstraction,
     make_formals=_make_formals,
     make_application=lambda name, actuals: ast.Call(True, name, tuple(actuals)),
@@ -86,11 +79,8 @@ method_signature = AbstractionSignature(
 
 
 def _contains_return(fragment: ast.Statement) -> bool:
-    try:
-        apply_tu(oncetd_tu(mono_tu(SortCase(ast.Return, lambda t: True))), fragment)
-        return True
-    except StrategyFailure:
-        return False
+    returns = mono_tu(SortCase(ast.Return, lambda t: True))
+    return next(focus_paths(returns, fragment), None) is not None
 
 
 def check_extractable(fragment: ast.Statement) -> None:
@@ -108,11 +98,10 @@ def check_extractable(fragment: ast.Statement) -> None:
 
 
 def focus_class_methods(program: ast.Program, class_name: str) -> ast.Program:
-    """Wrap the method list of the first class named ``class_name``."""
+    """Wrap the method list of the first class named ``class_name``. A
+    parsed program holds only plain method lists."""
 
     def wrap(cls: ast.ClassDecl) -> ast.ClassDecl:
-        if not isinstance(cls.methods, ast.MethodList):
-            raise NoHost(f"class {class_name!r} has no plain method list")
         return dataclasses.replace(cls, methods=ast.MethodDeclarationFocus(cls.methods))
 
     try:

@@ -40,15 +40,29 @@ class Span(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> Span:
-        try:
-            start, end = text.split("-")
-            line, col = (int(p) for p in start.split(":"))
-            end_line, end_col = (int(p) for p in end.split(":"))
-        except ValueError:
-            raise ValueError(f"malformed span {text!r}, expected L:C-L:C") from None
+        """``L:C-L:C`` in ASCII digits, with no blank, sign or underscore.
+        A long text is not echoed: a malformed one is named by its length,
+        and a part with more digits than ``int`` converts by its role and
+        length."""
+        match = _SPAN.fullmatch(text)
+        if match is None:
+            shown = repr(text) if len(text) <= _SHOWN else f"of {len(text)} characters"
+            raise ValueError(f"malformed span {shown}, expected L:C-L:C")
+        parts = []
+        for role, digits in zip(_SPAN_ROLES, match.groups()):
+            try:
+                parts.append(int(digits))
+            except ValueError:
+                raise ValueError(f"span {role} of {len(digits)} digits is too long") from None
+        line, col, end_line, end_col = parts
         if (end_line, end_col) < (line, col):
             raise ValueError(f"span {text!r} is not well-ordered")
         return cls(line, col, end_line, end_col)
+
+
+_SPAN = re.compile("([0-9]+):([0-9]+)-([0-9]+):([0-9]+)")
+_SPAN_ROLES = ("line", "column", "end line", "end column")
+_SHOWN = 40  # the longest malformed span echoed in a message
 
 
 class Lines:

@@ -13,6 +13,7 @@ contain no returns or assignments.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 
 from ..framework import AbstractionSignature, ConstructorRejected
 from ..lexing import is_identifier
@@ -31,31 +32,16 @@ def _wrap_let_defs(t: ast.Expression) -> ast.Expression:
 let_defs_host = SortCase(ast.Let, _wrap_let_defs)
 
 
-def _make_formals(pairs) -> tuple[str, ...]:
-    for p in pairs:
-        if p.tpe != ast.VAL:
-            raise ConstructorRejected(f"formal {p.name!r} has unexpected type {p.tpe}")
-    return tuple(p.name for p in pairs)
-
-
 def _make_abstraction(name: str, formals, body) -> ast.FunDef:
     if not is_identifier(name, _KEYWORDS):
         raise ConstructorRejected(f"{name!r} is not a minilet identifier")
-    if not isinstance(body, ast.Expression):
-        raise ConstructorRejected(f"function body must be an expression, got {body.tag}")
     return ast.FunDef(name, tuple(formals), body)
 
 
-def _get_abs_name(fd) -> str:
-    if isinstance(fd, ast.FunDef):
-        return fd.name
-    raise ConstructorRejected(f"not a function definition: {fd.tag}")
-
-
 function_signature = AbstractionSignature(
-    get_abs_name=_get_abs_name,
+    get_abs_name=attrgetter("name"),
     make_abstraction=_make_abstraction,
-    make_formals=_make_formals,
+    make_formals=lambda pairs: tuple(p.name for p in pairs),
     make_application=lambda name, actuals: ast.Call(name, tuple(actuals)),
     make_actuals=lambda pairs: tuple(ast.Var(p.name) for p in pairs),
     body_from_fragment=lambda fragment: fragment,

@@ -230,16 +230,14 @@ def _tuple_of(kinds: dict[str, int], one: int, optional: int | None, seq: int) -
     for name, kind in kinds.items():
         if kind == one:
             run.append(f"self.{name},")
-            continue
-        if kind not in (optional, seq):
-            continue
-        if run:
-            parts.append("(" + " ".join(run) + ")")
-            run = []
-        if kind == optional:
-            parts.append(f"(() if self.{name} is None else (self.{name},))")
-        else:
-            parts.append(f"self.{name}")
+        elif kind in (optional, seq):
+            if run:
+                parts.append("(" + " ".join(run) + ")")
+                run = []
+            if kind == optional:
+                parts.append(f"(() if self.{name} is None else (self.{name},))")
+            else:
+                parts.append(f"self.{name}")
     if run:
         parts.append("(" + " ".join(run) + ")")
     return " + ".join(parts) or "()"

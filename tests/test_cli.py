@@ -35,13 +35,13 @@ SCENARIOS = [
      0, "j-extract-field.out", None),
     ("j-extract-return-reject",
      "extract --lang joos --file {g}/joos/returns.joos --focus 5:9-10:10 --name body",
-     1, "", "HasReturn"),
+     1, "", "CheckFailed: HasReturn\n"),
     ("j-extract-assign-reject",
      "extract --lang joos --file {g}/joos/assigns.joos --focus 5:9-7:10 --name body",
      1, "", "AssignsFreeVariable(count)"),
     ("j-extract-clash",
      "extract --lang joos --file {g}/joos/account.joos --focus 6:9-10:10 --name log",
-     1, "", "NameClash"),
+     1, "", "NameClash: name 'log' is already defined or free in the target scope\n"),
     ("j-extract-span-mismatch",
      "extract --lang joos --file {g}/joos/account.joos --focus 6:9-10:9 --name stash",
      2, "", "SpanMismatch"),
@@ -62,7 +62,7 @@ SCENARIOS = [
      2, "", "/joos/bad.jdecl: line 1, col 14: expected 'int' or 'boolean'"),
     ("j-introduce-unknown-class",
      "introduce --lang joos --file {g}/joos/account.joos --class Missing --decl {g}/joos/newmethod.jdecl",
-     1, "", "NoHost"),
+     1, "", "NoHost: no class named 'Missing'\n"),
     ("j-introduce-missing-class",
      "introduce --lang joos --file {g}/joos/account.joos --decl {g}/joos/newmethod.jdecl",
      3, "", "--class"),
@@ -93,7 +93,7 @@ SCENARIOS = [
      0, "m-extract-body.out", None),
     ("m-extract-nohost",
      "extract --lang minilet --file {g}/minilet/top.mlt --focus 1:5-1:10 --name q",
-     1, "", "NoHost"),
+     1, "", "NoHost: no enclosing host for the focus\n"),
     ("m-extract-clash",
      "extract --lang minilet --file {g}/minilet/pipeline.mlt --focus 5:5-5:22 --name square",
      1, "", "NameClash"),
@@ -258,6 +258,28 @@ def test_in_place_failure_leaves_file_byte_identical(tmp_path, capsys):
     assert work.read_bytes() == original
 
 
+def test_in_place_write_failing_after_the_temp_file_exists_cleans_up(tmp_path, capsys, monkeypatch):
+    """A write that fails once the temp file is made removes it and leaves
+    the target byte-identical; the failure is reported as an I/O error."""
+    work = tmp_path / "account.joos"
+    original = (GOLDEN / "joos" / "account.joos").read_bytes()
+    work.write_bytes(original)
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot copy the mode to {dst}")
+
+    monkeypatch.setattr("refax.cli.shutil.copymode", refuse)
+    code = main([
+        "extract", "--lang", "joos", "--file", str(work),
+        "--focus", "6:9-10:10", "--name", "stash", "--in-place",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("error: cannot copy the mode to ") and ".tmp" in captured.err
+    assert work.read_bytes() == original
+    assert list(tmp_path.iterdir()) == [work]
+
+
 # (lang, source, focus of a fragment that extracts under a valid name)
 _EXTRACTABLE = {
     "joos": (GOLDEN / "joos" / "account.joos", "6:9-10:10"),
@@ -379,19 +401,62 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_malformed_span_is_usage_error(capsys):
-    """A malformed ``--focus`` is a usage error that names its reason."""
-    for focus, reason in [
+    """A malformed ``--focus`` is a usage error that names its reason in
+    one short message. ``--focus`` takes exactly ``L:C-L:C`` in ASCII
+    digits, though ``int()`` would read some of these parts. A long text
+    is not echoed: a part too long to convert is named by its role and
+    length, a long malformed text by its length."""
+    cases = [
         ("86", "malformed span '86', expected L:C-L:C"),
         ("9:9-6:1", "span '9:9-6:1' is not well-ordered"),
-    ]:
+        ("11:9-11:2_6", "malformed span '11:9-11:2_6', expected L:C-L:C"),
+        ("١١:٩-١١:٢٦", "malformed span '١١:٩-١١:٢٦', expected L:C-L:C"),
+        (" 11:9-11:26", "malformed span ' 11:9-11:26', expected L:C-L:C"),
+        ("11:9 - 11:26", "malformed span '11:9 - 11:26', expected L:C-L:C"),
+        ("+11:9-11:26", "malformed span '+11:9-11:26', expected L:C-L:C"),
+        ("x" * 5000, "malformed span of 5000 characters, expected L:C-L:C"),
+    ]
+    if _INT_MAX_STR_DIGITS:  # else int() converts strings of any length
+        long_column = "2" * (_INT_MAX_STR_DIGITS + 2)
+        cases.append((f"11:9-11:{long_column}", f"span end column of {len(long_column)} digits is too long"))
+    for focus, reason in cases:
         code = main([
             "extract", "--lang", "joos", "--file", str(GOLDEN / "joos" / "account.joos"),
             "--focus", focus, "--name", "x",
         ])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 3
-        assert f"argument --focus: {reason}\n" in err
-        assert "_span_arg" not in err
+        assert captured.out == ""
+        assert f"argument --focus: {reason}\n" in captured.err
+        assert "_span_arg" not in captured.err
+        assert "Traceback" not in captured.err and len(captured.err) < 400
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: refax [-h] {extract,introduce,check,ast} ...\n")
+    assert captured.err == ""
+
+
+def test_a_usage_error_prints_the_usage_line(capsys):
+    assert main(["extract", "--lang", "joos"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: refax extract [-h] --lang {joos,minilet} --file FILE")
+    assert captured.err.endswith(
+        "\nrefax extract: error: the following arguments are required: --file, --focus, --name\n"
+    )
+
+
+def test_an_untyped_free_name_is_one_stderr_line(tmp_path, capsys):
+    untyped = tmp_path / "untyped.joos"
+    untyped.write_text("class C {\n    void m() {\n        this.m(y);\n    }\n}\n", encoding="utf-8")
+    code = main(["extract", "--lang", "joos", "--file", str(untyped), "--focus", "3:9-3:19", "--name", "h"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "UntypedFreeName: free name 'y' has no binding in the environment\n"
 
 
 @pytest.mark.parametrize("depth", [60, 120, 180])
@@ -749,3 +814,20 @@ def test_a_later_extract_leaves_no_cyclic_garbage(name, capsys):
     finally:
         if was:
             gc.enable()
+
+
+@pytest.mark.parametrize("argv,decl,message", [
+    ("introduce --lang joos --file {g}/joos/account.joos --class Account --decl {d}",
+     "void a() { }\nvoid b() { }\n", "line 2, col 1: expected end of input, found 'void'"),
+    ("introduce --lang minilet --file {g}/minilet/pipeline.mlt --focus 2:5-3:23 --decl {d}",
+     "a(x) = x;\nb(y) = y;\n", "line 2, col 1: expected end of input, found 'b'"),
+], ids=["joos", "minilet"])
+def test_introduce_takes_one_declaration(argv, decl, message, tmp_path, capsys):
+    """A ``--decl`` file holding a second declaration is a parse error at
+    its start."""
+    path = tmp_path / "two.decl"
+    path.write_text(decl, encoding="utf-8")
+    assert main(argv.format(g=GOLDEN, d=path).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ParseError: {path}: {message}\n"

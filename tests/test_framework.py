@@ -7,14 +7,18 @@ import dataclasses
 import gc
 import hashlib
 import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 import re
+import typing
 import weakref
 from pathlib import Path
 
 import pytest
 
+import refax
 from refax import framework
 from refax.cli import LANGUAGES, build_parser
 from refax.framework import (
@@ -1353,3 +1357,37 @@ def test_bound_typed_names_evaluates_declared_on_the_joos_focus_path():
     prog = joos.LANGUAGE.place_focus_by_span(source, "statement", span)
     depth = _depth_of(prog, jast.StatementFocus)
     assert _declared_calls(joos_declared, statement_focus, prog) <= depth + 1
+
+
+def test_free_names_see_a_use_after_two_nested_binders_of_one_name():
+    """Two nested binders of one name each raise its count; leaving the
+    inner one keeps it bound, and leaving the outer one frees it again, so
+    the last assignment's ``x`` is free."""
+    body = parse_method("void m() { { int x; { int x; x = 1; } } x = 2; }").body
+    declared = framework.declared_names(joos_declared)
+    assert framework.free_names(declared, joos_referenced, body) == ("x",)
+
+
+def test_an_unknown_focus_kind_is_refused_before_the_source_is_parsed():
+    for language in LANGUAGES.values():
+        with pytest.raises(KeyError):
+            language.focus_path_by_span("(", "method", Span(1, 1, 1, 2))
+
+
+def test_every_annotation_in_the_package_resolves():
+    """Every function, method and class of ``refax`` has annotations that
+    ``typing.get_type_hints`` resolves: a module that postpones its
+    annotations still defines each name they use, its type aliases
+    included."""
+    annotated = 0
+    for info in pkgutil.walk_packages(refax.__path__, "refax."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [v for v in vars(obj).values() if inspect.isfunction(v)] if inspect.isclass(obj) else []
+            for target in [obj, *members]:
+                if inspect.isfunction(target) or inspect.isclass(target):
+                    typing.get_type_hints(target)
+                    annotated += 1
+    assert annotated > 500

@@ -88,6 +88,9 @@ def test_check_extractable_rejects_free_assignment():
     with pytest.raises(CheckFailed) as exc:
         check_extractable(_fragment("{ x = 1; }"))
     assert exc.value.reason == "AssignsFreeVariable(x)"
+    with pytest.raises(CheckFailed) as exc:
+        check_extractable(_fragment("{ b = 1; a = 2; b = 3; }"))
+    assert exc.value.reason == "AssignsFreeVariable(b)"  # the first of them
     # assignment to a variable the fragment itself declares is fine
     check_extractable(_fragment("{ int x; x = 1; }"))
 
@@ -223,7 +226,7 @@ def test_extract_untyped_free_name():
 
 
 def test_extract_requires_focus():
-    with pytest.raises(NoFocus):
+    with pytest.raises(NoFocus, match=r"^no focus wrapper present$"):
         extract_method("helper", parse_program(GOLDEN_SRC))
 
 

@@ -8,13 +8,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from refax import joos, lexing, minilet
 from refax.joos import parser as jparser
-from refax.lexing import EOF, IDENT, INT, KEYWORD, LOOKAHEAD, SYMBOL, Lines, ParseError, tokenize
+from refax.lexing import EOF, IDENT, INT, KEYWORD, LOOKAHEAD, SYMBOL, Lines, ParseError, Span, tokenize
 from refax.minilet import parser as mparser
 
 from . import joos_gen, minilet_gen
@@ -369,3 +370,89 @@ def test_parse_errors_on_golden_prefixes_are_pinned(lang):
     """Each prefix of a golden input parses, or fails with a
     ``ParseError`` whose position, expected and found texts are pinned."""
     assert parse_error_digest(lang) == PARSE_ERROR_DIGESTS[lang]
+
+
+def _random_span(rng):
+    width = rng.choice([1, 3, 9])
+    line, col = rng.randint(0, 10**width), rng.randint(0, 10**width)
+    end_line = line + rng.choice([0, 0, 1, rng.randint(2, 10**width)])
+    end_col = rng.randint(col if end_line == line else 0, col + 10**width)
+    return Span(line, col, end_line, end_col)
+
+
+def test_span_parse_inverts_str():
+    rng = random.Random(17)
+    for _ in range(2000):
+        span = _random_span(rng)
+        assert Span.parse(str(span)) == span
+
+
+@pytest.mark.parametrize("text", [
+    "", "86", "1:1", "1:1-1", "1:1-1:2-3:4", "1:1:1-1:2", "1:-1-1:2", "-1:1-1:2", "+1:1-1:2",
+    " 1:1-1:2", "1:1-1:2 ", "1:1-1:2\n", "1: 1-1:2", "1:1 -1:2", "1:1-1:2_0", "1_0:1-1:2",
+    "١:١-١:٢", "1:1-1:２", "0x1:1-1:2", "1.0:1-1:2",
+])
+def test_span_parse_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError) as exc:
+        Span.parse(text)
+    assert str(exc.value) == f"malformed span {text!r}, expected L:C-L:C"
+
+
+@pytest.mark.parametrize("text,ordered", [
+    ("3:5-3:5", True), ("3:5-3:6", True), ("3:5-4:1", True),
+    ("3:5-3:4", False), ("3:5-2:9", False), ("4:1-3:5", False),
+])
+def test_span_parse_refuses_an_end_before_the_start(text, ordered):
+    if ordered:
+        assert str(Span.parse(text)) == text
+    else:
+        with pytest.raises(ValueError, match=rf"^span '{text}' is not well-ordered$"):
+            Span.parse(text)
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_LIMIT, reason="int() converts strings of any length")
+@pytest.mark.parametrize("role", range(4))
+def test_span_parse_names_a_part_too_long_to_convert(role):
+    """A part past ``int``'s digit limit is named by its role and length;
+    a part at the limit converts."""
+    for digits, fits in ((_INT_LIMIT, True), (_INT_LIMIT + 1, False)):
+        parts = ["1"] * 4
+        if role < 2:  # so that the end stays after the start
+            parts[role + 2] = "2" * _INT_LIMIT
+        parts[role] = "1" * digits
+        text = "{}:{}-{}:{}".format(*parts)
+        if fits:
+            assert str(Span.parse(text)) == text
+        else:
+            name = ("line", "column", "end line", "end column")[role]
+            with pytest.raises(ValueError, match=rf"^span {name} of {digits} digits is too long$"):
+                Span.parse(text)
+
+
+def test_line_table_offsets_exist_only_inside_the_source():
+    """``Lines.offset`` maps a 1-based position to its offset; line or
+    column 0, a column past a line's end (the column just after its last
+    character) and a line past the last are no position."""
+    lines = Lines("ab\ncd")
+    assert [lines.offset(1, c) for c in range(5)] == [None, 0, 1, 2, None]
+    assert [lines.offset(2, c) for c in range(5)] == [None, 3, 4, 5, None]
+    assert [lines.offset(line, 1) for line in (0, 3)] == [None, None]
+    assert lines.offsets(Span(1, 2, 2, 3)) == (1, 5)
+    assert lines.offsets(Span(1, 2, 2, 4)) is None and lines.offsets(Span(1, 4, 2, 3)) is None
+
+
+def test_parse_error_keeps_its_position():
+    exc = ParseError.at("ab\n  x", 5, "stray")
+    assert (exc.line, exc.col, str(exc)) == (2, 3, "line 2, col 3: stray")
+
+
+def test_span_parse_names_a_long_malformed_text_by_its_length():
+    echoed = "1:1-1:" + "x" * 34
+    assert len(echoed) == 40
+    with pytest.raises(ValueError, match=r"^malformed span '1:1-1:x{34}', expected L:C-L:C$"):
+        Span.parse(echoed)
+    with pytest.raises(ValueError, match=r"^malformed span of 41 characters, expected L:C-L:C$"):
+        Span.parse(echoed + "x")

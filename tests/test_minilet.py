@@ -139,6 +139,10 @@ def test_resolution_check():
     assert resolution_check(parse_program("let f(x, x) = x; in f(1, 2)")) == [
         "duplicate parameter 'x' of 'f'"
     ]
+    # one message per definition, naming the parameter whose duplicate comes first
+    assert resolution_check(parse_program("let f(x, y, y, z, x, z) = x; in f(1, 2, 3, 4, 5, 6)")) == [
+        "duplicate parameter 'x' of 'f'"
+    ]
 
 
 # -- extraction and host selection --------------------------------------------------

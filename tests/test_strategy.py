@@ -807,3 +807,28 @@ def test_every_public_combinator_has_a_caller():
                 todo.append(name)
     unused = sorted(name for name in defs if not name.startswith("_") and name not in reached)
     assert not unused, f"no caller in src or bench: {unused}"
+
+
+def test_fold_takes_an_update_that_raises_as_no_change():
+    """``FocusPath.fold``: where ``update`` raises ``StrategyFailure``, here
+    at the first ancestor, the value is left as it was."""
+    t = Tag("a", Node(Tag("b", Leaf(1)), Leaf(2)))
+    at = next(focus_paths(mono_tu(leaf_value), t))
+    calls = []
+
+    def update(tags):
+        calls.append(tags)
+        if len(calls) == 1:
+            raise StrategyFailure("refused at the root")
+        return mono_tu(SortCase(Tree, lambda n: tags + (n.tag,)))
+
+    assert at.fold((), update) == ("Node", "Tag")
+    assert calls == [(), (), ("Node",)]
+
+
+def test_strategies_carry_no_instance_dict():
+    """A request builds its strategies afresh, so both kinds are slotted:
+    neither carries a ``__dict__``."""
+    for s in (mono_tp(inc_leaf), oncetd_tp(mono_tp(inc_leaf)), mono_tu(leaf_value),
+              choice_tu(mono_tu(leaf_value), fail_tu()), oncetd_tu(mono_tu(leaf_value))):
+        assert not hasattr(s, "__dict__"), s

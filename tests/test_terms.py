@@ -29,6 +29,7 @@ from refax.terms import (
     ArityMismatch,
     SortMismatch,
     Term,
+    TermError,
     append_child,
     dump,
     node,
@@ -194,6 +195,8 @@ def test_append_child_extends_sequence_nodes():
     assert extended.methods == method_list.methods + (extra,)
     with pytest.raises(SortMismatch):
         append_child(method_list, Leaf(1))
+    with pytest.raises(TermError, match=r"^Node: not a single-sequence node$"):
+        append_child(Node(Leaf(1), Leaf(2)), Leaf(3))
 
 
 def test_optional_child_slots():
@@ -470,3 +473,33 @@ def test_a_string_annotation_is_rejected_where_the_class_is_declared():
     postponed = "from __future__ import annotations\n@node\nclass Postponed(Tree):\n    child: Tree\n"
     with pytest.raises(TypeError, match=r"^Postponed\.child: unsupported term field annotation 'Tree'$"):
         exec(compile(postponed, "postponed", "exec"), {"node": node, "Tree": Tree})
+
+
+@pytest.mark.parametrize("annotation", [tuple[Tree, Tree], tuple[Tree], tuple[int, ...], Tree | Twig | None,
+                                        Tree | Twig, float, list[Tree]])
+def test_an_unsupported_field_annotation_is_rejected(annotation):
+    with pytest.raises(TypeError, match=r"^Odd\.value: unsupported term field annotation "):
+
+        @node
+        class Odd(Tree):
+            value: annotation
+
+
+def test_node_keeps_the_class_doc_and_names_the_methods_it_installs():
+    """An undocumented node class keeps no docstring (``dataclasses`` would
+    write the signature it finds, ``Term``'s rejecting one), and each
+    method ``node`` installs is named after its class."""
+    assert Leaf.__doc__ is None and jast.While.__doc__ is None
+    assert Twig.__doc__ == "A leaf of the second sort."
+    for cls in (Leaf, jast.While, mast.Let):
+        for name in ("__init__", "children", "atoms", "rebuild"):
+            assert getattr(cls, name).__qualname__ == f"{cls.__qualname__}.{name}"
+
+
+def test_a_class_keyword_a_node_class_does_not_take_is_refused():
+    """``Term.__init_subclass__`` passes class keywords on to ``object``,
+    which refuses any."""
+    with pytest.raises(TypeError):
+
+        class Flavoured(Tree, flavour="plain"):
+            pass
