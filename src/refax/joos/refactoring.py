@@ -46,9 +46,6 @@ def _make_formals(pairs) -> tuple[ast.Formal, ...]:
 
 
 def _make_actuals(pairs) -> tuple[ast.VarRef, ...]:
-    for p in pairs:
-        if not isinstance(p.tpe, ExprType):
-            raise ConstructorRejected(f"actual {p.name!r} has a non-expression type {p.tpe}")
     return tuple(ast.VarRef(p.name) for p in pairs)
 
 

@@ -120,7 +120,6 @@ class SpanMismatch(Exception):
 LOOKAHEAD = 2
 
 _BLANKS = " \t\r\n"
-_PIECE = 1 << 14  # characters scanned per pass, about 3,500 tokens
 _IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 T = TypeVar("T")
 
@@ -183,47 +182,27 @@ def tokenize(source: str, keywords: frozenset[str], symbols: tuple[str, ...]) ->
     a symbol's text always scans as that keyword or symbol, and a parser
     matches them by their text alone.
 
-    Each step is one pass in C over the lexemes of a piece of the source:
-    one ``findall`` of the compiled scanner, whose matches tile the piece,
+    The scan is one pass in C over the lexemes of the whole source: one
+    ``findall`` of the compiled scanner, whose matches tile the source up
+    to its trailing blanks (the scan stops before them, which it would
+    otherwise retry from every position among them, in quadratic time),
     the running sum of the match lengths for the token ends,
     ``str.lstrip`` for the texts, and one dict lookup per text for the
-    kinds, which also finds a stray character. A piece is about
-    ``_PIECE`` characters, cut before a newline, which no lexeme spans, so
-    that only one piece's matches, each with its leading blanks, are held
-    at a time. Each scan stops before the piece's trailing blanks, so that
-    they are not retried at every position. Identifiers and numbers are
-    ASCII.
-
-    After the scan each column is joined from the pieces' lists by ``+=``,
-    one column at a time: columns that grow together, piece by piece,
-    make the allocator move each past the others, which fragments the
-    heap (the peak RSS of a minilet-deep benchmark run rose by about
-    0.2 MB). The starts are then the ends less the text lengths, in one
-    pass."""
-    scan = _scanner(symbols).findall
+    kinds, which also finds a stray character. The starts are then the
+    ends less the text lengths. Identifiers and numbers are ASCII."""
     kind_of = _Kinds(_known_kinds(keywords, symbols)).__getitem__
-    pieces = []
-    pos = 0
-    while pos < len(source):
-        cut = source.find("\n", pos + _PIECE)
-        if cut < 0:
-            cut = len(source)
-        matches = scan(source, pos, pos + len(source[pos:cut].rstrip(_BLANKS)))
-        ends = list(accumulate(map(len, matches), initial=pos))[1:]
-        texts = list(map(str.lstrip, matches, repeat(_BLANKS)))
-        del matches
-        try:
-            kinds = list(map(kind_of, texts))
-        except KeyError as exc:  # the first stray character
-            i = texts.index(exc.args[0])
-            raise ParseError.at(source, ends[i] - 1, f"unexpected character {texts[i]!r}") from None
-        pieces.append((kinds, texts, ends))
-        pos = cut
-    pieces.append(([EOF], [""], [len(source)]))
-    kinds, texts, ends = [], [], []
-    for column, parts in zip((kinds, texts, ends), zip(*pieces)):
-        for part in parts:
-            column += part
+    matches = _scanner(symbols).findall(source, endpos=len(source.rstrip(_BLANKS)))
+    ends = list(accumulate(map(len, matches)))
+    texts = list(map(str.lstrip, matches, repeat(_BLANKS)))
+    del matches
+    try:
+        kinds = list(map(kind_of, texts))
+    except KeyError as exc:  # the first stray character
+        i = texts.index(exc.args[0])
+        raise ParseError.at(source, ends[i] - 1, f"unexpected character {texts[i]!r}") from None
+    kinds.append(EOF)
+    texts.append("")
+    ends.append(len(source))
     return Tokens(kinds, texts, list(map(sub, ends, map(len, texts))), ends)
 
 

@@ -23,7 +23,9 @@ baseline by one change only. Then each mutant makes one change, skipping docstri
 
 Each mutant runs ``python -m pytest -x -q -p no:cacheprovider tests`` in its
 own session, with no bytecode written, under ``RLIMIT_AS`` and a timeout that
-kills the whole process group. A failing run or a timeout kills the mutant.
+kills the whole process group: ``TIMEOUT_FACTOR`` times the wall time of the
+unmutated run, so that a mutant that loops forever costs a few tier-1
+lengths. A failing run or a timeout kills the mutant.
 The runner prints one line per surviving mutant,
 ``module:line mutation | source line``, and exits 1 if any survived.
 """
@@ -47,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests")
-TIMEOUT_S = 60
+TIMEOUT_FACTOR = 3  # a mutant's timeout, in wall times of the unmutated run
 JOBS = 2
 MEMORY_BYTES = 2 << 30
 
@@ -159,8 +161,9 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run_tests(copy: Path) -> str:
-    """Run tier-1 in ``copy``: ``"killed"``, ``"timeout"`` or ``"survived"``."""
+def run_tests(copy: Path, timeout: float | None = None) -> str:
+    """Run tier-1 in ``copy``, stopped after ``timeout`` seconds if given:
+    ``"killed"``, ``"timeout"`` or ``"survived"``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.Popen(
         [sys.executable, *PYTEST], cwd=copy, env=env, stdin=subprocess.DEVNULL,
@@ -168,7 +171,7 @@ def run_tests(copy: Path) -> str:
         start_new_session=True, preexec_fn=_limit_memory,
     )
     try:
-        code = proc.wait(timeout=TIMEOUT_S)
+        code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -209,9 +212,11 @@ def main(argv: list[str] | None = None) -> int:
             _copy_tree(copy)
             for rel, text in baselines.items():
                 (copy / rel).write_text(text, encoding="utf-8")
+        unmutated = time.monotonic()
         if run_tests(copies[0]) != "survived":
             print("tier-1 fails on the unmutated copy; no mutant was run", file=sys.stderr)
             return 2
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - unmutated)
 
         work = [(rel, m) for rel in relative for m in mutants(originals[rel])]
         free = list(copies)
@@ -221,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             copy = free.pop()
             try:
                 (copy / rel).write_text(mutant.source, encoding="utf-8")
-                return item, run_tests(copy)
+                return item, run_tests(copy, timeout)
             finally:
                 (copy / rel).write_text(baselines[rel], encoding="utf-8")
                 free.append(copy)
@@ -247,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(work)} mutants, {len(work) - survivors} killed "
           f"({timeouts} by timeout), {survivors} survived; "
           f"{elapsed:.0f} s, {elapsed / max(1, len(work)):.1f} s per mutant "
-          f"with {JOBS} jobs", file=sys.stderr)
+          f"with {JOBS} jobs, {timeout:.0f} s timeout", file=sys.stderr)
     return 1 if survivors else 0
 
 

@@ -9,6 +9,7 @@ import functools
 import hashlib
 import random
 import sys
+import timeit
 from pathlib import Path
 
 import pytest
@@ -73,20 +74,30 @@ def tokenize_reference(source, keywords, symbols):
     return tokens
 
 
-def _outcome(scan, source, parser):
-    """The tokens, each with its line:column ends, or the error text. The
-    compiled scanner's columns are read row by row and its positions go
-    through the line table; the reference's are counted directly."""
+def _rows(scan, source, parser):
+    """The tokens as ``(kind, text, start, end)`` rows, or the error text.
+    The compiled scanner's columns are read row by row."""
     try:
         tokens = scan(source, parser._KEYWORDS, parser._SYMBOLS)
     except ParseError as exc:
         return str(exc)
     if scan is tokenize_reference:
+        return tokens
+    return list(zip(tokens.kinds, tokens.texts, tokens.starts, tokens.ends))
+
+
+def _outcome(scan, source, parser):
+    """The rows, each with its line:column ends, or the error text. The
+    compiled scanner's positions go through the line table; the
+    reference's are counted directly."""
+    rows = _rows(scan, source, parser)
+    if isinstance(rows, str):
+        return rows
+    if scan is tokenize_reference:
         position = functools.partial(_position, source)
     else:
         position = Lines(source).position
-        tokens = zip(tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
-    return [(*t, *position(t[2]), *position(t[3])) for t in tokens]
+    return [(*t, *position(t[2]), *position(t[3])) for t in rows]
 
 
 def _sources(lang, count=200, seed=17):
@@ -142,6 +153,7 @@ LAYOUTS = [
     "é",
     "x = a & b",
     "x = a &\n",
+    "x" + " " * 50 + "\n" + "y \r\n\t= 1",
 ]
 
 
@@ -151,16 +163,50 @@ def test_scanner_matches_reference_on_layouts(lang, source):
     _assert_same(source, LANGS[lang][0])
 
 
+def _long_source(lang, size=100_000, seed=23):
+    """Generated programs joined into one source of at least ``size``
+    characters, about the size of the benchmark's largest input: JOOS
+    classes follow one another, and minilet programs join as
+    ``(p1) + (p2) + ...``."""
+    _, pretty, gen = LANGS[lang]
+    rng = random.Random(seed)
+    parts = []
+    while sum(map(len, parts)) < size:
+        parts.append(pretty(gen(rng)))
+    return "\n".join(parts) if lang == "joos" else " + ".join(f"({p})" for p in parts)
+
+
 @pytest.mark.parametrize("lang", sorted(LANGS))
-def test_scanner_matches_reference_across_piece_cuts(lang, monkeypatch):
-    """The scanner takes the source a piece at a time; with pieces of a
-    few characters, cuts fall on every line of the generated programs and
-    layouts, after trailing blanks and between a carriage return and its
-    newline."""
+def test_scanner_matches_reference_at_benchmark_scale(lang):
+    """The whole source is one scan: on a long source the tokens are the
+    reference's, and a stray ``#`` at the start of its last line gives the
+    reference's error text."""
     parser = LANGS[lang][0]
-    monkeypatch.setattr(lexing, "_PIECE", 3)
-    for source in [*_sources(lang, 50), *LAYOUTS, "x" + " " * 50 + "\n" + "y \r\n\t= 1"]:
-        _assert_same(source, parser)
+    source = _long_source(lang)
+    assert len(source) >= 100_000
+    last_line = source.rfind("\n") + 1
+    bad = source[:last_line] + "#" + source[last_line:]
+    for text in (source, bad):
+        assert _rows(tokenize, text, parser) == _rows(tokenize_reference, text, parser)
+    assert _rows(tokenize, bad, parser).endswith("unexpected character '#'")
+
+
+@pytest.mark.parametrize("lang", sorted(LANGS))
+def test_trailing_blanks_are_scanned_in_linear_time(lang):
+    """The scan stops before the source's trailing blanks. From each
+    position in a run of blanks with no lexeme after it, the scanner would
+    take every blank to the end and give each back, which is quadratic: a
+    source ending in 20,000 blanks would take seconds. It takes at most 20
+    times as long as the same source with one more lexeme after them (the
+    two take about the same time)."""
+    parser = LANGS[lang][0]
+    source = "x" + " " * 20_000
+
+    def best(text):
+        runs = timeit.repeat(lambda: tokenize(text, parser._KEYWORDS, parser._SYMBOLS), number=1, repeat=5)
+        return min(runs)
+
+    assert best(source) <= 20 * best(source + "y")
 
 
 @pytest.mark.parametrize("lang", sorted(LANGS))
