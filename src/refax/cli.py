@@ -184,10 +184,10 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             decl = lang.parse_decl(decl_source)
         with _naming(args.file):
             if by_class:
-                focused = lang.focus_class(lang.parse(source), args.class_name)
+                at = lang.focus_class(lang.parse(source), args.class_name)
             else:
-                focused = lang.place_focus_by_span(source, lang.list_kind, args.focus)
-        result = lang.introduce(decl, focused)
+                at = lang.focus_path_by_span(source, lang.list_kind, args.focus)
+        result = lang.introduce_at(decl, at)
     _emit(lang.pretty(result), args)
     return 0
 

@@ -17,14 +17,14 @@ the environment is folded over the focus's ancestors, the host is picked
 among them and marked with the fragment still in place, ``introduce``
 judges and extends its list, and only the path below the host is walked
 again and rebuilt, with the application in place of the focus. The CLI's
-extract is these two, with no focus wrapper. ``Language.extract`` is the
-paper's entry on a program holding one focus wrapper (as
-``place_focus_by_span`` builds one): one whole-tree walk checks its
-wrappers up front and hands the fragment wrapper's path to
-``extract_at``. The phases also exist one by one, each searching from the
-root: ``bound_typed_names`` (``strategy.propagate_path_tu``),
-``mark_host`` (``strategy.above_path_tp``), ``introduce`` and
-``replace_focus``.
+extract is these two, and its introduce ``introduce_at`` on the list's
+path, with no focus wrapper. ``Language.extract`` is the paper's entry on
+a program holding one focus wrapper (as ``place_focus_by_span`` builds
+one): one whole-tree walk checks its wrappers up front and hands the
+fragment wrapper's path to ``extract_at``. The phases also exist one by
+one, each searching from the root: ``bound_typed_names``
+(``strategy.propagate_path_tu``), ``mark_host``
+(``strategy.above_path_tp``), ``introduce`` and ``replace_focus``.
 
 A language participates by filling in its ``Language`` record once:
 ``QueryTU`` analyses for declared and referenced names (free names are
@@ -168,21 +168,6 @@ def focus_case(wrapper: type[Term]) -> SortCase[Term]:
     return SortCase(wrapper, unwrap)
 
 
-def wrap_first(
-    on: type[Term], accept: Callable[[Term], bool], wrap: Callable[[Term], Term], prog: Term
-) -> Term:
-    """Rewrite with ``wrap`` the first node of class ``on``, in preorder,
-    that ``accept`` admits, in one top-down pass. Raises
-    ``StrategyFailure`` when no node is admitted."""
-
-    def put(t: Term) -> Term:
-        if accept(t):
-            return wrap(t)
-        raise StrategyFailure("not the selected node")
-
-    return apply_tp(oncetd_tp(mono_tp(SortCase(on, put))), prog)
-
-
 def replace_focus(put_focus: SortCase[Term], prog: Term) -> Term:
     """Rewrite the first focus wrapper via ``put_focus``, removing it.
     Raises ``NoFocus`` when ``put_focus`` accepts no node.
@@ -283,20 +268,28 @@ def introduce(
     abstr: Term,
     prog: Term,
 ) -> Term:
-    """Append ``abstr`` to the first list focus in ``prog``, provided its
-    name is neither defined by the list nor free within it (the
-    ``NameClash`` rule). One search, and only the path to the list is
-    rebuilt. ``Language.extract_at`` makes this call on the marked host
-    with the fragment still in place.
+    """``introduce_at`` on the path of the first list focus in ``prog``.
+    ``Language.extract_at`` calls this on the marked host."""
+    at = next(focus_paths(mono_tu(find2), prog), None)
+    if at is None:
+        raise NoFocus()
+    return introduce_at(declared, referenced, sig, abstr, at)
+
+
+def introduce_at(
+    declared: QueryTU[Sequence[NameTypePair]], referenced: QueryTU[Sequence[str]],
+    sig: AbstractionSignature, abstr: Term, at: FocusPath[Term],
+) -> Term:
+    """Put the list ``at.found`` with ``abstr`` appended in place of
+    ``at.node`` (the list, or its wrapper), rebuilding only ``at``'s path,
+    provided the name of ``abstr`` is neither defined by the list nor free
+    within it (the ``NameClash`` rule).
 
     The rule asks about one name, so it is judged as a query for that
     name: the list's definitions first, then a walk that stops at the
     first node whose atoms hold it, and the scoped free-name pass only
     when it occurs. A free name is an atom of the node ``referenced``
     yields it at, so the verdict is that of the free-name pass alone."""
-    at = next(focus_paths(mono_tu(find2), prog), None)
-    if at is None:
-        raise NoFocus()
     name, target = sig.get_abs_name(abstr), at.found
     if name in (sig.get_abs_name(a) for a in target.children()) or (
         _occurs(name, target) and name in free_names(declared_names(declared), referenced, target)
@@ -322,8 +315,8 @@ def _occurs(name: str, t: Term) -> bool:
 class Language:
     """One language instance: its front end, printer and checker, and the
     ingredients from which ``extract`` and ``introduce`` are built:
-    ``extract_at`` on the ``FocusPath`` that ``focus_path_by_span`` finds,
-    ``extract`` on a program holding one focus wrapper.
+    ``extract_at`` and ``introduce_at`` on a ``FocusPath``, ``extract``
+    and ``introduce`` on a program holding one focus wrapper.
 
     ``declared`` and ``referenced`` are the name queries; ``host`` marks
     the node whose abstraction list receives an extracted abstraction;
@@ -334,7 +327,7 @@ class Language:
     ``find`` and ``find2`` are derived from ``focus_kinds`` once per
     record. A language whose target lists are named instead of placed by
     span (JOOS method lists, by class) supplies ``focus_class(program,
-    name)``.
+    name)``, which returns the list's ``FocusPath``.
     """
 
     name: str
@@ -350,7 +343,7 @@ class Language:
     host: SortCase[Term]
     extractable: Callable[[Term], None]
     signature: AbstractionSignature
-    focus_class: Callable[[Term, str], Term] | None = None
+    focus_class: Callable[[Term, str], FocusPath[Term]] | None = None
     find: SortCase[Term] = field(init=False, repr=False, compare=False)
     find2: SortCase[Term] = field(init=False, repr=False, compare=False)
 
@@ -411,9 +404,13 @@ class Language:
         return at.rebuild(FocusPath(t, t, below).rebuild(app), bottom=depth)
 
     def introduce(self, decl: Term, prog: Term) -> Term:
-        """Append ``decl`` to the focused abstraction list, rejecting name
-        clashes."""
+        """The paper's entry: append ``decl`` to the list under ``prog``'s
+        list wrapper, rejecting name clashes."""
         return introduce(self.declared, self.referenced, self.find2, self.signature, decl, prog)
+
+    def introduce_at(self, decl: Term, at: FocusPath[Term]) -> Term:
+        """Append ``decl`` to the list ``at.found``, rejecting name clashes."""
+        return introduce_at(self.declared, self.referenced, self.signature, decl, at)
 
     def place_focus_by_span(self, source: str, kind: str, span: Span) -> Term:
         """Parse ``source`` and wrap the node ``focus_path_by_span`` finds

@@ -10,13 +10,12 @@ so no value flows back. Generated calls are this-qualified.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import attrgetter
 
 from .. import framework
 from ..framework import AbstractionSignature, CheckFailed, ConstructorRejected, NoHost
 from ..lexing import is_identifier
-from ..strategy import SortCase, StrategyFailure, focus_paths, mono_tu
+from ..strategy import FocusPath, SortCase, StrategyFailure, focus_paths, mono_tu
 from . import ast
 from .analysis import ExprType, declared_pairs, defined_names
 from .parser import _KEYWORDS
@@ -94,14 +93,12 @@ def check_extractable(fragment: ast.Statement) -> None:
         raise CheckFailed("ExtractsDeclaration")
 
 
-def focus_class_methods(program: ast.Program, class_name: str) -> ast.Program:
-    """Wrap the method list of the first class named ``class_name``. A
-    parsed program holds only plain method lists."""
-
-    def wrap(cls: ast.ClassDecl) -> ast.ClassDecl:
-        return dataclasses.replace(cls, methods=ast.MethodDeclarationFocus(cls.methods))
-
-    try:
-        return framework.wrap_first(ast.ClassDecl, lambda c: c.name == class_name, wrap, program)
-    except StrategyFailure:
-        raise NoHost(f"no class named {class_name!r}") from None
+def focus_class_methods(program: ast.Program, class_name: str) -> FocusPath[ast.MethodList]:
+    """The path to the method list of the first class named ``class_name``:
+    a ``focus_paths`` walk that enters no other class."""
+    methods = mono_tu(SortCase(ast.MethodList, lambda t: t))
+    paths = focus_paths(methods, program, lambda t: not isinstance(t, ast.ClassDecl) or t.name == class_name)
+    at = next(paths, None)
+    if at is None:
+        raise NoHost(f"no class named {class_name!r}")
+    return at

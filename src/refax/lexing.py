@@ -41,12 +41,12 @@ class Span(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> Span:
         """``L:C-L:C`` in ASCII digits, with no blank, sign or underscore.
-        A long text is not echoed: a malformed one is named by its length,
-        and a part with more digits than ``int`` converts by its role and
-        length."""
+        A long text is not echoed: a malformed or reversed one is named by
+        its length, and a part with more digits than ``int`` converts by its
+        role and length."""
+        shown = repr(text) if len(text) <= _SHOWN else f"of {len(text)} characters"
         match = _SPAN.fullmatch(text)
         if match is None:
-            shown = repr(text) if len(text) <= _SHOWN else f"of {len(text)} characters"
             raise ValueError(f"malformed span {shown}, expected L:C-L:C")
         parts = []
         for role, digits in zip(_SPAN_ROLES, match.groups()):
@@ -56,13 +56,13 @@ class Span(NamedTuple):
                 raise ValueError(f"span {role} of {len(digits)} digits is too long") from None
         line, col, end_line, end_col = parts
         if (end_line, end_col) < (line, col):
-            raise ValueError(f"span {text!r} is not well-ordered")
+            raise ValueError(f"span {shown} is not well-ordered")
         return cls(line, col, end_line, end_col)
 
 
 _SPAN = re.compile("([0-9]+):([0-9]+)-([0-9]+):([0-9]+)")
 _SPAN_ROLES = ("line", "column", "end line", "end column")
-_SHOWN = 40  # the longest malformed span echoed in a message
+_SHOWN = 40  # the longest span text echoed in a message
 
 
 class Lines:

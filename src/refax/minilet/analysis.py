@@ -19,6 +19,8 @@ rejected (``FocusPresent``) where the walk meets one.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, mono_tu
 from . import ast
@@ -75,9 +77,9 @@ def _check_expr(e, funcs: dict[str, int], vars_: frozenset[str], diags: list[str
             seen.add(fd.name)
         funcs = funcs | {fd.name: len(fd.params) for fd in defs}
         for fd in defs:
-            dup = [p for p in fd.params if fd.params.count(p) > 1]
-            if dup:
-                diags.append(f"duplicate parameter '{dup[0]}' of '{fd.name}'")
+            if len(set(fd.params)) < len(fd.params):  # Counter keeps first-occurrence order
+                dup = next(p for p, n in Counter(fd.params).items() if n > 1)
+                diags.append(f"duplicate parameter '{dup}' of '{fd.name}'")
             _check_expr(fd.body, funcs, vars_ | frozenset(binds(fd)), diags)
         _check_expr(e.body, funcs, vars_, diags)
         return

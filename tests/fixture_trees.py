@@ -2,11 +2,13 @@
 integers, plus a labelled wrapper used to plant host candidates, all in
 one sort (``Tree``) so every strategy applies everywhere; and a leaf of a
 second sort (``Twig``, which derives ``Term`` directly and so is its own
-sort), for the tests of dispatch by sort."""
+sort), for the tests of dispatch by sort; and the tree helpers the tests
+share, ``wrap_node`` among them, which puts a focus wrapper around one
+node of a program of either language."""
 
 import random
 
-from refax.strategy import SortCase, StrategyFailure
+from refax.strategy import SortCase, StrategyFailure, focus_paths, mono_tu
 from refax.terms import Term, node
 
 
@@ -62,6 +64,19 @@ def preorder(t: Tree) -> list[Tree]:
     for c in t.children():
         out.extend(preorder(c))
     return out
+
+
+def wrap_node(prog: Term, target: Term, wrapper: type[Term]) -> Term:
+    """``prog`` with ``wrapper`` around the node ``target``, found by
+    identity, rebuilding only its path: one walk, with no frame per level."""
+
+    def this(t: Term) -> Term:
+        if t is target:
+            return t
+        raise StrategyFailure("not the target")
+
+    at = next(focus_paths(mono_tu(SortCase(wrapper.sort, this)), prog))
+    return at.rebuild(wrapper(at.node))
 
 
 def postorder(t: Tree) -> list[Tree]:

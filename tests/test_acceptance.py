@@ -46,6 +46,7 @@ from .fixture_trees import (
     plant,
     postorder,
     preorder,
+    wrap_node,
 )
 from .reference_strategies import (
     all_tp_reference,
@@ -206,7 +207,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         assert framework.free_names(declared, jr, prog) == oracles.joos_free_names(prog)
         stmts = joos_gen.statement_nodes(prog)
         target = rng.choice(stmts)
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         env, fragment = framework.bound_typed_names(jd, statement_focus, focused)
         oracle_env, oracle_fragment = oracles.joos_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -226,7 +227,7 @@ def test_criterion_4_name_analysis_oracle_equivalence():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
+        focused = wrap_node(prog, target, mast.ExprFocus)
         env, fragment = framework.bound_typed_names(md, expr_focus, focused)
         oracle_env, oracle_fragment = oracles.minilet_env_at_focus(focused)
         assert env == oracle_env and fragment == oracle_fragment
@@ -250,7 +251,7 @@ def test_criterion_5_extraction_postconditions():
         if not stmts:
             continue
         target = rng.choice(stmts)
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         name = joos_gen.fresh_name(focused)
         before = dump(focused)
         try:
@@ -277,7 +278,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void m(int a) {{ {{ {stmts} return; }} }} void log(int x) {{ }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -290,7 +291,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ int shared; void m() {{ {{ shared = {i}; }} }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[0].body.statements[0]
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         before = dump(focused)
         with pytest.raises(CheckFailed) as exc:
             extract_method("fresh", focused)
@@ -303,7 +304,7 @@ def test_criterion_6_rejection_behavior():
         src = f"class C {{ void taken{i}() {{ }} void m(int a) {{ this.taken{i}(); }} }}"
         prog = parse_program(src)
         target = prog.classes[0].methods.methods[1].body.statements[0]
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         before = dump(focused)
         with pytest.raises(NameClash):
             extract_method(f"taken{i}", focused)
@@ -333,7 +334,7 @@ def test_criterion_7_nested_scope_and_meaning_preservation():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
+        focused = wrap_node(prog, target, mast.ExprFocus)
         try:
             result = extract_function(minilet_gen.fresh_name(prog), focused)
         except framework.RefactoringError:

@@ -405,7 +405,7 @@ def test_malformed_span_is_usage_error(capsys):
     one short message. ``--focus`` takes exactly ``L:C-L:C`` in ASCII
     digits, though ``int()`` would read some of these parts. A long text
     is not echoed: a part too long to convert is named by its role and
-    length, a long malformed text by its length."""
+    length, a long malformed or reversed text by its length."""
     cases = [
         ("86", "malformed span '86', expected L:C-L:C"),
         ("9:9-6:1", "span '9:9-6:1' is not well-ordered"),
@@ -415,6 +415,7 @@ def test_malformed_span_is_usage_error(capsys):
         ("11:9 - 11:26", "malformed span '11:9 - 11:26', expected L:C-L:C"),
         ("+11:9-11:26", "malformed span '+11:9-11:26', expected L:C-L:C"),
         ("x" * 5000, "malformed span of 5000 characters, expected L:C-L:C"),
+        ("9" * 4000 + ":1-1:1", "span of 4006 characters is not well-ordered"),
     ]
     if _INT_MAX_STR_DIGITS:  # else int() converts strings of any length
         long_column = "2" * (_INT_MAX_STR_DIGITS + 2)

@@ -3,6 +3,7 @@ signature laws, and the generic introduce/extract on both instances."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 
 import refax
 from refax import framework
-from refax.cli import LANGUAGES, build_parser
+from refax.cli import LANGUAGES, build_parser, main
 from refax.framework import (
     AbstractionSignature,
     CheckFailed,
@@ -71,7 +72,7 @@ from refax.strategy import (
 from refax.terms import Term
 
 from . import fixture_trees, joos_gen, minilet_gen, oracles
-from .fixture_trees import Leaf, Node, Tag, Tree, leaf_case, preorder
+from .fixture_trees import Leaf, Node, Tag, Tree, leaf_case, preorder, wrap_node
 from .reference_strategies import Monoid, all_tu_reference, comb_reference, const_reference, fix_reference
 from .test_cli import SCENARIOS
 
@@ -251,7 +252,7 @@ def _focused_subtrees(language, gen, rng, count):
         if not targets:
             continue
         target = rng.choice(targets)
-        focused = framework.wrap_first(sort, lambda t: t is target, wrapper, prog)
+        focused = wrap_node(prog, target, wrapper)
         yield from (t for t in preorder(focused) if contains_focus(kinds, t))
 
 
@@ -465,7 +466,7 @@ def test_bound_typed_names_path_env():
     method = parse_method("void m(int a) { int b; b = a; }")
     target = method.body.statements[1]
     prog = jast.Program((jast.ClassDecl("C", (), jast.MethodList((method,))),))
-    focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+    focused = wrap_node(prog, target, jast.StatementFocus)
     env, fragment = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert fragment == target
     # oracle-derived: class scope first (the method headers), then the
@@ -482,7 +483,7 @@ def test_bound_typed_names_path_env():
 def test_bound_typed_names_shadowing_lookup():
     prog = parse_program("class C { void m(int a) { boolean a; a = true; } }")
     target = prog.classes[0].methods.methods[0].body.statements[1]
-    focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+    focused = wrap_node(prog, target, jast.StatementFocus)
     env, _ = framework.bound_typed_names(joos_declared, statement_focus, focused)
     assert env_lookup(env, "a") == NameTypePair("a", ExprType("boolean"))
 
@@ -603,8 +604,8 @@ def test_child_spans_lie_within_their_parents(lang):
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))
 def test_span_placement_equals_the_whole_tree_formulation(lang):
     """For every node of every focus kind, placing the focus by its span
-    gives what one whole-tree ``wrap_first`` pass for the first node of the
-    kind's sort with that span gives."""
+    gives what wrapping the first node in preorder of the kind's sort with
+    that span gives."""
     language = LANGUAGES[lang]
     placed = 0
     for source in _sources(lang, 40, seed=43):
@@ -613,7 +614,8 @@ def test_span_placement_equals_the_whole_tree_formulation(lang):
             for t in preorder(prog):
                 if t.sort is not wrapper.sort:
                     continue
-                expected = framework.wrap_first(wrapper.sort, lambda u: u.span == t.span, wrapper, prog)
+                first = next(u for u in preorder(prog) if u.sort is wrapper.sort and u.span == t.span)
+                expected = wrap_node(prog, first, wrapper)
                 assert language.place_focus_by_span(source, kind, lines.span(t.span)) == expected
                 placed += 1
     assert placed > 500
@@ -665,7 +667,7 @@ def test_focus_wrappers_are_rejected(lang, op, kind):
         for target in preorder(program):
             if target.sort is not sort:
                 continue
-            focused = framework.wrap_first(sort, lambda t: t is target, wrapper, program)
+            focused = wrap_node(program, target, wrapper)
             with pytest.raises(FocusPresent):
                 getattr(language, op)(focused)
             wrapped += 1
@@ -788,14 +790,9 @@ def test_benchmark_replay_reads_names_that_exist(lang, monkeypatch):
 
 
 def test_introduce_appends_preserving_existing():
-    from refax.joos import method_list_focus
-
-    focused = focus_class_methods(parse_program("class C { void a() { } void b() { } }"), "C")
+    at = focus_class_methods(parse_program("class C { void a() { } void b() { } }"), "C")
     method = parse_method("void c() { }")
-    out = framework.introduce(
-        joos_declared, joos_referenced, method_list_focus,
-        method_signature, method, focused,
-    )
+    out = framework.introduce_at(joos_declared, joos_referenced, method_signature, method, at)
     methods = out.classes[0].methods.methods
     assert [m.name for m in methods] == ["a", "b", "c"]
     original = parse_program("class C { void a() { } void b() { } }").classes[0].methods.methods
@@ -803,27 +800,17 @@ def test_introduce_appends_preserving_existing():
 
 
 def test_introduce_rejects_defined_name():
-    from refax.joos import method_list_focus
-
-    focused = focus_class_methods(parse_program("class C { void a() { } }"), "C")
+    at = focus_class_methods(parse_program("class C { void a() { } }"), "C")
     with pytest.raises(NameClash):
-        framework.introduce(
-            joos_declared, joos_referenced, method_list_focus,
-            method_signature, parse_method("void a() { }"), focused,
-        )
+        framework.introduce_at(joos_declared, joos_referenced, method_signature, parse_method("void a() { }"), at)
 
 
 def test_introduce_rejects_free_name():
-    from refax.joos import method_list_focus
-
     # `g` is a field read inside a body: free at the method-list level
     src = "class C { int g; void a() { int t; t = g; } }"
-    focused = focus_class_methods(parse_program(src), "C")
+    at = focus_class_methods(parse_program(src), "C")
     with pytest.raises(NameClash):
-        framework.introduce(
-            joos_declared, joos_referenced, method_list_focus,
-            method_signature, parse_method("void g() { }"), focused,
-        )
+        framework.introduce_at(joos_declared, joos_referenced, method_signature, parse_method("void g() { }"), at)
 
 
 def test_introduce_requires_focus():
@@ -905,7 +892,7 @@ def test_extract_refuses_to_leave_a_wrapper_behind():
 
     prog = parse_program("class C { void m() { this.n(); this.n(); } void n() { } }")
     for target in prog.classes[0].methods.methods[0].body.statements:
-        prog = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        prog = wrap_node(prog, target, jast.StatementFocus)
     with pytest.raises(RuntimeError, match="would leave a focus wrapper"):
         extract_method("helper", prog)
 
@@ -1021,12 +1008,73 @@ def test_extract_at_equals_the_wrapper_entry(lang, seed):
     assert {"ok", "NameClash", "SpanMismatch", "ParseError"} <= seen
 
 
+_DECLS = {"joos": "void {}() {{ }}", "minilet": "{}(y) = y;"}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("lang", sorted(LANGUAGES))
+def test_introduce_at_equals_the_wrapper_entry(lang, seed):
+    """The CLI's path form of introduce and the paper's wrapper entry
+    agree: at every abstraction list of generated programs (in JOOS, the
+    method list of the first class of each name), under a fresh and a
+    taken name, ``introduce_at`` on the path the CLI's placement finds
+    (``focus_class``, or ``focus_path_by_span``) gives what ``introduce``
+    gives on the program ``place_focus_by_span`` wraps at that list: the
+    same tree with the same spans, or the same exception type and
+    message."""
+    language, gen, rng = LANGUAGES[lang], _GENERATORS[lang], random.Random(seed)
+    kind = language.list_kind
+    lists = language.focus_kinds[kind].sort
+    seen = set()
+    for source in _sources(lang, 12, seed):
+        prog, lines = language.parse(source), Lines(source)
+        taken = []
+        for name in sorted(gen.used_identifiers(prog)):  # atoms hold types and operators too
+            with contextlib.suppress(ParseError):
+                taken.append(language.parse_decl(_DECLS[lang].format(name)))
+        decls = (language.parse_decl(_DECLS[lang].format(gen.fresh_name(prog))), rng.choice(taken))
+        for t in preorder(prog):
+            if t.sort is not lists:
+                continue
+            span = lines.span(t.span)
+            if language.focus_class is None:
+                place = lambda: language.focus_path_by_span(source, kind, span)
+            else:
+                owner = next(c for c in prog.classes if c.methods is t)
+                if next(c for c in prog.classes if c.name == owner.name) is not owner:
+                    continue
+                place = lambda: language.focus_class(language.parse(source), owner.name)
+            for decl in decls:
+                expected = _outcome(lambda: language.introduce(decl, language.place_focus_by_span(source, kind, span)))
+                assert _outcome(lambda: language.introduce_at(decl, place())) == expected
+                seen.add(expected[0] if len(expected) == 2 else "ok")
+    assert seen == {"ok", "NameClash"}
+
+
+@pytest.mark.parametrize("lang,scenario", [("joos", "j-introduce"), ("minilet", "m-introduce")])
+def test_a_cli_introduce_builds_no_list_wrapper(lang, scenario, monkeypatch, capsys):
+    """A CLI ``introduce`` runs ``introduce_at`` on the path that placement
+    finds: it constructs no list wrapper of either language, and its
+    ``children`` calls are pinned. Wrapping the list and then searching
+    for the wrapper from the root made 1 wrapper and 30 (JOOS) and 19
+    (minilet) calls on these golden requests."""
+    argv = next(a for n, a, *_ in SCENARIOS if n == scenario).format(g=_GOLDEN).split()
+
+    def run():
+        assert main(argv) == 0
+
+    wrappers = [language.focus_kinds[language.list_kind] for language in LANGUAGES.values()]
+    assert _calls(monkeypatch, wrappers, "__init__", run) == 0
+    assert _calls(monkeypatch, _node_classes(), "children", run) == {"joos": 27, "minilet": 14}[lang]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("lang", sorted(LANGUAGES))
 def test_refactorings_leave_no_cycle_holding_the_program(lang):
     """With the cyclic collector off, a program is freed as soon as its last
-    reference goes, after ``extract``, ``introduce``, ``bound_typed_names``,
-    ``mark_host``, ``replace_focus`` or ``wrap_first`` has run on it: no pass
-    leaves a reference cycle that holds the tree it walked."""
+    reference goes, after ``extract``, ``introduce``, ``introduce_at``,
+    ``bound_typed_names``, ``mark_host`` or ``replace_focus`` has run on it:
+    no pass leaves a reference cycle that holds the tree it walked."""
     language = LANGUAGES[lang]
     path, span, name = _GOLDEN_EXTRACTS[lang]
     source = (_GOLDEN / path).read_text(encoding="utf-8")
@@ -1036,16 +1084,16 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
     def fragment_focused():
         return language.place_focus_by_span(source, language.fragment_kind, Span.parse(span))
 
-    wrapper = language.focus_kinds[language.fragment_kind]
+    lists = mono_tu(SortCase(language.focus_kinds[language.list_kind].sort, lambda t: t))
     runs = {
         "extract": (fragment_focused, lambda p: language.extract(name, p)),
         "introduce": (lambda: _list_focused(language, list_source), lambda p: language.introduce(decl, p)),
+        "introduce_at": (
+            lambda: language.parse(list_source), lambda p: language.introduce_at(decl, next(focus_paths(lists, p)))),
         "bound_typed_names": (
             fragment_focused, lambda p: framework.bound_typed_names(language.declared, language.find, p)),
         "mark_host": (fragment_focused, lambda p: framework.mark_host(language.host, language.find, p)),
         "replace_focus": (fragment_focused, lambda p: framework.replace_focus(language.find, p)),
-        "wrap_first": (
-            lambda: language.parse(source), lambda p: framework.wrap_first(wrapper.sort, lambda t: True, wrapper, p)),
     }
     enabled = gc.isenabled()
     gc.disable()
@@ -1075,7 +1123,7 @@ def test_first_preorder_searches_pass_a_deep_left_spine():
     assert apply_tu(oncetd_tu(mono_tu(name)), prog) == "x"
     renamed = apply_tp(oncetd_tp(mono_tp(SortCase(var, lambda t: var("y")))), prog)
     assert renamed.body.right == var("y") and renamed.body.left is prog.body.left
-    wrapped = framework.wrap_first(mast.Expression, lambda t: isinstance(t, var), mast.ExprFocus, prog)
+    wrapped = wrap_node(prog, prog.body.right, mast.ExprFocus)
     assert wrapped.body.right == mast.ExprFocus(var("x")) and wrapped.body.left is prog.body.left
     unwrapped = framework.replace_focus(LANGUAGES["minilet"].find, wrapped)
     assert unwrapped.body.right == var("x") and unwrapped.body.left is prog.body.left

@@ -10,6 +10,7 @@ import pytest
 from refax import framework
 from refax.framework import CheckFailed, NameClash, NoFocus, UntypedFreeName
 from refax.joos import (
+    LANGUAGE,
     ast,
     check_extractable,
     extract_method,
@@ -24,6 +25,7 @@ from refax.joos import (
 from refax.terms import dump
 
 from . import joos_gen, oracles
+from .fixture_trees import wrap_node
 
 GOLDEN_SRC = """class C {
     void m(int a, int b) {
@@ -61,7 +63,7 @@ GOLDEN_OUT = """class C {
 def _focus_first_stmt(src: str, *, method=0, stmt=0) -> ast.Program:
     prog = parse_program(src)
     target = prog.classes[0].methods.methods[method].body.statements[stmt]
-    return framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
+    return wrap_node(prog, target, ast.StatementFocus)
 
 
 # -- preconditions ----------------------------------------------------------------
@@ -205,7 +207,7 @@ def test_extract_shadowed_type_wins():
     src = "class C { void m(int a) { { boolean a; { int t; t = 1; this.use(a, t); } } } void use(boolean q, int x) { } }"
     prog = parse_program(src)
     target = prog.classes[0].methods.methods[0].body.statements[0].statements[1]
-    focused = framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
+    focused = wrap_node(prog, target, ast.StatementFocus)
     result = extract_method("inner", focused)
     new = result.classes[0].methods.methods[-1]
     assert [(f.type_name, f.name) for f in new.formals] == [("boolean", "a")]
@@ -248,7 +250,7 @@ def test_extract_postconditions_on_generated_programs():
         if not stmts:
             continue
         target = rng.choice(stmts)
-        focused = framework.wrap_first(ast.Statement, lambda t: t is target, ast.StatementFocus, prog)
+        focused = wrap_node(prog, target, ast.StatementFocus)
         name = joos_gen.fresh_name(focused)
         before = dump(focused)
         try:
@@ -376,7 +378,7 @@ def test_introduce_keeps_calls_to_an_undefined_method_of_the_new_name():
     prog = parse_program("class C { void run(int x) { this.zz(x); } }")
     assert static_check(prog) == [_UNDEFINED_ZZ]
     try:
-        result = introduce_method(parse_method("void zz(int y) { this.run(y); }"), focus_class_methods(prog, "C"))
+        result = LANGUAGE.introduce_at(parse_method("void zz(int y) { this.run(y); }"), focus_class_methods(prog, "C"))
     except framework.RefactoringError:
         return
     assert _UNDEFINED_ZZ in static_check(result)

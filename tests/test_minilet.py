@@ -4,6 +4,7 @@ nested-scope host selection, and meaning preservation under extraction."""
 from __future__ import annotations
 
 import random
+import timeit
 
 import pytest
 
@@ -27,6 +28,7 @@ from refax.minilet import (
 from refax.strategy import StrategyFailure, apply_tu
 
 from . import minilet_gen, oracles
+from .fixture_trees import wrap_node
 
 
 def test_parse_and_roundtrip_simple_let():
@@ -139,10 +141,29 @@ def test_resolution_check():
     assert resolution_check(parse_program("let f(x, x) = x; in f(1, 2)")) == [
         "duplicate parameter 'x' of 'f'"
     ]
-    # one message per definition, naming the parameter whose duplicate comes first
+    # one message per definition, naming the first parameter, in order,
+    # that occurs more than once, not the first repeat
     assert resolution_check(parse_program("let f(x, y, y, z, x, z) = x; in f(1, 2, 3, 4, 5, 6)")) == [
         "duplicate parameter 'x' of 'f'"
     ]
+    assert resolution_check(parse_program("let f(a, b, b, a) = a; in f(1, 2, 3, 4)")) == [
+        "duplicate parameter 'a' of 'f'"
+    ]
+    assert resolution_check(parse_program("let f(a, b, b) = a; in f(1, 2, 3)")) == [
+        "duplicate parameter 'b' of 'f'"
+    ]
+
+
+def test_the_duplicate_parameter_check_is_linear():
+    """One definition of 20,000 parameters takes at most 30 times as long
+    to check as one of 2,000: a count per parameter over the whole list
+    would take about 100 times as long, and seconds."""
+
+    def best(params):
+        prog = parse_program(f"let f({', '.join(f'p{k}' for k in range(params))}) = p0; in 1")
+        return min(timeit.repeat(lambda: resolution_check(prog), number=1, repeat=5))
+
+    assert best(20_000) <= 30 * best(2_000)
 
 
 # -- extraction and host selection --------------------------------------------------
@@ -167,7 +188,7 @@ def test_extract_targets_innermost_list_on_three_level_nesting():
     # focus on `c * a` inside h, three lets deep
     h = prog.body.defs.defs[0].body.defs.defs[0].body.defs.defs[0]
     target = h.body.left
-    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
+    focused = wrap_node(prog, target, ast.ExprFocus)
     result = extract_function("mul", focused)
     inner_defs = result.body.defs.defs[0].body.defs.defs[0].body.defs.defs[0:]
     inner_list = result.body.defs.defs[0].body.defs.defs[0].body.defs
@@ -192,7 +213,7 @@ def test_host_depth_matches_ancestor_oracle():
         from refax.minilet import let_defs_host
 
         target = rng.choice(exprs)
-        focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
+        focused = wrap_node(prog, target, ast.ExprFocus)
         marked = framework.mark_host(let_defs_host, expr_focus, focused)
         # oracle: deepest Let ancestor of the focus wrapper
         path = _path_to(focused, lambda n: isinstance(n, ast.ExprFocus))
@@ -227,7 +248,7 @@ def _node_at(t, path):
 def test_extract_no_host_at_top_level():
     prog = parse_program("1 + 2")
     target = prog.body.left
-    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
+    focused = wrap_node(prog, target, ast.ExprFocus)
     with pytest.raises(NoHost):
         extract_function("q", focused)
 
@@ -235,7 +256,7 @@ def test_extract_no_host_at_top_level():
 def test_extract_name_clash_with_sibling():
     prog = parse_program("let f(x) = x; g(y) = y; in f(g(1))")
     target = prog.body.defs.defs[0].body
-    focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
+    focused = wrap_node(prog, target, ast.ExprFocus)
     with pytest.raises(NameClash):
         extract_function("g", focused)
 
@@ -254,7 +275,7 @@ def test_meaning_preserved_on_sampled_extractions():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(ast.Expression, lambda t: t is target, ast.ExprFocus, prog)
+        focused = wrap_node(prog, target, ast.ExprFocus)
         try:
             result = extract_function(minilet_gen.fresh_name(prog), focused)
         except framework.RefactoringError:

@@ -47,6 +47,7 @@ from .fixture_trees import (
     leaf_case,
     leaf_value,
     preorder,
+    wrap_node,
 )
 from .reference_strategies import (
     Monoid,
@@ -297,7 +298,6 @@ def test_propagate_path_agrees_with_propagate():
             outcomes.add((got[0], bool(got[1] and got[1][0])))
     assert outcomes == {("ok", True), ("ok", False), ("fail", False)}
 
-    from refax import framework
     from refax.joos import ast as jast
     from refax.joos import declared_pairs as joos_declared, statement_focus
     from refax.minilet import ast as mast
@@ -310,7 +310,7 @@ def test_propagate_path_agrees_with_propagate():
     for _ in range(40):
         prog = joos_gen.gen_program(rng)
         target = rng.choice(joos_gen.statement_nodes(prog))
-        focused = framework.wrap_first(jast.Statement, lambda t: t is target, jast.StatementFocus, prog)
+        focused = wrap_node(prog, target, jast.StatementFocus)
         select, update = mono_tu(statement_focus), collect(joos_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
         assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
@@ -321,7 +321,7 @@ def test_propagate_path_agrees_with_propagate():
         if not exprs:
             continue
         target = rng.choice(exprs)
-        focused = framework.wrap_first(mast.Expression, lambda t: t is target, mast.ExprFocus, prog)
+        focused = wrap_node(prog, target, mast.ExprFocus)
         select, update = mono_tu(expr_focus), collect(mini_declared)
         got = apply_tu(propagate_path_tu((), update, select), focused)
         assert got == apply_tu(propagate_reference((), update, _paired(select)), focused)
@@ -421,7 +421,7 @@ def test_above_path_matches_above_at_one_below_node():
                 outcomes.add((s is mark_all, got[0]))
     assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
 
-    from refax import framework, joos, minilet
+    from refax import joos, minilet
 
     rng = random.Random(37)
     for language, gen, host, focus in (
@@ -433,7 +433,7 @@ def test_above_path_matches_above_at_one_below_node():
         for _ in range(30):
             prog = gen.gen_program(rng)
             for target in [u for u in preorder(prog) if u.sort is sort]:
-                focused = framework.wrap_first(sort, lambda u: u is target, wrapper, prog)
+                focused = wrap_node(prog, target, wrapper)
                 s, below = mono_tp(host), mono_tu(focus)
                 assert outcome_tp(above_path_tp(s, below), focused) == outcome_tp(above_tp(s, below), focused)
 

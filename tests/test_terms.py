@@ -15,7 +15,7 @@ from typing import Any
 
 import pytest
 
-from refax import framework, joos, minilet
+from refax import joos, minilet
 from refax.joos import ast as jast
 from refax.joos import parse_program
 from refax.minilet import ast as mast
@@ -36,7 +36,7 @@ from refax.terms import (
 )
 
 from . import fixture_trees, joos_gen, minilet_gen
-from .fixture_trees import Leaf, Node, Tag, Tree, Twig, gen_tree, preorder
+from .fixture_trees import Leaf, Node, Tag, Tree, Twig, gen_tree, preorder, wrap_node
 
 
 def _declares_fields(cls):
@@ -318,7 +318,7 @@ def _parsed_samples():
             targets = [t for t in preorder(prog) if t.sort is sort and not isinstance(t, wrapper)]
             if targets:
                 target = rng.choice(targets)
-                yield framework.wrap_first(sort, lambda t: t is target, wrapper, prog)
+                yield wrap_node(prog, target, wrapper)
     yield parse_program("class C { void m(int a) { if (a < 1) a = 1; if (a < 2) { } else a = 3; } }")
     yield jast.Program((jast.ClassDecl("E", (), jast.MethodList(())),))
     yield jast.CallStmt(jast.Call(True, "m", ()))
