@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--in-place", action="store_true", help="rewrite the source file atomically"
         )
 
-    p_extract = sub.add_parser("extract", parents=[], help="extract the focused fragment")
+    p_extract = sub.add_parser("extract", help="extract the focused fragment")
     common(p_extract)
     p_extract.add_argument(
         "--focus", required=True, type=_span_arg, metavar="L:C-L:C",

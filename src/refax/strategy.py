@@ -46,10 +46,10 @@ node class only itself. Its entry is keyed by ``on``'s sort and tests
 constructors as a value, and a recogniser of one wrapper class, run at
 every node of its sort, constructs no exception at the nodes it passes.
 
-The recursive schemes ``above`` and ``scoped_uses`` recurse through one
-Python frame per tree level, with their one-layer step written into that
-frame. All schemes are deterministic: children are tried left to right
-and the first success wins. ``focus_paths`` finds nodes as a zipper does
+The recursive scheme ``scoped_uses`` recurses through one Python frame
+per tree level, with its one-layer step written into that frame. All
+schemes are deterministic: children are tried left to right and the
+first success wins. ``focus_paths`` finds nodes as a zipper does
 (Huet, JFP'97; Adams, *Scrap Your Zippers*, WGP'10): one walk with an
 explicit stack yields each node where a strategy succeeds, in preorder, as
 a ``FocusPath`` that keeps only the path to it, so its ancestors can be
@@ -76,8 +76,6 @@ E = TypeVar("E")
 
 # What an ``_attempt`` returns when it refuses. Never leaves this module.
 _FAIL: Any = object()
-# ``above_tp``'s second kind of refusal: the condition held strictly inside.
-_MET: Any = object()
 
 Attempt = Callable[[Term], Any]
 Cases = dict[type, Attempt]
@@ -316,46 +314,6 @@ def oncetd_tu(q: QueryTU[A]) -> QueryTU[A]:
     return _tu(attempt)
 
 
-def _with_child(t: Term, cs: tuple[Term, ...], i: int, new: Term) -> Term:
-    return t.rebuild(cs[:i] + (new,) + cs[i + 1 :])
-
-
-def above_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
-    """Transform the deepest node at which ``s`` succeeds while ``below``
-    succeeds somewhere strictly inside that node's subtree (the node itself
-    is excluded from the ``below`` check). Candidates are tried bottom-up,
-    children left to right, and the first success wins; a node where ``s``
-    refuses passes the candidacy on to its ancestors.
-
-    One bottom-up pass: each node reports its rewritten self, or a refusal
-    that says whether ``below`` held strictly inside it. So each node is
-    visited once and ``below`` runs at most once per node, O(n) in all
-    rather than a fresh probe of every candidate's subtree, O(n·depth)."""
-    here, holds = s._attempt, below._attempt
-
-    def go(t: Term) -> Any:
-        cs = t.children()
-        met = False
-        for i, c in enumerate(cs):
-            out = go(c)
-            if out is _MET:
-                met = True
-            elif out is not _FAIL:
-                return _with_child(t, cs, i, out)
-            elif not met and holds(c) is not _FAIL:
-                met = True
-        if not met:
-            return _FAIL
-        out = here(t)
-        return _MET if out is _FAIL else out
-
-    def attempt(t: Term) -> Any:
-        out = go(t)
-        return _FAIL if out is _MET else out
-
-    return _tp(attempt)
-
-
 @dataclass(slots=True)
 class FocusPath(Generic[A]):
     """A ``node`` as a zipper holds it: what the strategy that picked it
@@ -394,7 +352,7 @@ class FocusPath(Generic[A]):
         """The root with ``new`` in place of the node at depth ``bottom``
         (this node by default), rebuilding only the ancestors above it."""
         for node, cs, i in reversed(self.path[:bottom]):
-            new = _with_child(node, cs, i, new)
+            new = node.rebuild(cs[:i] + (new,) + cs[i + 1 :])
         return new
 
 
@@ -428,11 +386,13 @@ def focus_paths(
 
 
 def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
-    """``above_tp`` on the ``FocusPath`` of the first node in preorder where
-    ``below`` succeeds: ``s`` at the deepest strict ancestor it accepts, and
-    only the path above it rebuilt; nothing right of the path is visited.
-    Where ``below`` holds at several nodes, ``above_tp`` can differ, as it
-    tries candidates in postorder."""
+    """``s`` at the deepest strict ancestor it accepts of the first node
+    in preorder where ``below`` succeeds, on that node's ``FocusPath``:
+    only the path above the ancestor is rebuilt, and nothing right of the
+    path is visited. It refuses when ``below`` holds nowhere or only at
+    the root, or when ``s`` refuses every strict ancestor. The whole-tree
+    scheme, which tries every candidate in postorder, is
+    ``above_reference`` in ``tests/reference_strategies.py``."""
 
     def attempt(t: Term) -> Any:
         at = next(focus_paths(below, t), None)
@@ -440,6 +400,11 @@ def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
         return _FAIL if host is None else at.rebuild(host[1], bottom=host[0])
 
     return _tp(attempt)
+
+
+# The name ``bench/traced.py`` imports for its whole-tree ``above`` pass;
+# ROADMAP item 3 moves the benchmark to ``above_path_tp`` and removes it.
+above_tp = above_path_tp
 
 
 def propagate_path_tu(e0: E, update: Callable[[E], QueryTU[E]], select: QueryTU[A]) -> QueryTU[tuple[E, A]]:

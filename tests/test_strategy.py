@@ -42,15 +42,19 @@ from .fixture_trees import (
     Tag,
     Tree,
     Twig,
+    all_paths,
     gen_tree,
     inc_leaf,
     leaf_case,
     leaf_value,
+    node_at,
+    plant,
     preorder,
     wrap_node,
 )
 from .reference_strategies import (
     Monoid,
+    above_reference,
     adhoc_reference,
     all_tp_reference,
     all_tu_reference,
@@ -339,34 +343,6 @@ def test_type_preservation_is_enforced():
         apply_tp(TransformTP(bad), Leaf(1))
 
 
-def above_reference(s, below):
-    """Reference semantics of ``above_tp``, O(n·depth): after every child
-    refuses, a fresh ``oncetd_tu(below)`` probe over the node's children
-    decides whether ``s`` is tried there."""
-    probe = oncetd_tu(below)
-
-    def met_below(t):
-        for c in t.children():
-            try:
-                probe(c)
-                return True
-            except StrategyFailure:
-                continue
-        return False
-
-    def run(t):
-        try:
-            return one_tp_reference(scheme)(t)
-        except StrategyFailure:
-            pass
-        if not met_below(t):
-            raise StrategyFailure("aboveTP: condition not met below")
-        return s(t)
-
-    scheme = TransformTP(run)
-    return scheme
-
-
 def _hit_on_even_left(t):
     """Marks a Node whose left child is an even leaf, and relabels a Tag;
     refuses every other node, so some candidates pass upwards."""
@@ -377,24 +353,45 @@ def _hit_on_even_left(t):
     raise StrategyFailure("not a candidate")
 
 
+def _postorder_paths(t):
+    """The child-index paths of ``t`` in postorder: descendants before
+    their ancestor, left before right (2 is past every child index)."""
+    return sorted(all_paths(t), key=lambda p: (*p, 2))
+
+
 def test_above_matches_reference_formulation():
-    """The one-pass ``above_tp`` equals the probe-per-candidate reference:
-    with several ``below`` hits, with ``s`` refusing at some candidates,
-    with ``below`` holding only at the root (which must fail), and with no
-    match at all."""
+    """The probe-per-candidate reference transforms the first node in
+    postorder where ``s`` succeeds and ``below`` holds strictly inside, as
+    an explicit scan finds it, with several ``below`` hits and with ``s``
+    refusing at some candidates. There ``above_path_tp`` equals the
+    reference with ``below`` narrowed to its first node in preorder. With
+    ``below`` holding only at the root, or nowhere, both refuse."""
     mark_all = mono_tp(SortCase(Tree, lambda t: Tag("hit", t)))
     mark_some = mono_tp(SortCase(Tree, _hit_on_even_left))
     big_leaf = mono_tu(leaf_case(lambda t: t.value if t.value >= 7 else _refuse()))
     outcomes = set()
     for t in sample_trees(200, seed=17):
         at_root = mono_tu(SortCase(Tree, lambda u, root=t: u if u is root else _refuse()))
+        paths = _postorder_paths(t)
         for s in (mark_all, mark_some):
             for below in (big_leaf, mono_tu(leaf_value)):
-                got = outcome_tp(above_tp(s, below), t)
-                assert got == outcome_tp(above_reference(s, below), t)
+                hits = [q for q in paths if outcome_tu(below, node_at(t, q))[0] == "ok"]
+                expected = ("fail", None)
+                for p in paths:
+                    if any(len(q) > len(p) and q[: len(p)] == p for q in hits):
+                        kind, out = outcome_tp(s, node_at(t, p))
+                        if kind == "ok":
+                            expected = ("ok", plant(t, p, out))
+                            break
+                got = outcome_tp(above_reference(s, below), t)
+                assert got == expected
                 outcomes.add((s is mark_all, got[0]))
+                if hits:
+                    first = node_at(t, min(hits))
+                    only = mono_tu(SortCase(Tree, lambda u, first=first: u if u is first else _refuse()))
+                    assert outcome_tp(above_path_tp(s, below), t) == outcome_tp(above_reference(s, only), t)
             for below in (at_root, fail_tu()):
-                assert outcome_tp(above_tp(s, below), t) == ("fail", None)
+                assert outcome_tp(above_path_tp(s, below), t) == ("fail", None)
                 assert outcome_tp(above_reference(s, below), t) == ("fail", None)
     # both strategies both succeeded and refused somewhere
     assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
@@ -402,10 +399,10 @@ def test_above_matches_reference_formulation():
 
 def test_above_path_matches_above_at_one_below_node():
     """Where ``below`` holds at exactly one node, the path scheme equals
-    the whole-tree ``above_tp``: at every node of random trees, with ``s``
-    accepting every ancestor or refusing some, and with the host markers
-    and focus recognisers of both languages on generated programs, whose
-    passes refuse at every ancestor that is not a host."""
+    the whole-tree ``above_reference``: at every node of random trees,
+    with ``s`` accepting every ancestor or refusing some, and with the host
+    markers and focus recognisers of both languages on generated programs,
+    whose passes refuse at every ancestor that is not a host."""
     mark_all = mono_tp(SortCase(Tree, lambda t: Tag("hit", t)))
     mark_some = mono_tp(SortCase(Tree, _hit_on_even_left))
     outcomes = set()
@@ -417,7 +414,7 @@ def test_above_path_matches_above_at_one_below_node():
             below = mono_tu(SortCase(Tree, lambda u, target=target: u if u is target else _refuse()))
             for s in (mark_all, mark_some):
                 got = outcome_tp(above_path_tp(s, below), t)
-                assert got == outcome_tp(above_tp(s, below), t)
+                assert got == outcome_tp(above_reference(s, below), t)
                 outcomes.add((s is mark_all, got[0]))
     assert outcomes == {(a, o) for a in (True, False) for o in ("ok", "fail")}
 
@@ -435,23 +432,23 @@ def test_above_path_matches_above_at_one_below_node():
             for target in [u for u in preorder(prog) if u.sort is sort]:
                 focused = wrap_node(prog, target, wrapper)
                 s, below = mono_tp(host), mono_tu(focus)
-                assert outcome_tp(above_path_tp(s, below), focused) == outcome_tp(above_tp(s, below), focused)
+                assert outcome_tp(above_path_tp(s, below), focused) == outcome_tp(above_reference(s, below), focused)
 
 
 def test_above_path_takes_the_first_below_node_in_preorder():
     """With several ``below`` nodes the path scheme considers only the
-    first in preorder, as its docstring states; ``above_tp`` tries every
-    candidate in postorder."""
+    first in preorder, as its docstring states; ``above_reference`` tries
+    every candidate in postorder."""
     mark = mono_tp(SortCase(Tree, lambda t: Tag("hit", t) if isinstance(t, Tag) else _refuse()))
     nine = mono_tu(leaf_case(lambda t: t if t.value == 9 else _refuse()))
     # the first 9 has no Tag above it; a later one has
     t = Node(Node(Leaf(9), Leaf(1)), Tag("a", Leaf(9)))
     assert outcome_tp(above_path_tp(mark, nine), t) == ("fail", None)
-    assert outcome_tp(above_tp(mark, nine), t) == ("ok", Node(Node(Leaf(9), Leaf(1)), Tag("hit", Tag("a", Leaf(9)))))
+    assert outcome_tp(above_reference(mark, nine), t) == ("ok", Node(Node(Leaf(9), Leaf(1)), Tag("hit", Tag("a", Leaf(9)))))
     # a Tag above the first 9 wins over a deeper one above a later 9
     t = Tag("a", Node(Leaf(9), Tag("b", Leaf(9))))
     assert outcome_tp(above_path_tp(mark, nine), t) == ("ok", Tag("hit", t))
-    assert outcome_tp(above_tp(mark, nine), t) == ("ok", Tag("a", Node(Leaf(9), Tag("hit", Tag("b", Leaf(9))))))
+    assert outcome_tp(above_reference(mark, nine), t) == ("ok", Tag("a", Node(Leaf(9), Tag("hit", Tag("b", Leaf(9))))))
 
 
 def test_guided_focus_paths_keep_exactly_the_paths_the_guide_admits():
