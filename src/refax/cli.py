@@ -20,18 +20,51 @@ import argparse
 import contextlib
 import functools
 import gc
+import importlib
 import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 
-from . import joos, minilet
-from .framework import FocusPresent, RefactoringError
+from .framework import FocusPresent, Language, RefactoringError
 from .lexing import ParseError, Span, SpanMismatch
 from .terms import dump
 
-LANGUAGES = {lang.name: lang for lang in (joos.LANGUAGE, minilet.LANGUAGE)}
+
+class _Languages(Mapping[str, Language]):
+    """The language records by name, in the order of ``names``. The package
+    of a name is imported on the first lookup of that name and its
+    ``LANGUAGE`` kept, so a request imports only the language it names;
+    ``in`` imports nothing. Assigning a record to a name replaces it."""
+
+    def __init__(self, *names: str) -> None:
+        self._names = names
+        self._records: dict[str, Language] = {}
+
+    def __getitem__(self, name: str) -> Language:
+        if name not in self._records:
+            if name not in self._names:
+                raise KeyError(name)
+            self._records[name] = importlib.import_module(f".{name}", __package__).LANGUAGE
+        return self._records[name]
+
+    def __setitem__(self, name: str, record: Language) -> None:
+        if name not in self._names:
+            raise KeyError(name)
+        self._records[name] = record
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+LANGUAGES = _Languages("joos", "minilet")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

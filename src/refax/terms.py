@@ -173,6 +173,8 @@ def node(cls: type[_T]) -> type[_T]:
     checks arity and child sorts against the old children, then calls the
     constructor with the new children, the old atoms and the old span."""
     given, doc = cls, cls.__doc__
+    # A placeholder spares dataclasses a signature docstring; restored below.
+    cls.__doc__ = doc or "-"
     cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
     # ``slots=True`` makes a new class, but the frozen ``__setattr__`` and
     # ``__delattr__`` test ``type(self) is cls`` against the given one:
@@ -182,8 +184,6 @@ def node(cls: type[_T]) -> type[_T]:
         for cell in method.__closure__ or ():
             if cell.cell_contents is given:
                 cell.cell_contents = cls
-    # dataclasses documents an undocumented class by the signature it finds
-    # then, which is Term's rejecting one.
     cls.__doc__ = doc
     table = _slots(cls)
     kinds = {name: kind for kind, name, _ in table}

@@ -398,6 +398,77 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["obliterate", "--lang", "joos", "--file", "x"]) == 3
     assert main([]) == 3
     assert main(["extract", "--lang", "cobol", "--file", "x", "--focus", "1:1-1:2", "--name", "n"]) == 3
+    # ``--lang`` reads its choices from ``cli.LANGUAGES``: the error line is
+    # the one argparse prints for a plain tuple of the two names, which
+    # quotes them by ``repr`` or, in later releases, by ``str``.
+    plain = argparse.ArgumentParser(exit_on_error=False)
+    plain.add_argument("--lang", choices=("joos", "minilet"))
+    with pytest.raises(argparse.ArgumentError) as invalid:
+        plain.parse_args(["--lang", "cobol"])
+    line = f"refax extract: error: {invalid.value}"
+    assert capsys.readouterr().err.splitlines()[-1] == line
+    assert line in (
+        "refax extract: error: argument --lang: invalid choice: 'cobol' (choose from 'joos', 'minilet')",
+        "refax extract: error: argument --lang: invalid choice: 'cobol' (choose from joos, minilet)",
+    )
+
+
+def test_languages_maps_each_name_to_its_record_in_a_fixed_order(monkeypatch):
+    """``cli.LANGUAGES`` is a mapping over the names ``joos`` and
+    ``minilet``, in that order. A lookup gives the package's ``LANGUAGE``,
+    an unknown name is a ``KeyError`` to read or to assign, and a record
+    assigned to a name replaces it until the assignment is undone."""
+    from dataclasses import replace
+
+    from refax import cli, joos, minilet
+
+    languages = cli.LANGUAGES
+    assert list(languages) == ["joos", "minilet"] and len(languages) == 2
+    assert "joos" in languages and "cobol" not in languages
+    with pytest.raises(KeyError):
+        languages["cobol"] = joos.LANGUAGE
+    with pytest.raises(KeyError):
+        languages["cobol"]
+    assert languages["joos"] is joos.LANGUAGE
+    assert dict(languages.items()) == {"joos": joos.LANGUAGE, "minilet": minilet.LANGUAGE}
+    stand_in = replace(minilet.LANGUAGE, name="stand-in")
+    with monkeypatch.context() as patch:
+        patch.setitem(languages, "minilet", stand_in)
+        assert languages["minilet"] is stand_in
+    assert languages["minilet"] is minilet.LANGUAGE
+
+
+# Run in a new interpreter: import ``refax.cli``, run ``main`` on the
+# arguments if there are any, then print its exit code and every imported
+# ``refax.`` module.
+_IMPORTED_MODULES = (
+    "import sys\n"
+    "from refax import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('refax.')))\n"
+)
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    ("", "None", set()),
+    ("extract --lang cobol --file x --focus 1:1-1:2 --name n", "3", set()),
+    ("extract --lang minilet --file {g}/minilet/pipeline.mlt --focus 5:5-5:22 --name left", "0", {"minilet"}),
+    ("check --lang joos --file {g}/joos/account.joos", "0", {"joos"}),
+], ids=["import", "usage-error", "minilet-extract", "joos-check"])
+def test_a_request_imports_only_the_language_it_names(argv, code, named):
+    """``import refax.cli`` and a usage error import no language package;
+    a request imports the package of the language it names and not the
+    other's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_MODULES, *argv.format(g=GOLDEN).split()],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    exit_code, *modules = run.stdout.splitlines()[-1].split()
+    assert exit_code == code, run.stderr
+    packages = {module.split(".")[1] for module in modules}
+    assert packages & {"joos", "minilet"} == named
 
 
 def test_malformed_span_is_usage_error(capsys):

@@ -496,6 +496,21 @@ def test_node_keeps_the_class_doc_and_names_the_methods_it_installs():
             assert getattr(cls, name).__qualname__ == f"{cls.__qualname__}.{name}"
 
 
+def test_node_asks_no_signature_for_a_docstring_it_discards(monkeypatch):
+    """``dataclasses`` builds a docstring from ``inspect.signature`` for an
+    undocumented class; ``node`` gives the class a placeholder first, so
+    declaring one computes no signature, and the class keeps no
+    docstring."""
+    calls = []
+    monkeypatch.setattr(inspect, "signature", lambda *args, **kwargs: calls.append(args))
+
+    @node
+    class Bare(Tree):
+        value: int
+
+    assert calls == [] and Bare.__doc__ is None
+
+
 def test_a_class_keyword_a_node_class_does_not_take_is_refused():
     """``Term.__init_subclass__`` passes class keywords on to ``object``,
     which refuses any."""
