@@ -8,9 +8,8 @@ span; parenthesised expressions keep the parentheses inside their span.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..lexing import IDENT, INT, TokenStream
+from ..terms import with_span
 from . import ast
 
 _KEYWORDS = frozenset(
@@ -190,7 +189,7 @@ class _Parser(TokenStream):
             self.pos = start + 1
             inner = self.expression()
             self.expect(")")
-            return replace(inner, span=self.span_from(start))
+            return with_span(inner, self.span_from(start))
         if text == "!":
             self.pos = start + 1
             operand = self.primary()

@@ -134,18 +134,21 @@ def _scanner(symbols: tuple[str, ...]) -> re.Pattern[str]:
     return re.compile(rf"[{_BLANKS}]*(?:{_IDENTIFIER}|[0-9]+|{alternatives}|[^{_BLANKS}])")
 
 
+# The kind of a text that is no keyword or symbol, by its first character.
+_KIND_BY_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", IDENT),
+    **dict.fromkeys("0123456789", INT),
+}
+
+
 class _Kinds(dict):
     """Lexeme text to token kind, seeded with the keywords and symbols;
     any other text is classified by its first character on first sight.
     A stray character has no kind: looking it up raises ``KeyError``."""
 
     def __missing__(self, text: str) -> str:
-        first = text[0]
-        if first.isascii() and (first.isalpha() or first == "_"):
-            kind = IDENT
-        elif first.isascii() and first.isdigit():
-            kind = INT
-        else:
+        kind = _KIND_BY_FIRST.get(text[0])
+        if kind is None:
             raise KeyError(text)
         self[text] = kind
         return kind
@@ -293,9 +296,13 @@ class TokenStream:
         return self.starts[start_pos], self.ends[self.pos - 1]
 
     def expression(self) -> Any:
-        """Precedence climbing, all operators left-associative."""
+        """Precedence climbing, all operators left-associative. An operand
+        that no operator follows is returned without climbing."""
         start = self.pos
-        return self._climb(start, self.operand(), 1)
+        operand = self.operand()
+        if self.texts[self.pos] in self.BINOP_PRECEDENCE:
+            return self._climb(start, operand, 1)
+        return operand
 
     def _climb(self, start: int, left: Any, min_prec: int) -> Any:
         """Extend ``left``, read from ``start``, with every operator that

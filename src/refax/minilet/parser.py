@@ -4,15 +4,16 @@
 as far right as possible, so a let used as an operand must be
 parenthesised. Spans are recorded as in the JOOS parser. Operator chains
 and parameter lists are read by ``lexing.TokenStream``; call arguments are
-read in ``primary`` itself, so a nested call costs no frame beyond
-``expression`` and ``primary``.
+read in ``primary`` itself, by index, so a nested call costs no frame
+beyond ``expression`` and ``primary``. A leaf's span is its own token's,
+and a parenthesised expression gets its wider span from
+``terms.with_span``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..lexing import IDENT, INT, TokenStream
+from ..terms import with_span
 from . import ast
 
 _KEYWORDS = frozenset(["let", "in"])
@@ -47,21 +48,25 @@ class _Parser(TokenStream):
     def primary(self) -> ast.Expression:
         start = self.pos
         kind = self.kinds[start]
-        text = self.texts[start]
+        texts = self.texts
+        text = texts[start]
         if kind == IDENT:
-            if self.texts[start + 1] != "(":
+            if texts[start + 1] != "(":
                 self.pos = start + 1
-                return ast.Var(text, span=self.span_from(start))
+                return ast.Var(text, span=(self.starts[start], self.ends[start]))
             self.pos = start + 2
             args = []
-            if self.texts[self.pos] != ")":
+            if texts[self.pos] != ")":
                 args.append(self.expression())
-                while self.accept(","):
+                while texts[self.pos] == ",":
+                    self.pos += 1
                     args.append(self.expression())
-            self.expect(")")
+                if texts[self.pos] != ")":
+                    self.fail(repr(")"))
+            self.pos += 1
             return ast.Call(text, tuple(args), span=self.span_from(start))
         if kind == INT:
-            return ast.IntLit(self.integer(), span=self.span_from(start))
+            return ast.IntLit(self.integer(), span=(self.starts[start], self.ends[start]))
         if text == "let":
             self.pos = defs_start = start + 1
             defs = [self.fundef()]
@@ -75,7 +80,7 @@ class _Parser(TokenStream):
             self.pos = start + 1
             inner = self.expression()
             self.expect(")")
-            return replace(inner, span=self.span_from(start))
+            return with_span(inner, self.span_from(start))
         self.fail("an expression")
 
     operand = primary

@@ -35,14 +35,21 @@ equality.
 
 ``node`` builds each class's ``children``, ``rebuild`` and ``atoms`` from
 these slots when the class is defined (one-layer accessors, as in
-Uniplate: Mitchell and Runciman, Haskell'07), so a traversal step or a
-dump reads fields directly instead of interpreting the slot table at
-every node.
+Uniplate: Mitchell and Runciman, Haskell'07), so a traversal step reads
+fields directly instead of interpreting the slot table at every node.
+
+``dump`` is also one generated step per class, which writes the node's
+line and runs its children's steps, but a class builds its step at its
+first dump, not when it is defined: only ``refax ast`` dumps, so every
+other request, and the start-up of each, would pay for steps it never
+runs. ``with_span`` gives a node another span (a parenthesised
+expression's) by calling its class with its field values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Sequence, TypeVar, get_args, get_origin
@@ -91,9 +98,9 @@ def _classify(owner: type, name: str, tp: Any) -> tuple[int, Any]:
             if args[0] is str:
                 return _ATOM_SEQ, str
     if origin is types.UnionType:
-        args = [a for a in get_args(tp) if a is not type(None)]
-        if len(args) == 1 and isinstance(args[0], type) and issubclass(args[0], Term):
-            return _OPT_CHILD, args[0]
+        arg, *others = (a for a in get_args(tp) if a is not type(None))
+        if not others and isinstance(arg, type) and issubclass(arg, Term):
+            return _OPT_CHILD, arg
     raise TypeError(f"{owner.__name__}.{name}: unsupported term field annotation {tp!r}")
 
 
@@ -130,6 +137,9 @@ class Term:
         super().__init_subclass__(**kwargs)
         if Term in cls.__bases__:
             cls.sort = cls
+        # Each class starts with the builder of its own dump step, so that
+        # no class runs a step built for its base.
+        cls._dump_step = Term._dump_step
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         raise TypeError(f"{self.tag} is not declared with terms.node")
@@ -150,6 +160,18 @@ class Term:
         """Same node with substituted children; tag, atoms, sort and span
         unchanged."""
         raise TypeError(f"{self.tag} is not declared with terms.node")
+
+    def _dump_step(self, pad: str, append: Callable[[str], Any]) -> None:
+        """Append this node's dump lines, each after ``pad``. Here it is the
+        builder that a class runs at its first dump: it generates the
+        class's step (``_dump_step_for``), installs it on the class and
+        runs it."""
+        cls = type(self)
+        if not hasattr(cls, "_term_slots"):
+            raise TypeError(f"{self.tag} is not declared with terms.node")
+        step = _dump_step_for(cls)
+        cls._dump_step = step
+        step(self, pad, append)
 
 
 _T = TypeVar("_T", bound=Term)
@@ -267,13 +289,32 @@ def _rebuild_for(cls: type, kinds: dict[str, int]) -> Callable[..., Any]:
     return rebuild
 
 
+def with_span(t: _T, span: Offsets | None) -> _T:
+    """``t`` with another span: its class called with its field values,
+    which costs less than ``dataclasses.replace``, which reads the
+    dataclass's field table at every call."""
+    cls = type(t)
+    return cls(*_field_values(cls)(t), span=span)
+
+
+@functools.cache
+def _field_values(cls: type) -> Callable[[Term], tuple[Any, ...]]:
+    """A getter of a node's field values, in order, built at the first
+    ``with_span`` of its class."""
+    names = [name for _, name, _ in cls._term_slots]
+    if len(names) == 1:  # a getter of one name returns the value itself
+        get = attrgetter(*names)
+        return lambda t: (get(t),)
+    return attrgetter(*names) if names else lambda t: ()
+
+
 def append_child(t: Term, child: Term) -> Term:
     """Extend a sequence node (one whose children form a single homogeneous
     sequence slot) with one more child at the end."""
     seq_slots = [s for s in type(t)._term_slots if s[0] == _CHILD_SEQ]
     if len(seq_slots) != 1:
         raise TermError(f"{t.tag}: not a single-sequence node")
-    _, name, elem_cls = seq_slots[0]
+    ((_, name, elem_cls),) = seq_slots
     if child.sort is not elem_cls.sort:
         raise SortMismatch(len(getattr(t, name)), elem_cls.sort, child.sort)
     return dataclasses.replace(t, **{name: getattr(t, name) + (child,)})
@@ -282,17 +323,38 @@ def append_child(t: Term, child: Term) -> Term:
 def dump(t: Term) -> str:
     """Deterministic indented dump of a term: tag, atoms, then children."""
     lines: list[str] = []
-    _dump_lines(t, 0, lines)
+    t._dump_step("", lines.append)
     return "\n".join(lines)
 
 
-def _dump_lines(t: Term, indent: int, lines: list[str]) -> None:
-    # One frame per tree level, and each line is joined once, not once
-    # per ancestor.
-    head = "  " * indent + type(t).__name__
-    atoms = t.atoms()
-    if atoms:
-        head += "(" + ", ".join(map(str, atoms)) + ")"
-    lines.append(head)
-    for c in t.children():
-        _dump_lines(c, indent + 1, lines)
+def _dump_step_for(cls: type) -> Callable[..., None]:
+    """The dump step of node class ``cls``, generated as source in the way
+    ``node`` writes ``children`` and ``atoms``: it appends the node's line,
+    its tag after ``pad`` and, if it has atoms, their ``str``s in
+    parentheses, then runs each child's step two spaces deeper. One frame
+    per tree level, and each line is joined once, not once per ancestor."""
+    kinds = {name: kind for kind, name, _ in cls._term_slots}
+    tag = cls.__name__
+    if _ATOM_SEQ in kinds.values():
+        # An atom sequence may be empty: join whatever the atoms are.
+        head = f"pad + {tag!r} + ('(' + _join(map(str, atoms)) + ')' if atoms else '')"
+        body = [f"    atoms = {_tuple_of(kinds, _ATOM, None, _ATOM_SEQ)}\n"]
+    else:
+        singles = [f"{{self.{name}}}" for name, kind in kinds.items() if kind == _ATOM]
+        head = f"f'{{pad}}{tag}({', '.join(singles)})'" if singles else f"pad + {tag!r}"
+        body = []
+    body.append(f"    append({head})\n")
+    steps = []
+    for name, kind in kinds.items():
+        if kind == _CHILD:
+            steps.append(f"    self.{name}._dump_step(pad, append)\n")
+        elif kind == _OPT_CHILD:
+            steps.append(f"    if self.{name} is not None:\n        self.{name}._dump_step(pad, append)\n")
+        elif kind == _CHILD_SEQ:
+            steps.append(f"    for child in self.{name}:\n        child._dump_step(pad, append)\n")
+    if steps:
+        body += ["    pad += '  '\n", *steps]
+    namespace: dict[str, Any] = {"_join": ", ".join}
+    exec("def _dump_step(self, pad, append):\n" + "".join(body), namespace)
+    namespace["_dump_step"].__qualname__ = f"{cls.__qualname__}._dump_step"
+    return namespace["_dump_step"]

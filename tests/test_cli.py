@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import stat
 import subprocess
@@ -14,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import refax
+from refax import cli
 from refax.cli import main
 from refax.minilet import parse_program as parse_minilet
 
+from .fixture_trees import preorder
 from .minilet_gen import eval_program, nested_lets
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -637,22 +640,85 @@ def _run_fresh(*argv: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("depth,code", [(198, 0), (199, 4)])
 def test_the_documented_nesting_limit_holds_in_a_fresh_interpreter(depth, code, tmp_path):
     """The limit README documents, measured as a user meets it: an
-    extract at the innermost of 198 nested lets, run through ``cli.main``
-    in a new interpreter, succeeds, and one at 199 is exit 4 with one
-    ``internal error: RecursionError`` line. The interpreter runs ``-c``,
-    not ``-m refax.cli``, whose runpy frames take a level on 3.10 and
-    3.11."""
+    extract at the innermost of 198 nested lets, and ``ast`` of them, run
+    through ``cli.main`` in a new interpreter, succeed, and at 199 each is
+    exit 4 with one ``internal error: RecursionError`` line. The
+    interpreter runs ``-c``, not ``-m refax.cli``, whose runpy frames take
+    a level on 3.10 and 3.11."""
     source, spans = nested_lets(depth)
     work = tmp_path / "deep.mlt"
     work.write_text(source, encoding="utf-8")
-    run = _run_fresh("extract", "--lang", "minilet", "--file", str(work), "--focus", spans[depth], "--name", "h")
-    assert run.returncode == code, run.stderr
-    if code == 0:
-        assert run.stderr == "" and run.stdout.startswith("let")
-    else:
-        assert run.stdout == ""
-        assert run.stderr.startswith("internal error: RecursionError: ")
-        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    for argv, first in (
+        (["extract", "--lang", "minilet", "--file", str(work), "--focus", spans[depth], "--name", "h"], "let"),
+        (["ast", "--lang", "minilet", "--file", str(work)], "Program\n"),
+    ):
+        run = _run_fresh(*argv)
+        assert run.returncode == code, (argv[0], run.stderr)
+        if code == 0:
+            assert run.stderr == "" and run.stdout.startswith(first)
+        else:
+            assert run.stdout == ""
+            assert run.stderr.startswith("internal error: RecursionError: ")
+            assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+_BUILT_STEPS = """
+import contextlib, io, json, sys
+from refax.cli import main
+from refax.terms import Term
+
+def built():
+    classes, todo = [], [Term]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in classes
+                  if cls._dump_step is not Term._dump_step)
+
+report = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[" ".join(argv[:3])] = [code, built()]
+print(json.dumps(report))
+"""
+
+
+def test_only_an_ast_request_builds_dump_steps_and_only_for_the_classes_it_meets():
+    """In a new interpreter, no class has a dump step until a dump: a
+    ``check`` and an ``extract`` of each language build none, and an
+    ``ast`` request builds one for each node class in its tree, and no
+    other."""
+    account, pipeline = str(GOLDEN / "joos" / "account.joos"), str(GOLDEN / "minilet" / "pipeline.mlt")
+    requests = [
+        ["check", "--lang", "joos", "--file", account],
+        ["extract", "--lang", "joos", "--file", account, "--focus", "11:9-11:26", "--name", "audit"],
+        ["check", "--lang", "minilet", "--file", pipeline],
+        ["extract", "--lang", "minilet", "--file", pipeline, "--focus", "5:5-5:22", "--name", "left"],
+        ["ast", "--lang", "minilet", "--file", pipeline],
+        ["ast", "--lang", "joos", "--file", account],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(refax.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _BUILT_STEPS, json.dumps(requests)],
+                         capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+
+    def met(lang, path):
+        tree = cli.LANGUAGES[lang].parse(Path(path).read_text(encoding="utf-8"))
+        return {f"{type(t).__module__}.{type(t).__qualname__}" for t in preorder(tree)}
+
+    minilet_classes, joos_classes = met("minilet", pipeline), met("joos", account)
+    assert {"refax.minilet.ast.Let", "refax.joos.ast.MethodDecl"} <= minilet_classes | joos_classes
+    assert report == {
+        "check --lang joos": [0, []],
+        "extract --lang joos": [0, []],
+        "check --lang minilet": [0, []],
+        "extract --lang minilet": [0, []],
+        "ast --lang minilet": [0, sorted(minilet_classes)],
+        "ast --lang joos": [0, sorted(minilet_classes | joos_classes)],
+    }
 
 
 def _lets_in_definitions(depth: int) -> str:

@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import pickle
 import random
+import typing
 import weakref
 from itertools import chain, count, islice
 from pathlib import Path
@@ -33,6 +34,7 @@ from refax.terms import (
     append_child,
     dump,
     node,
+    with_span,
 )
 
 from . import fixture_trees, joos_gen, minilet_gen
@@ -74,6 +76,17 @@ def test_node_classes_own_their_protocol_from_import():
     for call in (lambda t: t.children(), lambda t: t.atoms(), lambda t: t.rebuild(())):
         with pytest.raises(TypeError, match=r"^Tree is not declared with terms\.node$"):
             call(object.__new__(Tree))
+
+
+def test_term_declares_the_class_variables_of_the_protocol():
+    """``Term`` declares the two class variables that
+    ``__init_subclass__`` and ``node`` set on a node class, ``sort`` and
+    ``_term_slots``, as ``ClassVar``s, so that no dataclass makes a field
+    of either."""
+    hints = typing.get_type_hints(Term)
+    assert typing.get_origin(hints["sort"]) is typing.ClassVar
+    assert typing.get_origin(hints["_term_slots"]) is typing.ClassVar
+    assert {f.name for f in dataclasses.fields(Term)} == {"span"}
 
 
 def test_a_node_sort_is_the_class_that_derives_term():
@@ -231,6 +244,130 @@ def test_dump_text_is_pinned(lang, seed, expected):
     for _ in range(1000):
         digest.update(dump(gen.gen_program(rng)).encode())
     assert digest.hexdigest()[:16] == expected
+
+
+# -- dump: the generated per-class steps against the generic walk -------------
+
+
+def dump_reference(t):
+    """The dump as one generic walk wrote it before each class had its own
+    step: tag, atoms through ``atoms()``, then ``children()`` two spaces
+    deeper."""
+    lines = []
+
+    def walk(t, indent):
+        head = "  " * indent + type(t).__name__
+        atoms = t.atoms()
+        if atoms:
+            head += "(" + ", ".join(map(str, atoms)) + ")"
+        lines.append(head)
+        for c in t.children():
+            walk(c, indent + 1)
+
+    walk(t, 0)
+    return "\n".join(lines)
+
+
+@node
+class Named(Tree):
+    """Atom sequences only, one of them possibly empty."""
+
+    names: tuple[str, ...]
+    more: tuple[str, ...]
+
+
+@node
+class Mixed(Tree):
+    """Every slot kind, atoms interleaved with children."""
+
+    flag: bool
+    first: Tree
+    count: int
+    rest: tuple[Tree, ...]
+    label: str
+    maybe: Tree | None
+    names: tuple[str, ...]
+
+
+@node
+class Nil(Tree):
+    pass
+
+
+def _dump_samples():
+    yield from _parsed_samples()
+    for k in range(20):
+        yield gen_tree(random.Random(k), tag_chance=0.3, twig_chance=0.3)
+    for names, more in (((), ()), (("a",), ()), ((), ("b", "c")), (("a", "b"), ("c",))):
+        yield Node(Named(names, more), Nil())
+    yield Mixed(False, Leaf(1), 0, (), "", None, ())
+    yield Mixed(True, Nil(), -3, (Leaf(2), Node(Nil(), Leaf(3))), "l x", Named(("p",), ()), ("n", "m"))
+
+
+def test_dump_equals_the_generic_walk_on_every_node_class():
+    """``dump`` equals ``dump_reference`` on every subtree of parsed
+    programs of both languages (focus wrappers planted in some), of
+    fixture trees and of hand-built nodes: every node class of the
+    languages and the fixtures, an optional child present and absent,
+    empty sequences, ``bool``, ``int`` and ``str`` atoms and atom
+    sequences, empty or not."""
+    seen = set()
+    for tree in _dump_samples():
+        for t in preorder(tree):
+            seen.add(type(t))
+            assert dump(t) == dump_reference(t)
+    classes = _concrete_classes(jast) | _concrete_classes(mast) | _concrete_classes(fixture_trees)
+    assert seen == classes | {Named, Mixed, Nil}
+    assert dump(Named((), ())) == "Named" and dump(Nil()) == "Nil"
+    assert dump(Mixed(True, Nil(), -3, (), "l x", None, ("n",))) == "Mixed(True, -3, l x, n)\n  Nil"
+
+
+@pytest.mark.parametrize("lang", ["joos", "minilet"])
+def test_dump_equals_the_generic_walk_on_generated_programs(lang):
+    gen = {"joos": joos_gen, "minilet": minilet_gen}[lang]
+    rng = random.Random(43)
+    for _ in range(300):
+        prog = gen.gen_program(rng)
+        assert dump(prog) == dump_reference(prog)
+
+
+def test_dump_rejects_a_class_not_declared_with_node():
+    """A class not declared with ``node`` has no dump step: dumping one of
+    its instances, alone or as a child, raises the ``TypeError`` that
+    names it."""
+    stray = object.__new__(Tree)
+    for t in (stray, Tag("x", stray)):
+        with pytest.raises(TypeError, match=r"^Tree is not declared with terms\.node$"):
+            dump(t)
+
+
+def test_a_subclass_declared_with_node_dumps_its_own_tag():
+    """A subclass declared with ``node`` builds its own step, even when its
+    base has built one first: its own tag, atoms and children."""
+    assert dump(Node(Leaf(1), Leaf(2))) == "Node\n  Leaf(1)\n  Leaf(2)"
+
+    @node
+    class Labelled(Node):
+        label: str
+        extra: Tree
+
+    t = Labelled(Leaf(1), Leaf(2), "x", Leaf(3))
+    assert dump(t) == dump_reference(t) == "Labelled(x)\n  Leaf(1)\n  Leaf(2)\n  Leaf(3)"
+    assert dump(Node(t, Leaf(4))) == "Node\n  Labelled(x)\n    Leaf(1)\n    Leaf(2)\n    Leaf(3)\n  Leaf(4)"
+    assert Labelled._dump_step is not Node._dump_step
+    assert Labelled._dump_step.__qualname__.endswith("Labelled._dump_step")
+
+
+def test_with_span_keeps_the_class_and_the_fields():
+    """``with_span`` gives a node of the same class, equal to the given
+    one, holding the same field values and the new span, for classes of
+    no, one and several fields."""
+    for tree in _dump_samples():
+        for t in preorder(tree):
+            moved = with_span(t, (7, 9))
+            assert type(moved) is type(t) and moved == t and moved.span == (7, 9)
+            assert all(getattr(moved, f.name) is getattr(t, f.name) for f in dataclasses.fields(t) if f.compare)
+    assert with_span(Nil(), None) == Nil() and with_span(Leaf(3), (0, 1)).span == (0, 1)
 
 
 # -- the generic slot interpretation, kept as the reference -------------------
