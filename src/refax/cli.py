@@ -1,17 +1,21 @@
 """Command-line driver: parse, place a focus, refactor, check and dump.
 
-Exit codes: 0 success; 1 a refactoring precondition failed (the source
-file is untouched); 2 span errors, parse errors (naming the file), an
-input file that cannot be read (missing, or not UTF-8 text), or an
-``--output`` path that cannot be written (say, in a missing directory);
-3 usage errors, found before any file is read; 4 internal error:
-any other exception, including input nested past the recursion limit,
-reported as one ``internal error: ...`` line without a traceback (the
-source file is untouched). Program text goes to the output stream,
-diagnostics about failures to the error stream, so outputs are pipeable.
-In-place rewriting is atomic (temp file plus rename in the same
-directory) and keeps the file's permission bits. Through a symbolic link
-it rewrites the file the link resolves to, so the link stays a link.
+``refax --help`` describes the exit codes and the output streams
+(``DESCRIPTION``).
+
+An ``extract`` or ``introduce`` first parses on a diet: the language's
+parser may keep each region the request does not read as one opaque node
+of its text (``Language.parse`` given ``build``). An extract reads the
+region that encloses its focus, and ``introduce --class`` reads none;
+the generic refactorings read only the focus's path, the headers of the
+host's list, and whether the new name occurs among the list's atoms,
+which an opaque node's tokens answer. The grammar still checks every
+region, so a syntax error anywhere is the same ``ParseError``, and the
+printer writes an opaque node as its text. Where an opaque node could
+change the verdict, the request runs again on a full parse: when the
+``NameClash`` rule's free-name pass meets one (``Opaque``), and, inside
+``focus_path_by_span``, for a ``SpanMismatch``, whose nearest candidates
+are every node of the kind.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections.abc import Iterator, Mapping
 
 from .framework import FocusPresent, Language, RefactoringError
 from .lexing import ParseError, Span, SpanMismatch
-from .terms import dump
+from .terms import Offsets, Opaque, dump
 
 
 class _Languages(Mapping[str, Language]):
@@ -67,6 +71,24 @@ class _Languages(Mapping[str, Language]):
 LANGUAGES = _Languages("joos", "minilet")
 
 
+# The description of ``refax --help``.
+DESCRIPTION = """Command-line driver: parse, place a focus, refactor, check and dump.
+
+Exit codes: 0 success; 1 a refactoring precondition failed (the source
+file is untouched); 2 span errors, parse errors (naming the file), an
+input file that cannot be read (missing, or not UTF-8 text), or an
+``--output`` path that cannot be written (say, in a missing directory);
+3 usage errors, found before any file is read; 4 internal error:
+any other exception, including input nested past the recursion limit,
+reported as one ``internal error: ...`` line without a traceback (the
+source file is untouched). Program text goes to the output stream,
+diagnostics about failures to the error stream, so outputs are pipeable.
+In-place rewriting is atomic (temp file plus rename in the same
+directory) and keeps the file's permission bits. Through a symbolic link
+it rewrites the file the link resolves to, so the link stays a link.
+"""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 3 on usage errors
         self.print_usage(sys.stderr)
@@ -84,7 +106,7 @@ def _span_arg(text: str) -> Span:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
     in it, and ``--lang`` reads its choices from ``LANGUAGES`` itself."""
-    parser = _ArgumentParser(prog="refax", description=__doc__)
+    parser = _ArgumentParser(prog="refax", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -207,22 +229,33 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         with _naming(args.file):
             print(dump(lang.parse(source)))
         return 0
-    if args.command == "extract":
-        with _naming(args.file):
-            at = lang.focus_path_by_span(source, lang.fragment_kind, args.focus)
-        result = lang.extract_at(args.name, at)
-    else:
+    if args.command == "introduce":
         decl_source = _read(args.decl)
         with _naming(args.decl):
             decl = lang.parse_decl(decl_source)
-        with _naming(args.file):
-            if by_class:
-                at = lang.focus_class(lang.parse(source), args.class_name)
+    for diet in (True, False):  # a full parse only where the diet one cannot judge
+        try:
+            with _naming(args.file):
+                if args.command == "extract":
+                    at = lang.focus_path_by_span(source, lang.fragment_kind, args.focus, diet)
+                elif by_class:
+                    at = lang.focus_class(lang.parse(source, _no_region if diet else None), args.class_name)
+                else:
+                    at = lang.focus_path_by_span(source, lang.list_kind, args.focus, diet)
+            if args.command == "extract":
+                result = lang.extract_at(args.name, at)
             else:
-                at = lang.focus_path_by_span(source, lang.list_kind, args.focus)
-        result = lang.introduce_at(decl, at)
+                result = lang.introduce_at(decl, at)
+        except Opaque:
+            continue
+        break
     _emit(lang.pretty(result), args)
     return 0
+
+
+def _no_region(span: Offsets) -> bool:
+    """The ``build`` of a request that reads no region: it builds none."""
+    return False
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:

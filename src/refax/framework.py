@@ -40,6 +40,9 @@ to wrapper class; a wrapper has the sort of what it wraps), from which
 focus placement works and ``focus_case`` derives the focus recognisers;
 and the parser, printer and checker. The printer and the checker reject a focus wrapper where
 their own dispatch meets one (``FocusPresent``), without a separate pass.
+A parser may keep a region that a request does not read as an opaque node
+of its text (``Language``); the free-name pass raises ``terms.Opaque``
+where it meets one, so a caller can judge again on a full parse.
 Everything here manipulates terms only through the uniform protocol.
 """
 
@@ -67,7 +70,7 @@ from .strategy import (
     propagate_path_tu,
     scoped_uses_tu,
 )
-from .terms import Term, append_child
+from .terms import Offsets, Term, append_child
 
 
 class RefactoringError(Exception):
@@ -328,10 +331,17 @@ class Language:
     record. A language whose target lists are named instead of placed by
     span (JOOS method lists, by class) supplies ``focus_class(program,
     name)``, which returns the list's ``FocusPath``.
+
+    ``parse(source)`` builds every node. ``parse(source, build)`` may leave
+    a region whose span (offsets) ``build`` refuses as one opaque node
+    (``terms.Term.opaque``) that keeps its text, as the JOOS parser does
+    with method bodies, or may build it all, as minilet's does; either way
+    it raises the ``ParseError`` that ``parse(source)`` raises. The
+    printer writes an opaque node as its text.
     """
 
     name: str
-    parse: Callable[[str], Term]
+    parse: Callable[..., Term]
     parse_decl: Callable[[str], Term]
     pretty: Callable[[Term], str]
     check: Callable[[Term], list[str]]
@@ -418,7 +428,7 @@ class Language:
         at = self.focus_path_by_span(source, kind, span)
         return at.rebuild(self.focus_kinds[kind](at.node))
 
-    def focus_path_by_span(self, source: str, kind: str, span: Span) -> FocusPath[Term]:
+    def focus_path_by_span(self, source: str, kind: str, span: Span, diet: bool = False) -> FocusPath[Term]:
         """Parse ``source`` and return the ``FocusPath`` of the first node of
         focus kind ``kind`` whose source span is exactly ``span``, the node
         as its ``found``, or raise ``SpanMismatch`` naming the nearest spans
@@ -426,21 +436,28 @@ class Language:
         first guided by span enclosure. Node spans are offsets, so ``span``
         is converted once through the line table, and a position the
         source does not have matches no node. An unknown ``kind`` is a
-        ``KeyError``, raised before ``source`` is parsed."""
+        ``KeyError``, raised before ``source`` is parsed.
+
+        With ``diet``, ``parse`` gets the span enclosure test as its
+        ``build``, so only the regions that enclose ``span`` need be built
+        (``Language``), and the path found is the one a full parse gives.
+        The nearest spans are every node's of the kind, so a mismatch is
+        then reported from a full parse."""
         spans = mono_tu(SortCase(self.focus_kinds[kind].sort, attrgetter("span")))
-        prog = self.parse(source)
         lines = Lines(source)
         wanted = lines.offsets(span)
         if wanted is not None:
             start, end = wanted
 
-            def encloses(c: Term) -> bool:  # spans nest, so no other child holds it
-                s = c.span
+            def encloses(s: Offsets | None) -> bool:  # spans nest, so no other child holds it
                 return s is None or (s[0] <= start and end <= s[1])
 
-            for at in focus_paths(spans, prog, encloses):
+            prog = self.parse(source, encloses) if diet else self.parse(source)
+            for at in focus_paths(spans, prog, lambda c: encloses(c.span)):
                 if at.found == wanted:
                     return FocusPath(at.node, at.node, at.path)
+        if wanted is None or diet:
+            prog = self.parse(source)
         nearest = sorted(
             (lines.span(at.found) for at in focus_paths(spans, prog) if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),

@@ -5,7 +5,8 @@ A sort is the class deriving ``Term`` that its node classes derive.
 Node kinds per sort:
 
 * ``Statement``: Block, LocalVarDecl, Assign, If, While, Return,
-  CallStmt, and the StatementFocus wrapper.
+  CallStmt, the StatementFocus wrapper, and Unparsed, a method body kept
+  as its source text.
 * ``Expression``: IntLit, BoolLit, VarRef, Call, BinOp, Not.
 * ``MethodSection``: MethodList and the MethodDeclarationFocus wrapper.
 * Programs, classes, fields, methods and formals: one node class each,
@@ -114,6 +115,17 @@ class CallStmt(Statement):
 @node
 class StatementFocus(Statement):
     statement: Statement
+
+
+@node
+class Unparsed(Statement):
+    """A method body that the parser checked but built no node for: its
+    source text, which the printer writes as it is, and the texts of its
+    tokens, its atoms after the text. It is opaque (``terms.Term.opaque``)."""
+
+    opaque = True
+    text: str
+    tokens: tuple[str, ...]
 
 
 @node

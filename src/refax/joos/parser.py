@@ -4,12 +4,24 @@ Standard precedence (unary ! binds tightest, then * /, + -, <, ==, &&,
 ||), all binary operators left-associative. Every node records its source
 span (character offsets, end-exclusive) so a focus can later be placed by
 span; parenthesised expressions keep the parentheses inside their span.
+
+The grammar of statements and expressions is written once and takes its
+node constructors from the parser class: each is called with the index of
+the node's first token and the node's fields, once the node's last token
+is read, and ``_Parser``'s builds the node with its span. ``_Recogniser``'s
+are no-ops, so it runs the same grammar over a method body, raising the
+same ``ParseError`` at the same token, and builds nothing. Given ``build``,
+``parse_program`` reads the program with a ``_Recogniser``: it builds the
+classes, fields and method headers, and keeps each body that ``build``
+refuses as one ``ast.Unparsed`` that holds its source text.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from ..lexing import IDENT, INT, TokenStream
-from ..terms import with_span
+from ..terms import Offsets, Term, with_span
 from . import ast
 
 _KEYWORDS = frozenset(
@@ -20,8 +32,11 @@ _SYMBOLS = ("==", "&&", "||", "{", "}", "(", ")", ",", ";", "=", "+", "-", "*", 
 BINOP_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 4, "+": 5, "-": 5, "*": 6, "/": 6}
 
 
-def parse_program(source: str) -> ast.Program:
-    p = _Parser(source)
+def parse_program(source: str, build: Callable[[Offsets], bool] | None = None) -> ast.Program:
+    """The program of ``source``, every node built; or, given ``build``,
+    read by ``_Recogniser``, which keeps each method body whose span
+    ``build`` refuses as an ``ast.Unparsed`` of its text."""
+    p = _Parser(source) if build is None else _Recogniser(source, build)
     program = p.program()
     p.expect_eof()
     return program
@@ -35,6 +50,20 @@ def parse_method(source: str) -> ast.MethodDecl:
     return method
 
 
+def _built(cls: type[Term]) -> Callable[..., Term]:
+    """The parser's constructor of ``cls``: the node of ``fields``, spanning
+    the token at ``start`` to the last one read."""
+
+    def build(self: TokenStream, start: int, *fields: Any) -> Term:
+        return cls(*fields, span=(self.starts[start], self.ends[self.pos - 1]))
+
+    return build
+
+
+def _parenthesised(self: TokenStream, start: int, inner: Term) -> Term:
+    return with_span(inner, (self.starts[start], self.ends[self.pos - 1]))
+
+
 class _Parser(TokenStream):
     """The parser is its own token cursor."""
 
@@ -42,6 +71,19 @@ class _Parser(TokenStream):
     SYMBOLS = _SYMBOLS
     BINOP_PRECEDENCE = BINOP_PRECEDENCE
     BinOp = ast.BinOp
+    Block = _built(ast.Block)
+    LocalVarDecl = _built(ast.LocalVarDecl)
+    Assign = _built(ast.Assign)
+    If = _built(ast.If)
+    While = _built(ast.While)
+    Return = _built(ast.Return)
+    CallStmt = _built(ast.CallStmt)
+    Call = _built(ast.Call)
+    VarRef = _built(ast.VarRef)
+    IntLit = _built(ast.IntLit)
+    BoolLit = _built(ast.BoolLit)
+    Not = _built(ast.Not)
+    parenthesised = _parenthesised
 
     def program(self) -> ast.Program:
         start = self.pos
@@ -80,14 +122,18 @@ class _Parser(TokenStream):
 
     def method(self) -> ast.MethodDecl:
         start = self.pos
+        return_type, name, formals = self.header()
+        body = self.block()
+        return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))
+
+    def header(self) -> tuple[str, str, tuple[ast.Formal, ...]]:
+        """A method's return type, name and formals."""
         if self.accept("void"):
             return_type = "void"
         else:
             return_type = self._etype()
         name = self.expect_kind(IDENT, "method name")
-        formals = self.items(self.formal)
-        body = self.block()
-        return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))
+        return return_type, name, self.items(self.formal)
 
     def formal(self) -> ast.Formal:
         start = self.pos
@@ -109,7 +155,7 @@ class _Parser(TokenStream):
         while self.texts[self.pos] != "}":
             statements.append(self.statement())
         self.pos += 1
-        return ast.Block(tuple(statements), span=self.span_from(start))
+        return self.Block(start, tuple(statements))
 
     def statement(self) -> ast.Statement:
         start = self.pos
@@ -120,11 +166,11 @@ class _Parser(TokenStream):
             self.pos = start + 2
             value = self.expression()
             self.expect(";")
-            return ast.Assign(text, value, span=self.span_from(start))
+            return self.Assign(start, text, value)
         elif text == "this" or kind == IDENT and following == "(":
             call = self.call()
             self.expect(";")
-            return ast.CallStmt(call, span=self.span_from(start))
+            return self.CallStmt(start, call)
         elif text == "{":
             return self.block()
         elif text in ast.ETYPES:
@@ -134,7 +180,7 @@ class _Parser(TokenStream):
             if self.accept("="):
                 init = self.expression()
             self.expect(";")
-            return ast.LocalVarDecl(text, name, init, span=self.span_from(start))
+            return self.LocalVarDecl(start, text, name, init)
         elif text == "if":
             self.pos = start + 1
             self.expect("(")
@@ -144,21 +190,21 @@ class _Parser(TokenStream):
             else_branch = None
             if self.accept("else"):
                 else_branch = self.statement()
-            return ast.If(condition, then_branch, else_branch, span=self.span_from(start))
+            return self.If(start, condition, then_branch, else_branch)
         elif text == "while":
             self.pos = start + 1
             self.expect("(")
             condition = self.expression()
             self.expect(")")
             body = self.statement()
-            return ast.While(condition, body, span=self.span_from(start))
+            return self.While(start, condition, body)
         elif text == "return":
             self.pos = start + 1
             value = None
             if self.texts[self.pos] != ";":
                 value = self.expression()
             self.expect(";")
-            return ast.Return(value, span=self.span_from(start))
+            return self.Return(start, value)
         self.fail("a statement")
 
     def call(self) -> ast.Call:
@@ -169,7 +215,7 @@ class _Parser(TokenStream):
             self.expect(".")
         name = self.expect_kind(IDENT, "method name")
         args = self.items(self.expression)
-        return ast.Call(this_qualified, name, args, span=self.span_from(start))
+        return self.Call(start, this_qualified, name, args)
 
     def primary(self) -> ast.Expression:
         start = self.pos
@@ -179,21 +225,64 @@ class _Parser(TokenStream):
             return self.call()
         if kind == IDENT:
             self.pos = start + 1
-            return ast.VarRef(text, span=self.span_from(start))
+            return self.VarRef(start, text)
         if kind == INT:
-            return ast.IntLit(self.integer(), span=self.span_from(start))
+            return self.IntLit(start, self.integer())
         if text == "true" or text == "false":
             self.pos = start + 1
-            return ast.BoolLit(text == "true", span=self.span_from(start))
+            return self.BoolLit(start, text == "true")
         if text == "(":
             self.pos = start + 1
             inner = self.expression()
             self.expect(")")
-            return with_span(inner, self.span_from(start))
+            return self.parenthesised(start, inner)
         if text == "!":
             self.pos = start + 1
             operand = self.primary()
-            return ast.Not(operand, span=self.span_from(start))
+            return self.Not(start, operand)
         self.fail("an expression")
 
     operand = primary
+
+
+def _nothing(self: TokenStream, start: int, *fields: Any) -> None:
+    """A recogniser's constructor: it builds nothing."""
+
+
+def _no_binop(*args: Any, span: Offsets | None = None) -> None:
+    """The recogniser's ``BinOp``, called as ``TokenStream`` calls it."""
+
+
+class _Recogniser(_Parser):
+    """The parser's grammar with a no-op for each constructor of a
+    statement or an expression. It reads the whole program: it builds the
+    classes, fields and method headers, and checks every method body as
+    the parser reads it, building no node; a body whose span ``build``
+    takes is then read again by a ``_Parser`` over the same tokens."""
+
+    BinOp = staticmethod(_no_binop)
+    Block = LocalVarDecl = Assign = If = While = Return = CallStmt = _nothing
+    Call = VarRef = IntLit = BoolLit = Not = parenthesised = _nothing
+
+    def __init__(self, source: str, build: Callable[[Offsets], bool]) -> None:
+        super().__init__(source)
+        self.build = build
+
+    def method(self) -> ast.MethodDecl:
+        start = self.pos
+        return_type, name, formals = self.header()
+        body_start = self.pos
+        self.block()
+        span = self.starts[body_start], self.ends[self.pos - 1]
+        if self.build(span):
+            # A parser over the same token columns, none copied. They are
+            # set one by one: reading ``vars(self)`` would give this
+            # recogniser a dict of its own and slow its every later read.
+            builder = object.__new__(_Parser)
+            builder.source, builder.kinds, builder.texts = self.source, self.kinds, self.texts
+            builder.starts, builder.ends, builder.pos = self.starts, self.ends, body_start
+            body = builder.block()
+        else:
+            tokens = tuple(self.texts[body_start : self.pos])
+            body = ast.Unparsed(self.source[span[0] : span[1]], tokens, span=span)
+        return ast.MethodDecl(return_type, name, formals, body, span=self.span_from(start))

@@ -7,8 +7,11 @@ method header, ``while``, ``if``, ``else``) follows one rule, ``_body``:
 a block opens with `` {`` on the head's line and closes with ``}`` at
 its indent; any other statement goes on the next line, one level deeper.
 An ``else`` after a block joins its ``}``, and a method body that is not
-a block still prints inside braces. Focus wrappers are rejected
-(``FocusPresent``) where the printer meets one.
+a block still prints inside braces. A body the parser kept as text
+(``ast.Unparsed``) is written as that text after its header, so a method
+that a refactoring did not touch keeps its layout, and on a program the
+printer wrote, the text is what the printer would write. Focus wrappers
+are rejected (``FocusPresent``) where the printer meets one.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ def _class_lines(cls: ast.ClassDecl) -> str:
         if i > 0 or cls.fields:
             lines.append("")
         params = ", ".join(f"{f.type_name} {f.name}" for f in m.formals)
-        body = m.body if isinstance(m.body, ast.Block) else ast.Block((m.body,))
-        _body(f"{_INDENT}{m.return_type} {m.name}({params})", body, 1, lines)
+        head = f"{_INDENT}{m.return_type} {m.name}({params})"
+        if isinstance(m.body, ast.Unparsed):
+            lines.append(f"{head} {m.body.text}")
+        else:
+            _body(head, m.body if isinstance(m.body, ast.Block) else ast.Block((m.body,)), 1, lines)
     lines.append("}")
     return "\n".join(lines)
 

@@ -12,7 +12,6 @@ contain no returns or assignments.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import attrgetter
 
 from ..framework import AbstractionSignature, ConstructorRejected
@@ -24,7 +23,7 @@ from .parser import _KEYWORDS
 
 def _wrap_let_defs(t: ast.Expression) -> ast.Expression:
     if isinstance(t, ast.Let) and isinstance(t.defs, ast.FunDefList):
-        return dataclasses.replace(t, defs=ast.FunDefListFocus(t.defs))
+        return ast.Let(ast.FunDefListFocus(t.defs), t.body, span=t.span)
     raise StrategyFailure("not a let with a plain definition list")
 
 

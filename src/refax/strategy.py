@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Sequence, TypeVar
 
-from .terms import Term, sort_name
+from .terms import Opaque, Term, sort_name
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -402,8 +402,10 @@ def above_path_tp(s: TransformTP, below: QueryTU[Any]) -> TransformTP:
     return _tp(attempt)
 
 
-# The name ``bench/traced.py`` imports for its whole-tree ``above`` pass;
-# ROADMAP item 3 moves the benchmark to ``above_path_tp`` and removes it.
+# The name ``bench/traced.py`` imports for its whole-tree ``above`` pass.
+# ROADMAP item 4 moves the benchmark to ``above_path_tp`` and removes this
+# alias; ``oncetd_tu``, which no refactoring runs but the benchmark also
+# imports, stays in the core until then for the same reason.
 above_tp = above_path_tp
 
 
@@ -422,6 +424,8 @@ def propagate_path_tu(e0: E, update: Callable[[E], QueryTU[E]], select: QueryTU[
 def _scoped_uses(n: Term, bind_at: Attempt, use_at: Attempt, bound: dict[Any, int], found: dict[Any, None]) -> None:
     """``scoped_uses_tu``'s walk of ``n``, one frame per tree level: a
     module-level function, not a closure, so a call leaves no cycle."""
+    if n.opaque:
+        raise Opaque(f"{n.tag} holds names no pass has parsed")
     names = bind_at(n)
     if names is _FAIL:
         names = ()
@@ -446,7 +450,9 @@ def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> Q
     """The names ``uses`` yields that no binder scopes over: every name
     used at a node, unless ``binds`` yields it at that node or at one of
     its ancestors, in preorder and once each, at its first such use.
-    Refusal of either query counts as "none", so this never refuses.
+    Refusal of either query counts as "none", so this never refuses; an
+    opaque node (``Term.opaque``) raises ``Opaque``, since its names may be
+    used or bound in ways its atoms do not tell.
 
     One top-down pass: ``binds`` and ``uses`` run once per node. The names
     in scope are a count map, raised on entry to a binder and lowered on

@@ -43,7 +43,13 @@ line and runs its children's steps, but a class builds its step at its
 first dump, not when it is defined: only ``refax ast`` dumps, so every
 other request, and the start-up of each, would pay for steps it never
 runs. ``with_span`` gives a node another span (a parenthesised
-expression's) by calling its class with its field values.
+expression's) by calling its class with its field values, and
+``append_child`` extends a sequence node the same way.
+
+A class may mark its nodes ``opaque``: each stands for a region of source
+text that a parser checked but built no nodes for, and holds the text's
+tokens as its atoms. A walk over atoms sees its names; a pass that must
+know how they are bound raises ``Opaque`` there.
 """
 
 from __future__ import annotations
@@ -66,6 +72,10 @@ class TermError(Exception):
 
 class ArityMismatch(TermError):
     pass
+
+
+class Opaque(TermError):
+    """A pass that must see inside a node met an opaque one (``Term.opaque``)."""
 
 
 class SortMismatch(TermError):
@@ -128,6 +138,8 @@ class Term:
 
     sort: ClassVar[type[Term]]
     _term_slots: ClassVar[tuple[tuple[int, str, Any], ...]]
+    # True for a class of opaque nodes (see the module's docstring).
+    opaque: ClassVar[bool] = False
     span: Offsets | None = dataclasses.field(default=None, kw_only=True, compare=False, repr=False)
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -317,7 +329,12 @@ def append_child(t: Term, child: Term) -> Term:
     ((_, name, elem_cls),) = seq_slots
     if child.sort is not elem_cls.sort:
         raise SortMismatch(len(getattr(t, name)), elem_cls.sort, child.sort)
-    return dataclasses.replace(t, **{name: getattr(t, name) + (child,)})
+    cls = type(t)
+    values = [
+        value + (child,) if slot[1] == name else value
+        for slot, value in zip(cls._term_slots, _field_values(cls)(t))
+    ]
+    return cls(*values, span=t.span)
 
 
 def dump(t: Term) -> str:

@@ -51,6 +51,12 @@ SCENARIOS = [
     ("j-extract-parse-error",
      "extract --lang joos --file {g}/joos/bad_syntax.joos --focus 1:1-1:2 --name x",
      2, "", "/joos/bad_syntax.joos: line 2, col 15: expected 'int' or 'boolean'"),
+    ("j-extract-layout",  # an untouched method body keeps its layout
+     "extract --lang joos --file {g}/joos/layout.joos --focus 6:9-6:25 --name audit",
+     0, "j-extract-layout.out", None),
+    ("j-extract-parse-error-elsewhere",  # in a method the focus is not in
+     "extract --lang joos --file {g}/joos/bad_body.joos --focus 3:9-3:22 --name x",
+     2, "", "/joos/bad_body.joos: line 7, col 17: expected an expression, found ';'\n"),
     ("j-extract-usage",
      "extract --lang joos --file {g}/joos/account.joos --focus 6:9-10:10",
      3, "", "--name"),
@@ -514,6 +520,90 @@ def test_help_exits_0(capsys):
     assert captured.err == ""
 
 
+# ``refax --help`` and each subcommand's, at 80 columns. The description
+# is ``cli.DESCRIPTION``, not the module's docstring, so notes in the
+# docstring leave the help as it is.
+_HELP = {
+    "": """usage: refax [-h] {extract,introduce,check,ast} ...
+
+Command-line driver: parse, place a focus, refactor, check and dump. Exit
+codes: 0 success; 1 a refactoring precondition failed (the source file is
+untouched); 2 span errors, parse errors (naming the file), an input file that
+cannot be read (missing, or not UTF-8 text), or an ``--output`` path that
+cannot be written (say, in a missing directory); 3 usage errors, found before
+any file is read; 4 internal error: any other exception, including input
+nested past the recursion limit, reported as one ``internal error: ...`` line
+without a traceback (the source file is untouched). Program text goes to the
+output stream, diagnostics about failures to the error stream, so outputs are
+pipeable. In-place rewriting is atomic (temp file plus rename in the same
+directory) and keeps the file's permission bits. Through a symbolic link it
+rewrites the file the link resolves to, so the link stays a link.
+
+positional arguments:
+  {extract,introduce,check,ast}
+    extract             extract the focused fragment
+    introduce           introduce a parsed abstraction
+    check               run the static checks
+    ast                 dump the term structure
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "extract": """usage: refax extract [-h] --lang {joos,minilet} --file FILE --focus L:C-L:C
+                     --name NAME [--output OUTPUT | --in-place]
+
+options:
+  -h, --help            show this help message and exit
+  --lang {joos,minilet}
+  --file FILE           source file to operate on
+  --focus L:C-L:C       span of the fragment (1-based, end-exclusive)
+  --name NAME           name for the new abstraction
+  --output OUTPUT       write the result to this path
+  --in-place            rewrite the source file atomically
+""",
+    "introduce": """usage: refax introduce [-h] --lang {joos,minilet} --file FILE --decl DECL
+                       [--class CLASS_NAME] [--focus L:C-L:C]
+                       [--output OUTPUT | --in-place]
+
+options:
+  -h, --help            show this help message and exit
+  --lang {joos,minilet}
+  --file FILE           source file to operate on
+  --decl DECL           file holding one abstraction
+  --class CLASS_NAME    target class (joos)
+  --focus L:C-L:C       span of the target definition list (minilet)
+  --output OUTPUT       write the result to this path
+  --in-place            rewrite the source file atomically
+""",
+    "check": """usage: refax check [-h] --lang {joos,minilet} --file FILE
+
+options:
+  -h, --help            show this help message and exit
+  --lang {joos,minilet}
+  --file FILE           source file to operate on
+""",
+    "ast": """usage: refax ast [-h] --lang {joos,minilet} --file FILE
+
+options:
+  -h, --help            show this help message and exit
+  --lang {joos,minilet}
+  --file FILE           source file to operate on
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP), ids=[c or "refax" for c in _HELP])
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    """The whole ``--help`` text, byte for byte, at 80 columns; the
+    description is ``cli.DESCRIPTION`` and no other text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _HELP[command]
+    assert captured.err == ""
+    assert cli.build_parser().description is cli.DESCRIPTION != cli.__doc__
+
+
 def test_a_usage_error_prints_the_usage_line(capsys):
     assert main(["extract", "--lang", "joos"]) == 3
     captured = capsys.readouterr()
@@ -891,9 +981,9 @@ def test_main_pauses_the_collector_and_restores_it(enabled, tmp_path, capsys, mo
     language = cli.LANGUAGES["minilet"]
     seen = []
 
-    def parse(source):
+    def parse(source, build=None):
         seen.append(gc.isenabled())
-        return language.parse(source)
+        return language.parse(source, build)
 
     def broken(fragment):
         raise RuntimeError("fault")

@@ -1077,7 +1077,8 @@ def test_a_cli_introduce_builds_no_list_wrapper(lang, scenario, monkeypatch, cap
     finds: it constructs no list wrapper of either language, and its
     ``children`` calls are pinned. Wrapping the list and then searching
     for the wrapper from the root made 1 wrapper and 30 (JOOS) and 19
-    (minilet) calls on these golden requests."""
+    (minilet) calls on these golden requests; the path form made 27 JOOS
+    calls while it parsed every method body into nodes."""
     argv = next(a for n, a, *_ in SCENARIOS if n == scenario).format(g=_GOLDEN).split()
 
     def run():
@@ -1085,7 +1086,7 @@ def test_a_cli_introduce_builds_no_list_wrapper(lang, scenario, monkeypatch, cap
 
     wrappers = [language.focus_kinds[language.list_kind] for language in LANGUAGES.values()]
     assert _calls(monkeypatch, wrappers, "__init__", run) == 0
-    assert _calls(monkeypatch, _node_classes(), "children", run) == {"joos": 27, "minilet": 14}[lang]
+    assert _calls(monkeypatch, _node_classes(), "children", run) == {"joos": 15, "minilet": 14}[lang]
     capsys.readouterr()
 
 

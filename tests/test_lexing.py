@@ -404,9 +404,11 @@ def parse_error_digest(lang):
     return h.hexdigest()
 
 
-# Computed with the readers that also tested each token's kind.
+# Computed with the readers that also tested each token's kind. Before
+# ``layout.joos`` and ``bad_body.joos`` joined the corpus, the JOOS inputs
+# hashed to a76b1144a4a33217..., as they still do without those two.
 PARSE_ERROR_DIGESTS = {
-    "joos": "a76b1144a4a332178996abfae388f4cc89930a51fe158ba62b02efa1be9f3628",
+    "joos": "3185b608bfd4341cdf1397ee7ad96edd14a51c63edb67fc9d7a4c25dc9ec3c8e",
     "minilet": "659f887d467021185a9aa9070cda1e051836f15602eb665b49307305a94c5496",
 }
 
