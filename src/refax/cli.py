@@ -3,19 +3,22 @@
 ``refax --help`` describes the exit codes and the output streams
 (``DESCRIPTION``).
 
-An ``extract`` or ``introduce`` first parses on a diet: the language's
-parser may keep each region the request does not read as one opaque node
-of its text (``Language.parse`` given ``build``). An extract reads the
-region that encloses its focus, and ``introduce --class`` reads none;
-the generic refactorings read only the focus's path, the headers of the
+An ``extract`` or ``introduce`` whose new name the source does not
+mention (``lexing.mentions``) parses on a diet: the language's parser
+may keep each region the request does not read as one opaque node of its
+text (``Language.parse`` given ``build``). An extract reads the region
+that encloses its focus, and ``introduce --class`` reads none; the
+generic refactorings read only the focus's path, the headers of the
 host's list, and whether the new name occurs among the list's atoms,
 which an opaque node's tokens answer. The grammar still checks every
 region, so a syntax error anywhere is the same ``ParseError``, and the
-printer writes an opaque node as its text. Where an opaque node could
-change the verdict, the request runs again on a full parse: when the
-``NameClash`` rule's free-name pass meets one (``Opaque``), and, inside
-``focus_path_by_span``, for a ``SpanMismatch``, whose nearest candidates
-are every node of the kind.
+printer writes an opaque node as its text. A ``SpanMismatch``, whose
+nearest candidates are every node of the kind, is named from a full
+parse. Where the new name does occur in an opaque node, the
+``NameClash`` rule's pass for that name builds the node
+(``strategy.scoped_use_tu``); a source that mentions the name is parsed
+in full instead, since building many such nodes after a diet parse costs
+more than one full parse.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import tempfile
 from collections.abc import Iterator, Mapping
 
 from .framework import FocusPresent, Language, RefactoringError
-from .lexing import ParseError, Span, SpanMismatch
-from .terms import Offsets, Opaque, dump
+from .lexing import ParseError, Span, SpanMismatch, mentions
+from .terms import Offsets, dump
 
 
 class _Languages(Mapping[str, Language]):
@@ -210,8 +213,8 @@ def _naming(path: str) -> Iterator[None]:
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     lang = LANGUAGES[args.lang]
+    by_class = args.command == "introduce" and lang.focus_class is not None
     if args.command == "introduce":
-        by_class = lang.focus_class is not None
         given = {"--class": args.class_name, "--focus": args.focus}
         flag, other = ("--class", "--focus") if by_class else ("--focus", "--class")
         if not given[flag]:
@@ -233,22 +236,23 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         decl_source = _read(args.decl)
         with _naming(args.decl):
             decl = lang.parse_decl(decl_source)
-    for diet in (True, False):  # a full parse only where the diet one cannot judge
-        try:
-            with _naming(args.file):
-                if args.command == "extract":
-                    at = lang.focus_path_by_span(source, lang.fragment_kind, args.focus, diet)
-                elif by_class:
-                    at = lang.focus_class(lang.parse(source, _no_region if diet else None), args.class_name)
-                else:
-                    at = lang.focus_path_by_span(source, lang.list_kind, args.focus, diet)
-            if args.command == "extract":
-                result = lang.extract_at(args.name, at)
-            else:
-                result = lang.introduce_at(decl, at)
-        except Opaque:
-            continue
-        break
+    name = args.name if args.command == "extract" else lang.signature.get_abs_name(decl)
+    diet = not mentions(source, name)  # see the module's docstring
+    with _naming(args.file):
+        if by_class:
+            at = lang.focus_class(lang.parse(source, _no_region if diet else None), args.class_name)
+        else:
+            kind = lang.fragment_kind if args.command == "extract" else lang.list_kind
+            try:
+                at = lang.focus_path_by_span(source, kind, args.focus, diet)
+            except SpanMismatch:  # named among every node of the kind: from a full parse
+                if not diet:
+                    raise
+                at = lang.focus_path_by_span(source, kind, args.focus)
+    if args.command == "extract":
+        result = lang.extract_at(args.name, at)
+    else:
+        result = lang.introduce_at(decl, at)
     _emit(lang.pretty(result), args)
     return 0
 

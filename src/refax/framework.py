@@ -41,8 +41,8 @@ focus placement works and ``focus_case`` derives the focus recognisers;
 and the parser, printer and checker. The printer and the checker reject a focus wrapper where
 their own dispatch meets one (``FocusPresent``), without a separate pass.
 A parser may keep a region that a request does not read as an opaque node
-of its text (``Language``); the free-name pass raises ``terms.Opaque``
-where it meets one, so a caller can judge again on a full parse.
+of its text (``Language``); the free-name pass builds one where it must
+see inside (``terms.Term.opaque``), so every verdict is a full parse's.
 Everything here manipulates terms only through the uniform protocol.
 """
 
@@ -68,6 +68,7 @@ from .strategy import (
     mono_tu,
     oncetd_tp,
     propagate_path_tu,
+    scoped_use_tu,
     scoped_uses_tu,
 )
 from .terms import Offsets, Term, append_child
@@ -290,12 +291,14 @@ def introduce_at(
 
     The rule asks about one name, so it is judged as a query for that
     name: the list's definitions first, then a walk that stops at the
-    first node whose atoms hold it, and the scoped free-name pass only
-    when it occurs. A free name is an atom of the node ``referenced``
-    yields it at, so the verdict is that of the free-name pass alone."""
+    first node whose atoms hold it, and the scoped free-name pass for that
+    name (``scoped_use_tu``) only when it occurs. A free name is an atom of
+    the node ``referenced`` yields it at, so the verdict is that of the
+    free-name pass alone; of the opaque nodes, that pass builds only those
+    whose atoms hold the name."""
     name, target = sig.get_abs_name(abstr), at.found
     if name in (sig.get_abs_name(a) for a in target.children()) or (
-        _occurs(name, target) and name in free_names(declared_names(declared), referenced, target)
+        _occurs(name, target) and apply_tu(scoped_use_tu(declared_names(declared), referenced, name), target)
     ):
         raise NameClash(name)
     return at.rebuild(append_child(target, abstr))
@@ -334,10 +337,10 @@ class Language:
 
     ``parse(source)`` builds every node. ``parse(source, build)`` may leave
     a region whose span (offsets) ``build`` refuses as one opaque node
-    (``terms.Term.opaque``) that keeps its text, as the JOOS parser does
-    with method bodies, or may build it all, as minilet's does; either way
-    it raises the ``ParseError`` that ``parse(source)`` raises. The
-    printer writes an opaque node as its text.
+    (``terms.Term.opaque``) that keeps its text and builds the region when
+    a pass asks, as the JOOS parser does with method bodies, or may build
+    it all, as minilet's does; either way it raises the ``ParseError`` that
+    ``parse(source)`` raises. The printer writes an opaque node as its text.
     """
 
     name: str
@@ -441,23 +444,20 @@ class Language:
         With ``diet``, ``parse`` gets the span enclosure test as its
         ``build``, so only the regions that enclose ``span`` need be built
         (``Language``), and the path found is the one a full parse gives.
-        The nearest spans are every node's of the kind, so a mismatch is
-        then reported from a full parse."""
+        A mismatch then names the nearest spans among the nodes built; the
+        CLI runs again without ``diet`` to name them among every node."""
         spans = mono_tu(SortCase(self.focus_kinds[kind].sort, attrgetter("span")))
         lines = Lines(source)
         wanted = lines.offsets(span)
+
+        def encloses(s: Offsets | None) -> bool:  # spans nest, so no other child holds it
+            return s is None or wanted is not None and s[0] <= wanted[0] and wanted[1] <= s[1]
+
+        prog = self.parse(source, encloses) if diet else self.parse(source)
         if wanted is not None:
-            start, end = wanted
-
-            def encloses(s: Offsets | None) -> bool:  # spans nest, so no other child holds it
-                return s is None or (s[0] <= start and end <= s[1])
-
-            prog = self.parse(source, encloses) if diet else self.parse(source)
             for at in focus_paths(spans, prog, lambda c: encloses(c.span)):
                 if at.found == wanted:
                     return FocusPath(at.node, at.node, at.path)
-        if wanted is None or diet:
-            prog = self.parse(source)
         nearest = sorted(
             (lines.span(at.found) for at in focus_paths(spans, prog) if at.found is not None),
             key=lambda s: (abs(s.line - span.line), abs(s.col - span.col),

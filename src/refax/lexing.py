@@ -214,6 +214,14 @@ def is_identifier(text: str, keywords: frozenset[str]) -> bool:
     return re.fullmatch(_IDENTIFIER, text) is not None and text not in keywords
 
 
+def mentions(source: str, name: str) -> bool:
+    """Whether ``name`` occurs in ``source`` with no identifier character
+    on either side, as an identifier token does unless a number abuts it.
+    A substring test settles most absent names in one C scan."""
+    word = rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_])"
+    return name in source and re.search(word, source) is not None
+
+
 class TokenStream:
     """Cursor by index over the tokens of ``source``, with the lookahead
     helpers and the readers that both recursive descent parsers need.
