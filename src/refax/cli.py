@@ -14,11 +14,11 @@ which an opaque node's tokens answer. The grammar still checks every
 region, so a syntax error anywhere is the same ``ParseError``, and the
 printer writes an opaque node as its text. A ``SpanMismatch``, whose
 nearest candidates are every node of the kind, is named from a full
-parse. Where the new name does occur in an opaque node, the
-``NameClash`` rule's pass for that name builds the node
-(``strategy.scoped_use_tu``); a source that mentions the name is parsed
-in full instead, since building many such nodes after a diet parse costs
-more than one full parse.
+parse. A source that mentions the new name is parsed in full, once: the
+``NameClash`` rule's free-name pass may then need the scopes of a region,
+and it raises ``terms.Opaque`` at an opaque node. A name occurs among an
+opaque node's atoms only where the source mentions it, so the pass never
+reaches one after a diet parse.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ focus placement works and ``focus_case`` derives the focus recognisers;
 and the parser, printer and checker. The printer and the checker reject a focus wrapper where
 their own dispatch meets one (``FocusPresent``), without a separate pass.
 A parser may keep a region that a request does not read as an opaque node
-of its text (``Language``); the free-name pass builds one where it must
-see inside (``terms.Term.opaque``), so every verdict is a full parse's.
+of its text (``Language``); the free-name pass raises ``terms.Opaque``
+where it meets one, so a caller can judge again on a full parse.
 Everything here manipulates terms only through the uniform protocol.
 """
 
@@ -68,7 +68,6 @@ from .strategy import (
     mono_tu,
     oncetd_tp,
     propagate_path_tu,
-    scoped_use_tu,
     scoped_uses_tu,
 )
 from .terms import Offsets, Term, append_child
@@ -291,14 +290,12 @@ def introduce_at(
 
     The rule asks about one name, so it is judged as a query for that
     name: the list's definitions first, then a walk that stops at the
-    first node whose atoms hold it, and the scoped free-name pass for that
-    name (``scoped_use_tu``) only when it occurs. A free name is an atom of
-    the node ``referenced`` yields it at, so the verdict is that of the
-    free-name pass alone; of the opaque nodes, that pass builds only those
-    whose atoms hold the name."""
+    first node whose atoms hold it, and the scoped free-name pass only
+    when it occurs. A free name is an atom of the node ``referenced``
+    yields it at, so the verdict is that of the free-name pass alone."""
     name, target = sig.get_abs_name(abstr), at.found
     if name in (sig.get_abs_name(a) for a in target.children()) or (
-        _occurs(name, target) and apply_tu(scoped_use_tu(declared_names(declared), referenced, name), target)
+        _occurs(name, target) and name in free_names(declared_names(declared), referenced, target)
     ):
         raise NameClash(name)
     return at.rebuild(append_child(target, abstr))
@@ -337,10 +334,10 @@ class Language:
 
     ``parse(source)`` builds every node. ``parse(source, build)`` may leave
     a region whose span (offsets) ``build`` refuses as one opaque node
-    (``terms.Term.opaque``) that keeps its text and builds the region when
-    a pass asks, as the JOOS parser does with method bodies, or may build
-    it all, as minilet's does; either way it raises the ``ParseError`` that
-    ``parse(source)`` raises. The printer writes an opaque node as its text.
+    (``terms.Term.opaque``) that keeps its text, as the JOOS parser does
+    with method bodies, or may build it all, as minilet's does; either way
+    it raises the ``ParseError`` that ``parse(source)`` raises. The
+    printer writes an opaque node as its text.
     """
 
     name: str

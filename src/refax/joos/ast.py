@@ -127,12 +127,6 @@ class Unparsed(Statement):
     text: str
     tokens: tuple[str, ...]
 
-    def built(self) -> Block:
-        """The block a full parse builds for this body, spans included."""
-        from .parser import parse_body  # the parser imports this module
-
-        return parse_body(self.text, self.span[0])
-
 
 @node
 class Formal(Term):

@@ -13,8 +13,7 @@ are no-ops, so it runs the same grammar over a method body, raising the
 same ``ParseError`` at the same token, and builds nothing. Given ``build``,
 ``parse_program`` reads the program with a ``_Recogniser``: it builds the
 classes, fields and method headers, and keeps each body that ``build``
-refuses as one ``ast.Unparsed`` that holds its source text, which
-``parse_body`` reads when a pass asks for the body (``Unparsed.built``).
+refuses as one ``ast.Unparsed`` that holds its source text.
 """
 
 from __future__ import annotations
@@ -49,17 +48,6 @@ def parse_method(source: str) -> ast.MethodDecl:
     method = p.method()
     p.expect_eof()
     return method
-
-
-def parse_body(text: str, start: int) -> ast.Block:
-    """The block a full parse builds for the method body ``text``, found at
-    offset ``start`` of its source: ``text`` read alone, each token's
-    offsets moved by ``start``. ``text`` is a body the recogniser checked,
-    so it is read without a check for the end of the input."""
-    p = _Parser(text)
-    p.starts = [s + start for s in p.starts]
-    p.ends = [e + start for e in p.ends]
-    return p.block()
 
 
 def _built(cls: type[Term]) -> Callable[..., Term]:

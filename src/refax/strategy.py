@@ -60,7 +60,7 @@ spend no Python frame per tree level; placement passes a guide that keeps
 the walk out of the subtrees that cannot hold its span. ``scoped_uses``
 is the free-name scheme: the names a use query yields outside the scope
 of every binder a bind query yields, in one top-down pass that keeps the
-names in scope in a count map; ``scoped_use_tu`` asks it of one name.
+names in scope in a count map.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Sequence, TypeVar
 
-from .terms import Term, sort_name
+from .terms import Opaque, Term, sort_name
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -425,7 +425,7 @@ def _scoped_uses(n: Term, bind_at: Attempt, use_at: Attempt, bound: dict[Any, in
     """``scoped_uses_tu``'s walk of ``n``, one frame per tree level: a
     module-level function, not a closure, so a call leaves no cycle."""
     if n.opaque:
-        n = n.built()
+        raise Opaque(f"{n.tag} holds names no pass has parsed")
     names = bind_at(n)
     if names is _FAIL:
         names = ()
@@ -450,9 +450,9 @@ def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> Q
     """The names ``uses`` yields that no binder scopes over: every name
     used at a node, unless ``binds`` yields it at that node or at one of
     its ancestors, in preorder and once each, at its first such use.
-    Refusal of either query counts as "none", so this never refuses. An
-    opaque node (``Term.opaque``) is walked as it is built (``built()``),
-    since its atoms do not tell how its names are bound.
+    Refusal of either query counts as "none", so this never refuses; an
+    opaque node (``Term.opaque``) raises ``Opaque``, since its names may be
+    used or bound in ways its atoms do not tell.
 
     One top-down pass: ``binds`` and ``uses`` run once per node. The names
     in scope are a count map, raised on entry to a binder and lowered on
@@ -463,35 +463,5 @@ def scoped_uses_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]]) -> Q
         found: dict[Any, None] = {}
         _scoped_uses(t, bind_at, use_at, {}, found)
         return tuple(found)
-
-    return _tu(attempt)
-
-
-def scoped_use_tu(binds: QueryTU[Sequence[A]], uses: QueryTU[Sequence[A]], name: A) -> QueryTU[bool]:
-    """Whether ``scoped_uses_tu(binds, uses)`` yields ``name``: a walk with
-    an explicit stack that stops at the first use of ``name`` no binder
-    scopes over, and skips the subtree of each node that binds it. Names
-    are atoms of the nodes that use them, and an opaque node holds its
-    region's atoms, so an opaque node whose atoms lack ``name`` is skipped
-    too; only one that holds it is built (``built()``) and walked."""
-    bind_at, use_at = binds._attempt, uses._attempt
-
-    def attempt(t: Term) -> bool:
-        stack = [t]
-        pop, push = stack.pop, stack.extend
-        while stack:
-            n = pop()
-            if n.opaque:
-                if name not in n.atoms():
-                    continue
-                n = n.built()
-            names = bind_at(n)
-            if names is not _FAIL and name in names:
-                continue
-            used = use_at(n)
-            if used is not _FAIL and name in used:
-                return True
-            push(n.children())
-        return False
 
     return _tu(attempt)

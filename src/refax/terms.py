@@ -48,9 +48,8 @@ expression's) by calling its class with its field values, and
 
 A class may mark its nodes ``opaque``: each stands for a region of source
 text that a parser checked but built no nodes for, and holds the text's
-tokens as its atoms, so a walk over atoms sees every name of the region.
-Such a class also defines ``built()``, the region's subtree as a full
-parse builds it, for a pass that must know how those names are bound.
+tokens as its atoms. A walk over atoms sees its names; a pass that must
+know how they are bound raises ``Opaque`` there.
 """
 
 from __future__ import annotations
@@ -73,6 +72,10 @@ class TermError(Exception):
 
 class ArityMismatch(TermError):
     pass
+
+
+class Opaque(TermError):
+    """A pass that must see inside a node met an opaque one (``Term.opaque``)."""
 
 
 class SortMismatch(TermError):

@@ -4,8 +4,8 @@
 not mention build the classes, fields and method headers, and only the
 method body that encloses the focus (no body for ``introduce --class``);
 every other body is checked by the same grammar and kept as an
-``ast.Unparsed`` of its text, which a pass builds if it must see inside.
-These tests hold the CLI to what a CLI that parses in full gives: the
+``ast.Unparsed`` of its text. A source that mentions the new name is
+parsed in full, once. These tests hold the CLI to what a CLI that parses in full gives: the
 same exit code, stdout and stderr on printer fixpoints, the same exit
 code and stderr on malformed input, and the full parse's verdict where a
 body left as text could change it.
@@ -27,8 +27,8 @@ from refax.cli import main
 from refax.joos import ast
 from refax.joos.parser import _KEYWORDS, _SYMBOLS, parse_program
 from refax.lexing import Lines, ParseError, Span, SpanMismatch, is_identifier, tokenize
-from refax.strategy import apply_tu, scoped_use_tu, scoped_uses_tu
-from refax.terms import append_child
+from refax.strategy import apply_tu, scoped_uses_tu
+from refax.terms import Opaque, TermError, append_child
 
 from . import joos_gen
 from .fixture_trees import preorder
@@ -59,33 +59,18 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _differential(monkeypatch, requests: list[list[str]], scan: bool = True) -> tuple[list, list, list[list[bool]], list[int]]:
+def _differential(monkeypatch, requests: list[list[str]]) -> tuple[list, list, list[list[bool]]]:
     """Each request run by the CLI, then by the CLI with a full-parse JOOS
-    record; and for each run of the CLI, the parses it made (diet or not)
-    and the number of bodies kept as text that it then built. Without
-    ``scan``, the CLI takes every new name for one the source does not
-    mention, so every request parses on a diet."""
-    diet, parses, builds = [], [], []
-    if not scan:
-        monkeypatch.setattr(cli, "mentions", lambda source, name: False)
-    built = ast.Unparsed.built
-
-    def counting(self):
-        builds[-1] += 1
-        return built(self)
-
-    monkeypatch.setattr(ast.Unparsed, "built", counting)
+    record; and the parses (diet or not) each diet run made."""
+    diet, parses = [], []
     for argv in requests:
         parses.append([])
-        builds.append(0)
         monkeypatch.setitem(cli.LANGUAGES, "joos", _counting_record(parses[-1]))
         diet.append(_run(argv))
-    monkeypatch.setattr(ast.Unparsed, "built", built)
-    monkeypatch.setattr(cli, "mentions", lexing.mentions)
     monkeypatch.setitem(cli.LANGUAGES, "joos", _full_record())
     full = [_run(argv) for argv in requests]
     monkeypatch.setitem(cli.LANGUAGES, "joos", joos.LANGUAGE)
-    return diet, full, parses, builds
+    return diet, full, parses
 
 
 def _names(prog: ast.Program) -> list[str]:
@@ -99,19 +84,15 @@ def _programs(seed: int, count: int) -> list[str]:
     return [joos.pretty(joos_gen.gen_program(rng)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "no-scan"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_extract_and_introduce_match_a_full_parse_on_generated_programs(seed, scan, tmp_path, monkeypatch):
+def test_extract_and_introduce_match_a_full_parse_on_generated_programs(seed, tmp_path, monkeypatch):
     """On generated programs (printer fixpoints): an extract at every
     statement's span, with a fresh name and with a name drawn from the
     program, and an introduce into every class (and a missing one) of a
     method with a fresh name and with each of the program's names, give
     the exit code, stdout and stderr of a CLI that parses in full, with
     one parse each. Each path is taken to each verdict: a diet parse for
-    a name the source does not mention and a full one for a name it does;
-    and, with the source's names taken for absent ones, a diet parse that
-    settles the request, and one whose new name occurs in a body kept as
-    text, which the clash rule then builds."""
+    a name the source does not mention and a full one for a name it does."""
     rng = random.Random(seed)
     requests = []
     for k, source in enumerate(_programs(seed, 25)):
@@ -131,18 +112,12 @@ def test_extract_and_introduce_match_a_full_parse_on_generated_programs(seed, sc
             for cls in [*(c.name for c in prog.classes), "Missing"]:
                 requests.append(["introduce", "--lang", "joos", "--file", str(path),
                                  "--class", cls, "--decl", str(decl)])
-    diet, full, parses, builds = _differential(monkeypatch, requests, scan)
+    diet, full, parses = _differential(monkeypatch, requests)
     for argv, mine, theirs in zip(requests, diet, full):
         assert mine == theirs, argv
     assert 4 not in {outcome[0] for outcome in diet}
-    if scan:
-        paths = {(outcome[0], tuple(p)) for outcome, p in zip(diet, parses)}
-        assert {(0, (True,)), (1, (True,)), (0, (False,)), (1, (False,))} <= paths
-        assert not any(builds)
-    else:
-        paths = {(outcome[0], n > 0) for outcome, n in zip(diet, builds)}
-        assert {(0, False), (1, False), (0, True), (1, True)} <= paths
-        assert all(p == [True] for p in parses)
+    paths = {(outcome[0], tuple(p)) for outcome, p in zip(diet, parses)}
+    assert paths == {(0, (True,)), (1, (True,)), (0, (False,)), (1, (False,))}
 
 
 def _mutants(source: str, positions: range):
@@ -191,7 +166,7 @@ def test_token_mutations_give_the_exit_code_and_stderr_of_a_full_parse(seed, tmp
             requests.append(["extract", "--lang", "joos", "--file", str(path), "--focus", focus, "--name", "hx"])
         if len(requests) > 700:
             break
-    diet, full, _, _ = _differential(monkeypatch, requests)
+    diet, full, _ = _differential(monkeypatch, requests)
     for argv, mine, theirs in zip(requests, diet, full):
         _assert_same_result(argv, mine, theirs)
     assert {outcome[0] for outcome in diet} >= {0, 2}
@@ -212,7 +187,7 @@ def test_an_over_long_literal_in_a_body_kept_as_text_is_the_same_parse_error(tmp
     path = tmp_path / "long.joos"
     path.write_text(source, encoding="utf-8")
     argv = ["extract", "--lang", "joos", "--file", str(path), "--focus", "3:9-3:15", "--name", "h"]
-    (mine,), (theirs,), _, _ = _differential(monkeypatch, [argv])
+    (mine,), (theirs,), _ = _differential(monkeypatch, [argv])
     assert mine == theirs
     digits = _INT_MAX_STR_DIGITS + 1
     assert mine == (2, "", f"ParseError: {path}: line 7, col 13: integer literal of {digits} digits is too long\n")
@@ -237,44 +212,37 @@ _FALLBACK = """class C {
 """
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "no-scan"])
-@pytest.mark.parametrize("name,code,builds", [("z", 0, 1), ("y", 1, 1), ("helper", 0, 0), ("o", 1, 0), ("b", 0, 0)])
-def test_a_name_in_a_body_kept_as_text_gets_the_full_parse_verdict(name, code, builds, scan, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name,code", [("z", 0), ("y", 1), ("helper", 0), ("o", 1), ("b", 0)])
+def test_a_name_in_a_body_kept_as_text_gets_the_full_parse_verdict(name, code, tmp_path, monkeypatch):
     """The new name ``z`` is declared in ``n`` and ``y`` is free in ``o``,
-    both bodies kept as text when extracting from ``m`` on a diet: the
-    clash rule's pass for the name builds the one body whose tokens hold
-    it and finds ``z`` bound (exit 0) and ``y`` free (``NameClash``), as a
-    full parse does. A fresh name and a method's name are judged on the
-    diet parse alone, and so is ``b``, which ``n``'s header binds. The CLI
-    parses on a diet only for ``helper``, the one name the source does not
-    mention, and then builds no body."""
+    both bodies a diet parse would keep as text when extracting from
+    ``m``; ``o`` is a method's name and ``b`` is ``n``'s formal. The source
+    mentions each of them, so the CLI parses it in full, once, and finds
+    ``z`` and ``b`` bound (exit 0) and ``y`` free and ``o`` defined
+    (``NameClash``). Only ``helper``, which the source does not mention,
+    is judged on a diet parse."""
     path = tmp_path / "c.joos"
     path.write_text(_FALLBACK, encoding="utf-8")
     argv = ["extract", "--lang", "joos", "--file", str(path), "--focus", "5:9-5:19", "--name", name]
-    (mine,), (theirs,), (parses,), (built,) = _differential(monkeypatch, [argv], scan)
+    (mine,), (theirs,), (parses,) = _differential(monkeypatch, [argv])
     assert mine == theirs and mine[0] == code
-    if scan:
-        assert parses == [name == "helper"] and built == 0
-    else:
-        assert parses == [True] and built == builds
+    assert parses == [name == "helper"]
     if code == 1:
         assert mine[2] == f"NameClash: name {name!r} is already defined or free in the target scope\n"
     else:
         assert f"    void {name}(int a) {{\n        this.n(a);\n    }}\n}}\n" in mine[1]
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "no-scan"])
-def test_introduce_meets_a_name_in_a_body_kept_as_text(scan, tmp_path, monkeypatch):
-    """``introduce --class`` builds no body in a diet parse: a decl named
-    ``y`` (free in ``o``) makes the clash rule build ``o``'s, and is
-    refused. The CLI parses that source in full, as it mentions ``y``."""
+def test_introduce_meets_a_name_in_a_body_kept_as_text(tmp_path, monkeypatch):
+    """A decl named ``y``, free in ``o``, is refused: the source mentions
+    ``y``, so ``introduce --class`` parses it in full, once."""
     path, decl = tmp_path / "c.joos", tmp_path / "y.jdecl"
     path.write_text(_FALLBACK, encoding="utf-8")
     decl.write_text("void y() {\n}\n", encoding="utf-8")
     argv = ["introduce", "--lang", "joos", "--file", str(path), "--class", "C", "--decl", str(decl)]
-    (mine,), (theirs,), (parses,), (built,) = _differential(monkeypatch, [argv], scan)
+    (mine,), (theirs,), (parses,) = _differential(monkeypatch, [argv])
     assert mine == theirs == (1, "", "NameClash: name 'y' is already defined or free in the target scope\n")
-    assert (parses, built) == (([False], 0) if scan else ([True], 1))
+    assert parses == [False]
 
 
 @pytest.mark.parametrize("name", ["h", "a"])
@@ -289,11 +257,11 @@ def test_a_focus_no_statement_has_names_the_candidates_of_a_full_parse(focus, na
     path = tmp_path / "c.joos"
     path.write_text(_FALLBACK, encoding="utf-8")
     argv = ["extract", "--lang", "joos", "--file", str(path), "--focus", focus, "--name", name]
-    (mine,), (theirs,), (parses,), (built,) = _differential(monkeypatch, [argv])
+    (mine,), (theirs,), (parses,) = _differential(monkeypatch, [argv])
     assert mine == theirs and mine[0] == 2
     assert mine[2].startswith(f"SpanMismatch: no statement node covers exactly {focus}; nearest candidate spans: ")
     assert "none" not in mine[2]
-    assert parses == ([True, False] if name == "h" else [False]) and built == 0
+    assert parses == ([True, False] if name == "h" else [False])
 
 
 @pytest.mark.parametrize("name,source,found", [
@@ -455,41 +423,40 @@ def test_a_chain_too_deep_to_print_in_a_body_kept_as_text_is_written_as_it_is(tm
 # -- the term protocol ---------------------------------------------------------
 
 
-def test_the_free_name_passes_build_an_opaque_node_only_where_they_must(monkeypatch):
-    """``scoped_uses_tu`` walks every ``Unparsed`` body as it is built, so
-    it gives a full parse's free names. ``scoped_use_tu`` gives a full
-    parse's verdict for one name and builds only the bodies whose tokens
-    hold it and whose header does not bind it; a walk of the atoms sees
-    a body's tokens."""
-    methods = parse_program(_FALLBACK, lambda span: False).classes[0].methods
-    full = parse_program(_FALLBACK).classes[0].methods
-    binds, uses = framework.declared_names(joos.declared_pairs), joos.referenced_names
-    built, build = [], ast.Unparsed.built
-    monkeypatch.setattr(ast.Unparsed, "built", lambda self: built.append(self.span) or build(self))
-    assert apply_tu(scoped_uses_tu(binds, uses), methods) == ("f", "y")
-    assert len(built) == 3 and apply_tu(scoped_uses_tu(binds, uses), full) == ("f", "y")
-    for name, free, builds in [("y", True, 1), ("z", False, 1), ("f", True, 1), ("n", False, 1),
-                               ("b", False, 0), ("a", False, 0), ("x", False, 0), ("C", False, 0)]:
-        built.clear()
-        assert apply_tu(scoped_use_tu(binds, uses, name), methods) is free, name
-        assert len(built) == builds, name
-        assert apply_tu(scoped_use_tu(binds, uses, name), full) is free, name
+def test_the_free_name_pass_raises_at_an_opaque_node():
+    """``scoped_uses_tu`` cannot tell which names an ``Unparsed`` body binds
+    or uses, so it raises ``Opaque`` there; a walk of the atoms sees its
+    tokens."""
+    prog = parse_program(_FALLBACK, lambda span: False)
+    methods = prog.classes[0].methods
+    free = scoped_uses_tu(framework.declared_names(joos.declared_pairs), joos.referenced_names)
+    with pytest.raises(Opaque) as exc:
+        apply_tu(free, methods)
+    assert isinstance(exc.value, TermError) and str(exc.value) == "Unparsed holds names no pass has parsed"
     assert framework._occurs("y", methods) and not framework._occurs("x", methods)
+    assert apply_tu(free, parse_program(_FALLBACK).classes[0].methods) == ("f", "y")
 
 
-def test_a_body_kept_as_text_builds_the_block_of_a_full_parse():
-    """``Unparsed.built()`` is the block a full parse builds, spans
-    included, also on a source the printer would lay out otherwise."""
-    golden = Path(__file__).parent / "golden" / "joos"
-    sources = [_FALLBACK, (golden / "layout.joos").read_text(encoding="utf-8"),
-               "class C {\n  int m(int a)   {  return (a);\n}\n  void n() { }\n}\n"]
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_name_among_a_kept_body_s_tokens_is_one_its_source_mentions(seed):
+    """What the CLI's choice of parse rests on: the ``NameClash`` rule's
+    free-name pass runs only when the new name is among the list's atoms,
+    and an ``Unparsed`` body's atoms are its tokens, so after a diet parse,
+    taken only for a name the source does not mention, it never meets one."""
+    golden = sorted((Path(__file__).parent / "golden" / "joos").glob("*.joos"))
+    sources = [*_programs(seed, 25), *(p.read_text(encoding="utf-8") for p in golden)]
+    checked = 0
     for source in sources:
-        full, diet = _methods(parse_program(source)), _methods(parse_program(source, lambda span: False))
-        assert len(full) == len(diet) >= 2
-        for mine, theirs in zip(diet, full):
-            body = mine.body.built()
-            assert type(body) is ast.Block and body == theirs.body
-            assert [t.span for t in preorder(body)] == [t.span for t in preorder(theirs.body)]
+        try:
+            diet = parse_program(source, lambda span: False)
+        except ParseError:
+            continue
+        for m in _methods(diet):
+            for token in m.body.atoms():
+                if is_identifier(token, _KEYWORDS):
+                    assert lexing.mentions(source, token), token
+                    checked += 1
+    assert checked > 300
 
 
 def test_append_child_and_the_let_host_build_through_the_constructor(monkeypatch):

@@ -32,7 +32,6 @@ from refax.strategy import (
     oncetd_tp,
     oncetd_tu,
     propagate_path_tu,
-    scoped_use_tu,
     scoped_uses_tu,
 )
 
@@ -763,12 +762,11 @@ def test_refusal_surfaces_as_strategy_failure():
         with pytest.raises(StrategyFailure):
             apply(s, t)
     public = {n for n in dir(strategy) if n.endswith(("_tp", "_tu")) and not n.startswith("_")}
-    # The schemes that cannot refuse: refusal of the parts of
-    # scoped_uses_tu and scoped_use_tu counts as "none".
-    assert names >= public - {"apply_tp", "apply_tu", "scoped_uses_tu", "scoped_use_tu"}
+    # The schemes that cannot refuse: refusal of scoped_uses_tu's parts
+    # counts as "none".
+    assert names >= public - {"apply_tp", "apply_tu", "scoped_uses_tu"}
     assert apply_tu(const_reference(None), t) is None
     assert apply_tu(scoped_uses_tu(fail_tu(), QueryTU(_raise)), t) == ()
-    assert apply_tu(scoped_use_tu(fail_tu(), QueryTU(_raise), 2), t) is False
 
 
 def _names(code):
