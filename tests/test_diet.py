@@ -267,7 +267,8 @@ def test_a_focus_no_statement_has_names_the_candidates_of_a_full_parse(focus, na
 @pytest.mark.parametrize("name,source,found", [
     ("x", "int x;", True), ("x", "x", True), ("x", "f(x,y)", True), ("x", "int xy;", False),
     ("x", "int yx;", False), ("x", "x_", False), ("x", "1x", False), ("m1", "this.m17();", False),
-    ("m1", "this.m1();", True), ("a+", "a+ b", True), ("a+", "aa+ b", False), ("q", "", False),
+    ("m1", "this.m1();", True), ("a+", "a+ b", True), ("a+", "aa+ b", False), ("++", "a+++", True),
+    ("q", "", False),
 ])
 def test_mentions_finds_a_name_between_non_identifier_characters(name, source, found):
     assert lexing.mentions(source, name) is found
