@@ -337,7 +337,9 @@ class Language:
     (``terms.Term.opaque``) that keeps its text, as the JOOS parser does
     with method bodies, or may build it all, as minilet's does; either way
     it raises the ``ParseError`` that ``parse(source)`` raises. The
-    printer writes an opaque node as its text.
+    printer writes an opaque node as its text; ``check`` raises
+    ``terms.Opaque`` at one, as the free-name pass does, since the names
+    it holds are not parsed.
     """
 
     name: str

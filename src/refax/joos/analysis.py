@@ -28,7 +28,9 @@ through in field order, which is source order, so its diagnostics come
 in source order. It reports unresolved names, duplicate methods, arity
 mismatches and assignments to non-variables (method headers). It never
 types a declaration: it is not a type checker. A focus wrapper is
-rejected (``FocusPresent``) where the walk meets one.
+rejected (``FocusPresent``) where the walk meets one, and a body kept as
+text (``ast.Unparsed``) raises ``terms.Opaque``, as the free-name pass
+does: a check that skipped its names would miss their diagnostics.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from ..framework import FocusPresent, NameTypePair
 from ..strategy import QueryTU, SortCase, choice_tu, mono_tu
-from ..terms import Term
+from ..terms import Opaque, Term
 from . import ast
 
 
@@ -123,6 +125,8 @@ def _check_class(cls: ast.ClassDecl, diags: list[str]) -> None:
             arities[m.name] = len(m.formals)
     class_frame = _frame(binds(cls))
     for m in methods:
+        if m.body.opaque:  # tested once per body, not at every node
+            raise Opaque(f"{m.body.tag} holds names no pass has parsed")
         scopes = [class_frame, _frame(binds(m))]
         _check(m.body, scopes, arities, f"{cls.name}.{m.name}", diags)
 

@@ -245,7 +245,10 @@ class TokenStream:
 
     A parser sets ``KEYWORDS`` and ``SYMBOLS`` for ``tokenize``,
     ``BINOP_PRECEDENCE`` (1 binds loosest), its ``BinOp`` node class and
-    its ``operand`` rule for ``expression`` to read."""
+    its ``operand`` rule for ``expression`` to read. ``expression`` builds
+    each ``BinOp`` through ``make``, as a grammar may build its own nodes;
+    a parser that reads a region without building it shadows ``make`` on
+    the instance with a no-op for as long as it reads."""
 
     KEYWORDS: frozenset[str]
     SYMBOLS: tuple[str, ...]
@@ -308,6 +311,11 @@ class TokenStream:
         found = repr(self.texts[pos]) if self.kinds[pos] != EOF else "end of input"
         raise ParseError.at(self.source, self.starts[pos], f"expected {expected}, found {found}")
 
+    def make(self, cls: Callable[..., T], start: int, *fields: Any) -> T:
+        """``cls`` of ``fields``, spanning the token at ``start`` to the last
+        one read."""
+        return cls(*fields, span=(self.starts[start], self.ends[self.pos - 1]))
+
     def span_from(self, start_pos: int) -> Offsets:
         """Span from the token at ``start_pos`` to the last one consumed."""
         return self.starts[start_pos], self.ends[self.pos - 1]
@@ -339,7 +347,7 @@ class TokenStream:
             after = precedence.get(texts[self.pos])
             if after is not None and after > prec:
                 right = self._climb(right_start, right, prec + 1)
-            left = self.BinOp(op, left, right, span=self.span_from(start))
+            left = self.make(self.BinOp, start, op, left, right)
 
     def items(self, item: Callable[[], T]) -> tuple[T, ...]:
         """A parenthesised list: ``(``, zero or more ``item()``s separated

@@ -63,6 +63,9 @@ SCENARIOS = [
     ("j-introduce",
      "introduce --lang joos --file {g}/joos/account.joos --class Account --decl {g}/joos/newmethod.jdecl",
      0, "j-introduce.out", None),
+    ("j-introduce-layout",  # the bodies of the class keep their layout
+     "introduce --lang joos --file {g}/joos/layout.joos --class Ledger --decl {g}/joos/newmethod.jdecl",
+     0, "j-introduce-layout.out", None),
     ("j-introduce-clash",
      "introduce --lang joos --file {g}/joos/account.joos --class Account --decl {g}/joos/clash.jdecl",
      1, "", "NameClash"),

@@ -18,6 +18,7 @@ import dataclasses
 import io
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,13 @@ def test_a_body_kept_as_text_is_checked_without_building_a_node(monkeypatch):
     methods = len(_methods(full))
     assert sorted(set(built)) == ["ClassDecl", "FieldDecl", "Formal", "MethodDecl", "MethodList", "Program", "Unparsed"]
     assert built.count("Unparsed") == built.count("MethodDecl") == methods == len(_methods(diet))
+    # A build that takes one body (of ``n``, which holds no parentheses, so
+    # each of its nodes is built once): the headers' nodes and that body's.
+    headers = Counter(built)
+    body = full.classes[-1].methods.methods[1].body
+    built.clear()
+    parse_program(source, lambda span: span == body.span)
+    assert Counter(built) == headers - Counter(["Unparsed"]) + Counter(type(t).__name__ for t in preorder(body))
 
 
 def test_the_printer_writes_a_body_kept_as_text_as_written():
@@ -436,6 +444,21 @@ def test_the_free_name_pass_raises_at_an_opaque_node():
     assert isinstance(exc.value, TermError) and str(exc.value) == "Unparsed holds names no pass has parsed"
     assert framework._occurs("y", methods) and not framework._occurs("x", methods)
     assert apply_tu(free, parse_program(_FALLBACK).classes[0].methods) == ("f", "y")
+
+
+def test_the_static_check_raises_at_an_opaque_node():
+    """``Language.check`` cannot judge the names of an ``Unparsed`` body, so
+    it raises ``Opaque`` on a tree that keeps one, where a full parse gives
+    the diagnostics of every body."""
+    source = "class C { void m() { x = 1; } void n() { this.zz(); } }"
+    check, parse = joos.LANGUAGE.check, joos.LANGUAGE.parse
+    diags = ["C.m: assignment to undeclared variable 'x'", "C.n: call of undefined method 'zz'"]
+    assert check(parse(source)) == check(parse(source, lambda span: True)) == diags
+    first = parse(source).classes[0].methods.methods[0].body.span
+    for build in (lambda span: False, lambda span: span == first):
+        with pytest.raises(Opaque) as exc:
+            check(parse(source, build))
+        assert str(exc.value) == "Unparsed holds names no pass has parsed"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
