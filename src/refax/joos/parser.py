@@ -58,6 +58,7 @@ def _nothing(cls: Callable[..., Term], start: int, *fields: Any) -> None:
 class _Parser(TokenStream):
     """The parser is its own token cursor."""
 
+    __slots__ = ("build",)
     KEYWORDS = _KEYWORDS
     SYMBOLS = _SYMBOLS
     BINOP_PRECEDENCE = BINOP_PRECEDENCE

@@ -250,6 +250,13 @@ class TokenStream:
     a parser that reads a region without building it shadows ``make`` on
     the instance with a no-op for as long as it reads."""
 
+    # The cursor's state is in slots, and ``__dict__`` holds only a shadow
+    # of ``make``, so a stream that never sets one has no dict. Were the
+    # state in the dict, a shadow set once would leave ``make`` among the
+    # class's shared attribute names, and CPython would then stop
+    # specialising the ``self.make`` load for every later stream.
+    __slots__ = ("source", "kinds", "texts", "starts", "ends", "pos", "__dict__")
+
     KEYWORDS: frozenset[str]
     SYMBOLS: tuple[str, ...]
     BINOP_PRECEDENCE: dict[str, int]

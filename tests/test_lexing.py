@@ -244,6 +244,22 @@ def test_the_stream_pads_each_column_with_eof_entries(lang, source):
     assert EOF not in stream.kinds[:-tail]
 
 
+def test_a_parse_leaves_no_attribute_outside_the_stream_s_slots():
+    """The parsers keep their state in slots; the instance dict is only for
+    the shadow of ``make`` that a JOOS parse sets while it reads a body
+    without building it, and deletes after, so it is empty after a full
+    parse and after a diet one."""
+    for source in _sources("joos", 3):
+        for build in (None, lambda span: False, lambda span: True):
+            p = jparser._Parser(source, build)
+            p.program()
+            assert vars(p) == {}
+    for source in _sources("minilet", 3):
+        p = mparser._Parser(source)
+        p.expression()
+        assert vars(p) == {}
+
+
 def test_lexing_has_no_token_class():
     """Tokens are columns; no object is built per lexeme."""
     assert not hasattr(lexing, "Token")
